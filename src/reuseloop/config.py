@@ -11,7 +11,7 @@ the same way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -23,7 +23,7 @@ from .engine import (
     PROPOSED_OBSERVATION,
     ExecutorConfig,
 )
-from .errors import SchemaError
+from .errors import SchemaError, typed_field
 from .planner import HttpPlanner, MockPlanner, Planner
 from .tasks import (
     OBSERVATION_FIRST,
@@ -43,11 +43,15 @@ REFERENCE_TARGETS = {
     "observation": {"observation_only_total": 7.4969, "proposed_observation_total": 5.5833},
 }
 
+# Repeats per task in the runs the reference targets were measured on; the
+# profile maths amortizes one learning episode over this many events.
+_CALIBRATED_REPEATS = 5
+
 _OBSERVE_S = 0.2
 _RETRIEVE_S = 0.01
 _PER_STEP_S = 0.35
 
-# Self profile: collect/train/store chosen so a 5-repeat run amortizes to
+# Self profile: collect/train/store chosen so a calibrated run amortizes to
 # the proposed target exactly; see reference_executor.
 _SELF_COLLECT_S = 0.5
 _SELF_TRAIN_S = 0.23
@@ -76,24 +80,25 @@ def reference_latency(family: str) -> float:
     # time: round 1 is observe+retrieve+plan+train+store, later rounds are
     # retrieve+execute (proposed_observation) or plan+execute
     # (observation_only, which skips retrieval like always_llm).
-    targets = REFERENCE_TARGETS["observation"]
-    n = 5
-    plan_plus_exec = (n * targets["observation_only_total"] - _OBSERVE_S) / (n - 1)
+    plan_plus_exec = _observation_plan_plus_exec()
     budget = (
-        n * targets["proposed_observation_total"]
-        - _OBSERVE_S - n * _RETRIEVE_S - _OBS_TRAIN_S - _OBS_STORE_S
+        _CALIBRATED_REPEATS * REFERENCE_TARGETS["observation"]["proposed_observation_total"]
+        - _OBSERVE_S - _CALIBRATED_REPEATS * _RETRIEVE_S - _OBS_TRAIN_S - _OBS_STORE_S
     )
-    exec_mean = (budget - plan_plus_exec) / (n - 2)
+    exec_mean = (budget - plan_plus_exec) / (_CALIBRATED_REPEATS - 2)
     return plan_plus_exec - exec_mean
+
+
+def _observation_plan_plus_exec() -> float:
+    total = REFERENCE_TARGETS["observation"]["observation_only_total"]
+    return (_CALIBRATED_REPEATS * total - _OBSERVE_S) / (_CALIBRATED_REPEATS - 1)
 
 
 def _reference_exec_mean(family: str) -> float:
     if family == FAMILY_SELF:
         targets = REFERENCE_TARGETS["self"]
         return targets["always_llm_total"] - targets["llm_latency"]
-    n = 5
-    plan_plus_exec = (n * REFERENCE_TARGETS["observation"]["observation_only_total"] - _OBSERVE_S) / (n - 1)
-    return plan_plus_exec - reference_latency(FAMILY_OBSERVATION)
+    return _observation_plan_plus_exec() - reference_latency(FAMILY_OBSERVATION)
 
 
 def reference_executor(family: str, mean_sequence_len: float) -> ExecutorConfig:
@@ -109,9 +114,8 @@ def reference_executor(family: str, mean_sequence_len: float) -> ExecutorConfig:
         raise ValueError("mean sequence length too large for the reference profile")
     if family == FAMILY_SELF:
         targets = REFERENCE_TARGETS["self"]
-        n = 5
-        # retrieve + exec + (latency + collect + train + store) / n == proposed_total
-        overhead = n * (
+        # retrieve + exec + (latency + collect + train + store) / repeats == proposed_total
+        overhead = _CALIBRATED_REPEATS * (
             targets["proposed_total"] - _RETRIEVE_S - exec_mean
         ) - targets["llm_latency"]
         store_s = overhead - _SELF_COLLECT_S - _SELF_TRAIN_S
@@ -175,96 +179,76 @@ class RunConfig:
     output_dir: str = "bench_out"
 
 
-def _expect(doc: dict, key: str, kinds, where: str, default):
-    value = doc.get(key, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) and bool not in (kinds if isinstance(kinds, tuple) else (kinds,)):
-        raise SchemaError(f"{where}{key}", "unexpected boolean")
-    if not isinstance(value, kinds):
-        raise SchemaError(f"{where}{key}", f"expected {kinds}, got {type(value).__name__}")
-    return value
-
-
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "expected a JSON object")
-    known = {
-        "seed", "n_tasks", "n_repeats", "mode", "thresholds",
-        "executor", "planner", "library_path", "output_dir",
-    }
+    known = {f.name for f in fields(RunConfig)}
     for key in doc:
         if key not in known:
             raise SchemaError(key, "unknown configuration field")
 
-    mode = _expect(doc, "mode", str, "", PROPOSED)
+    mode = typed_field(doc, "mode", str, default=PROPOSED)
     if mode not in POLICY_MODES:
         raise SchemaError("mode", f"expected one of {', '.join(POLICY_MODES)}")
 
-    thresholds_doc = _expect(doc, "thresholds", dict, "", {})
+    thresholds_doc = typed_field(doc, "thresholds", dict, default={})
     try:
-        thresholds = TriggerThresholds(
-            tau_r=float(thresholds_doc.get("tau_r", 0.8)),
-            tau_q=float(thresholds_doc.get("tau_q", 0.5)),
-            tau_o=float(thresholds_doc.get("tau_o", 0.8)),
-            tau_u=float(thresholds_doc.get("tau_u", 0.3)),
-        )
+        thresholds = TriggerThresholds(**{
+            k: float(typed_field(thresholds_doc, k, float, "thresholds")) for k in thresholds_doc
+        })
     except (TypeError, ValueError) as exc:
         raise SchemaError("thresholds", str(exc)) from exc
 
     executor = None
-    if doc.get("executor") is not None:
-        executor_doc = _expect(doc, "executor", dict, "", {})
+    executor_doc = typed_field(doc, "executor", dict, default=None)
+    if executor_doc is not None:
         try:
-            executor = ExecutorConfig(**{k: float(v) for k, v in executor_doc.items()})
+            executor = ExecutorConfig(**{
+                k: float(typed_field(executor_doc, k, float, "executor")) for k in executor_doc
+            })
         except (TypeError, ValueError) as exc:
             raise SchemaError("executor", str(exc)) from exc
 
-    planner_doc = _expect(doc, "planner", dict, "", {})
-    kind = planner_doc.get("kind", MOCK)
+    planner_doc = typed_field(doc, "planner", dict, default={})
+    kind = typed_field(planner_doc, "kind", str, "planner", MOCK)
     if kind not in (MOCK, HTTP):
         raise SchemaError("planner.kind", f"expected '{MOCK}' or '{HTTP}'")
     settings = PlannerSettings(
         kind=kind,
-        latency_s=planner_doc.get("latency_s"),
-        p_corrupt=planner_doc.get("p_corrupt"),
-        endpoint=planner_doc.get("endpoint"),
-        model=planner_doc.get("model"),
-        temperature=planner_doc.get("temperature", 0.0),
-        timeout_s=planner_doc.get("timeout_s", 30.0),
-        retries=planner_doc.get("retries", 2),
+        latency_s=typed_field(planner_doc, "latency_s", float, "planner", None),
+        p_corrupt=typed_field(planner_doc, "p_corrupt", float, "planner", None),
+        endpoint=typed_field(planner_doc, "endpoint", str, "planner", None),
+        model=typed_field(planner_doc, "model", str, "planner", None),
+        temperature=typed_field(planner_doc, "temperature", float, "planner", 0.0),
+        timeout_s=typed_field(planner_doc, "timeout_s", float, "planner", 30.0),
+        retries=typed_field(planner_doc, "retries", int, "planner", 2),
     )
-    for name in ("latency_s", "p_corrupt", "temperature", "timeout_s"):
-        value = getattr(settings, name)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise SchemaError(f"planner.{name}", "expected a number")
     if settings.p_corrupt is not None and not 0.0 <= settings.p_corrupt <= 1.0:
         raise SchemaError("planner.p_corrupt", "must lie in [0, 1]")
     if settings.latency_s is not None and settings.latency_s < 0:
         raise SchemaError("planner.latency_s", "must be nonnegative")
-    if not isinstance(settings.retries, int) or isinstance(settings.retries, bool) or settings.retries < 0:
+    if settings.retries < 0:
         raise SchemaError("planner.retries", "expected a nonnegative integer")
     if settings.kind == HTTP and (not settings.endpoint or not settings.model):
         raise SchemaError("planner", "http planner requires endpoint and model")
 
-    seed = _expect(doc, "seed", int, "", 7)
-    n_tasks = _expect(doc, "n_tasks", int, "", 20)
-    n_repeats = _expect(doc, "n_repeats", int, "", 5)
+    n_tasks = typed_field(doc, "n_tasks", int, default=20)
+    n_repeats = typed_field(doc, "n_repeats", int, default=5)
     if n_tasks < 1:
         raise SchemaError("n_tasks", "must be >= 1")
     if n_repeats < 1:
         raise SchemaError("n_repeats", "must be >= 1")
 
     return RunConfig(
-        seed=seed,
+        seed=typed_field(doc, "seed", int, default=7),
         n_tasks=n_tasks,
         n_repeats=n_repeats,
         mode=mode,
         thresholds=thresholds,
         executor=executor,
         planner=settings,
-        library_path=_expect(doc, "library_path", str, "", None),
-        output_dir=_expect(doc, "output_dir", str, "", "bench_out"),
+        library_path=typed_field(doc, "library_path", str, default=None),
+        output_dir=typed_field(doc, "output_dir", str, default="bench_out"),
     )
 
 
@@ -317,8 +301,6 @@ def resolve_executor(config: RunConfig, events: list[TaskEvent]) -> ExecutorConf
 def build_planner(config: RunConfig) -> Planner:
     settings = config.planner
     if settings.kind == HTTP:
-        if not settings.endpoint or not settings.model:
-            raise SchemaError("planner", "http planner requires endpoint and model")
         return HttpPlanner(
             endpoint=settings.endpoint,
             model=settings.model,

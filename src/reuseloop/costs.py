@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import SchemaError, typed_field
 
 _COST_FIELDS = ("c_retrieve", "c_plan", "c_collect", "c_train", "c_store", "c_exec", "c_delay")
 
@@ -128,12 +128,10 @@ def profile_from_dict(doc: dict) -> CostProfile:
         raise SchemaError("<root>", "expected a JSON object")
     values = {}
     for name in _COST_FIELDS:
-        value = doc.get(name, 0.0)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(name, "expected a number")
+        value = float(typed_field(doc, name, float, default=0.0))
         if value < 0:
             raise SchemaError(name, "must be nonnegative")
-        values[name] = float(value)
+        values[name] = value
     return CostProfile(**values)
 
 

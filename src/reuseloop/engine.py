@@ -14,16 +14,19 @@ always_llm
 library_only
     Retrieve and execute on coverage; uncovered tasks fail with no plan call.
 proposed
-    Full loop: retrieve, trigger, reuse on coverage, otherwise plan, collect
-    self-execution experience, adjust, consolidate, validate, store, and
-    execute the validated method.
+    Full loop: retrieve, trigger, reuse on coverage, otherwise run the
+    learning pipeline on self-execution experience and execute the candidate.
 observation_only
     Observed events cost ``observe_s`` and are never consolidated; self
     events behave like always_llm.
 proposed_observation
-    Observed events run the observation trigger and, when uncovered,
-    consolidate the observed behavior into a method (one plan call, no
+    Observed events run the observation trigger and, when uncovered, run the
+    learning pipeline on the observed behavior (one plan call, no
     execution); self events behave like proposed.
+
+Both event kinds learn through one pipeline, ``_Episode.learn``. It does
+not call ``learner.quasi_adjust``: ``train_episode`` recounts every step
+index the collected samples cover, which subsumes that adjustment here.
 """
 
 from __future__ import annotations
@@ -271,70 +274,43 @@ class _Episode:
             episode_outcomes=[EpisodeOutcome(success=exec_success, failed_step=failed_step)],
             notes="stored method utility fell below the refinement threshold",
         )
-        try:
-            call = self._plan(feedback)
-        except PlannerError:
-            return
-        inserted = self._consolidate_self(call.plan, execute_after=False)
-        if inserted:
+        self.learn(feedback)
+        if self.learned:
             self.hit = False
 
-    def learn_from_execution(self) -> None:
-        """Plan, collect self-execution experience, consolidate, store, execute."""
+    def learn(self, feedback: PlannerFeedback | None = None) -> None:
+        """Plan, collect experience, consolidate, validate, store, then set the outcome.
+
+        An observed event succeeds iff a method was stored. A self event then
+        executes the candidate, except on refinement (``feedback`` given).
+        """
         try:
-            call = self._plan()
+            plan = self._plan(feedback).plan
         except PlannerError:
             return
-        plan = call.plan
-        self._consolidate_self(plan, execute_after=True)
-
-    def _consolidate_self(self, plan, execute_after: bool) -> bool:
-        dataset = EpisodeDataset(task_signature=signature_of(self.task))
-        if plan.direct_solution is not None:
-            self.executor.collect(list(plan.direct_solution), dataset, self.clock)
-        try:
-            candidate = learner.initialize(plan, dataset)
-        except ValueError:
-            return False
-        for sample in dataset.self_samples:
-            if not sample.outcome.success:
-                learner.quasi_adjust(candidate, sample)
-        self.clock.add("train", self.config.train_s)
-        candidate = learner.train_episode(candidate, dataset)
-        report = learner.validate(candidate, self.executor, plan.update_criteria)
-        if report.passed:
-            method = learner.build_method(candidate, self.task, dataset, self.event.cycle)
-            self.library.insert(method)
-            self.clock.add("store", self.config.store_s)
-            self.learned = True
-        if execute_after:
-            self.success = self.executor.execute(list(candidate.sequence), self.clock)
-        return report.passed
-
-    def learn_from_observation(self) -> None:
-        """Consolidate an observed behavior: plan, ingest, train, validate, store."""
         observed = self.event.observed
-        assert observed is not None
-        try:
-            call = self._plan()
-        except PlannerError:
-            return
-        plan = call.plan
-        dataset = EpisodeDataset(task_signature=observed.task_signature)
-        dataset.ingest_observation(observed)
+        if observed is not None:
+            dataset = EpisodeDataset(task_signature=observed.task_signature)
+            dataset.ingest_observation(observed)
+        else:
+            dataset = EpisodeDataset(task_signature=signature_of(self.task))
+            if plan.direct_solution is not None:
+                self.executor.collect(list(plan.direct_solution), dataset, self.clock)
         try:
             candidate = learner.initialize(plan, dataset)
         except ValueError:
             return
         self.clock.add("train", self.config.train_s)
         candidate = learner.train_episode(candidate, dataset)
-        report = learner.validate(candidate, self.executor, plan.update_criteria)
-        if report.passed:
+        if learner.validate(candidate, self.executor, plan.update_criteria).passed:
             method = learner.build_method(candidate, self.task, dataset, self.event.cycle)
             self.library.insert(method)
             self.clock.add("store", self.config.store_s)
             self.learned = True
-            self.success = True
+        if observed is not None:
+            self.success = self.learned
+        elif feedback is None:
+            self.success = self.executor.execute(list(candidate.sequence), self.clock)
 
     def observe_only(self) -> None:
         observed = self.event.observed
@@ -405,7 +381,7 @@ def _run_self(ep: _Episode) -> None:
     if decision.branch == REUSE:
         ep.reuse(decision)
     else:
-        ep.learn_from_execution()
+        ep.learn()
 
 
 def _run_observed(ep: _Episode) -> None:
@@ -422,7 +398,7 @@ def _run_observed(ep: _Episode) -> None:
     obs_retrieval = ep.library.retrieve_best(ep.task, ep.thresholds.tau_o)
     decision = decide(None, None, observed, obs_retrieval, ep.thresholds)
     if decision.branch == LEARN_OBSERVATION:
-        ep.learn_from_observation()
+        ep.learn()
     else:
         assert decision.branch == NO_ACTION
         ep.success = observed.success

@@ -1,11 +1,15 @@
-"""Two-stage consolidation of episode experience into reusable methods.
+"""Consolidation of episode experience into reusable methods.
 
-A candidate solution moves through three stages: ``initial`` (seeded from
-the plan's direct solution or from observed data), ``adjusted`` (quasi-real-
-time per-step tweaks while samples arrive), and ``refined`` (post-episode
-consolidation by per-index majority over successful samples). A refined
-candidate that replays correctly and clears the plan's validation threshold
-is packaged as a new library method.
+A candidate solution moves from ``initial`` (seeded from the plan's direct
+solution or from observed data) to ``refined`` (post-episode consolidation
+by per-index majority over successful samples). A refined candidate that
+replays correctly and clears the plan's validation threshold is packaged as
+a new library method.
+
+``quasi_adjust`` (the ``adjusted`` stage) is a library primitive the engine
+no longer calls: ``train_episode``'s per-index recount subsumes it in this
+simulator. ``costs.delay_comparison`` still models quasi-real-time updating
+analytically.
 """
 
 from __future__ import annotations

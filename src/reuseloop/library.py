@@ -9,12 +9,13 @@ best match clears the caller's reuse threshold.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from .errors import LibraryError, SchemaError
+from .errors import DICT_LIST, STR_LIST, LibraryError, SchemaError, typed_field
 from .tasks import TaskDescriptor, normalize_goal, signature_of
 
 LIBRARY_VERSION = 1
@@ -223,19 +224,32 @@ class MethodLibrary:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_doc(), indent=2) + "\n", encoding="utf-8")
+        """Write the library as JSON, atomically.
+
+        The document goes to a temporary file beside ``path`` that then
+        replaces it, so an interrupted save leaves the previous file intact.
+        """
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.tmp")
+        try:
+            with tmp.open("w", encoding="utf-8") as fh:
+                fh.write(json.dumps(self.to_doc(), indent=2) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MethodLibrary":
         if not isinstance(doc, dict):
             raise SchemaError("<root>", "expected a JSON object")
-        if doc.get("version") != LIBRARY_VERSION:
-            raise SchemaError("version", f"expected {LIBRARY_VERSION}, got {doc.get('version')!r}")
-        raw = doc.get("methods")
-        if not isinstance(raw, list):
-            raise SchemaError("methods", "expected a list")
+        version = typed_field(doc, "version", int)
+        if version != LIBRARY_VERSION:
+            raise SchemaError("version", f"expected {LIBRARY_VERSION}, got {version!r}")
         lib = cls()
-        for i, entry in enumerate(raw):
+        for i, entry in enumerate(typed_field(doc, "methods", DICT_LIST)):
             lib.insert(_method_from_dict(entry, f"methods[{i}]"))
         return lib
 
@@ -273,47 +287,39 @@ def _method_to_dict(m: Method) -> dict:
     }
 
 
-def _require(entry: dict, key: str, where: str, kind: type | tuple) -> Any:
-    if key not in entry:
-        raise SchemaError(f"{where}.{key}", "missing field")
-    value = entry[key]
-    if not isinstance(value, kind):
-        raise SchemaError(f"{where}.{key}", f"expected {kind}, got {type(value).__name__}")
-    return value
-
-
-def _method_from_dict(entry: Any, where: str) -> Method:
-    if not isinstance(entry, dict):
-        raise SchemaError(where, "expected an object")
-    rel = _require(entry, "reliability", where, dict)
-    prof = _require(entry, "data_profile", where, dict)
-    appl = _require(entry, "applicability", where, dict)
-    successes = _require(rel, "successes", f"{where}.reliability", int)
-    attempts = _require(rel, "attempts", f"{where}.reliability", int)
+def _method_from_dict(entry: dict, where: str) -> Method:
+    rel = typed_field(entry, "reliability", dict, where)
+    prof = typed_field(entry, "data_profile", dict, where)
+    appl = typed_field(entry, "applicability", dict, where)
+    rel_at = f"{where}.reliability"
+    prof_at = f"{where}.data_profile"
+    appl_at = f"{where}.applicability"
+    successes = typed_field(rel, "successes", int, rel_at)
+    attempts = typed_field(rel, "attempts", int, rel_at)
     if successes > attempts:
-        raise SchemaError(f"{where}.reliability.successes", "successes exceed attempts")
-    step_params = entry.get("step_params")
+        raise SchemaError(f"{rel_at}.successes", "successes exceed attempts")
+    step_params = typed_field(entry, "step_params", DICT_LIST, where, None)
     try:
         return Method(
-            id=_require(entry, "id", where, str),
-            procedure=tuple(_require(entry, "procedure", where, list)),
+            id=typed_field(entry, "id", str, where),
+            procedure=tuple(typed_field(entry, "procedure", STR_LIST, where)),
             step_params=tuple(step_params) if step_params is not None else None,
-            params=dict(_require(entry, "params", where, dict)),
+            params=dict(typed_field(entry, "params", dict, where)),
             data_profile=DataProfile(
-                n_self_samples=_require(prof, "n_self_samples", f"{where}.data_profile", int),
-                n_obs_samples=_require(prof, "n_obs_samples", f"{where}.data_profile", int),
-                episodes=_require(prof, "episodes", f"{where}.data_profile", int),
+                n_self_samples=typed_field(prof, "n_self_samples", int, prof_at),
+                n_obs_samples=typed_field(prof, "n_obs_samples", int, prof_at),
+                episodes=typed_field(prof, "episodes", int, prof_at),
             ),
             applicability=Applicability(
-                signatures=set(_require(appl, "signatures", f"{where}.applicability", list)),
-                goal_tokens=set(_require(appl, "goal_tokens", f"{where}.applicability", list)),
-                max_steps=_require(appl, "max_steps", f"{where}.applicability", int),
+                signatures=set(typed_field(appl, "signatures", STR_LIST, appl_at)),
+                goal_tokens=set(typed_field(appl, "goal_tokens", STR_LIST, appl_at)),
+                max_steps=typed_field(appl, "max_steps", int, appl_at),
             ),
             reliability=Reliability(
                 successes=successes,
                 attempts=attempts,
-                created_cycle=_require(rel, "created_cycle", f"{where}.reliability", int),
-                last_used_cycle=_require(rel, "last_used_cycle", f"{where}.reliability", int),
+                created_cycle=typed_field(rel, "created_cycle", int, rel_at),
+                last_used_cycle=typed_field(rel, "last_used_cycle", int, rel_at),
             ),
         )
     except ValueError as exc:

@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Protocol
 
-from .errors import PlannerError, PlanningFailedError, SchemaError
+from .errors import (
+    DICT_LIST,
+    STR_LIST,
+    PlannerError,
+    PlanningFailedError,
+    SchemaError,
+    typed_field,
+)
 from .tasks import DEFAULT_ACTIONS, TaskDescriptor, signature_of
 
 logger = logging.getLogger(__name__)
@@ -185,91 +192,65 @@ def plan_to_dict(plan: LearningPlan) -> dict:
     }
 
 
-def _check_str_list(value: Any, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise SchemaError(where, "expected a list of strings")
-    return tuple(value)
-
-
 def plan_from_dict(doc: Any) -> LearningPlan:
     """Validate a plan document and fill defaults for the optional parts."""
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "expected a JSON object")
 
-    if "candidate_models" not in doc:
-        raise SchemaError("candidate_models", "missing field")
-    raw_models = doc["candidate_models"]
-    if not isinstance(raw_models, list) or not raw_models:
+    raw_models = typed_field(doc, "candidate_models", DICT_LIST)
+    if not raw_models:
         raise SchemaError("candidate_models", "expected a non-empty list")
     models = []
     for i, entry in enumerate(raw_models):
         where = f"candidate_models[{i}]"
-        if not isinstance(entry, dict) or "family" not in entry:
-            raise SchemaError(where, "expected an object with a 'family' field")
+        family = typed_field(entry, "family", str, where)
         try:
-            models.append(CandidateModel(entry["family"], entry.get("rationale", "")))
+            models.append(CandidateModel(family, typed_field(entry, "rationale", str, where, "")))
         except ValueError as exc:
             raise SchemaError(f"{where}.family", str(exc)) from exc
 
-    subproblems = _check_str_list(doc.get("subproblems", []), "subproblems")
-
     requirements = []
-    raw_reqs = doc.get("data_requirements", [])
-    if not isinstance(raw_reqs, list):
-        raise SchemaError("data_requirements", "expected a list")
-    for i, entry in enumerate(raw_reqs):
+    for i, entry in enumerate(typed_field(doc, "data_requirements", DICT_LIST, default=[])):
         where = f"data_requirements[{i}]"
-        if not isinstance(entry, dict) or "channel" not in entry:
-            raise SchemaError(where, "expected an object with a 'channel' field")
-        min_samples = entry.get("min_samples", 1)
-        if not isinstance(min_samples, int) or isinstance(min_samples, bool):
-            raise SchemaError(f"{where}.min_samples", "expected an integer")
+        channel = typed_field(entry, "channel", str, where)
+        min_samples = typed_field(entry, "min_samples", int, where, 1)
         try:
-            requirements.append(DataRequirement(entry["channel"], min_samples))
+            requirements.append(DataRequirement(channel, min_samples))
         except ValueError as exc:
             raise SchemaError(f"{where}.min_samples", str(exc)) from exc
 
     strategy = []
-    raw_strategy = doc.get("strategy", [])
-    if not isinstance(raw_strategy, list):
-        raise SchemaError("strategy", "expected a list")
-    for i, entry in enumerate(raw_strategy):
+    for i, entry in enumerate(typed_field(doc, "strategy", DICT_LIST, default=[])):
         where = f"strategy[{i}]"
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise SchemaError(where, "expected an object with a 'kind' field")
+        kind = typed_field(entry, "kind", str, where)
         try:
-            strategy.append(StrategyStep(entry["kind"], entry.get("detail", "")))
+            strategy.append(StrategyStep(kind, typed_field(entry, "detail", str, where, "")))
         except ValueError as exc:
             raise SchemaError(f"{where}.kind", str(exc)) from exc
 
-    raw_criteria = doc.get("update_criteria", {})
-    if not isinstance(raw_criteria, dict):
-        raise SchemaError("update_criteria", "expected an object")
-    threshold = raw_criteria.get("validation_threshold", DEFAULT_VALIDATION_THRESHOLD)
-    max_episodes = raw_criteria.get("max_episodes", DEFAULT_MAX_EPISODES)
-    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-        raise SchemaError("update_criteria.validation_threshold", "expected a number")
-    if not isinstance(max_episodes, int) or isinstance(max_episodes, bool):
-        raise SchemaError("update_criteria.max_episodes", "expected an integer")
+    raw_criteria = typed_field(doc, "update_criteria", dict, default={})
+    threshold = typed_field(
+        raw_criteria, "validation_threshold", float, "update_criteria", DEFAULT_VALIDATION_THRESHOLD
+    )
+    max_episodes = typed_field(
+        raw_criteria, "max_episodes", int, "update_criteria", DEFAULT_MAX_EPISODES
+    )
     try:
         criteria = UpdateCriteria(float(threshold), max_episodes)
     except ValueError as exc:
         raise SchemaError("update_criteria", str(exc)) from exc
 
-    solution = doc.get("direct_solution")
-    direct = None
-    if solution is not None:
-        direct = _check_str_list(solution, "direct_solution")
-        if not direct:
-            raise SchemaError("direct_solution", "must be non-empty when present")
+    direct = typed_field(doc, "direct_solution", STR_LIST, default=None)
+    if direct is not None and not direct:
+        raise SchemaError("direct_solution", "must be non-empty when present")
 
     return LearningPlan(
         candidate_models=tuple(models),
-        subproblems=subproblems,
+        subproblems=tuple(typed_field(doc, "subproblems", STR_LIST, default=[])),
         data_requirements=tuple(requirements),
         strategy=tuple(strategy),
         update_criteria=criteria,
-        direct_solution=direct,
+        direct_solution=tuple(direct) if direct is not None else None,
     )
 
 

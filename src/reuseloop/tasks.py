@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import SchemaError
+from .errors import DICT_LIST, STR_LIST, SchemaError, typed_field
 
 # Executable action identifiers shared by tasks, methods, and the planner.
 DEFAULT_ACTIONS: tuple[str, ...] = (
@@ -234,23 +234,22 @@ def _task_to_dict(task: TaskDescriptor) -> dict:
 
 
 def _task_from_dict(doc: dict, where: str) -> TaskDescriptor:
+    constraints = typed_field(doc, "constraints", dict, where)
+    constraints_at = f"{where}.constraints"
     try:
-        constraints = doc["constraints"]
         return TaskDescriptor(
-            id=doc["id"],
-            instruction=doc["instruction"],
-            goal=tuple(doc["goal"]),
-            environment=dict(doc["environment"]),
-            observations=tuple(doc["observations"]),
+            id=typed_field(doc, "id", str, where),
+            instruction=typed_field(doc, "instruction", str, where),
+            goal=tuple(typed_field(doc, "goal", STR_LIST, where)),
+            environment=dict(typed_field(doc, "environment", dict, where)),
+            observations=tuple(typed_field(doc, "observations", STR_LIST, where)),
             constraints=TaskConstraints(
-                max_steps=constraints["max_steps"],
-                deadline_s=constraints.get("deadline_s"),
+                max_steps=typed_field(constraints, "max_steps", int, constraints_at),
+                deadline_s=typed_field(constraints, "deadline_s", float, constraints_at, None),
             ),
-            target_sequence=tuple(doc["target_sequence"]),
+            target_sequence=tuple(typed_field(doc, "target_sequence", STR_LIST, where)),
         )
-    except KeyError as exc:
-        raise SchemaError(f"{where}.{exc.args[0]}", "missing field") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(where, str(exc)) from exc
 
 
@@ -274,33 +273,27 @@ def corpus_to_doc(events: Iterable[TaskEvent]) -> dict:
 def corpus_from_doc(doc: dict) -> list[TaskEvent]:
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "expected a JSON object")
-    if doc.get("version") != CORPUS_VERSION:
-        raise SchemaError("version", f"expected {CORPUS_VERSION}, got {doc.get('version')!r}")
-    raw_events = doc.get("events")
-    if not isinstance(raw_events, list):
-        raise SchemaError("events", "expected a list")
+    version = typed_field(doc, "version", int)
+    if version != CORPUS_VERSION:
+        raise SchemaError("version", f"expected {CORPUS_VERSION}, got {version!r}")
 
     events: list[TaskEvent] = []
     last_cycle = -1
-    for i, entry in enumerate(raw_events):
+    for i, entry in enumerate(typed_field(doc, "events", DICT_LIST)):
         where = f"events[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(where, "expected an object")
+        task = _task_from_dict(typed_field(entry, "task", dict, where), f"{where}.task")
+        obs = typed_field(entry, "observed", dict, where, None)
+        at = f"{where}.observed"
         try:
-            task = _task_from_dict(entry["task"], f"{where}.task")
-            observed_doc = entry.get("observed")
-            observed = None
-            if observed_doc is not None:
-                observed = ObservedEvent(
-                    task_signature=observed_doc["task_signature"],
-                    action_sequence=tuple(observed_doc["action_sequence"]),
-                    success=observed_doc["success"],
-                    context=dict(observed_doc.get("context", {})),
-                )
-            event = TaskEvent(entry["cycle"], entry["kind"], task, observed)
-        except KeyError as exc:
-            raise SchemaError(f"{where}.{exc.args[0]}", "missing field") from exc
-        except (TypeError, ValueError) as exc:
+            observed = None if obs is None else ObservedEvent(
+                task_signature=typed_field(obs, "task_signature", str, at),
+                action_sequence=tuple(typed_field(obs, "action_sequence", STR_LIST, at)),
+                success=typed_field(obs, "success", bool, at),
+                context=dict(typed_field(obs, "context", dict, at, {})),
+            )
+            kind = typed_field(entry, "kind", str, where)
+            event = TaskEvent(typed_field(entry, "cycle", int, where), kind, task, observed)
+        except ValueError as exc:
             raise SchemaError(where, str(exc)) from exc
         if event.cycle <= last_cycle:
             raise SchemaError(f"{where}.cycle", "cycle values must be strictly increasing")

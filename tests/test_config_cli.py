@@ -49,9 +49,16 @@ class TestConfigDocuments:
         assert "planner" in str(err.value)
 
     def test_threshold_range_checked(self):
-        with pytest.raises(SchemaError) as err:
-            config_from_dict({"thresholds": {"tau_r": 2.0}})
-        assert "thresholds" in str(err.value)
+        for value in (2.0, "0.5", True):
+            with pytest.raises(SchemaError) as err:
+                config_from_dict({"thresholds": {"tau_r": value}})
+            assert "thresholds" in str(err.value)
+
+    def test_executor_fields_must_be_numbers(self):
+        for value in ("1.0", True):
+            with pytest.raises(SchemaError) as err:
+                config_from_dict({"executor": {"base_s": value}})
+            assert err.value.field == "executor.base_s"
 
     def test_p_corrupt_range_checked(self):
         with pytest.raises(SchemaError) as err:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -219,14 +220,53 @@ class TestPersistence:
 
     def test_malformed_field_named(self, tmp_path):
         library = MethodLibrary()
-        library.insert(make_method("m-a"))
-        doc = library.to_doc()
-        del doc["methods"][0]["procedure"]
+        library.insert(make_method("m-a", successes=1, attempts=1))
+        missing = object()
+        cases = [
+            (("procedure",), missing, "methods[0].procedure"),
+            (("procedure",), ["move", 3], "methods[0].procedure[1]"),
+            (("reliability", "successes"), True, "methods[0].reliability.successes"),
+            (("reliability", "attempts"), True, "methods[0].reliability.attempts"),
+            (("data_profile", "n_self_samples"), True, "methods[0].data_profile.n_self_samples"),
+        ]
+        for keys, value, field in cases:
+            doc = library.to_doc()
+            node = doc["methods"][0]
+            for key in keys[:-1]:
+                node = node[key]
+            if value is missing:
+                del node[keys[-1]]
+            else:
+                node[keys[-1]] = value
+            path = tmp_path / "lib.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(SchemaError) as err:
+                MethodLibrary.load(path)
+            assert err.value.field == field
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "lib.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError) as err:
-            MethodLibrary.load(path)
-        assert "methods[0].procedure" in str(err.value)
+        MethodLibrary([make_method("m-a")]).save(path)
+        before = path.read_bytes()
+        real_open = Path.open
+
+        def half_writing_open(self, *args, **kwargs):
+            fh = real_open(self, *args, **kwargs)
+            real_write = fh.write
+
+            def write(text):
+                real_write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(Path, "open", half_writing_open)
+        with pytest.raises(OSError):
+            MethodLibrary([make_method("m-a"), make_method("m-b")]).save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["lib.json"]
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "lib.json"

@@ -166,6 +166,20 @@ class TestCorpusPersistence:
             corpus_from_doc(doc)
         assert "goal" in str(err.value)
 
+    def test_string_sequences_rejected(self):
+        events = generate_corpus(seed=1, n_tasks=1, n_repeats=1, mode=OBSERVATION_FIRST)
+        cases = [
+            ("task", "goal", "pick red cube"),
+            ("task", "target_sequence", "move"),
+            ("observed", "action_sequence", "move"),
+        ]
+        for part, key, value in cases:
+            doc = corpus_to_doc(events)
+            doc["events"][0][part][key] = value
+            with pytest.raises(SchemaError) as err:
+                corpus_from_doc(doc)
+            assert err.value.field == f"events[0].{part}.{key}"
+
     def test_non_increasing_cycles_rejected(self):
         doc = corpus_to_doc(generate_corpus(seed=1, n_tasks=2, n_repeats=1))
         doc["events"][1]["cycle"] = doc["events"][0]["cycle"]
