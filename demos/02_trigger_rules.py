@@ -7,7 +7,7 @@ fallthrough. Branch precedence follows the rule's order.
 
 from reuseloop import MethodLibrary, TriggerThresholds, confidence, decide, generate_corpus
 from reuseloop.library import Applicability, DataProfile, Method, Reliability
-from reuseloop.tasks import ObservedEvent, normalize_goal, signature_of
+from reuseloop.tasks import ObservedEvent
 
 thresholds = TriggerThresholds(tau_r=0.8, tau_q=0.5, tau_o=0.8, tau_u=0.3)
 events = generate_corpus(seed=7, n_tasks=2, n_repeats=1)
@@ -21,8 +21,8 @@ def stored_method(task, successes, attempts):
         params={"model_family": "sequence"},
         data_profile=DataProfile(0, len(task.target_sequence), 1),
         applicability=Applicability(
-            signatures={signature_of(task)},
-            goal_tokens=set(normalize_goal(task.goal)),
+            signatures={task.signature},
+            goal_tokens=set(task.goal_tokens),
             max_steps=task.constraints.max_steps,
         ),
         reliability=Reliability(successes=successes, attempts=attempts),
@@ -36,42 +36,42 @@ def show(label, decision):
 print("=== empty library: everything is uncovered ===")
 library = MethodLibrary()
 retrieval = library.retrieve_best(task_a, thresholds.tau_r)
-show("first sight of task A", decide(task_a, retrieval, None, None, thresholds))
+show("first sight of task A", decide(retrieval, None, None, thresholds))
 
 print("\n=== covered task, trustworthy method ===")
 library.insert(stored_method(task_a, successes=5, attempts=5))
 retrieval = library.retrieve_best(task_a, thresholds.tau_r)
 method = retrieval.method
-print(f"  score={retrieval.score:.2f} confidence={confidence(method, task_a):.3f}")
-show("task A again", decide(task_a, retrieval, None, None, thresholds))
+print(f"  score={retrieval.score:.2f} confidence={confidence(method, retrieval.score):.3f}")
+show("task A again", decide(retrieval, None, None, thresholds))
 
 print("\n=== covered task, shaky method ===")
 shaky_library = MethodLibrary([stored_method(task_b, successes=1, attempts=8)])
 retrieval = shaky_library.retrieve_best(task_b, thresholds.tau_r)
-print(f"  score={retrieval.score:.2f} confidence={confidence(retrieval.method, task_b):.3f}")
-show("task B with a 1/8 record", decide(task_b, retrieval, None, None, thresholds))
+print(f"  score={retrieval.score:.2f} confidence={confidence(retrieval.method, retrieval.score):.3f}")
+show("task B with a 1/8 record", decide(retrieval, None, None, thresholds))
 
 print("\n=== observations can trigger learning on their own ===")
 observation = ObservedEvent(
-    task_signature=signature_of(task_b),
+    task_signature=task_b.signature,
     action_sequence=task_b.target_sequence,
     success=True,
     context={"source": "external-agent"},
 )
 obs_retrieval = library.retrieve_best(task_b, thresholds.tau_o)
 show("watched someone solve uncovered task B",
-     decide(None, None, observation, obs_retrieval, thresholds))
+     decide(None, observation, obs_retrieval, thresholds))
 
 library.insert(stored_method(task_b, successes=3, attempts=3))
 obs_retrieval = library.retrieve_best(task_b, thresholds.tau_o)
 show("same observation, but task B is covered now",
-     decide(None, None, observation, obs_retrieval, thresholds))
+     decide(None, observation, obs_retrieval, thresholds))
 
 failed = ObservedEvent(
-    task_signature=signature_of(task_b),
+    task_signature=task_b.signature,
     action_sequence=task_b.target_sequence,
     success=False,
     context={},
 )
 show("a failed external attempt never triggers",
-     decide(None, None, failed, obs_retrieval, thresholds))
+     decide(None, failed, obs_retrieval, thresholds))

@@ -14,8 +14,6 @@ from pathlib import Path
 
 from .errors import SchemaError, typed_field
 
-_COST_FIELDS = ("c_retrieve", "c_plan", "c_collect", "c_train", "c_store", "c_exec", "c_delay")
-
 
 @dataclass(frozen=True)
 class CostProfile:
@@ -31,6 +29,9 @@ class CostProfile:
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
+
+
+_COST_FIELDS = tuple(f.name for f in fields(CostProfile))
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,9 @@ def profile_to_dict(profile: CostProfile) -> dict:
 def profile_from_dict(doc: dict) -> CostProfile:
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "expected a JSON object")
+    for key in doc:
+        if key not in _COST_FIELDS:
+            raise SchemaError(key, "unknown cost field")
     values = {}
     for name in _COST_FIELDS:
         value = float(typed_field(doc, name, float, default=0.0))

@@ -32,15 +32,16 @@ index the collected samples cover, which subsumes that adjustment here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import learner
-from .errors import PlannerError, RecordStreamError
+from .errors import PlannerError, RecordStreamError, SchemaError, typed_field
 from .experience import EpisodeDataset, ExperienceSample, Outcome, SampleContext, SOURCE_SELF
 from .library import MethodLibrary
 from .planner import EpisodeOutcome, Planner, PlannerFeedback, PlannerHistory
-from .tasks import OBSERVED_EVENT, TaskDescriptor, TaskEvent, signature_of
+from .tasks import OBSERVED_EVENT, TaskDescriptor, TaskEvent
 from .trigger import (
     LEARN_OBSERVATION,
     NO_ACTION,
@@ -171,37 +172,6 @@ class RunRecord:
             raise ValueError("llm_time_s cannot exceed total_s")
 
 
-def _record(
-    event: TaskEvent,
-    mode: str,
-    clock: VirtualClock,
-    repeat_index: int,
-    llm_calls: int,
-    llm_time_s: float,
-    success: bool,
-    hit: bool,
-    learned: bool,
-) -> RunRecord:
-    return RunRecord(
-        policy=mode,
-        task_id=event.task.id,
-        repeat_index=repeat_index,
-        cycle=event.cycle,
-        retrieve_s=clock.phases["retrieve"],
-        plan_llm_s=clock.phases["plan_llm"],
-        execute_s=clock.phases["execute"],
-        collect_s=clock.phases["collect"],
-        train_s=clock.phases["train"],
-        store_s=clock.phases["store"],
-        total_s=clock.now_s,
-        llm_calls=llm_calls,
-        llm_time_s=llm_time_s,
-        success=success,
-        hit=hit,
-        learned=learned,
-    )
-
-
 class _Episode:
     """Mutable state for one run_episode call."""
 
@@ -254,11 +224,8 @@ class _Episode:
         self.success = ok
         self.hit = True
         if self.history is not None:
-            ratio = self.library.get(method.id).reliability.success_ratio
-            self.history.record_method(method.id, ratio)
-        if learner.needs_refinement(
-            self.library.get(method.id), self.event.cycle, self.thresholds.tau_u
-        ):
+            self.history.record_method(method.id, method.reliability.success_ratio)
+        if learner.needs_refinement(method, self.event.cycle, self.thresholds.tau_u):
             self._refine(ok, list(method.procedure))
 
     def _refine(self, exec_success: bool, attempted: list[str]) -> None:
@@ -293,7 +260,7 @@ class _Episode:
             dataset = EpisodeDataset(task_signature=observed.task_signature)
             dataset.ingest_observation(observed)
         else:
-            dataset = EpisodeDataset(task_signature=signature_of(self.task))
+            dataset = EpisodeDataset(task_signature=self.task.signature)
             if plan.direct_solution is not None:
                 self.executor.collect(list(plan.direct_solution), dataset, self.clock)
         try:
@@ -345,9 +312,18 @@ def run_episode(
     else:
         _run_self(ep)
 
-    return _record(
-        event, mode, clock, repeat_index,
-        ep.llm_calls, ep.llm_time_s, ep.success, ep.hit, ep.learned,
+    return RunRecord(
+        policy=mode,
+        task_id=event.task.id,
+        repeat_index=repeat_index,
+        cycle=event.cycle,
+        **{f"{phase}_s": seconds for phase, seconds in clock.phases.items()},
+        total_s=clock.now_s,
+        llm_calls=ep.llm_calls,
+        llm_time_s=ep.llm_time_s,
+        success=ep.success,
+        hit=ep.hit,
+        learned=ep.learned,
     )
 
 
@@ -377,7 +353,7 @@ def _run_self(ep: _Episode) -> None:
         return
 
     # proposed / proposed_observation
-    decision = decide(task, retrieval, None, None, ep.thresholds)
+    decision = decide(retrieval, None, None, ep.thresholds)
     if decision.branch == REUSE:
         ep.reuse(decision)
     else:
@@ -396,7 +372,7 @@ def _run_observed(ep: _Episode) -> None:
     clock.add("collect", cfg.observe_s)
     clock.add("retrieve", cfg.retrieve_s)
     obs_retrieval = ep.library.retrieve_best(ep.task, ep.thresholds.tau_o)
-    decision = decide(None, None, observed, obs_retrieval, ep.thresholds)
+    decision = decide(None, observed, obs_retrieval, ep.thresholds)
     if decision.branch == LEARN_OBSERVATION:
         ep.learn()
     else:
@@ -427,7 +403,7 @@ def run_loop(
     seen: dict[str, int] = {}
     records = []
     for event in events:
-        sig = signature_of(event.task)
+        sig = event.task.signature
         seen[sig] = seen.get(sig, 0) + 1
         record = run_episode(
             event, mode, library, planner, thresholds, executor_config,
@@ -439,14 +415,11 @@ def run_loop(
 
 
 # ---------------------------------------------------------------------------
-# Run-record streams (JSON lines, one record per line, fields in this order)
+# Run-record streams (JSON lines, one record per line, fields in RunRecord order)
 # ---------------------------------------------------------------------------
 
-RECORD_FIELDS = (
-    "policy", "task_id", "repeat_index", "cycle",
-    "retrieve_s", "plan_llm_s", "execute_s", "collect_s", "train_s", "store_s",
-    "total_s", "llm_calls", "llm_time_s", "success", "hit", "learned",
-)
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+_RECORD_KINDS = get_type_hints(RunRecord)
 
 
 def record_to_dict(record: RunRecord) -> dict:
@@ -454,10 +427,13 @@ def record_to_dict(record: RunRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> RunRecord:
-    missing = [name for name in RECORD_FIELDS if name not in doc]
-    if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
-    return RunRecord(**{name: doc[name] for name in RECORD_FIELDS})
+    """Parse one record, checking each field's type exactly; unknown keys are rejected."""
+    if not isinstance(doc, dict):
+        raise SchemaError("<record>", "expected a JSON object")
+    for key in doc:
+        if key not in _RECORD_KINDS:
+            raise SchemaError(key, "unknown record field")
+    return RunRecord(**{name: typed_field(doc, name, _RECORD_KINDS[name]) for name in RECORD_FIELDS})
 
 
 def write_records(records: list[RunRecord], path: str | Path) -> None:
@@ -474,6 +450,6 @@ def read_records(path: str | Path) -> list[RunRecord]:
                 continue
             try:
                 records.append(record_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
+            except (SchemaError, ValueError) as exc:
                 raise RecordStreamError(line_no, str(exc)) from exc
     return records

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .experience import EpisodeDataset, ExperienceSample
 from .library import Applicability, DataProfile, Method, Reliability
 from .planner import LearningPlan
-from .tasks import TaskDescriptor, normalize_goal, signature_of
+from .tasks import TaskDescriptor
 
 STAGE_INITIAL = "initial"
 STAGE_ADJUSTED = "adjusted"
@@ -189,9 +189,8 @@ def build_method(
     """
     if candidate.validation is None or not candidate.validation.passed:
         raise ValueError("method construction requires a passing validation report")
-    signature = signature_of(task)
     return Method(
-        id=f"m-{signature[:12]}-c{cycle:04d}",
+        id=f"m-{task.signature[:12]}-c{cycle:04d}",
         procedure=tuple(candidate.sequence),
         params={"model_family": candidate.model_family},
         data_profile=DataProfile(
@@ -200,8 +199,8 @@ def build_method(
             episodes=1,
         ),
         applicability=Applicability(
-            signatures={signature},
-            goal_tokens=set(normalize_goal(task.goal)),
+            signatures={task.signature},
+            goal_tokens=set(task.goal_tokens),
             max_steps=task.constraints.max_steps,
         ),
         reliability=Reliability(

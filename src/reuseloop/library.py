@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import DICT_LIST, STR_LIST, LibraryError, SchemaError, typed_field
-from .tasks import TaskDescriptor, normalize_goal, signature_of
+from .tasks import TaskDescriptor
 
 LIBRARY_VERSION = 1
 
@@ -112,15 +111,14 @@ def matching_score(task: TaskDescriptor, method: Method) -> float:
     the Jaccard similarity of the normalized goal-token sets, zeroed when the
     task's step budget cannot fit the method's procedure.
     """
-    if signature_of(task) in method.applicability.signatures:
+    if task.signature in method.applicability.signatures:
         return 1.0
     if task.constraints.max_steps < len(method.procedure):
         return 0.0
-    task_tokens = set(normalize_goal(task.goal))
-    return jaccard(task_tokens, method.applicability.goal_tokens)
+    return jaccard(task.goal_tokens, method.applicability.goal_tokens)
 
 
-def jaccard(a: set[str], b: set[str]) -> float:
+def jaccard(a: frozenset[str] | set[str], b: set[str]) -> float:
     union = a | b
     if not union:
         return 0.0
@@ -128,15 +126,10 @@ def jaccard(a: set[str], b: set[str]) -> float:
 
 
 class MethodLibrary:
-    """In-memory method store with atomic inserts and JSON persistence.
-
-    Reads may run concurrently; mutations take a lock so retrieval never
-    observes a half-inserted method.
-    """
+    """In-memory method store with JSON persistence, used from one thread."""
 
     def __init__(self, methods: Iterable[Method] = ()):
         self._methods: dict[str, Method] = {}
-        self._lock = threading.Lock()
         for m in methods:
             self.insert(m)
 
@@ -148,8 +141,7 @@ class MethodLibrary:
 
     def methods(self) -> list[Method]:
         """Snapshot of stored methods in insertion order."""
-        with self._lock:
-            return list(self._methods.values())
+        return list(self._methods.values())
 
     def get(self, method_id: str) -> Method:
         try:
@@ -158,44 +150,38 @@ class MethodLibrary:
             raise LibraryError(f"unknown method id {method_id!r}") from None
 
     def insert(self, method: Method) -> None:
-        with self._lock:
-            if method.id in self._methods:
-                raise LibraryError(f"duplicate method id {method.id!r}")
-            self._methods[method.id] = method
+        if method.id in self._methods:
+            raise LibraryError(f"duplicate method id {method.id!r}")
+        self._methods[method.id] = method
 
     def update_reliability(self, method_id: str, success: bool, cycle: int) -> None:
-        with self._lock:
-            method = self._methods.get(method_id)
-            if method is None:
-                raise LibraryError(f"unknown method id {method_id!r}")
-            rel = method.reliability
-            rel.attempts += 1
-            if success:
-                rel.successes += 1
-            rel.last_used_cycle = cycle
+        rel = self.get(method_id).reliability
+        rel.attempts += 1
+        if success:
+            rel.successes += 1
+        rel.last_used_cycle = cycle
 
     def retrieve_best(self, task: TaskDescriptor, tau_r: float) -> RetrievalResult:
         """Best-scoring method for ``task`` and whether it clears ``tau_r``.
 
         Ties break toward the higher success ratio, then the more recently
         used method, then the lexicographically smallest id. An empty library
-        yields score 0 and no method.
+        yields score 0 and no method. Each stored method is scored once.
         """
         if not 0.0 <= tau_r <= 1.0:
             raise ValueError("tau_r must lie in [0, 1]")
-        candidates = self.methods()
-        if not candidates:
+        if not self._methods:
             return RetrievalResult(method=None, score=0.0, covered=False)
-        best = min(
-            candidates,
-            key=lambda m: (
-                -matching_score(task, m),
-                -m.reliability.success_ratio,
-                -m.reliability.last_used_cycle,
-                m.id,
-            ),
+        # Ids are unique, so two keys never tie and min never compares methods.
+        key, best = min(
+            (
+                (-matching_score(task, m), -m.reliability.success_ratio,
+                 -m.reliability.last_used_cycle, m.id),
+                m,
+            )
+            for m in self._methods.values()
         )
-        score = matching_score(task, best)
+        score = -key[0]
         return RetrievalResult(method=best, score=score, covered=score >= tau_r)
 
     def stats(self) -> dict:

@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     typed_field,
 )
-from .tasks import DEFAULT_ACTIONS, TaskDescriptor, signature_of
+from .tasks import DEFAULT_ACTIONS, TaskDescriptor
 
 logger = logging.getLogger(__name__)
 
@@ -345,7 +345,7 @@ class MockPlanner:
         return self.plan(task, history, feedback)
 
     def _solution_for(self, task: TaskDescriptor, call_index: int) -> list[str]:
-        rng = random.Random(f"{self.seed}:{signature_of(task)}:{call_index}")
+        rng = random.Random(f"{self.seed}:{task.signature}:{call_index}")
         solution = list(task.target_sequence)
         if rng.random() < self.p_corrupt:
             idx = rng.randrange(len(solution))

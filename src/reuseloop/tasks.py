@@ -15,6 +15,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -69,6 +70,8 @@ class TaskDescriptor:
 
     ``target_sequence`` is the ground-truth action chain used by the
     simulated environment to judge executions; policies must not read it.
+    ``signature`` and ``goal_tokens`` are its retrieval key, computed on
+    first use and kept; they are not fields, so equality ignores them.
     """
 
     id: str
@@ -82,10 +85,20 @@ class TaskDescriptor:
     def __post_init__(self):
         if not self.goal:
             raise ValueError("goal must be non-empty")
-        if not normalize_goal(self.goal):
+        if not self.goal_tokens:
             raise ValueError("goal must contain at least one non-empty token")
         if len(self.target_sequence) > self.constraints.max_steps:
             raise ValueError("target_sequence longer than constraints.max_steps")
+
+    @cached_property
+    def signature(self) -> str:
+        """Content signature, as ``signature_of(self)``."""
+        return signature_of(self)
+
+    @cached_property
+    def goal_tokens(self) -> frozenset[str]:
+        """Normalized goal tokens as a set, for Jaccard matching."""
+        return frozenset(normalize_goal(self.goal))
 
 
 @dataclass(frozen=True)
@@ -189,7 +202,7 @@ def generate_corpus(
         for task in tasks:
             if mode == OBSERVATION_FIRST and repeat == 1:
                 observed = ObservedEvent(
-                    task_signature=signature_of(task),
+                    task_signature=task.signature,
                     action_sequence=task.target_sequence,
                     success=True,
                     context={"source": "external-agent"},
@@ -205,7 +218,7 @@ def mean_target_length(events: Iterable[TaskEvent]) -> float:
     """Mean hidden-target length over the distinct tasks in a stream."""
     by_sig: dict[str, int] = {}
     for ev in events:
-        by_sig.setdefault(signature_of(ev.task), len(ev.task.target_sequence))
+        by_sig.setdefault(ev.task.signature, len(ev.task.target_sequence))
     if not by_sig:
         raise ValueError("empty event stream")
     return sum(by_sig.values()) / len(by_sig)

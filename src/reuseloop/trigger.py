@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .library import Method, RetrievalResult, matching_score
-from .tasks import ObservedEvent, TaskDescriptor
+from .library import Method, RetrievalResult
+from .tasks import ObservedEvent
 
 REUSE = "reuse"
 LEARN_UNCOVERED = "learn_uncovered"
@@ -57,20 +57,18 @@ class TriggerDecision:
             raise ValueError("method present iff branch is reuse")
 
 
-def confidence(method: Method, task: TaskDescriptor) -> float:
-    """Expected suitability of applying ``method`` to ``task``, in [0, 1].
+def confidence(method: Method, score: float) -> float:
+    """Expected suitability of applying ``method`` at matching ``score``, in [0, 1].
 
     Laplace-smoothed success ratio, (successes + 1) / (attempts + 2), scaled
-    by the matching score so barely-related methods are never trusted. A
-    fresh method on an exact match sits at 0.5.
+    by the retrieved matching score so barely-related methods are never
+    trusted. A fresh method on an exact match sits at 0.5.
     """
     rel = method.reliability
-    smoothed = (rel.successes + 1) / (rel.attempts + 2)
-    return smoothed * matching_score(task, method)
+    return (rel.successes + 1) / (rel.attempts + 2) * score
 
 
 def decide(
-    task: TaskDescriptor | None,
     retrieval: RetrievalResult | None,
     observation: ObservedEvent | None,
     obs_retrieval: RetrievalResult | None,
@@ -78,24 +76,21 @@ def decide(
 ) -> TriggerDecision:
     """Apply the piecewise trigger rule.
 
-    ``task``/``retrieval`` describe the self-execution task at hand, or are
-    both None for a pure observation event (no self task pending, so the
+    ``retrieval`` is the lookup for the self-execution task at hand, or None
+    for a pure observation event (no self task pending, so the
     uncovered/low-confidence cases cannot fire). ``observation`` and
-    ``obs_retrieval`` are likewise paired.
+    ``obs_retrieval`` are paired.
     """
-    if (task is None) != (retrieval is None):
-        raise ValueError("task and retrieval must be provided together")
     if (observation is None) != (obs_retrieval is None):
         raise ValueError("observation and obs_retrieval must be provided together")
-    if task is None and observation is None:
-        raise ValueError("decide needs a task, an observation, or both")
+    if retrieval is None and observation is None:
+        raise ValueError("decide needs a retrieval, an observation, or both")
 
     if retrieval is not None:
         # An empty library scores 0; it is uncovered even under tau_r = 0.
         if retrieval.method is None or retrieval.score < thresholds.tau_r:
             return TriggerDecision(z=True, branch=LEARN_UNCOVERED)
-        assert task is not None
-        if confidence(retrieval.method, task) < thresholds.tau_q:
+        if confidence(retrieval.method, retrieval.score) < thresholds.tau_q:
             return TriggerDecision(z=True, branch=LEARN_LOW_CONFIDENCE)
 
     if observation is not None and observation.success:

@@ -143,9 +143,10 @@ class TestProfileDocuments:
         assert profile.c_plan == 0.0
 
     def test_negative_named(self):
-        with pytest.raises(SchemaError) as err:
-            profile_from_dict({"c_train": -1})
-        assert "c_train" in str(err.value)
+        for doc, field in [({"c_train": -1}, "c_train"), ({"c_plann": 3.0}, "c_plann")]:
+            with pytest.raises(SchemaError) as err:
+                profile_from_dict(doc)
+            assert err.value.field == field
 
     def test_load(self, tmp_path):
         path = tmp_path / "profile.json"

@@ -300,11 +300,24 @@ class TestRecordStreams:
         path = tmp_path / "runs.jsonl"
         write_records(records, path)
         lines = path.read_text().splitlines()
-        lines[2] = '{"policy": "proposed"}'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(RecordStreamError) as err:
-            read_records(path)
-        assert err.value.line_no == 3
+        good = json.loads(lines[2])
+        cases = [
+            ({"policy": "proposed"}, "task_id"),
+            ({**good, "success": "false"}, "success"),
+            ({**good, "hit": 1}, "hit"),
+            ({**good, "llm_calls": 1.5}, "llm_calls"),
+            ({**good, "repeat_index": True}, "repeat_index"),
+            ({**good, "policy": 3}, "policy"),
+            ({**good, "note": "extra"}, "note"),
+        ]
+        for bad, field in cases:
+            lines[2] = json.dumps(bad)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(RecordStreamError) as err:
+                read_records(path)
+            assert err.value.line_no == 3
+            assert err.value.__cause__.field == field
+            assert field in str(err.value)
 
 
 class TestClockAndExecutor:

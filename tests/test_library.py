@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from reuseloop import library as library_module
 from reuseloop.errors import LibraryError, SchemaError
 from reuseloop.library import (
     Method,
@@ -91,6 +92,21 @@ class TestRetrieveBest:
         assert result.method is not None
         assert result.score == pytest.approx(0.6)
         assert not result.covered
+
+    def test_scores_each_method_once(self, task, library, monkeypatch):
+        library.insert(method_for_task(task))
+        for i in range(4):
+            library.insert(make_method(f"m-{i}", goal_tokens=("pick", "red", f"t{i}")))
+        calls = []
+
+        def counting(t, m):
+            calls.append(m.id)
+            return matching_score(t, m)
+
+        monkeypatch.setattr(library_module, "matching_score", counting)
+        result = library.retrieve_best(task, 0.8)
+        assert result.score == 1.0 and result.covered
+        assert len(calls) == len(library)
 
     def test_tau_r_validated(self, task, library):
         with pytest.raises(ValueError):

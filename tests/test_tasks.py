@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -56,6 +57,23 @@ class TestSignature:
             b = make_task(goal=goal_b, max_steps=steps_b, target=("move",) * 3)
             should_match = normalize_goal(goal_a) == normalize_goal(goal_b) and steps_a == steps_b
             assert (signature_of(a) == signature_of(b)) == should_match
+
+    def test_descriptor_key_matches_free_functions(self, tmp_path):
+        fresh = make_task(goal=("Pick", "UP!", "red", "cube"))
+        assert fresh.signature == signature_of(fresh)
+        replaced = dataclasses.replace(fresh, goal=("stack", "blue", "ring"))
+        events = generate_corpus(seed=3, n_tasks=4, n_repeats=1)
+        save_corpus(events, tmp_path / "corpus.json")
+        loaded = [event.task for event in load_corpus(tmp_path / "corpus.json")]
+        assert [task.signature for task in loaded] == [event.task.signature for event in events]
+        for task in [fresh, replaced, *loaded]:
+            assert task.signature == signature_of(task)
+            assert task.goal_tokens == set(normalize_goal(task.goal))
+        assert replaced.signature != fresh.signature
+        # ``fresh`` holds its key; ``cold`` has not computed it yet.
+        cold = make_task(goal=fresh.goal)
+        assert "signature" not in vars(cold)
+        assert cold == fresh and fresh == cold
 
     def test_constraints_participate(self):
         a = make_task(max_steps=8)

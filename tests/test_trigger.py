@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from reuseloop.library import RetrievalResult
+from reuseloop.library import RetrievalResult, matching_score
 from reuseloop.tasks import ObservedEvent
 from reuseloop.trigger import (
     LEARN_LOW_CONFIDENCE,
@@ -26,15 +26,15 @@ THRESHOLDS = TriggerThresholds(tau_r=0.8, tau_q=0.5, tau_o=0.8, tau_u=0.3)
 class TestConfidence:
     def test_fresh_method_on_exact_match(self, task):
         method = method_for_task(task, successes=0, attempts=0)
-        assert confidence(method, task) == pytest.approx(0.5)
+        assert confidence(method, matching_score(task, method)) == pytest.approx(0.5)
 
     def test_seasoned_method(self, task):
         method = method_for_task(task, successes=9, attempts=10)
-        assert confidence(method, task) == pytest.approx(10 / 12)
+        assert confidence(method, matching_score(task, method)) == pytest.approx(10 / 12)
 
     def test_zero_score_scales_to_zero(self, task):
         method = make_method(goal_tokens=("open", "door"), successes=9, attempts=10)
-        assert confidence(method, task) == 0.0
+        assert confidence(method, matching_score(task, method)) == 0.0
 
 
 def _retrieval(task, score, successes=1, attempts=1):
@@ -53,39 +53,37 @@ def _retrieval(task, score, successes=1, attempts=1):
 class TestDecideExamples:
     def test_uncovered_task(self, task):
         retrieval = _retrieval(task, 0.5)
-        decision = decide(task, retrieval, None, None, THRESHOLDS)
+        decision = decide(retrieval, None, None, THRESHOLDS)
         assert decision.z and decision.branch == LEARN_UNCOVERED
 
     def test_low_confidence(self, task):
         # covered score but weak record: 1 success in 8 -> confidence 0.25
         retrieval = _retrieval(task, 1.0, successes=1, attempts=8)
-        decision = decide(task, retrieval, None, None, THRESHOLDS)
+        decision = decide(retrieval, None, None, THRESHOLDS)
         assert decision.z and decision.branch == LEARN_LOW_CONFIDENCE
 
     def test_observation_without_pending_task(self, task):
         observation = ObservedEvent("sig-x", ("move", "grasp"), True, {})
         obs_retrieval = RetrievalResult(method=None, score=0.0, covered=False)
-        decision = decide(None, None, observation, obs_retrieval, THRESHOLDS)
+        decision = decide(None, observation, obs_retrieval, THRESHOLDS)
         assert decision.z and decision.branch == LEARN_OBSERVATION
 
     def test_covered_observation_is_no_action(self, task):
         observation = ObservedEvent("sig-x", ("move", "grasp"), True, {})
         obs_retrieval = _retrieval(task, 1.0)
-        decision = decide(None, None, observation, obs_retrieval, THRESHOLDS)
+        decision = decide(None, observation, obs_retrieval, THRESHOLDS)
         assert not decision.z and decision.branch == NO_ACTION
         assert decision.method is None
 
     def test_reuse(self, task):
         retrieval = _retrieval(task, 1.0, successes=5, attempts=5)
-        decision = decide(task, retrieval, None, None, THRESHOLDS)
+        decision = decide(retrieval, None, None, THRESHOLDS)
         assert not decision.z and decision.branch == REUSE
         assert decision.method is retrieval.method
 
     def test_argument_pairing_enforced(self, task):
         with pytest.raises(ValueError):
-            decide(task, None, None, None, THRESHOLDS)
-        with pytest.raises(ValueError):
-            decide(None, None, None, None, THRESHOLDS)
+            decide(None, None, None, THRESHOLDS)
 
 
 def expected_branch(task_present, score_low, conf_low, obs):
@@ -136,13 +134,7 @@ def run_table_case(task_state, obs_state):
         obs_retrieval = RetrievalResult(
             method=obs_method, score=obs_score, covered=obs_score >= THRESHOLDS.tau_o
         )
-    decision = decide(
-        task if task_state is not None else None,
-        retrieval,
-        observation,
-        obs_retrieval,
-        THRESHOLDS,
-    )
+    decision = decide(retrieval, observation, obs_retrieval, THRESHOLDS)
     want = expected_branch(
         task_state is not None,
         task_state[0] if task_state else False,
@@ -164,8 +156,8 @@ class TestExhaustiveTable:
 
     def test_pure_function(self, task):
         retrieval = _retrieval(task, 1.0, successes=5, attempts=5)
-        first = decide(task, retrieval, None, None, THRESHOLDS)
-        second = decide(task, retrieval, None, None, THRESHOLDS)
+        first = decide(retrieval, None, None, THRESHOLDS)
+        second = decide(retrieval, None, None, THRESHOLDS)
         assert first == second
 
 
@@ -173,13 +165,13 @@ class TestThresholdBoundaries:
     def test_fresh_method_trusted_exactly_at_boundary(self, task):
         # confidence 0.5 is not strictly below tau_q = 0.5
         retrieval = _retrieval(task, 1.0, successes=0, attempts=0)
-        decision = decide(task, retrieval, None, None, THRESHOLDS)
+        decision = decide(retrieval, None, None, THRESHOLDS)
         assert decision.branch == REUSE
 
     def test_score_at_tau_r_is_covered(self, task):
         thresholds = TriggerThresholds(tau_r=0.6, tau_q=0.5, tau_o=0.8, tau_u=0.3)
         retrieval = _retrieval(task, 0.6, successes=5, attempts=5)
-        decision = decide(task, retrieval, None, None, thresholds)
+        decision = decide(retrieval, None, None, thresholds)
         assert decision.branch == REUSE
 
     def test_threshold_range_validated(self):
