@@ -11,7 +11,7 @@ the same way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -23,8 +23,8 @@ from .engine import (
     PROPOSED_OBSERVATION,
     ExecutorConfig,
 )
-from .errors import SchemaError, typed_field
-from .planner import HttpPlanner, MockPlanner, Planner
+from .errors import SchemaError, parse_json, typed_fields
+from .planner import DEFAULT_MOCK_LATENCY_S, DEFAULT_P_CORRUPT, HttpPlanner, MockPlanner, Planner
 from .tasks import (
     OBSERVATION_FIRST,
     SELF_EXECUTION,
@@ -39,7 +39,9 @@ from .trigger import TriggerThresholds
 # of watching one observed behavior. The self and observation benchmarks are
 # calibrated independently.
 REFERENCE_TARGETS = {
-    "self": {"always_llm_total": 7.7772, "proposed_total": 6.7779, "llm_latency": 1.4565},
+    "self": {
+        "always_llm_total": 7.7772, "proposed_total": 6.7779, "llm_latency": DEFAULT_MOCK_LATENCY_S,
+    },
     "observation": {"observation_only_total": 7.4969, "proposed_observation_total": 5.5833},
 }
 
@@ -47,14 +49,9 @@ REFERENCE_TARGETS = {
 # profile maths amortizes one learning episode over this many events.
 _CALIBRATED_REPEATS = 5
 
-_OBSERVE_S = 0.2
-_RETRIEVE_S = 0.01
-_PER_STEP_S = 0.35
-
-# Self profile: collect/train/store chosen so a calibrated run amortizes to
-# the proposed target exactly; see reference_executor.
-_SELF_COLLECT_S = 0.5
-_SELF_TRAIN_S = 0.23
+# The observation profile's train and store costs; every other phase cost of
+# both reference profiles is ExecutorConfig's default, except the fitted
+# base_s and the self profile's fitted store_s.
 _OBS_TRAIN_S = 0.03
 _OBS_STORE_S = 0.01
 
@@ -80,10 +77,11 @@ def reference_latency(family: str) -> float:
     # time: round 1 is observe+retrieve+plan+train+store, later rounds are
     # retrieve+execute (proposed_observation) or plan+execute
     # (observation_only, which skips retrieval like always_llm).
+    phases = ExecutorConfig()
     plan_plus_exec = _observation_plan_plus_exec()
     budget = (
         _CALIBRATED_REPEATS * REFERENCE_TARGETS["observation"]["proposed_observation_total"]
-        - _OBSERVE_S - _CALIBRATED_REPEATS * _RETRIEVE_S - _OBS_TRAIN_S - _OBS_STORE_S
+        - phases.observe_s - _CALIBRATED_REPEATS * phases.retrieve_s - _OBS_TRAIN_S - _OBS_STORE_S
     )
     exec_mean = (budget - plan_plus_exec) / (_CALIBRATED_REPEATS - 2)
     return plan_plus_exec - exec_mean
@@ -91,7 +89,7 @@ def reference_latency(family: str) -> float:
 
 def _observation_plan_plus_exec() -> float:
     total = REFERENCE_TARGETS["observation"]["observation_only_total"]
-    return (_CALIBRATED_REPEATS * total - _OBSERVE_S) / (_CALIBRATED_REPEATS - 1)
+    return (_CALIBRATED_REPEATS * total - ExecutorConfig().observe_s) / (_CALIBRATED_REPEATS - 1)
 
 
 def _reference_exec_mean(family: str) -> float:
@@ -108,42 +106,27 @@ def reference_executor(family: str, mean_sequence_len: float) -> ExecutorConfig:
     mean execution time lands exactly on the calibrated value regardless of
     the seed's draw of sequence lengths.
     """
+    phases = ExecutorConfig()
     exec_mean = _reference_exec_mean(family)
-    base_s = exec_mean - _PER_STEP_S * mean_sequence_len
+    base_s = exec_mean - phases.per_step_s * mean_sequence_len
     if base_s < 0:
         raise ValueError("mean sequence length too large for the reference profile")
     if family == FAMILY_SELF:
         targets = REFERENCE_TARGETS["self"]
         # retrieve + exec + (latency + collect + train + store) / repeats == proposed_total
         overhead = _CALIBRATED_REPEATS * (
-            targets["proposed_total"] - _RETRIEVE_S - exec_mean
+            targets["proposed_total"] - phases.retrieve_s - exec_mean
         ) - targets["llm_latency"]
-        store_s = overhead - _SELF_COLLECT_S - _SELF_TRAIN_S
+        store_s = overhead - phases.collect_s - phases.train_s
         if store_s < 0:
             raise ValueError("reference self profile is infeasible")
-        return ExecutorConfig(
-            base_s=base_s,
-            per_step_s=_PER_STEP_S,
-            retrieve_s=_RETRIEVE_S,
-            collect_s=_SELF_COLLECT_S,
-            train_s=_SELF_TRAIN_S,
-            store_s=store_s,
-            observe_s=_OBSERVE_S,
-        )
-    return ExecutorConfig(
-        base_s=base_s,
-        per_step_s=_PER_STEP_S,
-        retrieve_s=_RETRIEVE_S,
-        collect_s=_SELF_COLLECT_S,
-        train_s=_OBS_TRAIN_S,
-        store_s=_OBS_STORE_S,
-        observe_s=_OBSERVE_S,
-    )
+        return replace(phases, base_s=base_s, store_s=store_s)
+    return replace(phases, base_s=base_s, train_s=_OBS_TRAIN_S, store_s=_OBS_STORE_S)
 
 
 def default_p_corrupt(mode: str) -> float:
     """Reference planner corruption: only the always_llm baseline misplans."""
-    return 0.05 if mode == ALWAYS_LLM else 0.0
+    return DEFAULT_P_CORRUPT if mode == ALWAYS_LLM else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,49 +163,15 @@ class RunConfig:
 
 
 def config_from_dict(doc: dict) -> RunConfig:
+    """Build a ``RunConfig``; every field, nested ones included, is optional and typed."""
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "expected a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    for key in doc:
-        if key not in known:
-            raise SchemaError(key, "unknown configuration field")
-
-    mode = typed_field(doc, "mode", str, default=PROPOSED)
-    if mode not in POLICY_MODES:
+    config = RunConfig(**typed_fields(RunConfig, doc))
+    if config.mode not in POLICY_MODES:
         raise SchemaError("mode", f"expected one of {', '.join(POLICY_MODES)}")
-
-    thresholds_doc = typed_field(doc, "thresholds", dict, default={})
-    try:
-        thresholds = TriggerThresholds(**{
-            k: float(typed_field(thresholds_doc, k, float, "thresholds")) for k in thresholds_doc
-        })
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("thresholds", str(exc)) from exc
-
-    executor = None
-    executor_doc = typed_field(doc, "executor", dict, default=None)
-    if executor_doc is not None:
-        try:
-            executor = ExecutorConfig(**{
-                k: float(typed_field(executor_doc, k, float, "executor")) for k in executor_doc
-            })
-        except (TypeError, ValueError) as exc:
-            raise SchemaError("executor", str(exc)) from exc
-
-    planner_doc = typed_field(doc, "planner", dict, default={})
-    kind = typed_field(planner_doc, "kind", str, "planner", MOCK)
-    if kind not in (MOCK, HTTP):
+    settings = config.planner
+    if settings.kind not in (MOCK, HTTP):
         raise SchemaError("planner.kind", f"expected '{MOCK}' or '{HTTP}'")
-    settings = PlannerSettings(
-        kind=kind,
-        latency_s=typed_field(planner_doc, "latency_s", float, "planner", None),
-        p_corrupt=typed_field(planner_doc, "p_corrupt", float, "planner", None),
-        endpoint=typed_field(planner_doc, "endpoint", str, "planner", None),
-        model=typed_field(planner_doc, "model", str, "planner", None),
-        temperature=typed_field(planner_doc, "temperature", float, "planner", 0.0),
-        timeout_s=typed_field(planner_doc, "timeout_s", float, "planner", 30.0),
-        retries=typed_field(planner_doc, "retries", int, "planner", 2),
-    )
     if settings.p_corrupt is not None and not 0.0 <= settings.p_corrupt <= 1.0:
         raise SchemaError("planner.p_corrupt", "must lie in [0, 1]")
     if settings.latency_s is not None and settings.latency_s < 0:
@@ -231,25 +180,11 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise SchemaError("planner.retries", "expected a nonnegative integer")
     if settings.kind == HTTP and (not settings.endpoint or not settings.model):
         raise SchemaError("planner", "http planner requires endpoint and model")
-
-    n_tasks = typed_field(doc, "n_tasks", int, default=20)
-    n_repeats = typed_field(doc, "n_repeats", int, default=5)
-    if n_tasks < 1:
+    if config.n_tasks < 1:
         raise SchemaError("n_tasks", "must be >= 1")
-    if n_repeats < 1:
+    if config.n_repeats < 1:
         raise SchemaError("n_repeats", "must be >= 1")
-
-    return RunConfig(
-        seed=typed_field(doc, "seed", int, default=7),
-        n_tasks=n_tasks,
-        n_repeats=n_repeats,
-        mode=mode,
-        thresholds=thresholds,
-        executor=executor,
-        planner=settings,
-        library_path=typed_field(doc, "library_path", str, default=None),
-        output_dir=typed_field(doc, "output_dir", str, default="bench_out"),
-    )
+    return config
 
 
 def apply_overrides(doc: dict, overrides: dict[str, Any]) -> dict:
@@ -267,12 +202,7 @@ def apply_overrides(doc: dict, overrides: dict[str, Any]) -> dict:
 
 
 def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> RunConfig:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise SchemaError("<config>", f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError("<config>", f"not valid JSON: {exc}") from exc
+    raw = parse_json(Path(path).read_text(encoding="utf-8"))
     if overrides:
         raw = apply_overrides(raw, overrides)
     return config_from_dict(raw)

@@ -8,11 +8,10 @@ how much a delayed-update strategy loses to quasi-real-time updating.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import SchemaError, typed_field
+from .errors import SchemaError, parse_json, typed_fields
 
 
 @dataclass(frozen=True)
@@ -29,9 +28,6 @@ class CostProfile:
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
-
-
-_COST_FIELDS = tuple(f.name for f in fields(CostProfile))
 
 
 @dataclass(frozen=True)
@@ -121,27 +117,18 @@ def delay_comparison(profile: CostProfile, c_delay_quasi: float) -> DelayCompari
 
 
 def profile_to_dict(profile: CostProfile) -> dict:
-    return {name: getattr(profile, name) for name in _COST_FIELDS}
+    return asdict(profile)
 
 
 def profile_from_dict(doc: dict) -> CostProfile:
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "expected a JSON object")
-    for key in doc:
-        if key not in _COST_FIELDS:
-            raise SchemaError(key, "unknown cost field")
-    values = {}
-    for name in _COST_FIELDS:
-        value = float(typed_field(doc, name, float, default=0.0))
+    values = typed_fields(CostProfile, doc)
+    for name, value in values.items():
         if value < 0:
             raise SchemaError(name, "must be nonnegative")
-        values[name] = value
     return CostProfile(**values)
 
 
 def load_profile(path: str | Path) -> CostProfile:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("<root>", f"not valid JSON: {exc}") from exc
-    return profile_from_dict(doc)
+    return profile_from_dict(parse_json(Path(path).read_text(encoding="utf-8")))

@@ -32,12 +32,13 @@ index the collected samples cover, which subsumes that adjustment here.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import get_type_hints
 
 from . import learner
-from .errors import PlannerError, RecordStreamError, SchemaError, typed_field
+from .errors import PlannerError, RecordStreamError, SchemaError, typed_fields
 from .experience import EpisodeDataset, ExperienceSample, Outcome, SampleContext, SOURCE_SELF
 from .library import MethodLibrary
 from .planner import EpisodeOutcome, Planner, PlannerFeedback, PlannerHistory
@@ -144,6 +145,11 @@ class SequenceExecutor(learner.Replayer):
         return samples
 
 
+_PHASE_FIELDS = tuple(f"{phase}_s" for phase in PHASES)
+_NONNEGATIVE_FIELDS = (*_PHASE_FIELDS, "llm_time_s", "llm_calls")
+_phase_times = attrgetter(*_PHASE_FIELDS)
+
+
 @dataclass
 class RunRecord:
     """One episode's accounting. ``total_s`` always equals the phase sum."""
@@ -166,6 +172,16 @@ class RunRecord:
     learned: bool
 
     def __post_init__(self):
+        phases = _phase_times(self)
+        if min(phases) < 0 or self.llm_time_s < 0 or self.llm_calls < 0:
+            name = next(name for name in _NONNEGATIVE_FIELDS if getattr(self, name) < 0)
+            raise ValueError(f"{name} must be nonnegative")
+        if self.repeat_index < 1:
+            raise ValueError("repeat_index must be >= 1")
+        if self.cycle < 0:
+            raise ValueError("cycle must be nonnegative")
+        if not math.isclose(self.total_s, sum(phases), rel_tol=1e-9):
+            raise ValueError("total_s must equal the sum of the phase times")
         if self.hit and self.learned:
             raise ValueError("an episode cannot be both a reuse hit and a learning episode")
         if self.llm_time_s > self.total_s + 1e-12:
@@ -419,7 +435,6 @@ def run_loop(
 # ---------------------------------------------------------------------------
 
 RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
-_RECORD_KINDS = get_type_hints(RunRecord)
 
 
 def record_to_dict(record: RunRecord) -> dict:
@@ -427,13 +442,16 @@ def record_to_dict(record: RunRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> RunRecord:
-    """Parse one record, checking each field's type exactly; unknown keys are rejected."""
+    """Parse one record, checking each field's type exactly; unknown keys are rejected.
+
+    ``RunRecord`` checks the values; the policy must also be a known mode.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("<record>", "expected a JSON object")
-    for key in doc:
-        if key not in _RECORD_KINDS:
-            raise SchemaError(key, "unknown record field")
-    return RunRecord(**{name: typed_field(doc, name, _RECORD_KINDS[name]) for name in RECORD_FIELDS})
+    values = typed_fields(RunRecord, doc)
+    if values["policy"] not in POLICY_MODES:
+        raise SchemaError("policy", f"expected one of {', '.join(POLICY_MODES)}")
+    return RunRecord(**values)
 
 
 def write_records(records: list[RunRecord], path: str | Path) -> None:

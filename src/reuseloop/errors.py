@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the typed-field check every loader uses."""
+"""Exception types, and the JSON and typed-field readers every loader uses."""
 
 from __future__ import annotations
 
-from types import GenericAlias
-from typing import Any
+import json
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
+from types import GenericAlias, NoneType, UnionType
+from typing import Any, get_type_hints
 
 
 class ReuseLoopError(Exception):
@@ -70,6 +73,63 @@ def typed_field(doc: dict, key: str, kind, where: str = "", default: Any = _REQU
     if value is _REQUIRED:
         raise SchemaError(path, "missing field")
     raise SchemaError(path, f"expected {_EXPECTED[kind]}, got {type(value).__name__}")
+
+
+@cache
+def _schema(cls) -> dict[str, tuple]:
+    """``name -> (kind, typed_field default, required, nested)`` for each field of ``cls``."""
+    hints = get_type_hints(cls)
+    schema = {}
+    for f in fields(cls):
+        kind, default = hints[f.name], _REQUIRED
+        if type(kind) is UnionType and NoneType in kind.__args__:
+            (kind,) = (arg for arg in kind.__args__ if arg is not NoneType)
+            default = None
+        required = f.default is MISSING and f.default_factory is MISSING
+        schema[f.name] = (kind, default, required, is_dataclass(kind))
+    return schema
+
+
+def typed_fields(cls, doc: dict, where: str = "") -> dict:
+    """Read every field of the dataclass ``cls`` from ``doc`` into constructor kwargs.
+
+    Each field's kind is its annotation, read through ``typed_field``; an
+    ``X | None`` field may be ``null``, and an int in a ``float`` field is
+    widened to float. A nested dataclass is read as an object the same way
+    and built, its ``ValueError`` reported at its path. A missing field is
+    left to the dataclass default; one without a default is required. An
+    unknown key raises ``SchemaError`` naming ``where.key``.
+    """
+    schema = _schema(cls)
+    for key in doc:
+        if key not in schema:
+            raise SchemaError(f"{where}.{key}" if where else key, "unknown field")
+    kwargs = {}
+    for name, (kind, default, required, nested) in schema.items():
+        if name not in doc and not required:
+            continue
+        if nested:
+            value = typed_field(doc, name, dict, where, default)
+            if value is not None:
+                path = f"{where}.{name}" if where else name
+                try:
+                    value = kind(**typed_fields(kind, value, path))
+                except ValueError as exc:
+                    raise SchemaError(path, str(exc)) from exc
+        else:
+            value = typed_field(doc, name, kind, where, default)
+            if kind is float and type(value) is int:
+                value = float(value)
+        kwargs[name] = value
+    return kwargs
+
+
+def parse_json(text: str) -> Any:
+    """Parse a JSON document; malformed text raises ``SchemaError`` at ``<root>``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("<root>", f"not valid JSON: {exc}") from exc
 
 
 class LibraryError(ReuseLoopError):

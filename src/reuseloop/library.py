@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from .errors import DICT_LIST, STR_LIST, LibraryError, SchemaError, typed_field
+from .errors import DICT_LIST, STR_LIST, LibraryError, SchemaError, parse_json, typed_field
 from .tasks import TaskDescriptor
 
 LIBRARY_VERSION = 1
@@ -241,11 +241,7 @@ class MethodLibrary:
 
     @classmethod
     def load(cls, path: str | Path) -> "MethodLibrary":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError("<root>", f"not valid JSON: {exc}") from exc
-        return cls.from_doc(doc)
+        return cls.from_doc(parse_json(Path(path).read_text(encoding="utf-8")))
 
 
 def _method_to_dict(m: Method) -> dict:

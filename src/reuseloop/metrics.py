@@ -157,22 +157,12 @@ def write_report_csv(report: MetricsReport, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for policy in sorted(report.policies):
-            pm = report.policies[policy]
-            writer.writerow(
-                [
-                    policy, "overall", pm.n_runs, _r4(pm.avg_total_s), _r4(pm.avg_llm_calls),
-                    _r4(pm.avg_llm_time_ratio), _r4(pm.llm_time_ratio_micro),
-                    _r4(pm.success_rate), _r4(pm.hit_rate),
-                ]
-            )
-            for idx, rm in pm.per_repeat.items():
-                writer.writerow(
-                    [
-                        policy, f"repeat-{idx}", rm.n_runs, _r4(rm.avg_total_s),
-                        _r4(rm.avg_llm_calls), "", "", "", _r4(rm.hit_rate),
-                    ]
-                )
+        for policy, doc in report_to_dict(report)["policies"].items():
+            scopes = {"overall": doc["overall"]}
+            scopes.update((f"repeat-{idx}", values) for idx, values in doc["per_repeat"].items())
+            for scope, values in scopes.items():
+                row = {"policy": policy, "scope": scope, **values}
+                writer.writerow([row.get(column, "") for column in CSV_COLUMNS])
 
 
 def format_report_table(report: MetricsReport) -> str:

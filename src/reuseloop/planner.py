@@ -24,6 +24,7 @@ from .errors import (
     PlannerError,
     PlanningFailedError,
     SchemaError,
+    parse_json,
     typed_field,
 )
 from .tasks import DEFAULT_ACTIONS, TaskDescriptor
@@ -256,11 +257,7 @@ def plan_from_dict(doc: Any) -> LearningPlan:
 
 def parse_plan(text: str) -> LearningPlan:
     """Parse and validate plan text (a JSON document)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("<root>", f"not valid JSON: {exc}") from exc
-    return plan_from_dict(doc)
+    return plan_from_dict(parse_json(text))
 
 
 # ---------------------------------------------------------------------------

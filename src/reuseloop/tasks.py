@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import DICT_LIST, STR_LIST, SchemaError, typed_field
+from .errors import DICT_LIST, STR_LIST, SchemaError, parse_json, typed_field
 
 # Executable action identifiers shared by tasks, methods, and the planner.
 DEFAULT_ACTIONS: tuple[str, ...] = (
@@ -320,8 +320,4 @@ def save_corpus(events: Iterable[TaskEvent], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[TaskEvent]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("<root>", f"not valid JSON: {exc}") from exc
-    return corpus_from_doc(doc)
+    return corpus_from_doc(parse_json(Path(path).read_text(encoding="utf-8")))

@@ -71,6 +71,25 @@ class TestConfigDocuments:
         assert config.planner.p_corrupt == 0.5
         assert config.n_tasks == 3
 
+    def test_unknown_nested_field_named(self):
+        cases = [
+            ({"planner": {"p_corupt": 0.9}}, "planner.p_corupt"),
+            ({"thresholds": {"tau_x": 0.5}}, "thresholds.tau_x"),
+            ({"executor": {"base_x": 1.0}}, "executor.base_x"),
+        ]
+        for doc, field in cases:
+            with pytest.raises(SchemaError) as err:
+                config_from_dict(doc)
+            assert err.value.field == field
+
+    def test_empty_config_is_all_defaults(self):
+        assert config_from_dict({}) == RunConfig()
+
+    def test_integers_widened_in_float_fields(self):
+        config = config_from_dict({"executor": {"base_s": 1}, "planner": {"latency_s": 1}})
+        assert type(config.executor.base_s) is float
+        assert type(config.planner.latency_s) is float
+
 
 class TestReferenceProfiles:
     def test_latencies(self):
@@ -186,6 +205,13 @@ class TestBenchRun:
         assert main(["bench", "run", "--config", str(config)]) == 2
         assert "mode" in capsys.readouterr().err
 
+    def test_misspelled_override_rejected(self, config_file, tmp_path, capsys):
+        code = main(["bench", "run", "--config", str(config_file), "--out", str(tmp_path / "o5"),
+                     "--planner.p_corupt", "0.9"])
+        assert code == 2
+        assert "planner.p_corupt" in capsys.readouterr().err
+        assert not (tmp_path / "o5").exists()
+
     def test_cli_overrides_reach_the_run(self, config_file, tmp_path):
         code = main(
             ["bench", "run", "--config", str(config_file), "--out", str(tmp_path / "o2"),
@@ -243,6 +269,17 @@ class TestBenchReport:
         runs.write_text("\n".join(lines))
         assert main(["bench", "report", "--runs", str(runs)]) == 2
         assert "line 5" in capsys.readouterr().err
+
+    def test_impossible_values_rejected(self, config_file, tmp_path, capsys):
+        main(["bench", "run", "--config", str(config_file)])
+        runs = tmp_path / "out" / "runs.jsonl"
+        lines = runs.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "total_s": 99.0})
+        runs.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["bench", "report", "--runs", str(runs)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "total_s" in err
 
     def test_single_record_report(self, config_file, tmp_path):
         main(["bench", "run", "--config", str(config_file)])

@@ -319,6 +319,29 @@ class TestRecordStreams:
             assert err.value.__cause__.field == field
             assert field in str(err.value)
 
+    def test_impossible_values_rejected(self, tmp_path):
+        records = self._records()
+        path = tmp_path / "runs.jsonl"
+        write_records(records, path)
+        lines = path.read_text().splitlines()
+        good = json.loads(lines[2])
+        cases = [
+            ({**good, "total_s": good["total_s"] + 99.0}, "total_s"),
+            ({**good, "retrieve_s": -1.0}, "retrieve_s"),
+            ({**good, "llm_time_s": -1.0}, "llm_time_s"),
+            ({**good, "llm_calls": -1}, "llm_calls"),
+            ({**good, "repeat_index": 0}, "repeat_index"),
+            ({**good, "cycle": -1}, "cycle"),
+            ({**good, "policy": "bogus"}, "policy"),
+        ]
+        for bad, field in cases:
+            lines[2] = json.dumps(bad)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(RecordStreamError) as err:
+                read_records(path)
+            assert err.value.line_no == 3
+            assert field in str(err.value)
+
 
 class TestClockAndExecutor:
     def test_unknown_phase_rejected(self):
