@@ -23,7 +23,7 @@ from .engine import (
     PROPOSED_OBSERVATION,
     ExecutorConfig,
 )
-from .errors import SchemaError, parse_json, typed_fields
+from .errors import SchemaError, parse_json, read_dataclass
 from .planner import DEFAULT_MOCK_LATENCY_S, DEFAULT_P_CORRUPT, HttpPlanner, MockPlanner, Planner
 from .tasks import (
     OBSERVATION_FIRST,
@@ -164,9 +164,7 @@ class RunConfig:
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Build a ``RunConfig``; every field, nested ones included, is optional and typed."""
-    if not isinstance(doc, dict):
-        raise SchemaError("<root>", "expected a JSON object")
-    config = RunConfig(**typed_fields(RunConfig, doc))
+    config = read_dataclass(RunConfig, doc)
     if config.mode not in POLICY_MODES:
         raise SchemaError("mode", f"expected one of {', '.join(POLICY_MODES)}")
     settings = config.planner
@@ -189,6 +187,8 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 def apply_overrides(doc: dict, overrides: dict[str, Any]) -> dict:
     """Apply ``--dotted.path value`` overrides onto a raw config document."""
+    if not isinstance(doc, dict):
+        raise SchemaError("<root>", "expected a JSON object")
     out = json.loads(json.dumps(doc))  # deep copy, JSON types only
     for dotted, value in overrides.items():
         parts = dotted.split(".")

@@ -1,12 +1,13 @@
-"""Exception types, and the JSON and typed-field readers every loader uses."""
+"""Exception types, the JSON and typed-field readers every loader uses, and ``to_doc``."""
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import MISSING, fields, is_dataclass
-from functools import cache
+from functools import cache, partial
 from types import GenericAlias, NoneType, UnionType
-from typing import Any, get_type_hints
+from typing import Any, get_args, get_origin, get_type_hints
 
 
 class ReuseLoopError(Exception):
@@ -75,9 +76,42 @@ def typed_field(doc: dict, key: str, kind, where: str = "", default: Any = _REQU
     raise SchemaError(path, f"expected {_EXPECTED[kind]}, got {type(value).__name__}")
 
 
+def _reader(kind) -> tuple:
+    """``(JSON kind, finish)`` for a field annotation.
+
+    ``typed_field`` checks a value against the JSON kind; ``finish(value,
+    path)``, unless None, then builds the field from it: a dataclass from an
+    object, a tuple or set from a list, a dict from an object whose values
+    are checked against the annotation's value type unless it is ``Any``.
+    """
+    if is_dataclass(kind):
+        return dict, partial(read_dataclass, kind)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (tuple, set):
+        item = args[0]
+        if is_dataclass(item):
+            return DICT_LIST, lambda value, path: origin(
+                read_dataclass(item, entry, f"{path}[{i}]") for i, entry in enumerate(value)
+            )
+        return list[item], lambda value, path: origin(value)
+    if origin in (dict, Mapping):
+        return dict, partial(_read_mapping, args[1])
+    return kind, None
+
+
+def _read_mapping(item, value: dict, path: str) -> dict:
+    if item is not Any:
+        for key, entry in value.items():
+            if type(entry) is not item:
+                raise SchemaError(
+                    f"{path}.{key}", f"expected {_EXPECTED[item]}, got {type(entry).__name__}"
+                )
+    return dict(value)
+
+
 @cache
 def _schema(cls) -> dict[str, tuple]:
-    """``name -> (kind, typed_field default, required, nested)`` for each field of ``cls``."""
+    """``name -> (JSON kind, finish, typed_field default, required)`` per field of ``cls``."""
     hints = get_type_hints(cls)
     schema = {}
     for f in fields(cls):
@@ -86,7 +120,7 @@ def _schema(cls) -> dict[str, tuple]:
             (kind,) = (arg for arg in kind.__args__ if arg is not NoneType)
             default = None
         required = f.default is MISSING and f.default_factory is MISSING
-        schema[f.name] = (kind, default, required, is_dataclass(kind))
+        schema[f.name] = (*_reader(kind), default, required)
     return schema
 
 
@@ -95,8 +129,10 @@ def typed_fields(cls, doc: dict, where: str = "") -> dict:
 
     Each field's kind is its annotation, read through ``typed_field``; an
     ``X | None`` field may be ``null``, and an int in a ``float`` field is
-    widened to float. A nested dataclass is read as an object the same way
-    and built, its ``ValueError`` reported at its path. A missing field is
+    widened to float. A nested dataclass is read with ``read_dataclass``,
+    alone or as the items of a ``tuple[X, ...]``, at paths such as
+    ``where.name[2]``; other tuples and sets are lists of ``X``, and a
+    ``Mapping[str, X]`` or ``dict[str, X]`` is an object. A missing field is
     left to the dataclass default; one without a default is required. An
     unknown key raises ``SchemaError`` naming ``where.key``.
     """
@@ -105,23 +141,52 @@ def typed_fields(cls, doc: dict, where: str = "") -> dict:
         if key not in schema:
             raise SchemaError(f"{where}.{key}" if where else key, "unknown field")
     kwargs = {}
-    for name, (kind, default, required, nested) in schema.items():
+    for name, (kind, finish, default, required) in schema.items():
         if name not in doc and not required:
             continue
-        if nested:
-            value = typed_field(doc, name, dict, where, default)
-            if value is not None:
-                path = f"{where}.{name}" if where else name
-                try:
-                    value = kind(**typed_fields(kind, value, path))
-                except ValueError as exc:
-                    raise SchemaError(path, str(exc)) from exc
-        else:
-            value = typed_field(doc, name, kind, where, default)
-            if kind is float and type(value) is int:
-                value = float(value)
+        value = typed_field(doc, name, kind, where, default)
+        if finish is not None and value is not None:
+            value = finish(value, f"{where}.{name}" if where else name)
+        elif kind is float and type(value) is int:
+            value = float(value)
         kwargs[name] = value
     return kwargs
+
+
+def read_dataclass(cls, doc: Any, where: str = ""):
+    """Build the dataclass ``cls`` from the JSON object ``doc`` via ``typed_fields``.
+
+    ``where`` is the object's path, empty at the root. A non-object, or a
+    ``ValueError`` from ``cls`` itself, raises ``SchemaError`` there
+    (``<root>`` at the root).
+    """
+    at = where or "<root>"
+    if type(doc) is not dict:
+        raise SchemaError(at, "expected a JSON object")
+    try:
+        return cls(**typed_fields(cls, doc, where))
+    except ValueError as exc:
+        raise SchemaError(at, str(exc)) from exc
+
+
+def to_doc(value: Any) -> Any:
+    """The JSON form of ``value``, as ``read_dataclass`` reads it back.
+
+    A dataclass becomes an object of its fields in declaration order, a
+    tuple or list a list, a set a sorted list and a mapping an object;
+    scalars and anything else are returned as they are.
+    """
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [to_doc(entry) for entry in value]
+    if is_dataclass(value):
+        return {name: to_doc(getattr(value, name)) for name in _schema(type(value))}
+    if isinstance(value, (set, frozenset)):
+        return [to_doc(entry) for entry in sorted(value)]
+    if isinstance(value, Mapping):
+        return {key: to_doc(entry) for key, entry in value.items()}
+    return value
 
 
 def parse_json(text: str) -> Any:

@@ -14,18 +14,17 @@ import logging
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Protocol
 
 from .errors import (
-    DICT_LIST,
-    STR_LIST,
     PlannerError,
     PlanningFailedError,
     SchemaError,
     parse_json,
-    typed_field,
+    read_dataclass,
+    to_doc,
 )
 from .tasks import DEFAULT_ACTIONS, TaskDescriptor
 
@@ -33,9 +32,6 @@ logger = logging.getLogger(__name__)
 
 MODEL_FAMILIES = ("sequence", "visual", "multimodal", "hybrid")
 STRATEGY_KINDS = ("execute", "observe")
-
-DEFAULT_VALIDATION_THRESHOLD = 0.5
-DEFAULT_MAX_EPISODES = 3
 
 # Default latency of the mock planner; calibrated so simulated planner time
 # matches the reference benchmark profile. Configurable per instance.
@@ -68,7 +64,7 @@ class DataRequirement:
 @dataclass(frozen=True)
 class StrategyStep:
     kind: str
-    detail: str
+    detail: str = ""
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -77,8 +73,8 @@ class StrategyStep:
 
 @dataclass(frozen=True)
 class UpdateCriteria:
-    validation_threshold: float = DEFAULT_VALIDATION_THRESHOLD
-    max_episodes: int = DEFAULT_MAX_EPISODES
+    validation_threshold: float = 0.5
+    max_episodes: int = 3
 
     def __post_init__(self):
         if not 0.0 <= self.validation_threshold <= 1.0:
@@ -176,83 +172,12 @@ PLAN_SCHEMA_DOC = {
 
 
 def plan_to_dict(plan: LearningPlan) -> dict:
-    return {
-        "candidate_models": [
-            {"family": m.family, "rationale": m.rationale} for m in plan.candidate_models
-        ],
-        "subproblems": list(plan.subproblems),
-        "data_requirements": [
-            {"channel": d.channel, "min_samples": d.min_samples} for d in plan.data_requirements
-        ],
-        "strategy": [{"kind": s.kind, "detail": s.detail} for s in plan.strategy],
-        "update_criteria": {
-            "validation_threshold": plan.update_criteria.validation_threshold,
-            "max_episodes": plan.update_criteria.max_episodes,
-        },
-        "direct_solution": list(plan.direct_solution) if plan.direct_solution else None,
-    }
+    return to_doc(plan)
 
 
 def plan_from_dict(doc: Any) -> LearningPlan:
-    """Validate a plan document and fill defaults for the optional parts."""
-    if not isinstance(doc, dict):
-        raise SchemaError("<root>", "expected a JSON object")
-
-    raw_models = typed_field(doc, "candidate_models", DICT_LIST)
-    if not raw_models:
-        raise SchemaError("candidate_models", "expected a non-empty list")
-    models = []
-    for i, entry in enumerate(raw_models):
-        where = f"candidate_models[{i}]"
-        family = typed_field(entry, "family", str, where)
-        try:
-            models.append(CandidateModel(family, typed_field(entry, "rationale", str, where, "")))
-        except ValueError as exc:
-            raise SchemaError(f"{where}.family", str(exc)) from exc
-
-    requirements = []
-    for i, entry in enumerate(typed_field(doc, "data_requirements", DICT_LIST, default=[])):
-        where = f"data_requirements[{i}]"
-        channel = typed_field(entry, "channel", str, where)
-        min_samples = typed_field(entry, "min_samples", int, where, 1)
-        try:
-            requirements.append(DataRequirement(channel, min_samples))
-        except ValueError as exc:
-            raise SchemaError(f"{where}.min_samples", str(exc)) from exc
-
-    strategy = []
-    for i, entry in enumerate(typed_field(doc, "strategy", DICT_LIST, default=[])):
-        where = f"strategy[{i}]"
-        kind = typed_field(entry, "kind", str, where)
-        try:
-            strategy.append(StrategyStep(kind, typed_field(entry, "detail", str, where, "")))
-        except ValueError as exc:
-            raise SchemaError(f"{where}.kind", str(exc)) from exc
-
-    raw_criteria = typed_field(doc, "update_criteria", dict, default={})
-    threshold = typed_field(
-        raw_criteria, "validation_threshold", float, "update_criteria", DEFAULT_VALIDATION_THRESHOLD
-    )
-    max_episodes = typed_field(
-        raw_criteria, "max_episodes", int, "update_criteria", DEFAULT_MAX_EPISODES
-    )
-    try:
-        criteria = UpdateCriteria(float(threshold), max_episodes)
-    except ValueError as exc:
-        raise SchemaError("update_criteria", str(exc)) from exc
-
-    direct = typed_field(doc, "direct_solution", STR_LIST, default=None)
-    if direct is not None and not direct:
-        raise SchemaError("direct_solution", "must be non-empty when present")
-
-    return LearningPlan(
-        candidate_models=tuple(models),
-        subproblems=tuple(typed_field(doc, "subproblems", STR_LIST, default=[])),
-        data_requirements=tuple(requirements),
-        strategy=tuple(strategy),
-        update_criteria=criteria,
-        direct_solution=tuple(direct) if direct is not None else None,
-    )
+    """Read a plan document against ``LearningPlan``; optional parts take its defaults."""
+    return read_dataclass(LearningPlan, doc)
 
 
 def parse_plan(text: str) -> LearningPlan:
@@ -369,14 +294,7 @@ class MockPlanner:
                     StrategyStep("observe", f"inspect preconditions before step {step_no}")
                 )
             strategy.append(directive)
-        return LearningPlan(
-            candidate_models=plan.candidate_models,
-            subproblems=plan.subproblems,
-            data_requirements=plan.data_requirements,
-            strategy=tuple(strategy),
-            update_criteria=plan.update_criteria,
-            direct_solution=plan.direct_solution,
-        )
+        return replace(plan, strategy=tuple(strategy))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
-from .errors import DICT_LIST, STR_LIST, SchemaError, parse_json, typed_field
+from .errors import SchemaError, parse_json, read_dataclass, to_doc, typed_field
 
 # Executable action identifiers shared by tasks, methods, and the planner.
 DEFAULT_ACTIONS: tuple[str, ...] = (
@@ -231,88 +231,30 @@ def mean_target_length(events: Iterable[TaskEvent]) -> float:
 CORPUS_VERSION = 1
 
 
-def _task_to_dict(task: TaskDescriptor) -> dict:
-    return {
-        "id": task.id,
-        "instruction": task.instruction,
-        "goal": list(task.goal),
-        "environment": dict(task.environment),
-        "observations": list(task.observations),
-        "constraints": {
-            "max_steps": task.constraints.max_steps,
-            "deadline_s": task.constraints.deadline_s,
-        },
-        "target_sequence": list(task.target_sequence),
-    }
+@dataclass(frozen=True)
+class _CorpusDoc:
+    """The corpus document's root object."""
 
-
-def _task_from_dict(doc: dict, where: str) -> TaskDescriptor:
-    constraints = typed_field(doc, "constraints", dict, where)
-    constraints_at = f"{where}.constraints"
-    try:
-        return TaskDescriptor(
-            id=typed_field(doc, "id", str, where),
-            instruction=typed_field(doc, "instruction", str, where),
-            goal=tuple(typed_field(doc, "goal", STR_LIST, where)),
-            environment=dict(typed_field(doc, "environment", dict, where)),
-            observations=tuple(typed_field(doc, "observations", STR_LIST, where)),
-            constraints=TaskConstraints(
-                max_steps=typed_field(constraints, "max_steps", int, constraints_at),
-                deadline_s=typed_field(constraints, "deadline_s", float, constraints_at, None),
-            ),
-            target_sequence=tuple(typed_field(doc, "target_sequence", STR_LIST, where)),
-        )
-    except ValueError as exc:
-        raise SchemaError(where, str(exc)) from exc
+    version: int
+    events: tuple[TaskEvent, ...]
 
 
 def corpus_to_doc(events: Iterable[TaskEvent]) -> dict:
-    out = []
-    for ev in events:
-        entry: dict = {"cycle": ev.cycle, "kind": ev.kind, "task": _task_to_dict(ev.task)}
-        if ev.observed is None:
-            entry["observed"] = None
-        else:
-            entry["observed"] = {
-                "task_signature": ev.observed.task_signature,
-                "action_sequence": list(ev.observed.action_sequence),
-                "success": ev.observed.success,
-                "context": dict(ev.observed.context),
-            }
-        out.append(entry)
-    return {"version": CORPUS_VERSION, "events": out}
+    return to_doc(_CorpusDoc(CORPUS_VERSION, tuple(events)))
 
 
-def corpus_from_doc(doc: dict) -> list[TaskEvent]:
+def corpus_from_doc(doc: Any) -> list[TaskEvent]:
+    """Read a corpus document against ``TaskEvent``; cycles must strictly increase."""
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "expected a JSON object")
     version = typed_field(doc, "version", int)
     if version != CORPUS_VERSION:
         raise SchemaError("version", f"expected {CORPUS_VERSION}, got {version!r}")
-
-    events: list[TaskEvent] = []
-    last_cycle = -1
-    for i, entry in enumerate(typed_field(doc, "events", DICT_LIST)):
-        where = f"events[{i}]"
-        task = _task_from_dict(typed_field(entry, "task", dict, where), f"{where}.task")
-        obs = typed_field(entry, "observed", dict, where, None)
-        at = f"{where}.observed"
-        try:
-            observed = None if obs is None else ObservedEvent(
-                task_signature=typed_field(obs, "task_signature", str, at),
-                action_sequence=tuple(typed_field(obs, "action_sequence", STR_LIST, at)),
-                success=typed_field(obs, "success", bool, at),
-                context=dict(typed_field(obs, "context", dict, at, {})),
-            )
-            kind = typed_field(entry, "kind", str, where)
-            event = TaskEvent(typed_field(entry, "cycle", int, where), kind, task, observed)
-        except ValueError as exc:
-            raise SchemaError(where, str(exc)) from exc
-        if event.cycle <= last_cycle:
-            raise SchemaError(f"{where}.cycle", "cycle values must be strictly increasing")
-        last_cycle = event.cycle
-        events.append(event)
-    return events
+    events = read_dataclass(_CorpusDoc, doc).events
+    for i in range(1, len(events)):
+        if events[i].cycle <= events[i - 1].cycle:
+            raise SchemaError(f"events[{i}].cycle", "cycle values must be strictly increasing")
+    return list(events)
 
 
 def save_corpus(events: Iterable[TaskEvent], path: str | Path) -> None:

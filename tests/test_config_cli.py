@@ -205,6 +205,15 @@ class TestBenchRun:
         assert main(["bench", "run", "--config", str(config)]) == 2
         assert "mode" in capsys.readouterr().err
 
+    def test_non_object_config_with_overrides_diagnosed(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[1]")
+        code = main(["bench", "run", "--config", str(config), "--out", str(tmp_path / "o6"),
+                     "--seed", "3"])
+        assert code == 2
+        assert "<root>: expected a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o6").exists()
+
     def test_misspelled_override_rejected(self, config_file, tmp_path, capsys):
         code = main(["bench", "run", "--config", str(config_file), "--out", str(tmp_path / "o5"),
                      "--planner.p_corupt", "0.9"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from reuseloop import library as library_module
-from reuseloop.errors import LibraryError, SchemaError
+from reuseloop.errors import LibraryError, SchemaError, read_dataclass, to_doc
 from reuseloop.library import (
     Method,
     MethodLibrary,
@@ -222,6 +223,18 @@ class TestPersistence:
         assert loaded.to_doc() == library.to_doc()
         for original, copy in zip(library.methods(), loaded.methods()):
             assert original == copy
+
+    def test_generic_codec_agrees_with_the_library_codec(self, library):
+        # library.json keeps its hand-written codec for speed; the generic one
+        # writes and reads the same entries, sets and free-form mappings included.
+        method = dataclasses.replace(
+            make_method("m-a", signatures={"sig-b", "sig-a"}, successes=1, attempts=2),
+            step_params=({"speed": 0.5},) * 3,
+        )
+        library.insert(method)
+        (entry,) = library.to_doc()["methods"]
+        assert to_doc(method) == entry
+        assert read_dataclass(Method, json.loads(json.dumps(entry)), "methods[0]") == method
 
     def test_successes_exceeding_attempts_rejected(self, tmp_path):
         library = MethodLibrary()

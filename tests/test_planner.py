@@ -1,24 +1,32 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
+import types
+import typing
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reuseloop.errors import PlannerError, PlanningFailedError, SchemaError
 from reuseloop.planner import (
     DEFAULT_MOCK_LATENCY_S,
+    PLAN_SCHEMA_DOC,
     EpisodeOutcome,
     HttpPlanner,
     LearningPlan,
     MockPlanner,
     PlannerFeedback,
     PlannerHistory,
+    StrategyStep,
     parse_plan,
     plan_to_dict,
 )
+from reuseloop.tasks import generate_corpus
 
 from conftest import make_task
 
@@ -103,6 +111,10 @@ class TestParsePlan:
         assert plan.update_criteria.validation_threshold == 0.5
         assert plan.update_criteria.max_episodes >= 1
         assert plan.direct_solution is None
+        steps = parse_plan(
+            '{"candidate_models": [{"family": "sequence"}], "strategy": [{"kind": "observe"}]}'
+        ).strategy
+        assert steps == (StrategyStep("observe", ""),)
 
     def test_missing_candidate_models_named(self):
         with pytest.raises(SchemaError) as err:
@@ -122,6 +134,19 @@ class TestParsePlan:
         with pytest.raises(SchemaError) as err:
             parse_plan('{"candidate_models": [{"family": "quantum"}]}')
         assert "family" in str(err.value)
+        assert err.value.field == "candidate_models[0]"
+        # Misspelled keys are unknown fields too, named by dotted path.
+        cases = [
+            ({"direct_soluton": ["move"]}, "direct_soluton"),
+            ({"update_criteria": {"validation_treshold": 0.9}}, "update_criteria.validation_treshold"),
+            ({"candidate_models": [{"family": "sequence", "rationle": "x"}]},
+             "candidate_models[0].rationle"),
+        ]
+        for extra, field in cases:
+            doc = {"candidate_models": [{"family": "sequence"}], **extra}
+            with pytest.raises(SchemaError) as err:
+                parse_plan(json.dumps(doc))
+            assert err.value.field == field
 
     def test_not_json(self):
         with pytest.raises(SchemaError):
@@ -130,6 +155,39 @@ class TestParsePlan:
     def test_round_trip_identity(self, task):
         plan = MockPlanner(seed=3, p_corrupt=0.0).plan(task).plan
         assert parse_plan(json.dumps(plan_to_dict(plan))) == plan
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        task_seed=st.integers(0, 10_000),
+        p_corrupt=st.floats(0.0, 1.0),
+        outcomes=st.lists(
+            st.builds(EpisodeOutcome, st.booleans(), st.none() | st.integers(0, 8)), max_size=4
+        ),
+    )
+    def test_round_trip_property(self, seed, task_seed, p_corrupt, outcomes):
+        task = generate_corpus(seed=task_seed, n_tasks=1, n_repeats=1)[0].task
+        planner = MockPlanner(seed=seed, p_corrupt=p_corrupt)
+        for feedback in (None, PlannerFeedback(episode_outcomes=outcomes)):
+            plan = planner.plan(task, None, feedback).plan
+            assert parse_plan(json.dumps(plan_to_dict(plan))) == plan
+
+    def test_schema_doc_names_every_field(self):
+        # The prompt's schema must name exactly the keys the reader accepts,
+        # at every level, or every live call would fail validation.
+        def check(doc, cls):
+            hints = typing.get_type_hints(cls)
+            assert set(doc) == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+            for name, kind in hints.items():
+                entry = doc[name]
+                if isinstance(kind, types.UnionType):
+                    (kind,) = (arg for arg in typing.get_args(kind) if arg is not type(None))
+                if typing.get_origin(kind) is tuple:
+                    kind, entry = typing.get_args(kind)[0], entry[0]
+                if dataclasses.is_dataclass(kind):
+                    check(entry, kind)
+
+        check(PLAN_SCHEMA_DOC, LearningPlan)
 
     def test_round_trip_without_solution(self):
         plan = LearningPlan(candidate_models=(parse_plan(
@@ -198,11 +256,18 @@ class TestHttpPlanner:
         assert planner.failed_calls == 0
 
     def test_schema_violation_appended_to_retry_conversation(self, task):
-        script = [(200, "not a plan"), (200, VALID_PLAN_TEXT)]
-        with scripted_server(script) as (server, url):
-            HttpPlanner(endpoint=url, model="test-model", retries=2).plan(task)
-        retry_messages = server.requests[1]["body"]["messages"]
-        assert any("failed validation" in m["content"] for m in retry_messages)
+        misspelled = json.dumps(
+            {"candidate_models": [{"family": "sequence"}], "direct_soluton": ["move"]}
+        )
+        for first, named in [("not a plan", "<root>"), (misspelled, "direct_soluton")]:
+            with scripted_server([(200, first), (200, VALID_PLAN_TEXT)]) as (server, url):
+                call = HttpPlanner(endpoint=url, model="test-model", retries=2).plan(task)
+            retry_messages = server.requests[1]["body"]["messages"]
+            assert any(
+                "failed validation" in m["content"] and named in m["content"]
+                for m in retry_messages
+            )
+            assert call.plan.direct_solution == ("move", "grasp", "lift")
 
     def test_exhausted_retries_raise(self, task):
         script = [(200, "junk")]

@@ -5,9 +5,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reuseloop.errors import SchemaError
 from reuseloop.tasks import (
+    CORPUS_MODES,
     DEFAULT_ACTIONS,
     OBSERVATION_FIRST,
     OBSERVED_EVENT,
@@ -172,6 +175,17 @@ class TestCorpusPersistence:
         loaded = load_corpus(path)
         assert corpus_to_doc(loaded) == corpus_to_doc(events)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_tasks=st.integers(1, 12),
+        n_repeats=st.integers(1, 3),
+        mode=st.sampled_from(CORPUS_MODES),
+    )
+    def test_round_trip_property(self, seed, n_tasks, n_repeats, mode):
+        events = generate_corpus(seed=seed, n_tasks=n_tasks, n_repeats=n_repeats, mode=mode)
+        assert corpus_from_doc(json.loads(json.dumps(corpus_to_doc(events)))) == events
+
     def test_version_checked(self):
         with pytest.raises(SchemaError) as err:
             corpus_from_doc({"version": 99, "events": []})
@@ -187,16 +201,23 @@ class TestCorpusPersistence:
     def test_string_sequences_rejected(self):
         events = generate_corpus(seed=1, n_tasks=1, n_repeats=1, mode=OBSERVATION_FIRST)
         cases = [
-            ("task", "goal", "pick red cube"),
-            ("task", "target_sequence", "move"),
-            ("observed", "action_sequence", "move"),
+            (("task", "goal"), "pick red cube"),
+            (("task", "target_sequence"), "move"),
+            (("observed", "action_sequence"), "move"),
+            # Misspelled keys are unknown fields; environment values are strings.
+            (("task", "constraints", "deadline"), 5.0),
+            (("observed", "contxt"), {}),
+            (("task", "environment", "object"), 3),
         ]
-        for part, key, value in cases:
+        for path, value in cases:
             doc = corpus_to_doc(events)
-            doc["events"][0][part][key] = value
+            node = doc["events"][0]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
             with pytest.raises(SchemaError) as err:
                 corpus_from_doc(doc)
-            assert err.value.field == f"events[0].{part}.{key}"
+            assert err.value.field == "events[0]." + ".".join(path)
 
     def test_non_increasing_cycles_rejected(self):
         doc = corpus_to_doc(generate_corpus(seed=1, n_tasks=2, n_repeats=1))
