@@ -81,13 +81,14 @@ def _reader(kind) -> tuple:
 
     ``typed_field`` checks a value against the JSON kind; ``finish(value,
     path)``, unless None, then builds the field from it: a dataclass from an
-    object, a tuple or set from a list, a dict from an object whose values
-    are checked against the annotation's value type unless it is ``Any``.
+    object, a tuple, set or frozenset from a list, a dict from an object
+    whose values are checked against the annotation's value type unless it
+    is ``Any``.
     """
     if is_dataclass(kind):
         return dict, partial(read_dataclass, kind)
     origin, args = get_origin(kind), get_args(kind)
-    if origin in (tuple, set):
+    if origin in (tuple, set, frozenset):
         item = args[0]
         if is_dataclass(item):
             return DICT_LIST, lambda value, path: origin(

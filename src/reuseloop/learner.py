@@ -199,8 +199,8 @@ def build_method(
             episodes=1,
         ),
         applicability=Applicability(
-            signatures={task.signature},
-            goal_tokens=set(task.goal_tokens),
+            signatures=frozenset((task.signature,)),
+            goal_tokens=task.goal_tokens,
             max_steps=task.constraints.max_steps,
         ),
         reliability=Reliability(

@@ -1,16 +1,19 @@
-"""Persistent method library with scored retrieval.
+"""Persistent method library with indexed, scored retrieval.
 
 A method packages an executable procedure together with its provenance
 (data profile), applicability conditions, and a running reliability record.
-Retrieval scores a task against every stored method and reports whether the
-best match clears the caller's reuse threshold.
+Retrieval finds the best match for a task and reports whether it clears the
+caller's reuse threshold. Three indexes, kept by ``insert``, narrow each
+lookup to the methods that can win: signature -> methods, exact goal-token
+set -> methods and token -> methods. The result, tie-breaks included, equals
+that of scoring every stored method.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -35,13 +38,19 @@ class DataProfile:
 
 @dataclass
 class Applicability:
-    """Where a method applies: exact signatures plus a token fingerprint."""
+    """Where a method applies: exact signatures plus a token fingerprint.
 
-    signatures: set[str]
-    goal_tokens: set[str]
+    Both sets are stored as frozensets, which the library's indexes key on;
+    a frozenset passed in is kept as it is.
+    """
+
+    signatures: frozenset[str]
+    goal_tokens: frozenset[str]
     max_steps: int
 
     def __post_init__(self):
+        self.signatures = frozenset(self.signatures)
+        self.goal_tokens = frozenset(self.goal_tokens)
         if not self.signatures:
             raise ValueError("applicability.signatures must be non-empty")
         if self.max_steps < 1:
@@ -118,7 +127,7 @@ def matching_score(task: TaskDescriptor, method: Method) -> float:
     return jaccard(task.goal_tokens, method.applicability.goal_tokens)
 
 
-def jaccard(a: frozenset[str] | set[str], b: set[str]) -> float:
+def jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
     union = a | b
     if not union:
         return 0.0
@@ -130,6 +139,10 @@ class MethodLibrary:
 
     def __init__(self, methods: Iterable[Method] = ()):
         self._methods: dict[str, Method] = {}
+        # Retrieval indexes, kept by insert; each bucket is in insertion order.
+        self._by_signature: dict[str, list[Method]] = {}
+        self._by_token_set: dict[frozenset[str], list[Method]] = {}
+        self._by_token: dict[str, list[Method]] = {}
         for m in methods:
             self.insert(m)
 
@@ -153,6 +166,12 @@ class MethodLibrary:
         if method.id in self._methods:
             raise LibraryError(f"duplicate method id {method.id!r}")
         self._methods[method.id] = method
+        appl = method.applicability
+        for signature in appl.signatures:
+            self._by_signature.setdefault(signature, []).append(method)
+        self._by_token_set.setdefault(appl.goal_tokens, []).append(method)
+        for token in appl.goal_tokens:
+            self._by_token.setdefault(token, []).append(method)
 
     def update_reliability(self, method_id: str, success: bool, cycle: int) -> None:
         rel = self.get(method_id).reliability
@@ -166,23 +185,52 @@ class MethodLibrary:
 
         Ties break toward the higher success ratio, then the more recently
         used method, then the lexicographically smallest id. An empty library
-        yields score 0 and no method. Each stored method is scored once.
+        yields score 0 and no method.
+
+        The result equals that of scoring every stored method, but only the
+        methods that can win are scored, each at most once:
+
+        1. The exact pool: the task's signature bucket, plus its goal-token
+           set bucket cut to the methods whose procedure fits the task's step
+           budget. These are exactly the methods that score 1.0.
+        2. Failing that, the methods that share a goal token with the task;
+           every other method scores 0.
+        3. If that pool is empty or scores 0 throughout, every method scores
+           0, and the tie-break alone picks over the whole library without
+           calling ``matching_score``.
         """
         if not 0.0 <= tau_r <= 1.0:
             raise ValueError("tau_r must lie in [0, 1]")
         if not self._methods:
             return RetrievalResult(method=None, score=0.0, covered=False)
-        # Ids are unique, so two keys never tie and min never compares methods.
-        key, best = min(
-            (
-                (-matching_score(task, m), -m.reliability.success_ratio,
-                 -m.reliability.last_used_cycle, m.id),
-                m,
+        # Pools are keyed by id, so a method in two buckets is scored once.
+        pool = {m.id: m for m in self._by_signature.get(task.signature, ())}
+        max_steps = task.constraints.max_steps
+        for m in self._by_token_set.get(task.goal_tokens, ()):
+            if max_steps >= len(m.procedure):
+                pool[m.id] = m
+        if not pool:
+            by_token = self._by_token
+            pool = {m.id: m for token in task.goal_tokens for m in by_token.get(token, ())}
+        if pool:
+            # Ids are unique, so two keys never tie and min never compares methods.
+            key, best = min(
+                (
+                    (-matching_score(task, m), -m.reliability.success_ratio,
+                     -m.reliability.last_used_cycle, m.id),
+                    m,
+                )
+                for m in pool.values()
             )
-            for m in self._methods.values()
+            score = -key[0]
+            if score > 0.0:
+                return RetrievalResult(method=best, score=score, covered=score >= tau_r)
+        # Every method scores 0, so the tie-break alone decides.
+        best = min(
+            self._methods.values(),
+            key=lambda m: (-m.reliability.success_ratio, -m.reliability.last_used_cycle, m.id),
         )
-        score = -key[0]
-        return RetrievalResult(method=best, score=score, covered=score >= tau_r)
+        return RetrievalResult(method=best, score=0.0, covered=0.0 >= tau_r)
 
     def stats(self) -> dict:
         """Inspection summary: method count plus per-method ratios, by id."""
@@ -234,6 +282,7 @@ class MethodLibrary:
         version = typed_field(doc, "version", int)
         if version != LIBRARY_VERSION:
             raise SchemaError("version", f"expected {LIBRARY_VERSION}, got {version!r}")
+        _reject_unknown(doc, _ROOT_KEYS, "")
         lib = cls()
         for i, entry in enumerate(typed_field(doc, "methods", DICT_LIST)):
             lib.insert(_method_from_dict(entry, f"methods[{i}]"))
@@ -242,6 +291,20 @@ class MethodLibrary:
     @classmethod
     def load(cls, path: str | Path) -> "MethodLibrary":
         return cls.from_doc(parse_json(Path(path).read_text(encoding="utf-8")))
+
+
+_ROOT_KEYS = frozenset(("version", "methods"))
+_METHOD_KEYS = frozenset(f.name for f in fields(Method))
+_PROFILE_KEYS = frozenset(f.name for f in fields(DataProfile))
+_APPLICABILITY_KEYS = frozenset(f.name for f in fields(Applicability))
+_RELIABILITY_KEYS = frozenset(f.name for f in fields(Reliability))
+
+
+def _reject_unknown(doc: dict, known: frozenset[str], where: str) -> None:
+    """Raise ``SchemaError`` naming the first key of ``doc`` not in ``known``."""
+    for key in doc:
+        if key not in known:
+            raise SchemaError(f"{where}.{key}" if where else key, "unknown field")
 
 
 def _method_to_dict(m: Method) -> dict:
@@ -276,6 +339,19 @@ def _method_from_dict(entry: dict, where: str) -> Method:
     rel_at = f"{where}.reliability"
     prof_at = f"{where}.data_profile"
     appl_at = f"{where}.applicability"
+    # Every key but step_params is required, so objects of the expected
+    # lengths hold no unknown key; the keys are searched only on a mismatch.
+    # A missing key is named by the reads below.
+    if (
+        len(entry) != len(_METHOD_KEYS) - ("step_params" not in entry)
+        or len(rel) != len(_RELIABILITY_KEYS)
+        or len(prof) != len(_PROFILE_KEYS)
+        or len(appl) != len(_APPLICABILITY_KEYS)
+    ):
+        _reject_unknown(entry, _METHOD_KEYS, where)
+        _reject_unknown(rel, _RELIABILITY_KEYS, rel_at)
+        _reject_unknown(prof, _PROFILE_KEYS, prof_at)
+        _reject_unknown(appl, _APPLICABILITY_KEYS, appl_at)
     successes = typed_field(rel, "successes", int, rel_at)
     attempts = typed_field(rel, "attempts", int, rel_at)
     if successes > attempts:
@@ -293,8 +369,8 @@ def _method_from_dict(entry: dict, where: str) -> Method:
                 episodes=typed_field(prof, "episodes", int, prof_at),
             ),
             applicability=Applicability(
-                signatures=set(typed_field(appl, "signatures", STR_LIST, appl_at)),
-                goal_tokens=set(typed_field(appl, "goal_tokens", STR_LIST, appl_at)),
+                signatures=frozenset(typed_field(appl, "signatures", STR_LIST, appl_at)),
+                goal_tokens=frozenset(typed_field(appl, "goal_tokens", STR_LIST, appl_at)),
                 max_steps=typed_field(appl, "max_steps", int, appl_at),
             ),
             reliability=Reliability(

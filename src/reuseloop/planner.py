@@ -373,7 +373,10 @@ class HttpPlanner:
         return self.plan(task, history, feedback)
 
     def _call(self, messages: list[dict]) -> PlannerCall:
-        import requests
+        # Imported here: urllib.request loads http.client and ssl, ~3 MiB
+        # that runs using only the mock planner never need.
+        import urllib.error
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
@@ -385,15 +388,18 @@ class HttpPlanner:
         attempts = self.retries + 1
         for attempt in range(attempts):
             body = {"model": self.model, "messages": messages, "temperature": self.temperature}
+            request = urllib.request.Request(
+                self.endpoint, data=json.dumps(body).encode("utf-8"), headers=headers, method="POST"
+            )
             started = time.monotonic()
             try:
-                response = requests.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout_s
-                )
-                response.raise_for_status()
-                text = response.json()["choices"][0]["message"]["content"]
-            except Exception as exc:  # transport or envelope failure
+                # urlopen raises HTTPError on a non-2xx status.
+                with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+                    text = json.loads(response.read())["choices"][0]["message"]["content"]
+            except Exception as exc:  # transport, status or envelope failure
                 latency += time.monotonic() - started
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # the error carries the open response
                 last_error = exc
                 logger.warning("planner request failed (attempt %d): %s", attempt + 1, exc)
                 self._transcribe(attempt, messages, error=str(exc))

@@ -6,6 +6,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reuseloop import library as library_module
 from reuseloop.errors import LibraryError, SchemaError, read_dataclass, to_doc
@@ -107,7 +109,8 @@ class TestRetrieveBest:
         monkeypatch.setattr(library_module, "matching_score", counting)
         result = library.retrieve_best(task, 0.8)
         assert result.score == 1.0 and result.covered
-        assert len(calls) == len(library)
+        # At most once per method: the index may leave some unscored.
+        assert len(calls) == len(set(calls)) <= len(library)
 
     def test_tau_r_validated(self, task, library):
         with pytest.raises(ValueError):
@@ -144,6 +147,166 @@ class TestRetrieveBest:
             assert got.method is want_method
             assert got.score == want_score
             assert got.covered == want_covered
+
+
+_TOKENS = ("pick", "up", "red", "cube", "door")
+
+
+@st.composite
+def retrieval_cases(draw):
+    """A task, a library grown by random inserts and reliability updates, and a tau_r.
+
+    Five tokens, step budgets and procedures of 1-6 steps, and reliability
+    counters of 0-2 make equal token sets with other lengths, signature
+    matches without shared tokens, all-zero libraries and full ties common.
+    """
+    max_steps = draw(st.integers(1, 6))
+    task = make_task(
+        goal=draw(st.lists(st.sampled_from(_TOKENS[:4]), min_size=1, max_size=4, unique=True)),
+        target=("move",) * draw(st.integers(1, max_steps)),
+        max_steps=max_steps,
+    )
+    library = MethodLibrary()
+    for step in range(draw(st.integers(0, 14))):
+        if len(library) and draw(st.booleans()):
+            method_id = draw(st.sampled_from([m.id for m in library.methods()]))
+            library.update_reliability(method_id, draw(st.booleans()), draw(st.integers(0, 2)))
+            continue
+        attempts = draw(st.integers(0, 2))
+        library.insert(
+            make_method(
+                # The letter makes id order differ from insertion order.
+                method_id=f"m-{draw(st.sampled_from('zxa'))}{step:02d}",
+                procedure=("move",) * draw(st.integers(1, 6)),
+                signatures=draw(st.sampled_from([{f"sig-{step}"}] * 3 + [{task.signature}])),
+                goal_tokens=draw(st.lists(st.sampled_from(_TOKENS), max_size=4, unique=True)),
+                successes=draw(st.integers(0, attempts)),
+                attempts=attempts,
+                last_used_cycle=draw(st.integers(0, 2)),
+                max_steps=draw(st.integers(1, 6)),
+            )
+        )
+    return task, library, draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+
+def _assert_matches_oracle(library, task, tau_r):
+    got = library.retrieve_best(task, tau_r)
+    want_method, want_score, want_covered = _linear_scan_oracle(library, task, tau_r)
+    assert got.method is want_method
+    assert got.score == want_score
+    assert got.covered == want_covered
+    return got
+
+
+_NAMED_TASK = make_task(max_steps=4)
+
+
+def _synthetic_library(n=2000):
+    """``n`` methods over a 200-word vocabulary that no ``make_task`` default shares."""
+    rng = random.Random(11)
+    words = [f"w{k}" for k in range(200)]
+    library = MethodLibrary()
+    for i in range(n):
+        attempts = rng.randint(0, 9)
+        library.insert(
+            make_method(
+                method_id=f"m-{i:04d}",
+                procedure=("move",) * rng.randint(1, 6),
+                goal_tokens=rng.sample(words, 4),
+                successes=rng.randint(0, attempts),
+                attempts=attempts,
+                last_used_cycle=rng.randint(0, 50),
+            )
+        )
+    return library
+
+
+class TestIndexedRetrieval:
+    @settings(max_examples=400, deadline=None)
+    @given(retrieval_cases())
+    def test_matches_linear_scan_oracle_property(self, case):
+        task, library, tau_r = case
+        _assert_matches_oracle(library, task, tau_r)
+
+    @pytest.mark.parametrize("tau_r", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "methods",
+        [
+            # same token set but a procedure too long for the budget, beside a
+            # partial match: the twin scores 0, so the partial match wins
+            [dict(method_id="m-long", procedure=("move",) * 5, successes=2, attempts=2),
+             dict(method_id="m-part", goal_tokens=("pick", "up"))],
+            # same token set under another max_steps, so another signature,
+            # against an exact signature match with a worse record
+            [dict(method_id="m-sig", signatures={_NAMED_TASK.signature}, successes=0, attempts=1),
+             dict(method_id="m-twin", max_steps=6, successes=1, attempts=1)],
+            # a signature match whose tokens do not overlap the task's
+            [dict(method_id="m-sig", signatures={_NAMED_TASK.signature},
+                  goal_tokens=("open", "door")),
+             dict(method_id="m-part", goal_tokens=("pick", "up"), successes=5, attempts=5)],
+            # every method scores 0: disjoint tokens, or shared tokens over budget
+            [dict(method_id="m-b", goal_tokens=("open", "door"), successes=1, attempts=2),
+             dict(method_id="m-a", goal_tokens=("pick",), procedure=("move",) * 9,
+                  successes=1, attempts=2, last_used_cycle=4),
+             dict(method_id="m-c", goal_tokens=(), successes=1, attempts=2)],
+            # full reliability ties: the smallest id wins
+            [dict(method_id="m-z", goal_tokens=("pick", "up")),
+             dict(method_id="m-y", goal_tokens=("pick", "up")),
+             dict(method_id="m-x", goal_tokens=("door",))],
+        ],
+        ids=["over-budget-twin", "other-max-steps", "disjoint-signature", "all-zero", "ties"],
+    )
+    def test_named_cases_match_the_oracle(self, methods, tau_r):
+        library = MethodLibrary(make_method(**spec) for spec in methods)
+        _assert_matches_oracle(library, _NAMED_TASK, tau_r)
+
+    def _count_calls(self, monkeypatch):
+        calls = []
+
+        def counting(t, m):
+            calls.append(m.id)
+            return matching_score(t, m)
+
+        monkeypatch.setattr(library_module, "matching_score", counting)
+        return calls
+
+    def test_exact_hit_scores_only_its_exact_pool(self, task, monkeypatch):
+        library = _synthetic_library()
+        library.insert(method_for_task(task, method_id="m-exact", successes=1, attempts=2))
+        # Same tokens, another step budget: another signature, still a 1.0 match.
+        library.insert(make_method("m-twin", max_steps=7, successes=1, attempts=1))
+        library.insert(make_method("m-long", procedure=("move",) * 9))  # over budget
+        library.insert(make_method("m-part", goal_tokens=("pick", "w1")))
+        calls = self._count_calls(monkeypatch)
+        result = _assert_matches_oracle(library, task, 0.8)
+        assert result.method.id == "m-twin" and result.score == 1.0
+        assert sorted(calls) == ["m-exact", "m-twin"]
+
+    def test_partial_match_scores_only_methods_sharing_a_token(self, monkeypatch):
+        library = _synthetic_library()
+        task = make_task(goal=("w7", "w8", "zzz"))
+        sharing = {
+            m.id for m in library.methods() if m.applicability.goal_tokens & task.goal_tokens
+        }
+        calls = self._count_calls(monkeypatch)
+        _assert_matches_oracle(library, task, 0.8)
+        assert sorted(calls) == sorted(sharing)
+        assert 0 < len(sharing) < len(library) // 10
+
+    def test_disjoint_task_scores_nothing(self, monkeypatch):
+        library = _synthetic_library()
+        task = make_task(goal=("open", "the", "door"))
+        winner = min(
+            library.methods(),
+            key=lambda m: (-m.reliability.success_ratio, -m.reliability.last_used_cycle, m.id),
+        )
+        calls = self._count_calls(monkeypatch)
+        for tau_r in (0.0, 0.8):
+            result = library.retrieve_best(task, tau_r)
+            assert result.method is winner
+            assert result.score == 0.0
+            assert result.covered == (tau_r == 0.0)
+        assert calls == []
 
 
 class TestInsertAndReliability:
@@ -257,6 +420,10 @@ class TestPersistence:
             (("reliability", "successes"), True, "methods[0].reliability.successes"),
             (("reliability", "attempts"), True, "methods[0].reliability.attempts"),
             (("data_profile", "n_self_samples"), True, "methods[0].data_profile.n_self_samples"),
+            (("extra_key",), 1, "methods[0].extra_key"),
+            (("data_profile", "bogus"), 1, "methods[0].data_profile.bogus"),
+            (("applicability", "bogus"), 1, "methods[0].applicability.bogus"),
+            (("reliability", "bogus"), 1, "methods[0].reliability.bogus"),
         ]
         for keys, value, field in cases:
             doc = library.to_doc()
@@ -272,6 +439,19 @@ class TestPersistence:
             with pytest.raises(SchemaError) as err:
                 MethodLibrary.load(path)
             assert err.value.field == field
+        # An unknown root key, and an unknown method key standing in for the
+        # optional step_params, so the method object keeps its usual length.
+        doc = library.to_doc()
+        doc["zz"] = 1
+        with pytest.raises(SchemaError) as err:
+            MethodLibrary.from_doc(doc)
+        assert err.value.field == "zz"
+        doc = library.to_doc()
+        del doc["methods"][0]["step_params"]
+        doc["methods"][0]["extra_key"] = None
+        with pytest.raises(SchemaError) as err:
+            MethodLibrary.from_doc(doc)
+        assert err.value.field == "methods[0].extra_key"
 
     def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "lib.json"
