@@ -34,11 +34,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from . import learner
-from .errors import PlannerError, RecordStreamError, SchemaError, typed_fields
+from .errors import PlannerError, RecordStreamError, SchemaError, number_text, typed_fields
 from .experience import EpisodeDataset, ExperienceSample, Outcome, SampleContext, SOURCE_SELF
 from .library import MethodLibrary
 from .planner import EpisodeOutcome, Planner, PlannerFeedback, PlannerHistory
@@ -454,10 +456,29 @@ def record_from_dict(doc: dict) -> RunRecord:
     return RunRecord(**values)
 
 
+# json.dumps' text for each type a RunRecord field has.
+_JSON_TEXT = {
+    str: encode_basestring_ascii,
+    int: repr,
+    float: number_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+_RECORD_HINTS = get_type_hints(RunRecord)
+_FIELD_TEXT = tuple(_JSON_TEXT[_RECORD_HINTS[name]] for name in RECORD_FIELDS)
+_RECORD_LINE = "{%s}\n" % ", ".join(f"{encode_basestring_ascii(name)}: %s" for name in RECORD_FIELDS)
+_record_values = attrgetter(*RECORD_FIELDS)
+
+
+def _record_line(record: RunRecord) -> str:
+    """``json.dumps(record_to_dict(record)) + "\\n"``, one converter per field."""
+    return _RECORD_LINE % tuple([text(v) for text, v in zip(_FIELD_TEXT, _record_values(record))])
+
+
 def write_records(records: list[RunRecord], path: str | Path) -> None:
+    """Write one line per record: the compact ``json.dumps`` form, fields in
+    ``RECORD_FIELDS`` order, streamed line by line."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record)) + "\n")
+        fh.writelines(map(_record_line, records))
 
 
 def read_records(path: str | Path) -> list[RunRecord]:

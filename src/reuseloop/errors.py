@@ -1,4 +1,5 @@
-"""Exception types, the JSON and typed-field readers every loader uses, and ``to_doc``."""
+"""Exception types, the JSON and typed-field readers every loader uses, ``to_doc``
+and ``number_text``."""
 
 from __future__ import annotations
 
@@ -188,6 +189,16 @@ def to_doc(value: Any) -> Any:
     if isinstance(value, Mapping):
         return {key: to_doc(entry) for key, entry in value.items()}
     return value
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def number_text(x: float) -> str:
+    """A float or int as ``json.dumps`` writes it: its repr, with ``NaN``,
+    ``Infinity`` and ``-Infinity`` for the non-finite floats."""
+    text = repr(x)
+    return _NONFINITE.get(text, text)
 
 
 def parse_json(text: str) -> Any:

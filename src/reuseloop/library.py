@@ -14,10 +14,19 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _str_text
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from .errors import DICT_LIST, STR_LIST, LibraryError, SchemaError, parse_json, typed_field
+from .errors import (
+    DICT_LIST,
+    STR_LIST,
+    LibraryError,
+    SchemaError,
+    number_text,
+    parse_json,
+    typed_field,
+)
 from .tasks import TaskDescriptor
 
 LIBRARY_VERSION = 1
@@ -252,28 +261,42 @@ class MethodLibrary:
     # -- persistence --------------------------------------------------------
 
     def to_doc(self) -> dict:
-        return {
-            "version": LIBRARY_VERSION,
-            "methods": [_method_to_dict(m) for m in self.methods()],
-        }
+        """The ``library.json`` document: the text ``save`` writes, parsed back."""
+        return json.loads("".join(self._json_chunks()))
 
     def save(self, path: str | Path) -> None:
         """Write the library as JSON, atomically.
 
-        The document goes to a temporary file beside ``path`` that then
+        The bytes are exactly ``json.dumps(doc, indent=2)`` plus a newline,
+        with keys in file order and signatures and goal tokens sorted. They
+        are written directly, one method at a time, because CPython's
+        ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+        set. The text goes to a temporary file beside ``path`` that then
         replaces it, so an interrupted save leaves the previous file intact.
         """
         path = Path(path)
         tmp = path.with_name(f".{path.name}.tmp")
         try:
             with tmp.open("w", encoding="utf-8") as fh:
-                fh.write(json.dumps(self.to_doc(), indent=2) + "\n")
+                fh.writelines(self._json_chunks())
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+
+    def _json_chunks(self) -> Iterator[str]:
+        """``library.json``'s text in pieces: a head, one piece per method, a tail."""
+        head = f'{{\n  "version": {LIBRARY_VERSION!r},\n  "methods": '
+        if not self._methods:
+            yield head + "[]\n}\n"
+            return
+        sep = head + "[\n"
+        for m in self._methods.values():
+            yield sep + _method_text(m)
+            sep = ",\n"
+        yield "\n  ]\n}\n"
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MethodLibrary":
@@ -307,29 +330,80 @@ def _reject_unknown(doc: dict, known: frozenset[str], where: str) -> None:
             raise SchemaError(f"{where}.{key}" if where else key, "unknown field")
 
 
-def _method_to_dict(m: Method) -> dict:
-    return {
-        "id": m.id,
-        "procedure": list(m.procedure),
-        "step_params": list(m.step_params) if m.step_params is not None else None,
-        "params": dict(m.params),
-        "data_profile": {
-            "n_self_samples": m.data_profile.n_self_samples,
-            "n_obs_samples": m.data_profile.n_obs_samples,
-            "episodes": m.data_profile.episodes,
-        },
-        "applicability": {
-            "signatures": sorted(m.applicability.signatures),
-            "goal_tokens": sorted(m.applicability.goal_tokens),
-            "max_steps": m.applicability.max_steps,
-        },
-        "reliability": {
-            "successes": m.reliability.successes,
-            "attempts": m.reliability.attempts,
-            "created_cycle": m.reliability.created_cycle,
-            "last_used_cycle": m.reliability.last_used_cycle,
-        },
-    }
+def _method_text(m: Method) -> str:
+    """One entry of ``methods`` as ``json.dumps(doc, indent=2)`` writes it."""
+    prof, appl, rel = m.data_profile, m.applicability, m.reliability
+    return (
+        f'    {{\n      "id": {_str_text(m.id)},\n'
+        f'      "procedure": {_str_list_text(m.procedure, "      ")},\n'
+        f'      "step_params": {_json_text(m.step_params, "      ")},\n'
+        f'      "params": {_json_text(m.params, "      ")},\n'
+        f'      "data_profile": {{\n'
+        f'        "n_self_samples": {prof.n_self_samples!r},\n'
+        f'        "n_obs_samples": {prof.n_obs_samples!r},\n'
+        f'        "episodes": {prof.episodes!r}\n'
+        f'      }},\n      "applicability": {{\n'
+        f'        "signatures": {_str_list_text(sorted(appl.signatures), "        ")},\n'
+        f'        "goal_tokens": {_str_list_text(sorted(appl.goal_tokens), "        ")},\n'
+        f'        "max_steps": {appl.max_steps!r}\n'
+        f'      }},\n      "reliability": {{\n'
+        f'        "successes": {rel.successes!r},\n'
+        f'        "attempts": {rel.attempts!r},\n'
+        f'        "created_cycle": {rel.created_cycle!r},\n'
+        f'        "last_used_cycle": {rel.last_used_cycle!r}\n'
+        f'      }}\n    }}'
+    )
+
+
+def _str_list_text(items: Iterable[str], pad: str) -> str:
+    """A list of strings, indent-2, whose line starts with ``pad``."""
+    inner = f",\n{pad}  "
+    text = inner.join(map(_str_text, items))
+    return f"[\n{pad}  {text}\n{pad}]" if text else "[]"
+
+
+def _json_text(o: Any, pad: str) -> str:
+    """Any JSON value, indent-2, whose line starts with ``pad``.
+
+    Matches ``json.dumps(o, indent=2)``: lists and tuples are arrays, keys
+    may be str, int, float, bool or None, and any other type raises
+    ``TypeError``.
+    """
+    if isinstance(o, str):
+        return _str_text(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return number_text(float(o))
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        opener, closer = "[", "]"
+        items = (_json_text(v, inner) for v in o)
+    elif isinstance(o, dict):
+        if not o:
+            return "{}"
+        opener, closer = "{", "}"
+        items = (f"{_key_text(k)}: {_json_text(v, inner)}" for k, v in o.items())
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    return f"{opener}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closer}"
+
+
+def _key_text(k: Any) -> str:
+    """A dict key as ``json.dumps`` writes it: a non-string key becomes its JSON text."""
+    if not isinstance(k, str):
+        if k is not None and not isinstance(k, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+        k = _json_text(k, "")
+    return _str_text(k)
 
 
 def _method_from_dict(entry: dict, where: str) -> Method:

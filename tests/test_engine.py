@@ -3,11 +3,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reuseloop.engine import (
     ALWAYS_LLM,
     LIBRARY_ONLY,
     OBSERVATION_ONLY,
+    POLICY_MODES,
     PROPOSED,
     PROPOSED_OBSERVATION,
     ExecutorConfig,
@@ -284,6 +287,37 @@ class TestRunLoop:
         assert all(indices == [1, 2, 3, 4] for indices in by_sig.values())
 
 
+_PHASE_FIELDS = ("retrieve_s", "plan_llm_s", "execute_s", "collect_s", "train_s", "store_s")
+_phase_times = st.floats(min_value=0.0, allow_nan=False)
+
+
+@st.composite
+def _run_records(draw):
+    phases = draw(st.lists(_phase_times, min_size=6, max_size=6))
+    hit = draw(st.booleans())
+    return RunRecord(
+        policy=draw(st.sampled_from(POLICY_MODES)),
+        task_id=draw(st.text(st.sampled_from('t-"\\\x00\x1fé\u2028\U0001f916') | st.characters())),
+        repeat_index=draw(st.integers(min_value=1, max_value=2**70)),
+        cycle=draw(st.integers(min_value=0, max_value=2**70)),
+        **dict(zip(_PHASE_FIELDS, phases)),
+        total_s=sum(phases),
+        llm_calls=draw(st.integers(min_value=0, max_value=2**70)),
+        llm_time_s=phases[1] * draw(st.sampled_from([0.0, 0.5, 1.0])),
+        success=draw(st.booleans()),
+        hit=hit,
+        learned=not hit and draw(st.booleans()),
+    )
+
+
+_INF_RECORD = RunRecord(
+    policy=PROPOSED, task_id="t-inf", repeat_index=1, cycle=0,
+    retrieve_s=0.0, plan_llm_s=0.0, execute_s=float("inf"), collect_s=0.0, train_s=0.0,
+    store_s=0.0, total_s=float("inf"), llm_calls=0, llm_time_s=float("nan"),
+    success=False, hit=False, learned=False,
+)
+
+
 class TestRecordStreams:
     def _records(self):
         events = generate_corpus(seed=4, n_tasks=4, n_repeats=2)
@@ -294,6 +328,26 @@ class TestRecordStreams:
         path = tmp_path / "runs.jsonl"
         write_records(records, path)
         assert read_records(path) == records
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_run_records(), max_size=5))
+    @example([_INF_RECORD])
+    def test_lines_are_compact_json_dumps_property(self, tmp_path_factory, records):
+        path = tmp_path_factory.getbasetemp() / "property-runs.jsonl"
+        write_records(records, path)
+        expected = "".join(json.dumps(record_to_dict(r)) + "\n" for r in records)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_write_avoids_the_pure_python_encoder(self, tmp_path, monkeypatch):
+        records = self._records()
+        expected = "".join(json.dumps(record_to_dict(r)) + "\n" for r in records)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        write_records(records, tmp_path / "runs.jsonl")
+        assert (tmp_path / "runs.jsonl").read_text(encoding="utf-8") == expected
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         records = self._records()

@@ -6,12 +6,14 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reuseloop import library as library_module
 from reuseloop.errors import LibraryError, SchemaError, read_dataclass, to_doc
 from reuseloop.library import (
+    Applicability,
+    DataProfile,
     Method,
     MethodLibrary,
     Reliability,
@@ -357,6 +359,98 @@ class TestInsertAndReliability:
             Reliability(successes=2, attempts=1)
 
 
+def _method_to_dict(m: Method) -> dict:
+    """Oracle for one ``library.json`` entry, built as plain JSON values."""
+    return {
+        "id": m.id,
+        "procedure": list(m.procedure),
+        "step_params": list(m.step_params) if m.step_params is not None else None,
+        "params": dict(m.params),
+        "data_profile": {
+            "n_self_samples": m.data_profile.n_self_samples,
+            "n_obs_samples": m.data_profile.n_obs_samples,
+            "episodes": m.data_profile.episodes,
+        },
+        "applicability": {
+            "signatures": sorted(m.applicability.signatures),
+            "goal_tokens": sorted(m.applicability.goal_tokens),
+            "max_steps": m.applicability.max_steps,
+        },
+        "reliability": {
+            "successes": m.reliability.successes,
+            "attempts": m.reliability.attempts,
+            "created_cycle": m.reliability.created_cycle,
+            "last_used_cycle": m.reliability.last_used_cycle,
+        },
+    }
+
+
+def _oracle_text(library: MethodLibrary) -> str:
+    doc = {"version": 1, "methods": [_method_to_dict(m) for m in library.methods()]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Strings with what JSON must escape or may mangle: quotes, backslashes,
+# control characters, non-ASCII, astral characters and U+2028.
+_json_strings = st.text(
+    st.sampled_from('ab"\\\x00\x1f\x7f\n\té€\u2028\u2029\U0001f916') | st.characters(),
+    max_size=6,
+)
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e308, -1e308, 5e-324, float("nan"), float("inf"), float("-inf")])
+    | _json_strings
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_json_strings, inner, max_size=3),
+    max_leaves=12,
+)
+_counts = st.integers(min_value=0, max_value=2**70)
+_names = _json_strings.filter(bool)
+
+
+@st.composite
+def _methods(draw, method_id):
+    procedure = tuple(draw(st.lists(_names, min_size=1, max_size=4)))
+    step_params = draw(
+        st.none()
+        | st.lists(
+            st.dictionaries(_json_strings, _json_values, max_size=3),
+            min_size=len(procedure), max_size=len(procedure),
+        ).map(tuple)
+    )
+    attempts = draw(_counts)
+    return Method(
+        id=method_id,
+        procedure=procedure,
+        params=draw(st.dictionaries(_json_strings, _json_values, max_size=4)),
+        data_profile=DataProfile(draw(_counts), draw(_counts), draw(_counts)),
+        applicability=Applicability(
+            signatures=draw(st.frozensets(_names, min_size=1, max_size=3)),
+            goal_tokens=draw(st.frozensets(_json_strings, max_size=4)),
+            max_steps=draw(st.integers(min_value=1, max_value=2**70)),
+        ),
+        reliability=Reliability(
+            successes=draw(st.integers(min_value=0, max_value=attempts)),
+            attempts=attempts,
+            created_cycle=draw(_counts),
+            last_used_cycle=draw(_counts),
+        ),
+        step_params=step_params,
+    )
+
+
+_libraries = st.lists(_names, max_size=4, unique=True).flatmap(
+    lambda ids: st.tuples(*(_methods(i) for i in ids)).map(MethodLibrary)
+)
+
+
 class TestPersistence:
     def test_empty_round_trip(self, tmp_path, library):
         path = tmp_path / "lib.json"
@@ -452,6 +546,48 @@ class TestPersistence:
         with pytest.raises(SchemaError) as err:
             MethodLibrary.from_doc(doc)
         assert err.value.field == "methods[0].extra_key"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_libraries)
+    @example(MethodLibrary())
+    def test_text_is_json_dumps_indent_2_property(self, tmp_path_factory, library):
+        path = tmp_path_factory.getbasetemp() / "property-library.json"
+        library.save(path)
+        text = path.read_text(encoding="utf-8")
+        assert text == _oracle_text(library)
+        # save -> load -> save writes the same bytes
+        MethodLibrary.load(path).save(path)
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_params_keys_and_unserializable_values_as_json(self, tmp_path, library):
+        method = dataclasses.replace(
+            make_method("m-a"), params={3: "a", 2.5: [], True: {}, None: (), "x": -0.0}
+        )
+        library.insert(method)
+        library.save(tmp_path / "lib.json")
+        assert (tmp_path / "lib.json").read_text(encoding="utf-8") == _oracle_text(library)
+        for bad in ({"k": object()}, {("tuple", "key"): 1}):
+            unserializable = MethodLibrary([dataclasses.replace(method, params=bad)])
+            with pytest.raises(TypeError):
+                unserializable.save(tmp_path / "bad.json")
+            assert not (tmp_path / "bad.json").exists()
+
+    def test_save_avoids_the_pure_python_encoder(self, tmp_path, monkeypatch):
+        # CPython's json falls back to _make_iterencode whenever indent is set.
+        method = dataclasses.replace(
+            make_method("m-a"),
+            params={"model_family": "sequence", "nested": {"gains": [0.5, 1, None, True]}},
+            step_params=({"speed": 0.5}, {}, {"grip": {"force": 2.0}}),
+        )
+        library = MethodLibrary([method])
+        expected = _oracle_text(library)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        library.save(tmp_path / "lib.json")
+        assert (tmp_path / "lib.json").read_text(encoding="utf-8") == expected
 
     def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "lib.json"
