@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Any
 
 from .errors import SchemaError, parse_json, typed_fields
 
@@ -120,9 +121,8 @@ def profile_to_dict(profile: CostProfile) -> dict:
     return asdict(profile)
 
 
-def profile_from_dict(doc: dict) -> CostProfile:
-    if not isinstance(doc, dict):
-        raise SchemaError("<root>", "expected a JSON object")
+def profile_from_dict(doc: Any) -> CostProfile:
+    """Read a cost profile; a negative cost is named at its field."""
     values = typed_fields(CostProfile, doc)
     for name, value in values.items():
         if value < 0:

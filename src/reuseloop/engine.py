@@ -37,10 +37,10 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import get_type_hints
+from typing import Any, get_type_hints
 
 from . import learner
-from .errors import PlannerError, RecordStreamError, SchemaError, number_text, typed_fields
+from .errors import PlannerError, RecordStreamError, SchemaError, number_text, read_dataclass
 from .experience import EpisodeDataset, ExperienceSample, Outcome, SampleContext, SOURCE_SELF
 from .library import MethodLibrary
 from .planner import EpisodeOutcome, Planner, PlannerFeedback, PlannerHistory
@@ -77,10 +77,9 @@ class ExecutorConfig:
     observe_s: float = 0.2
 
     def __post_init__(self):
-        for name in ("base_s", "per_step_s", "retrieve_s", "collect_s",
-                     "train_s", "store_s", "observe_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
     def execute_time(self, n_steps: int) -> float:
         return self.base_s + self.per_step_s * n_steps
@@ -443,17 +442,13 @@ def record_to_dict(record: RunRecord) -> dict:
     return {name: getattr(record, name) for name in RECORD_FIELDS}
 
 
-def record_from_dict(doc: dict) -> RunRecord:
-    """Parse one record, checking each field's type exactly; unknown keys are rejected.
-
-    ``RunRecord`` checks the values; the policy must also be a known mode.
-    """
-    if not isinstance(doc, dict):
-        raise SchemaError("<record>", "expected a JSON object")
-    values = typed_fields(RunRecord, doc)
-    if values["policy"] not in POLICY_MODES:
+def record_from_dict(doc: Any) -> RunRecord:
+    """Read one record against ``RunRecord``, which checks the values; the
+    policy must also be a known mode."""
+    record = read_dataclass(RunRecord, doc)
+    if record.policy not in POLICY_MODES:
         raise SchemaError("policy", f"expected one of {', '.join(POLICY_MODES)}")
-    return RunRecord(**values)
+    return record
 
 
 # json.dumps' text for each type a RunRecord field has.

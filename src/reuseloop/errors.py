@@ -1,5 +1,6 @@
-"""Exception types, the JSON and typed-field readers every loader uses, ``to_doc``
-and ``number_text``."""
+"""Exception types, the one dataclass reader every loader uses
+(``read_dataclass``, with ``typed_fields`` and ``read_versioned`` built on
+it), ``to_doc``, ``number_text`` and ``parse_json``."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import json
 from collections.abc import Mapping
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache, partial
-from types import GenericAlias, NoneType, UnionType
+from math import isfinite
+from types import NoneType, UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
 
@@ -28,147 +30,191 @@ class SchemaError(ReuseLoopError):
         self.message = message
 
 
-_REQUIRED = object()
-
-# List kinds for ``typed_field``, built once: a ``list[str]`` written at the
-# call site would construct a new alias on every call of a hot loader.
-STR_LIST = list[str]
-DICT_LIST = list[dict]
-
 _EXPECTED = {
     str: "a string",
     int: "an integer",
     float: "a number",
     bool: "a boolean",
     dict: "an object",
-    STR_LIST: "a list of strings",
-    DICT_LIST: "a list of objects",
+    list: "a list",
 }
 
 
-def typed_field(doc: dict, key: str, kind, where: str = "", default: Any = _REQUIRED) -> Any:
-    """Return ``doc[key]`` after checking, without coercion, that it is of ``kind``.
+class _Violation(Exception):
+    """A schema violation at ``path`` below the value being read: ``""`` for
+    the value itself, else ``.key`` and ``[index]`` steps."""
 
-    ``kind`` is ``str``, ``int``, ``float``, ``bool``, ``dict``, ``STR_LIST`` or
-    ``DICT_LIST``. Types match exactly, so ``bool`` is never a number and
-    ``str`` never a list; a ``float`` also takes an int.
-    A missing field yields ``default``, or is an error without one; a field
-    whose default is ``None`` may be ``null``. A violation raises
-    ``SchemaError`` naming ``where.key``, or the first bad list item.
-    """
-    value = doc.get(key, default)
-    if type(value) is kind:
-        return value
-    if value is None and default is None:
-        return None
-    if kind is float and type(value) is int:
-        return value
-    if type(kind) is GenericAlias and type(value) is list:
-        item = kind.__args__[0]
-        for i, entry in enumerate(value):
-            if type(entry) is not item:
-                key, kind, value = f"{key}[{i}]", item, entry
-                break
-        else:
-            return value
-    path = f"{where}.{key}" if where else key
-    if value is _REQUIRED:
-        raise SchemaError(path, "missing field")
-    raise SchemaError(path, f"expected {_EXPECTED[kind]}, got {type(value).__name__}")
+    def __init__(self, path: str, message: str):
+        self.path = path
+        self.message = message
+
+
+def _mismatch(kind: type, value: Any, path: str = "") -> _Violation:
+    return _Violation(path, f"expected {_EXPECTED[kind]}, got {type(value).__name__}")
+
+
+def _check_items(item: type, container: type, value: list):
+    """``container(value)`` once every entry of ``value`` is exactly an ``item``."""
+    for entry in value:
+        if type(entry) is not item:
+            i = [type(e) is item for e in value].index(False)
+            raise _mismatch(item, entry, f"[{i}]")
+    return container(value)
+
+
+def _read_items(read, container: type, value: list):
+    """``container`` of ``read(entry)`` for each entry of ``value``."""
+    done = []
+    try:
+        for entry in value:
+            done.append(read(entry))
+    except _Violation as exc:
+        exc.path = f"[{len(done)}]{exc.path}"
+        raise
+    return container(done)
+
+
+def _check_values(item: type, value: dict) -> dict:
+    """A copy of ``value`` once every value in it is exactly an ``item``."""
+    for key, entry in value.items():
+        if type(entry) is not item:
+            raise _mismatch(item, entry, f".{key}")
+    return dict(value)
 
 
 def _reader(kind) -> tuple:
-    """``(JSON kind, finish)`` for a field annotation.
+    """``(JSON type, converter or None)`` for a field annotation.
 
-    ``typed_field`` checks a value against the JSON kind; ``finish(value,
-    path)``, unless None, then builds the field from it: a dataclass from an
-    object, a tuple, set or frozenset from a list, a dict from an object
-    whose values are checked against the annotation's value type unless it
-    is ``Any``.
+    The value is first checked to be exactly of the JSON type; the converter,
+    if any, then builds the field from it: a dataclass from an object, a
+    tuple, set or frozenset from a list, a dict from an object whose values
+    are checked against the annotation's value type unless it is ``Any``.
     """
     if is_dataclass(kind):
-        return dict, partial(read_dataclass, kind)
+        return dict, partial(_read, _schema(kind), kind)
     origin, args = get_origin(kind), get_args(kind)
     if origin in (tuple, set, frozenset):
         item = args[0]
         if is_dataclass(item):
-            return DICT_LIST, lambda value, path: origin(
-                read_dataclass(item, entry, f"{path}[{i}]") for i, entry in enumerate(value)
-            )
-        return list[item], lambda value, path: origin(value)
+            return list, partial(_read_items, partial(_read, _schema(item), item), origin)
+        return list, partial(_check_items, item, origin)
     if origin in (dict, Mapping):
-        return dict, partial(_read_mapping, args[1])
+        return dict, dict if args[1] is Any else partial(_check_values, args[1])
     return kind, None
 
 
-def _read_mapping(item, value: dict, path: str) -> dict:
-    if item is not Any:
-        for key, entry in value.items():
-            if type(entry) is not item:
-                raise SchemaError(
-                    f"{path}.{key}", f"expected {_EXPECTED[item]}, got {type(entry).__name__}"
-                )
-    return dict(value)
-
-
 @cache
-def _schema(cls) -> dict[str, tuple]:
-    """``name -> (JSON kind, finish, typed_field default, required)`` per field of ``cls``."""
+def _schema(cls) -> tuple[frozenset[str], tuple[tuple, ...]]:
+    """The field names of ``cls``, and per field ``(name, JSON type,
+    converter or None, nullable, required)``."""
     hints = get_type_hints(cls)
-    schema = {}
+    entries = []
     for f in fields(cls):
-        kind, default = hints[f.name], _REQUIRED
-        if type(kind) is UnionType and NoneType in kind.__args__:
+        kind = hints[f.name]
+        nullable = type(kind) is UnionType and NoneType in kind.__args__
+        if nullable:
             (kind,) = (arg for arg in kind.__args__ if arg is not NoneType)
-            default = None
         required = f.default is MISSING and f.default_factory is MISSING
-        schema[f.name] = (*_reader(kind), default, required)
-    return schema
+        entries.append((f.name, *_reader(kind), nullable, required))
+    return frozenset(entry[0] for entry in entries), tuple(entries)
 
 
-def typed_fields(cls, doc: dict, where: str = "") -> dict:
-    """Read every field of the dataclass ``cls`` from ``doc`` into constructor kwargs.
-
-    Each field's kind is its annotation, read through ``typed_field``; an
-    ``X | None`` field may be ``null``, and an int in a ``float`` field is
-    widened to float. A nested dataclass is read with ``read_dataclass``,
-    alone or as the items of a ``tuple[X, ...]``, at paths such as
-    ``where.name[2]``; other tuples and sets are lists of ``X``, and a
-    ``Mapping[str, X]`` or ``dict[str, X]`` is an object. A missing field is
-    left to the dataclass default; one without a default is required. An
-    unknown key raises ``SchemaError`` naming ``where.key``.
-    """
-    schema = _schema(cls)
-    for key in doc:
-        if key not in schema:
-            raise SchemaError(f"{where}.{key}" if where else key, "unknown field")
+def _read(schema, build, doc: Any):
+    """``build(**kwargs)`` with the fields in ``schema``, ``_schema(cls)``'s
+    result, read from ``doc``; a violation, a ``ValueError`` from ``build``
+    included, raises ``_Violation``."""
+    if type(doc) is not dict:
+        raise _Violation("", "expected a JSON object")
+    names, entries = schema
+    if not names.issuperset(doc):
+        unknown = next(key for key in doc if key not in names)
+        raise _Violation(f".{unknown}", "unknown field")
     kwargs = {}
-    for name, (kind, finish, default, required) in schema.items():
-        if name not in doc and not required:
-            continue
-        value = typed_field(doc, name, kind, where, default)
-        if finish is not None and value is not None:
-            value = finish(value, f"{where}.{name}" if where else name)
-        elif kind is float and type(value) is int:
-            value = float(value)
-        kwargs[name] = value
-    return kwargs
+    try:
+        for name, kind, convert, nullable, required in entries:
+            try:
+                value = doc[name]
+            except KeyError:
+                if required:
+                    raise _Violation("", "missing field") from None
+                continue
+            if type(value) is not kind:
+                if value is None and nullable:
+                    kwargs[name] = None
+                    continue
+                if kind is not float or type(value) is not int:
+                    raise _mismatch(kind, value)
+                value = _widen(value)
+            elif kind is float and not isfinite(value):
+                raise _Violation("", f"expected a finite number, got {number_text(value)}")
+            kwargs[name] = value if convert is None else convert(value)
+    except _Violation as exc:
+        exc.path = f".{name}{exc.path}"
+        raise
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise _Violation("", str(exc)) from exc
+
+
+def _widen(value: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise _Violation("", "expected a finite number, got an integer too large for a float") from None
+
+
+def _at(where: str, cls, build, doc: Any):
+    """``_read`` for ``cls``, with a violation raised as ``SchemaError`` below ``where``."""
+    try:
+        return _read(_schema(cls), build, doc)
+    except _Violation as exc:
+        raise SchemaError((where + exc.path).lstrip(".") or "<root>", exc.message) from exc.__cause__
+
+
+def typed_fields(cls, doc: Any, where: str = "") -> dict:
+    """``read_dataclass``'s checks, returning the constructor kwargs unbuilt.
+
+    For a loader that names a value error at the field rather than at the
+    object: it checks the kwargs, then builds ``cls`` itself. A field left
+    out of ``doc`` is left out of the kwargs, to take its default.
+    """
+    return _at(where, cls, dict, doc)
 
 
 def read_dataclass(cls, doc: Any, where: str = ""):
-    """Build the dataclass ``cls`` from the JSON object ``doc`` via ``typed_fields``.
+    """Build the dataclass ``cls`` from the JSON object ``doc``.
 
-    ``where`` is the object's path, empty at the root. A non-object, or a
-    ``ValueError`` from ``cls`` itself, raises ``SchemaError`` there
-    (``<root>`` at the root).
+    Each field is read against its annotation, with exact types: ``bool`` is
+    never a number and ``str`` never a list. A ``float`` field takes an int,
+    widened, and rejects NaN and the infinities; an ``X | None`` field may be
+    ``null``. A nested dataclass is read the same way, alone or as the items
+    of a ``tuple[X, ...]``; other tuples and sets are lists of ``X``, and a
+    ``Mapping[str, X]`` or ``dict[str, X]`` is an object whose values are
+    ``X``, any JSON value for ``Any``. A missing field takes the dataclass
+    default; one without a default is required.
+
+    A violation raises ``SchemaError`` naming its dotted path below
+    ``where``, the object's own path (empty at the root), e.g.
+    ``events[2].task.constraints.max_steps``: a non-object, an unknown key,
+    a missing or mistyped field, or a ``ValueError`` from a dataclass, which
+    is named at the object it builds (``<root>`` at the root). Paths are
+    built only when raising.
     """
-    at = where or "<root>"
+    return _at(where, cls, cls, doc)
+
+
+def read_versioned(cls, doc: Any, version: int):
+    """``read_dataclass(cls, doc)`` for a root document whose ``version``
+    must equal ``version``, checked before any other field."""
     if type(doc) is not dict:
-        raise SchemaError(at, "expected a JSON object")
-    try:
-        return cls(**typed_fields(cls, doc, where))
-    except ValueError as exc:
-        raise SchemaError(at, str(exc)) from exc
+        raise SchemaError("<root>", "expected a JSON object")
+    if "version" not in doc:
+        raise SchemaError("version", "missing field")
+    found = doc["version"]
+    if type(found) is not int or found != version:
+        raise SchemaError("version", f"expected {version}, got {found!r}")
+    return read_dataclass(cls, doc)
 
 
 def to_doc(value: Any) -> Any:
@@ -183,7 +229,7 @@ def to_doc(value: Any) -> Any:
     if isinstance(value, (tuple, list)):
         return [to_doc(entry) for entry in value]
     if is_dataclass(value):
-        return {name: to_doc(getattr(value, name)) for name in _schema(type(value))}
+        return {name: to_doc(getattr(value, name)) for name, *_ in _schema(type(value))[1]}
     if isinstance(value, (set, frozenset)):
         return [to_doc(entry) for entry in sorted(value)]
     if isinstance(value, Mapping):

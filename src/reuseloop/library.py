@@ -13,20 +13,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str_text
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from .errors import (
-    DICT_LIST,
-    STR_LIST,
-    LibraryError,
-    SchemaError,
-    number_text,
-    parse_json,
-    typed_field,
-)
+from .errors import LibraryError, SchemaError, number_text, parse_json, read_versioned
 from .tasks import TaskDescriptor
 
 LIBRARY_VERSION = 1
@@ -299,16 +291,13 @@ class MethodLibrary:
         yield "\n  ]\n}\n"
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "MethodLibrary":
-        if not isinstance(doc, dict):
-            raise SchemaError("<root>", "expected a JSON object")
-        version = typed_field(doc, "version", int)
-        if version != LIBRARY_VERSION:
-            raise SchemaError("version", f"expected {LIBRARY_VERSION}, got {version!r}")
-        _reject_unknown(doc, _ROOT_KEYS, "")
+    def from_doc(cls, doc: Any) -> "MethodLibrary":
+        """Read a ``library.json`` document; a repeated id is named at ``methods[i].id``."""
         lib = cls()
-        for i, entry in enumerate(typed_field(doc, "methods", DICT_LIST)):
-            lib.insert(_method_from_dict(entry, f"methods[{i}]"))
+        for i, method in enumerate(read_versioned(_LibraryDoc, doc, LIBRARY_VERSION).methods):
+            if method.id in lib:
+                raise SchemaError(f"methods[{i}].id", f"duplicate method id {method.id!r}")
+            lib.insert(method)
         return lib
 
     @classmethod
@@ -316,18 +305,12 @@ class MethodLibrary:
         return cls.from_doc(parse_json(Path(path).read_text(encoding="utf-8")))
 
 
-_ROOT_KEYS = frozenset(("version", "methods"))
-_METHOD_KEYS = frozenset(f.name for f in fields(Method))
-_PROFILE_KEYS = frozenset(f.name for f in fields(DataProfile))
-_APPLICABILITY_KEYS = frozenset(f.name for f in fields(Applicability))
-_RELIABILITY_KEYS = frozenset(f.name for f in fields(Reliability))
+@dataclass(frozen=True)
+class _LibraryDoc:
+    """The ``library.json`` document's root object."""
 
-
-def _reject_unknown(doc: dict, known: frozenset[str], where: str) -> None:
-    """Raise ``SchemaError`` naming the first key of ``doc`` not in ``known``."""
-    for key in doc:
-        if key not in known:
-            raise SchemaError(f"{where}.{key}" if where else key, "unknown field")
+    version: int
+    methods: tuple[Method, ...]
 
 
 def _method_text(m: Method) -> str:
@@ -404,55 +387,3 @@ def _key_text(k: Any) -> str:
             raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
         k = _json_text(k, "")
     return _str_text(k)
-
-
-def _method_from_dict(entry: dict, where: str) -> Method:
-    rel = typed_field(entry, "reliability", dict, where)
-    prof = typed_field(entry, "data_profile", dict, where)
-    appl = typed_field(entry, "applicability", dict, where)
-    rel_at = f"{where}.reliability"
-    prof_at = f"{where}.data_profile"
-    appl_at = f"{where}.applicability"
-    # Every key but step_params is required, so objects of the expected
-    # lengths hold no unknown key; the keys are searched only on a mismatch.
-    # A missing key is named by the reads below.
-    if (
-        len(entry) != len(_METHOD_KEYS) - ("step_params" not in entry)
-        or len(rel) != len(_RELIABILITY_KEYS)
-        or len(prof) != len(_PROFILE_KEYS)
-        or len(appl) != len(_APPLICABILITY_KEYS)
-    ):
-        _reject_unknown(entry, _METHOD_KEYS, where)
-        _reject_unknown(rel, _RELIABILITY_KEYS, rel_at)
-        _reject_unknown(prof, _PROFILE_KEYS, prof_at)
-        _reject_unknown(appl, _APPLICABILITY_KEYS, appl_at)
-    successes = typed_field(rel, "successes", int, rel_at)
-    attempts = typed_field(rel, "attempts", int, rel_at)
-    if successes > attempts:
-        raise SchemaError(f"{rel_at}.successes", "successes exceed attempts")
-    step_params = typed_field(entry, "step_params", DICT_LIST, where, None)
-    try:
-        return Method(
-            id=typed_field(entry, "id", str, where),
-            procedure=tuple(typed_field(entry, "procedure", STR_LIST, where)),
-            step_params=tuple(step_params) if step_params is not None else None,
-            params=dict(typed_field(entry, "params", dict, where)),
-            data_profile=DataProfile(
-                n_self_samples=typed_field(prof, "n_self_samples", int, prof_at),
-                n_obs_samples=typed_field(prof, "n_obs_samples", int, prof_at),
-                episodes=typed_field(prof, "episodes", int, prof_at),
-            ),
-            applicability=Applicability(
-                signatures=frozenset(typed_field(appl, "signatures", STR_LIST, appl_at)),
-                goal_tokens=frozenset(typed_field(appl, "goal_tokens", STR_LIST, appl_at)),
-                max_steps=typed_field(appl, "max_steps", int, appl_at),
-            ),
-            reliability=Reliability(
-                successes=successes,
-                attempts=attempts,
-                created_cycle=typed_field(rel, "created_cycle", int, rel_at),
-                last_used_cycle=typed_field(rel, "last_used_cycle", int, rel_at),
-            ),
-        )
-    except ValueError as exc:
-        raise SchemaError(where, str(exc)) from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .engine import RunRecord
@@ -111,14 +111,19 @@ def empirical_coverage(records: list[RunRecord]) -> list[float]:
 # Serialization (values rounded to 4 decimals here, never upstream)
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "policy", "scope", "n_runs", "avg_total_s", "avg_llm_calls",
-    "avg_llm_time_ratio", "llm_time_ratio_micro", "success_rate", "hit_rate",
-)
+_OVERALL_FIELDS = tuple(f.name for f in fields(PolicyMetrics) if f.name != "per_repeat")
+_REPEAT_FIELDS = tuple(f.name for f in fields(RepeatMetrics))
+
+CSV_COLUMNS = ("policy", "scope", *_OVERALL_FIELDS)
 
 
 def _r4(value: float) -> float:
     return round(value, 4)
+
+
+def _rounded(metrics: PolicyMetrics | RepeatMetrics, names: tuple[str, ...]) -> dict:
+    """The named fields of ``metrics``, each through ``_r4``; an int stays an int."""
+    return {name: _r4(getattr(metrics, name)) for name in names}
 
 
 def report_to_dict(report: MetricsReport) -> dict:
@@ -126,23 +131,9 @@ def report_to_dict(report: MetricsReport) -> dict:
     for policy in sorted(report.policies):
         pm = report.policies[policy]
         doc["policies"][policy] = {
-            "overall": {
-                "n_runs": pm.n_runs,
-                "avg_total_s": _r4(pm.avg_total_s),
-                "avg_llm_calls": _r4(pm.avg_llm_calls),
-                "avg_llm_time_ratio": _r4(pm.avg_llm_time_ratio),
-                "llm_time_ratio_micro": _r4(pm.llm_time_ratio_micro),
-                "success_rate": _r4(pm.success_rate),
-                "hit_rate": _r4(pm.hit_rate),
-            },
+            "overall": _rounded(pm, _OVERALL_FIELDS),
             "per_repeat": {
-                str(idx): {
-                    "n_runs": rm.n_runs,
-                    "avg_total_s": _r4(rm.avg_total_s),
-                    "avg_llm_calls": _r4(rm.avg_llm_calls),
-                    "hit_rate": _r4(rm.hit_rate),
-                }
-                for idx, rm in pm.per_repeat.items()
+                str(idx): _rounded(rm, _REPEAT_FIELDS) for idx, rm in pm.per_repeat.items()
             },
         }
     return doc

@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .errors import SchemaError, parse_json, read_dataclass, to_doc, typed_field
+from .errors import SchemaError, parse_json, read_versioned, to_doc
 
 # Executable action identifiers shared by tasks, methods, and the planner.
 DEFAULT_ACTIONS: tuple[str, ...] = (
@@ -245,12 +245,7 @@ def corpus_to_doc(events: Iterable[TaskEvent]) -> dict:
 
 def corpus_from_doc(doc: Any) -> list[TaskEvent]:
     """Read a corpus document against ``TaskEvent``; cycles must strictly increase."""
-    if not isinstance(doc, dict):
-        raise SchemaError("<root>", "expected a JSON object")
-    version = typed_field(doc, "version", int)
-    if version != CORPUS_VERSION:
-        raise SchemaError("version", f"expected {CORPUS_VERSION}, got {version!r}")
-    events = read_dataclass(_CorpusDoc, doc).events
+    events = read_versioned(_CorpusDoc, doc, CORPUS_VERSION).events
     for i in range(1, len(events)):
         if events[i].cycle <= events[i - 1].cycle:
             raise SchemaError(f"events[{i}].cycle", "cycle values must be strictly increasing")

@@ -13,7 +13,7 @@ cases in fixed order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .library import Method, RetrievalResult
 from .tasks import ObservedEvent
@@ -36,10 +36,9 @@ class TriggerThresholds:
     tau_u: float = 0.3
 
     def __post_init__(self):
-        for name in ("tau_r", "tau_q", "tau_o", "tau_u"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        for f in fields(self):
+            if not 0.0 <= getattr(self, f.name) <= 1.0:
+                raise ValueError(f"{f.name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

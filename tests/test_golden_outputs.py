@@ -2,9 +2,10 @@
 
 Each bundled config is run through the CLI at seed 7, 20 tasks x 5 repeats,
 with ``--events``, and the sha256 of its ``runs.jsonl``, ``library.json``,
-``report.json`` and ``events.json`` must match. The acceptance tests compare
-the README table to 4 decimals; these pins catch any change to a record, a
-stored method, a report value or the corpus writer.
+``report.json``, ``report.csv`` and ``events.json`` must match. The
+acceptance tests compare the README table to 4 decimals; these pins catch
+any change to a record, a stored method, a report value or the corpus
+writer.
 """
 
 from __future__ import annotations
@@ -23,30 +24,35 @@ DIGESTS = {
         "runs.jsonl": "f08688671d4d4710e92246ce1354181d4c80ee1e33bed47dcd31591735d03cd2",
         "library.json": "ee7a5764d6a13012c564d085a91fd34ad1025149b24d13a620cc3cb190a379e3",
         "report.json": "167119ef97278bc286ed3aac023db35801796bd500e62425a218edf17a90e99b",
+        "report.csv": "2e70447454df2c94fc5ce5f20b19ee12b5f6381a696b914bd89854702b3ed70f",
         "events.json": "931e58eed79b24a650ca2d90e673bfa3748595c15aa9688b509ebb5ddd705af5",
     },
     "self_library_only": {
         "runs.jsonl": "a940e1df9ea09e7d9984fedb1657dac7ffdad9cc25b147688785eb45c42f4606",
         "library.json": "ee7a5764d6a13012c564d085a91fd34ad1025149b24d13a620cc3cb190a379e3",
         "report.json": "274f7d222e2161728d94f94dae7de0465308f238848c4dda437904f29099cbf5",
+        "report.csv": "3fe931927b2dfeff91108b8522de46a6bd91c3e24889ac0069c697f0d0181e94",
         "events.json": "931e58eed79b24a650ca2d90e673bfa3748595c15aa9688b509ebb5ddd705af5",
     },
     "self_proposed": {
         "runs.jsonl": "efbb2a54ad08ef862c1be257d4e4e01d188c5f0aa3f17619ac15f627c9c1f8a2",
         "library.json": "818ff034be21662daa9cf9e24695dff8de360be649bc639895d45b0556db4599",
         "report.json": "19d07085c4cc1818b3de3bfad55ad33aa35aff48cd126d5d26a9cc7283cef1af",
+        "report.csv": "9bb1f933aed06a983cd4332da1945fef611aeb1f5c2665592ac6bfffc9e022b2",
         "events.json": "931e58eed79b24a650ca2d90e673bfa3748595c15aa9688b509ebb5ddd705af5",
     },
     "observation_only": {
         "runs.jsonl": "d9275b3544fe846a8eb3ef84027a180100cc15f8b9974431611647752ac2a080",
         "library.json": "ee7a5764d6a13012c564d085a91fd34ad1025149b24d13a620cc3cb190a379e3",
         "report.json": "87d238e2081f9c87128f2e80bdd98d84248babf8371fbed5c39c039f4d995f18",
+        "report.csv": "f97c2a3873d1edd9736d0b008d9a2197df229e8cac8a1056f5f13ab02fa0e868",
         "events.json": "b7a9b9b7d012a3b8aa94ef3b9b485161cd068426d6f349f87e7b9cec95841c7f",
     },
     "proposed_observation": {
         "runs.jsonl": "a114a4c8c1e766ba254609f0743d52e1409e79b89cd2b978061814af8b3ccf46",
         "library.json": "42473d980c3fa69facbbae4f9f8c51d9362daa059d0c7bc790be8066a3acd210",
         "report.json": "7ecc29f5681a5d10a534e16630fa441cace802de842fe5cad45dbfbb40ee5a06",
+        "report.csv": "a82e37bf07435aa343e91e37811bde43b146e8e17f5aff71390b0433b114430f",
         "events.json": "b7a9b9b7d012a3b8aa94ef3b9b485161cd068426d6f349f87e7b9cec95841c7f",
     },
 }

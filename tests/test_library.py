@@ -482,8 +482,8 @@ class TestPersistence:
             assert original == copy
 
     def test_generic_codec_agrees_with_the_library_codec(self, library):
-        # library.json keeps its hand-written codec for speed; the generic one
-        # writes and reads the same entries, sets and free-form mappings included.
+        # library.json keeps its hand-written writer for speed; the generic
+        # to_doc writes the same entries, sets and free-form mappings included.
         method = dataclasses.replace(
             make_method("m-a", signatures={"sig-b", "sig-a"}, successes=1, attempts=2),
             step_params=({"speed": 0.5},) * 3,
@@ -503,6 +503,15 @@ class TestPersistence:
         with pytest.raises(SchemaError) as err:
             MethodLibrary.load(path)
         assert "successes" in str(err.value)
+        assert err.value.field == "methods[0].reliability"
+
+    def test_duplicate_ids_named(self):
+        doc = MethodLibrary([make_method("m-a"), make_method("m-b")]).to_doc()
+        doc["methods"].append(doc["methods"][0])
+        with pytest.raises(SchemaError) as err:
+            MethodLibrary.from_doc(doc)
+        assert err.value.field == "methods[2].id"
+        assert "duplicate method id 'm-a'" in str(err.value)
 
     def test_malformed_field_named(self, tmp_path):
         library = MethodLibrary()
@@ -533,8 +542,8 @@ class TestPersistence:
             with pytest.raises(SchemaError) as err:
                 MethodLibrary.load(path)
             assert err.value.field == field
-        # An unknown root key, and an unknown method key standing in for the
-        # optional step_params, so the method object keeps its usual length.
+        # An unknown root key, and an unknown method key in place of the
+        # optional step_params.
         doc = library.to_doc()
         doc["zz"] = 1
         with pytest.raises(SchemaError) as err:

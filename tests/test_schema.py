@@ -1,0 +1,270 @@
+"""Mutation properties of the shared dataclass reader, one per document type.
+
+Each property draws a valid document, checks that it reads back equal, then
+applies one mutation and checks that loading raises ``SchemaError`` whose
+``field`` is the mutated dotted path. The mutations are: drop a required
+key, add an unknown key, give a field (or a list item or mapping value) the
+wrong JSON type, put ``null`` in a non-nullable field, and put a non-finite
+number in a float field. The sites are found by walking the document
+against the dataclass annotations, independently of the reader.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import json
+import typing
+from collections.abc import Mapping
+from types import NoneType, UnionType
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reuseloop.config import PlannerSettings, RunConfig, config_from_dict
+from reuseloop.costs import CostProfile, profile_from_dict
+from reuseloop.engine import POLICY_MODES, ExecutorConfig, RunRecord, record_from_dict
+from reuseloop.errors import SchemaError, to_doc
+from reuseloop.library import (
+    Applicability,
+    DataProfile,
+    Method,
+    MethodLibrary,
+    Reliability,
+    _LibraryDoc,
+)
+from reuseloop.planner import (
+    MODEL_FAMILIES,
+    STRATEGY_KINDS,
+    CandidateModel,
+    DataRequirement,
+    LearningPlan,
+    StrategyStep,
+    UpdateCriteria,
+    plan_from_dict,
+)
+from reuseloop.tasks import (
+    CORPUS_MODES,
+    DEFAULT_ACTIONS,
+    _CorpusDoc,
+    corpus_from_doc,
+    corpus_to_doc,
+    generate_corpus,
+)
+from reuseloop.trigger import TriggerThresholds
+
+_DROP = object()
+_WRONG = {str: 3, int: "1", float: "1.5", bool: 1, dict: [], list: {}}
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"), 10**400)
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _json_kind(kind):
+    """``(nullable, JSON type, item annotation or None)`` of a field annotation."""
+    nullable = type(kind) is UnionType and NoneType in kind.__args__
+    if nullable:
+        (kind,) = (arg for arg in kind.__args__ if arg is not NoneType)
+    if dataclasses.is_dataclass(kind):
+        return nullable, dict, kind
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (tuple, set, frozenset):
+        return nullable, list, args[0]
+    if origin in (dict, Mapping):
+        return nullable, dict, args[1]
+    return nullable, kind, None
+
+
+def _sites(cls, doc: dict, path: str = "", at: tuple = ()) -> list[tuple]:
+    """Every single mutation of the object ``doc`` read as ``cls``, and below it,
+    as ``(expected field, keys from the root, key, new value or _DROP)``."""
+    sites = [(_join(path, "zz_unknown"), at, "zz_unknown", 1)]
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        fpath, value = _join(path, f.name), doc[f.name]
+        nullable, kind, item = _json_kind(hints[f.name])
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            sites.append((fpath, at, f.name, _DROP))
+        sites.append((fpath, at, f.name, _WRONG[kind]))
+        if not nullable:
+            sites.append((fpath, at, f.name, None))
+        if kind is float:
+            sites.extend((fpath, at, f.name, x) for x in _NON_FINITE)
+        if value is None:
+            continue
+        inner = (*at, f.name)
+        if kind is dict and dataclasses.is_dataclass(item):
+            sites.extend(_sites(item, value, fpath, inner))
+        elif kind is list and dataclasses.is_dataclass(item):
+            for i, entry in enumerate(value):
+                sites.extend(_sites(item, entry, f"{fpath}[{i}]", (*inner, i)))
+        elif kind is list:
+            sites.extend((f"{fpath}[{i}]", inner, i, _WRONG[item]) for i in range(len(value)))
+        elif kind is dict and item in _WRONG:
+            sites.extend((_join(fpath, key), inner, key, _WRONG[item]) for key in value)
+    return sites
+
+
+def _mutated(doc: dict, site: tuple) -> dict:
+    _, keys, key, value = site
+    out = copy.deepcopy(doc)
+    node = out
+    for k in keys:
+        node = node[k]
+    if value is _DROP:
+        del node[key]
+    else:
+        node[key] = value
+    return out
+
+
+def _check(cls, doc: dict, read, data) -> None:
+    """``read(doc)`` gives back a ``cls`` whose document is ``doc``; each drawn
+    mutation raises ``SchemaError`` at its path."""
+    doc = json.loads(json.dumps(doc))
+    assert to_doc(read(doc)) == doc
+    sites = _sites(cls, doc)
+    for site in data.draw(st.lists(st.sampled_from(sites), min_size=1, max_size=8)):
+        with pytest.raises(SchemaError) as err:
+            read(_mutated(doc, site))
+        assert err.value.field == site[0], site
+
+
+_names = st.text("abcxyz-_", min_size=1, max_size=6)
+_text = st.text(max_size=6)
+_counts = st.integers(0, 2**40)
+
+
+def _floats(low=0.0, high=1e6):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _methods(draw, method_id):
+    procedure = tuple(draw(st.lists(st.sampled_from(DEFAULT_ACTIONS), min_size=1, max_size=4)))
+    attempts = draw(st.integers(0, 9))
+    scalars = st.none() | st.booleans() | st.integers() | _floats(-1e6) | _text
+    return Method(
+        id=method_id,
+        procedure=procedure,
+        params=draw(st.dictionaries(_names, scalars | st.lists(scalars, max_size=2), max_size=3)),
+        data_profile=DataProfile(draw(_counts), draw(_counts), draw(_counts)),
+        applicability=Applicability(
+            signatures=frozenset(draw(st.lists(_names, min_size=1, max_size=3))),
+            goal_tokens=frozenset(draw(st.lists(_names, max_size=3))),
+            max_steps=draw(st.integers(1, 9)),
+        ),
+        reliability=Reliability(
+            draw(st.integers(0, attempts)), attempts, draw(_counts), draw(_counts)
+        ),
+        step_params=draw(st.none() | st.just(tuple({"speed": 0.5} for _ in procedure))),
+    )
+
+
+_libraries = st.lists(_names, min_size=1, max_size=3, unique=True).flatmap(
+    lambda ids: st.tuples(*(_methods(i) for i in ids)).map(MethodLibrary)
+)
+
+
+@st.composite
+def _run_records(draw):
+    phases = draw(st.lists(_floats(), min_size=6, max_size=6))
+    hit = draw(st.booleans())
+    return RunRecord(
+        draw(st.sampled_from(POLICY_MODES)), draw(_text), draw(st.integers(1, 99)),
+        draw(_counts), *phases, total_s=sum(phases), llm_calls=draw(_counts),
+        llm_time_s=phases[1], success=draw(st.booleans()), hit=hit,
+        learned=not hit and draw(st.booleans()),
+    )
+
+
+_configs = st.builds(
+    RunConfig,
+    seed=_counts,
+    n_tasks=st.integers(1, 99),
+    n_repeats=st.integers(1, 9),
+    mode=st.sampled_from(POLICY_MODES),
+    thresholds=st.builds(TriggerThresholds, *[_floats(0.0, 1.0)] * 4),
+    executor=st.none() | st.builds(ExecutorConfig, *[_floats()] * 7),
+    planner=st.builds(
+        PlannerSettings,
+        latency_s=st.none() | _floats(),
+        p_corrupt=st.none() | _floats(0.0, 1.0),
+        endpoint=st.none() | _text,
+        model=st.none() | _text,
+        temperature=_floats(),
+        timeout_s=_floats(),
+        retries=st.integers(0, 9),
+    ),
+    library_path=st.none() | _text,
+    output_dir=_text,
+)
+
+_plans = st.builds(
+    LearningPlan,
+    candidate_models=st.lists(
+        st.builds(CandidateModel, st.sampled_from(MODEL_FAMILIES), _text), min_size=1, max_size=2
+    ).map(tuple),
+    subproblems=st.lists(_text, max_size=2).map(tuple),
+    data_requirements=st.lists(st.builds(DataRequirement, _names, _counts), max_size=2).map(tuple),
+    strategy=st.lists(st.builds(StrategyStep, st.sampled_from(STRATEGY_KINDS), _text), max_size=2).map(tuple),
+    update_criteria=st.builds(UpdateCriteria, _floats(0.0, 1.0), st.integers(1, 9)),
+    direct_solution=st.none()
+    | st.lists(st.sampled_from(DEFAULT_ACTIONS), min_size=1, max_size=3).map(tuple),
+)
+
+
+@st.composite
+def _corpus_docs(draw):
+    events = generate_corpus(
+        seed=draw(st.integers(0, 10_000)),
+        n_tasks=draw(st.integers(1, 2)),
+        n_repeats=draw(st.integers(1, 2)),
+        mode=draw(st.sampled_from(CORPUS_MODES)),
+    )
+    doc = corpus_to_doc(events)
+    # A deadline puts a float field in the corpus.
+    for entry in doc["events"]:
+        entry["task"]["constraints"]["deadline_s"] = draw(st.none() | _floats())
+    return doc
+
+
+_EXAMPLES = 100
+
+
+class TestMutations:
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    @given(_libraries, st.data())
+    def test_method_entries(self, library, data):
+        def read(doc):
+            return _LibraryDoc(1, tuple(MethodLibrary.from_doc(doc).methods()))
+
+        _check(_LibraryDoc, library.to_doc(), read, data)
+
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    @given(_run_records(), st.data())
+    def test_run_record_lines(self, record, data):
+        _check(RunRecord, to_doc(record), record_from_dict, data)
+
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    @given(_configs, st.data())
+    def test_run_config(self, config, data):
+        _check(RunConfig, to_doc(config), config_from_dict, data)
+
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    @given(_plans, st.data())
+    def test_learning_plan(self, plan, data):
+        _check(LearningPlan, to_doc(plan), plan_from_dict, data)
+
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    @given(_corpus_docs(), st.data())
+    def test_corpus_events(self, doc, data):
+        _check(_CorpusDoc, doc, lambda d: _CorpusDoc(1, tuple(corpus_from_doc(d))), data)
+
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    @given(st.builds(CostProfile, *[_floats()] * 7), st.data())
+    def test_cost_profile(self, profile, data):
+        _check(CostProfile, to_doc(profile), profile_from_dict, data)
