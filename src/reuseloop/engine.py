@@ -78,7 +78,10 @@ class ExecutorConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
 
     def execute_time(self, n_steps: int) -> float:

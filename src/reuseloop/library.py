@@ -5,15 +5,19 @@ A method packages an executable procedure together with its provenance
 Retrieval finds the best match for a task and reports whether it clears the
 caller's reuse threshold. Three indexes, kept by ``insert``, narrow each
 lookup to the methods that can win: signature -> methods, exact goal-token
-set -> methods and token -> methods. The result, tie-breaks included, equals
-that of scoring every stored method.
+set -> methods and token -> method ids. A partial match is scored from the
+count of goal tokens each method shares with the task, and only while that
+count can still reach the best score found so far. The result, tie-breaks
+included, equals that of scoring every stored method.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _str_text
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -135,6 +139,11 @@ def jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float
     return len(a & b) / len(union)
 
 
+def _tie_key(m: Method) -> tuple[float, int, str]:
+    """Retrieval's tie-break among equal scores, smallest first."""
+    return (-m.reliability.success_ratio, -m.reliability.last_used_cycle, m.id)
+
+
 class MethodLibrary:
     """In-memory method store with JSON persistence, used from one thread."""
 
@@ -143,7 +152,7 @@ class MethodLibrary:
         # Retrieval indexes, kept by insert; each bucket is in insertion order.
         self._by_signature: dict[str, list[Method]] = {}
         self._by_token_set: dict[frozenset[str], list[Method]] = {}
-        self._by_token: dict[str, list[Method]] = {}
+        self._ids_by_token: dict[str, list[str]] = {}
         for m in methods:
             self.insert(m)
 
@@ -172,7 +181,7 @@ class MethodLibrary:
             self._by_signature.setdefault(signature, []).append(method)
         self._by_token_set.setdefault(appl.goal_tokens, []).append(method)
         for token in appl.goal_tokens:
-            self._by_token.setdefault(token, []).append(method)
+            self._ids_by_token.setdefault(token, []).append(method.id)
 
     def update_reliability(self, method_id: str, success: bool, cycle: int) -> None:
         rel = self.get(method_id).reliability
@@ -194,44 +203,53 @@ class MethodLibrary:
         1. The exact pool: the task's signature bucket, plus its goal-token
            set bucket cut to the methods whose procedure fits the task's step
            budget. These are exactly the methods that score 1.0.
-        2. Failing that, the methods that share a goal token with the task;
-           every other method scores 0.
+        2. Failing that, the token pool: the methods that share a goal token
+           with the task; every other method scores 0. The token index counts
+           how many of the task's ``q`` tokens each one shares. A method
+           sharing ``o`` of them, with ``b`` tokens of its own, scores
+           ``o / (q + b - o)``: the two ints ``jaccard`` divides, so the same
+           float. Methods are visited by descending ``o``, and the visit stops
+           once ``o / q`` falls below the best score found: as ``b >= o``, no
+           method with that overlap or less can reach or tie it, and division
+           rounds monotonically, so the stop is exact. The bound is the
+           running best, never ``tau_r``, so the score reported below
+           ``tau_r`` is still the true best.
         3. If that pool is empty or scores 0 throughout, every method scores
-           0, and the tie-break alone picks over the whole library without
-           calling ``matching_score``.
+           0, and the tie-break alone picks over the whole library.
         """
         if not 0.0 <= tau_r <= 1.0:
             raise ValueError("tau_r must lie in [0, 1]")
         if not self._methods:
             return RetrievalResult(method=None, score=0.0, covered=False)
-        # Pools are keyed by id, so a method in two buckets is scored once.
+        # The pool is keyed by id, so a method in both buckets is scored once.
         pool = {m.id: m for m in self._by_signature.get(task.signature, ())}
         max_steps = task.constraints.max_steps
         for m in self._by_token_set.get(task.goal_tokens, ()):
             if max_steps >= len(m.procedure):
                 pool[m.id] = m
-        if not pool:
-            by_token = self._by_token
-            pool = {m.id: m for token in task.goal_tokens for m in by_token.get(token, ())}
         if pool:
             # Ids are unique, so two keys never tie and min never compares methods.
-            key, best = min(
-                (
-                    (-matching_score(task, m), -m.reliability.success_ratio,
-                     -m.reliability.last_used_cycle, m.id),
-                    m,
-                )
-                for m in pool.values()
-            )
+            key, best = min(((-matching_score(task, m), _tie_key(m)), m) for m in pool.values())
             score = -key[0]
-            if score > 0.0:
-                return RetrievalResult(method=best, score=score, covered=score >= tau_r)
-        # Every method scores 0, so the tie-break alone decides.
-        best = min(
-            self._methods.values(),
-            key=lambda m: (-m.reliability.success_ratio, -m.reliability.last_used_cycle, m.id),
-        )
-        return RetrievalResult(method=best, score=0.0, covered=0.0 >= tau_r)
+            return RetrievalResult(method=best, score=score, covered=score >= tau_r)
+        q = len(task.goal_tokens)
+        ids_by_token = self._ids_by_token
+        overlaps = Counter(chain.from_iterable(ids_by_token.get(t, ()) for t in task.goal_tokens))
+        score, tied = 0.0, []
+        for method_id, o in overlaps.most_common():
+            if o / q < score:
+                break
+            m = self._methods[method_id]
+            if max_steps < len(m.procedure):
+                continue
+            s = o / (q + len(m.applicability.goal_tokens) - o)
+            if s > score:
+                score, tied = s, [m]
+            elif s == score:
+                tied.append(m)
+        # With no method tied at a positive score, every method scores 0.
+        best = min(tied or self._methods.values(), key=_tie_key)
+        return RetrievalResult(method=best, score=score, covered=score >= tau_r)
 
     def stats(self) -> dict:
         """Inspection summary: method count plus per-method ratios, by id."""

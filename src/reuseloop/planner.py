@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import random
 import time
@@ -128,6 +129,13 @@ class PlannerHistory:
         del self.recent_methods[: -self.max_entries]
 
 
+def _check_latency(latency_s: float) -> None:
+    if not math.isfinite(latency_s):
+        raise ValueError(f"latency_s must be finite, got {latency_s!r}")
+    if latency_s < 0:
+        raise ValueError("latency_s must be nonnegative")
+
+
 @dataclass(frozen=True)
 class PlannerCall:
     latency_s: float
@@ -135,8 +143,7 @@ class PlannerCall:
     raw: str | None = None
 
     def __post_init__(self):
-        if self.latency_s < 0:
-            raise ValueError("latency_s must be nonnegative")
+        _check_latency(self.latency_s)
 
 
 class Planner(Protocol):
@@ -212,8 +219,7 @@ class MockPlanner:
         p_corrupt: float = DEFAULT_P_CORRUPT,
         vocab: tuple[str, ...] = DEFAULT_ACTIONS,
     ):
-        if latency_s < 0:
-            raise ValueError("latency_s must be nonnegative")
+        _check_latency(latency_s)
         if not 0.0 <= p_corrupt <= 1.0:
             raise ValueError("p_corrupt must lie in [0, 1]")
         self.seed = seed

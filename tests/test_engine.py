@@ -436,3 +436,8 @@ class TestClockAndExecutor:
     def test_negative_executor_config_rejected(self):
         with pytest.raises(ValueError):
             ExecutorConfig(base_s=-1.0)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_executor_config_rejected(self, value):
+        with pytest.raises(ValueError, match="^train_s must be finite"):
+            ExecutorConfig(train_s=value)

@@ -151,16 +151,18 @@ class TestRetrieveBest:
             assert got.covered == want_covered
 
 
-_TOKENS = ("pick", "up", "red", "cube", "door")
+_TOKENS = ("pick", "up", "red", "cube", "door", "blue", "tray")
 
 
 @st.composite
 def retrieval_cases(draw):
     """A task, a library grown by random inserts and reliability updates, and a tau_r.
 
-    Five tokens, step budgets and procedures of 1-6 steps, and reliability
-    counters of 0-2 make equal token sets with other lengths, signature
-    matches without shared tokens, all-zero libraries and full ties common.
+    Seven tokens, method token sets of up to six of them, step budgets and
+    procedures of 1-6 steps, and reliability counters of 0-2 make equal token
+    sets with other lengths, overlaps with more or fewer method tokens than
+    the task has, signature matches without shared tokens, all-zero
+    libraries and full ties common.
     """
     max_steps = draw(st.integers(1, 6))
     task = make_task(
@@ -181,7 +183,7 @@ def retrieval_cases(draw):
                 method_id=f"m-{draw(st.sampled_from('zxa'))}{step:02d}",
                 procedure=("move",) * draw(st.integers(1, 6)),
                 signatures=draw(st.sampled_from([{f"sig-{step}"}] * 3 + [{task.signature}])),
-                goal_tokens=draw(st.lists(st.sampled_from(_TOKENS), max_size=4, unique=True)),
+                goal_tokens=draw(st.lists(st.sampled_from(_TOKENS), max_size=6, unique=True)),
                 successes=draw(st.integers(0, attempts)),
                 attempts=attempts,
                 last_used_cycle=draw(st.integers(0, 2)),
@@ -201,6 +203,7 @@ def _assert_matches_oracle(library, task, tau_r):
 
 
 _NAMED_TASK = make_task(max_steps=4)
+_PICK_UP_TASK = make_task(goal=("pick", "up"), max_steps=4)
 
 
 def _synthetic_library(n=2000):
@@ -232,35 +235,60 @@ class TestIndexedRetrieval:
 
     @pytest.mark.parametrize("tau_r", [0.0, 1.0])
     @pytest.mark.parametrize(
-        "methods",
+        "task, methods",
         [
             # same token set but a procedure too long for the budget, beside a
             # partial match: the twin scores 0, so the partial match wins
-            [dict(method_id="m-long", procedure=("move",) * 5, successes=2, attempts=2),
-             dict(method_id="m-part", goal_tokens=("pick", "up"))],
+            (_NAMED_TASK,
+             [dict(method_id="m-long", procedure=("move",) * 5, successes=2, attempts=2),
+              dict(method_id="m-part", goal_tokens=("pick", "up"))]),
             # same token set under another max_steps, so another signature,
             # against an exact signature match with a worse record
-            [dict(method_id="m-sig", signatures={_NAMED_TASK.signature}, successes=0, attempts=1),
-             dict(method_id="m-twin", max_steps=6, successes=1, attempts=1)],
+            (_NAMED_TASK,
+             [dict(method_id="m-sig", signatures={_NAMED_TASK.signature}, successes=0, attempts=1),
+              dict(method_id="m-twin", max_steps=6, successes=1, attempts=1)]),
             # a signature match whose tokens do not overlap the task's
-            [dict(method_id="m-sig", signatures={_NAMED_TASK.signature},
-                  goal_tokens=("open", "door")),
-             dict(method_id="m-part", goal_tokens=("pick", "up"), successes=5, attempts=5)],
+            (_NAMED_TASK,
+             [dict(method_id="m-sig", signatures={_NAMED_TASK.signature},
+                   goal_tokens=("open", "door")),
+              dict(method_id="m-part", goal_tokens=("pick", "up"), successes=5, attempts=5)]),
             # every method scores 0: disjoint tokens, or shared tokens over budget
-            [dict(method_id="m-b", goal_tokens=("open", "door"), successes=1, attempts=2),
-             dict(method_id="m-a", goal_tokens=("pick",), procedure=("move",) * 9,
-                  successes=1, attempts=2, last_used_cycle=4),
-             dict(method_id="m-c", goal_tokens=(), successes=1, attempts=2)],
+            (_NAMED_TASK,
+             [dict(method_id="m-b", goal_tokens=("open", "door"), successes=1, attempts=2),
+              dict(method_id="m-a", goal_tokens=("pick",), procedure=("move",) * 9,
+                   successes=1, attempts=2, last_used_cycle=4),
+              dict(method_id="m-c", goal_tokens=(), successes=1, attempts=2)]),
             # full reliability ties: the smallest id wins
-            [dict(method_id="m-z", goal_tokens=("pick", "up")),
-             dict(method_id="m-y", goal_tokens=("pick", "up")),
-             dict(method_id="m-x", goal_tokens=("door",))],
+            (_NAMED_TASK,
+             [dict(method_id="m-z", goal_tokens=("pick", "up")),
+              dict(method_id="m-y", goal_tokens=("pick", "up")),
+              dict(method_id="m-x", goal_tokens=("door",))]),
+            # overlap 1 of 1 token scores 1/2 and beats overlap 2 of 6 at 1/3,
+            # so the highest overlap is not the best score
+            (_PICK_UP_TASK,
+             [dict(method_id="m-wide", goal_tokens=("pick", "up", "red", "cube", "door", "blue"),
+                   successes=3, attempts=3),
+              dict(method_id="m-one", goal_tokens=("pick",))]),
+            # overlap 1 of 1 token and overlap 2 of 4 both score 1/2, and the
+            # lower overlap wins the tie-break on its success ratio
+            (_PICK_UP_TASK,
+             [dict(method_id="m-two", goal_tokens=("pick", "up", "red", "cube"),
+                   successes=0, attempts=1),
+              dict(method_id="m-one", goal_tokens=("pick",), successes=1, attempts=1)]),
+            # every method sharing both tokens is over budget, so overlap 1 wins
+            (_PICK_UP_TASK,
+             [dict(method_id="m-long", goal_tokens=("pick", "up"), procedure=("move",) * 5,
+                   successes=2, attempts=2),
+              dict(method_id="m-longer", goal_tokens=("pick", "up", "red"),
+                   procedure=("move",) * 7, successes=2, attempts=2),
+              dict(method_id="m-short", goal_tokens=("up", "door"))]),
         ],
-        ids=["over-budget-twin", "other-max-steps", "disjoint-signature", "all-zero", "ties"],
+        ids=["over-budget-twin", "other-max-steps", "disjoint-signature", "all-zero", "ties",
+             "smaller-overlap-wins", "cross-overlap-tie", "top-overlap-over-budget"],
     )
-    def test_named_cases_match_the_oracle(self, methods, tau_r):
+    def test_named_cases_match_the_oracle(self, task, methods, tau_r):
         library = MethodLibrary(make_method(**spec) for spec in methods)
-        _assert_matches_oracle(library, _NAMED_TASK, tau_r)
+        _assert_matches_oracle(library, task, tau_r)
 
     def _count_calls(self, monkeypatch):
         calls = []
@@ -292,7 +320,8 @@ class TestIndexedRetrieval:
         }
         calls = self._count_calls(monkeypatch)
         _assert_matches_oracle(library, task, 0.8)
-        assert sorted(calls) == sorted(sharing)
+        # Partial matches are scored from overlap counts, not matching_score.
+        assert calls == []
         assert 0 < len(sharing) < len(library) // 10
 
     def test_disjoint_task_scores_nothing(self, monkeypatch):

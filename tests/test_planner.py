@@ -20,6 +20,7 @@ from reuseloop.planner import (
     HttpPlanner,
     LearningPlan,
     MockPlanner,
+    PlannerCall,
     PlannerFeedback,
     PlannerHistory,
     StrategyStep,
@@ -47,6 +48,17 @@ class TestMockDeterminism:
     def test_latency_default_and_override(self, task):
         assert MockPlanner(seed=1).plan(task).latency_s == DEFAULT_MOCK_LATENCY_S
         assert MockPlanner(seed=1, latency_s=0.25).plan(task).latency_s == 0.25
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_latency_rejected(self, value):
+        with pytest.raises(ValueError, match="^latency_s must be finite"):
+            MockPlanner(seed=1, latency_s=value)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_call_latency_rejected(self, task, value):
+        plan = MockPlanner(seed=1).plan(task).plan
+        with pytest.raises(ValueError, match="^latency_s must be finite"):
+            PlannerCall(latency_s=value, plan=plan)
 
     def test_solution_is_target_when_uncorrupted(self, task):
         planner = MockPlanner(seed=1, p_corrupt=0.0)
