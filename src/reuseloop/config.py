@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -71,32 +72,7 @@ def corpus_mode_for(mode: str) -> str:
 
 def reference_latency(family: str) -> float:
     """Mock planner latency under the reference profile for ``family``."""
-    if family == FAMILY_SELF:
-        return REFERENCE_TARGETS["self"]["llm_latency"]
-    # Solve the two observation-benchmark means for latency and execution
-    # time: round 1 is observe+retrieve+plan+train+store, later rounds are
-    # retrieve+execute (proposed_observation) or plan+execute
-    # (observation_only, which skips retrieval like always_llm).
-    phases = ExecutorConfig()
-    plan_plus_exec = _observation_plan_plus_exec()
-    budget = (
-        _CALIBRATED_REPEATS * REFERENCE_TARGETS["observation"]["proposed_observation_total"]
-        - phases.observe_s - _CALIBRATED_REPEATS * phases.retrieve_s - _OBS_TRAIN_S - _OBS_STORE_S
-    )
-    exec_mean = (budget - plan_plus_exec) / (_CALIBRATED_REPEATS - 2)
-    return plan_plus_exec - exec_mean
-
-
-def _observation_plan_plus_exec() -> float:
-    total = REFERENCE_TARGETS["observation"]["observation_only_total"]
-    return (_CALIBRATED_REPEATS * total - ExecutorConfig().observe_s) / (_CALIBRATED_REPEATS - 1)
-
-
-def _reference_exec_mean(family: str) -> float:
-    if family == FAMILY_SELF:
-        targets = REFERENCE_TARGETS["self"]
-        return targets["always_llm_total"] - targets["llm_latency"]
-    return _observation_plan_plus_exec() - reference_latency(FAMILY_OBSERVATION)
+    return _reference(family)[0]
 
 
 def reference_executor(family: str, mean_sequence_len: float) -> ExecutorConfig:
@@ -106,22 +82,45 @@ def reference_executor(family: str, mean_sequence_len: float) -> ExecutorConfig:
     mean execution time lands exactly on the calibrated value regardless of
     the seed's draw of sequence lengths.
     """
-    phases = ExecutorConfig()
-    exec_mean = _reference_exec_mean(family)
+    _, exec_mean, phases = _reference(family)
     base_s = exec_mean - phases.per_step_s * mean_sequence_len
     if base_s < 0:
         raise ValueError("mean sequence length too large for the reference profile")
+    return replace(phases, base_s=base_s)
+
+
+@cache
+def _reference(family: str) -> tuple[float, float, ExecutorConfig]:
+    """``family``'s planner latency, mean execution time and phase costs
+    (``base_s`` left at its default), solved once from ``REFERENCE_TARGETS``."""
+    phases = ExecutorConfig()
     if family == FAMILY_SELF:
         targets = REFERENCE_TARGETS["self"]
+        latency = targets["llm_latency"]
+        exec_mean = targets["always_llm_total"] - latency
         # retrieve + exec + (latency + collect + train + store) / repeats == proposed_total
-        overhead = _CALIBRATED_REPEATS * (
-            targets["proposed_total"] - phases.retrieve_s - exec_mean
-        ) - targets["llm_latency"]
-        store_s = overhead - phases.collect_s - phases.train_s
+        store_s = (
+            _CALIBRATED_REPEATS * (targets["proposed_total"] - phases.retrieve_s - exec_mean)
+            - latency - phases.collect_s - phases.train_s
+        )
         if store_s < 0:
             raise ValueError("reference self profile is infeasible")
-        return replace(phases, base_s=base_s, store_s=store_s)
-    return replace(phases, base_s=base_s, train_s=_OBS_TRAIN_S, store_s=_OBS_STORE_S)
+        return latency, exec_mean, replace(phases, store_s=store_s)
+    # Solve the two observation-benchmark means for latency and execution
+    # time: round 1 is observe+retrieve+plan+train+store, later rounds are
+    # retrieve+execute (proposed_observation) or plan+execute
+    # (observation_only, which skips retrieval like always_llm).
+    targets = REFERENCE_TARGETS["observation"]
+    plan_plus_exec = (
+        _CALIBRATED_REPEATS * targets["observation_only_total"] - phases.observe_s
+    ) / (_CALIBRATED_REPEATS - 1)
+    budget = (
+        _CALIBRATED_REPEATS * targets["proposed_observation_total"]
+        - phases.observe_s - _CALIBRATED_REPEATS * phases.retrieve_s - _OBS_TRAIN_S - _OBS_STORE_S
+    )
+    latency = plan_plus_exec - (budget - plan_plus_exec) / (_CALIBRATED_REPEATS - 2)
+    observed = replace(phases, train_s=_OBS_TRAIN_S, store_s=_OBS_STORE_S)
+    return latency, plan_plus_exec - latency, observed
 
 
 def default_p_corrupt(mode: str) -> float:
@@ -176,6 +175,10 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise SchemaError("planner.latency_s", "must be nonnegative")
     if settings.retries < 0:
         raise SchemaError("planner.retries", "expected a nonnegative integer")
+    if settings.timeout_s <= 0:
+        raise SchemaError("planner.timeout_s", "must be positive")
+    if settings.temperature < 0:
+        raise SchemaError("planner.temperature", "must be nonnegative")
     if settings.kind == HTTP and (not settings.endpoint or not settings.model):
         raise SchemaError("planner", "http planner requires endpoint and model")
     if config.n_tasks < 1:

@@ -1,13 +1,19 @@
 """Closed-loop episode engine over a virtual clock.
 
-``run_episode`` handles one task event under a policy mode; ``run_loop``
-folds it over an event stream, threading the method library so that what one
-episode learns the next can reuse. All durations come from the virtual
-clock: configured phase costs plus the planner's reported latency, which
-makes benchmark runs exactly reproducible.
+``run_episode`` handles one task event under a policy mode: its
+``_Episode.run`` makes the episode's one decision, as the table below
+says. ``run_loop`` folds it over an event stream, threading the method
+library so that what one episode learns the next can reuse. All durations
+come from the virtual clock: configured phase costs plus the planner's
+reported latency, which makes benchmark runs exactly reproducible. Only
+``SequenceExecutor``, the simulated environment, reads a task's hidden
+target.
 
 Policy modes
 ------------
+Every mode charges ``observe_s`` for an observed event; all but
+proposed_observation then just record its outcome.
+
 always_llm
     Plan every task with the LLM and execute the returned solution; nothing
     is ever consolidated. Retrieval is skipped (and charged nothing).
@@ -17,8 +23,8 @@ proposed
     Full loop: retrieve, trigger, reuse on coverage, otherwise run the
     learning pipeline on self-execution experience and execute the candidate.
 observation_only
-    Observed events cost ``observe_s`` and are never consolidated; self
-    events behave like always_llm.
+    Observed events are never consolidated; self events behave like
+    always_llm.
 proposed_observation
     Observed events run the observation trigger and, when uncovered, run the
     learning pipeline on the observed behavior (one plan call, no
@@ -42,17 +48,10 @@ from typing import Any, get_type_hints
 from . import learner
 from .errors import PlannerError, RecordStreamError, SchemaError, number_text, read_dataclass
 from .experience import EpisodeDataset, ExperienceSample, Outcome, SampleContext, SOURCE_SELF
-from .library import MethodLibrary
+from .library import Method, MethodLibrary
 from .planner import EpisodeOutcome, Planner, PlannerFeedback, PlannerHistory
-from .tasks import OBSERVED_EVENT, TaskDescriptor, TaskEvent
-from .trigger import (
-    LEARN_OBSERVATION,
-    NO_ACTION,
-    REUSE,
-    TriggerDecision,
-    TriggerThresholds,
-    decide,
-)
+from .tasks import TaskDescriptor, TaskEvent
+from .trigger import LEARN_OBSERVATION, REUSE, TriggerThresholds, decide
 
 ALWAYS_LLM = "always_llm"
 LIBRARY_ONLY = "library_only"
@@ -107,27 +106,26 @@ class VirtualClock:
 
 
 class SequenceExecutor(learner.Replayer):
-    """Simulated environment for one task.
+    """Simulated environment for one task, and the only engine code that
+    reads the task's hidden target.
 
-    Execution succeeds when the attempted sequence equals the task's hidden
-    target. ``execute`` charges the clock; ``replay`` is the free validation
-    check; ``collect`` additionally records one experience sample per step,
-    with feedback 1 for a step matching the expected action.
+    Execution succeeds when the attempted sequence equals the target.
+    ``replay`` makes that check for validation, at no cost; ``execute``
+    charges the clock and makes it. ``collect`` records one experience
+    sample per step, with feedback 1 for a step matching the expected
+    action, and ``first_failed_step`` names the first step that does not.
     """
 
     def __init__(self, task: TaskDescriptor, config: ExecutorConfig):
         self.task = task
         self.config = config
 
-    def matches(self, sequence: list[str]) -> bool:
-        return tuple(sequence) == self.task.target_sequence
-
     def replay(self, sequence: list[str]) -> bool:
-        return self.matches(sequence)
+        return tuple(sequence) == self.task.target_sequence
 
     def execute(self, sequence: list[str], clock: VirtualClock) -> bool:
         clock.add("execute", self.config.execute_time(len(sequence)))
-        return self.matches(sequence)
+        return self.replay(sequence)
 
     def collect(
         self, sequence: list[str], dataset: EpisodeDataset, clock: VirtualClock
@@ -147,6 +145,15 @@ class SequenceExecutor(learner.Replayer):
             dataset.record_step(sample)
             samples.append(sample)
         return samples
+
+    def first_failed_step(self, sequence: list[str]) -> int | None:
+        """1-based index of the first action off the target, None if there is none."""
+        target = self.task.target_sequence
+        return next(
+            (i for i, action in enumerate(sequence, start=1)
+             if i > len(target) or action != target[i - 1]),
+            None,
+        )
 
 
 _PHASE_FIELDS = tuple(f"{phase}_s" for phase in PHASES)
@@ -222,6 +229,45 @@ class _Episode:
         self.hit = False
         self.learned = False
 
+    def run(self) -> None:
+        """Handle the event as README's "Policy modes" table says."""
+        observed = self.event.observed
+        if observed is not None:
+            self.clock.add("collect", self.config.observe_s)
+            if self.mode == PROPOSED_OBSERVATION:
+                self.clock.add("retrieve", self.config.retrieve_s)
+                found = self.library.retrieve_best(self.task, self.thresholds.tau_o)
+                if decide(None, observed, found, self.thresholds).branch == LEARN_OBSERVATION:
+                    self.learn()
+                    return
+            self.success = observed.success  # watched, or already covered
+            return
+
+        if self.mode in (ALWAYS_LLM, OBSERVATION_ONLY):
+            # Plan every time and execute; no retrieval cost, no consolidation.
+            try:
+                solution = self._plan().plan.direct_solution
+            except PlannerError:
+                return
+            if solution is not None:
+                self.success = self.executor.execute(list(solution), self.clock)
+            return
+
+        self.clock.add("retrieve", self.config.retrieve_s)
+        found = self.library.retrieve_best(self.task, self.thresholds.tau_r)
+        if self.mode == LIBRARY_ONLY:
+            if found.covered:
+                self.success = self.executor.execute(list(found.method.procedure), self.clock)
+                self.library.update_reliability(found.method.id, self.success, self.event.cycle)
+                self.hit = True
+            return
+
+        decision = decide(found, None, None, self.thresholds)
+        if decision.branch == REUSE:
+            self.reuse(decision.method)
+        else:
+            self.learn()
+
     # -- planner access -----------------------------------------------------
 
     def _plan(self, feedback: PlannerFeedback | None = None):
@@ -234,36 +280,28 @@ class _Episode:
         self.llm_time_s += call.latency_s
         return call
 
-    # -- shared paths ---------------------------------------------------------
+    # -- reuse and learning ---------------------------------------------------
 
-    def reuse(self, decision: TriggerDecision) -> None:
-        method = decision.method
-        assert method is not None
-        ok = self.executor.execute(list(method.procedure), self.clock)
+    def reuse(self, method: Method) -> None:
+        """Execute a stored method. If its utility then falls below ``tau_u``,
+        re-enter learning once: replan from the execution feedback, with no
+        second execution charge."""
+        attempted = list(method.procedure)
+        ok = self.executor.execute(attempted, self.clock)
         self.library.update_reliability(method.id, ok, self.event.cycle)
         self.success = ok
         self.hit = True
         if self.history is not None:
             self.history.record_method(method.id, method.reliability.success_ratio)
+        # After update_reliability, so idle is 0; checking first moves the reuse-384 pins.
         if learner.needs_refinement(method, self.event.cycle, self.thresholds.tau_u):
-            self._refine(ok, list(method.procedure))
-
-    def _refine(self, exec_success: bool, attempted: list[str]) -> None:
-        # One re-entry per cycle: replan from the execution feedback and run
-        # the learning pipeline without a second execution charge.
-        failed_step = None
-        target = self.task.target_sequence
-        for i, action in enumerate(attempted, start=1):
-            if i > len(target) or action != target[i - 1]:
-                failed_step = i
-                break
-        feedback = PlannerFeedback(
-            episode_outcomes=[EpisodeOutcome(success=exec_success, failed_step=failed_step)],
-            notes="stored method utility fell below the refinement threshold",
-        )
-        self.learn(feedback)
-        if self.learned:
-            self.hit = False
+            failed_step = self.executor.first_failed_step(attempted)
+            self.learn(PlannerFeedback(
+                episode_outcomes=[EpisodeOutcome(success=ok, failed_step=failed_step)],
+                notes="stored method utility fell below the refinement threshold",
+            ))
+            if self.learned:
+                self.hit = False
 
     def learn(self, feedback: PlannerFeedback | None = None) -> None:
         """Plan, collect experience, consolidate, validate, store, then set the outcome.
@@ -299,12 +337,6 @@ class _Episode:
         elif feedback is None:
             self.success = self.executor.execute(list(candidate.sequence), self.clock)
 
-    def observe_only(self) -> None:
-        observed = self.event.observed
-        assert observed is not None
-        self.clock.add("collect", self.config.observe_s)
-        self.success = observed.success
-
 
 def run_episode(
     event: TaskEvent,
@@ -326,12 +358,7 @@ def run_episode(
         raise ValueError(f"unknown policy mode {mode!r}")
     clock = clock if clock is not None else VirtualClock()
     ep = _Episode(event, mode, library, planner, thresholds, executor_config, clock, history)
-
-    if event.kind == OBSERVED_EVENT:
-        _run_observed(ep)
-    else:
-        _run_self(ep)
-
+    ep.run()
     return RunRecord(
         policy=mode,
         task_id=event.task.id,
@@ -345,59 +372,6 @@ def run_episode(
         hit=ep.hit,
         learned=ep.learned,
     )
-
-
-def _run_self(ep: _Episode) -> None:
-    cfg, clock, task = ep.config, ep.clock, ep.task
-
-    if ep.mode in (ALWAYS_LLM, OBSERVATION_ONLY):
-        # Plan-and-execute baseline; no retrieval cost, no consolidation.
-        try:
-            call = ep._plan()
-        except PlannerError:
-            return
-        solution = call.plan.direct_solution
-        if solution is None:
-            return
-        ep.success = ep.executor.execute(list(solution), clock)
-        return
-
-    clock.add("retrieve", cfg.retrieve_s)
-    retrieval = ep.library.retrieve_best(task, ep.thresholds.tau_r)
-
-    if ep.mode == LIBRARY_ONLY:
-        if retrieval.covered and retrieval.method is not None:
-            ep.success = ep.executor.execute(list(retrieval.method.procedure), clock)
-            ep.library.update_reliability(retrieval.method.id, ep.success, ep.event.cycle)
-            ep.hit = True
-        return
-
-    # proposed / proposed_observation
-    decision = decide(retrieval, None, None, ep.thresholds)
-    if decision.branch == REUSE:
-        ep.reuse(decision)
-    else:
-        ep.learn()
-
-
-def _run_observed(ep: _Episode) -> None:
-    if ep.mode != PROPOSED_OBSERVATION:
-        # Only proposed_observation consolidates observations.
-        ep.observe_only()
-        return
-
-    cfg, clock = ep.config, ep.clock
-    observed = ep.event.observed
-    assert observed is not None
-    clock.add("collect", cfg.observe_s)
-    clock.add("retrieve", cfg.retrieve_s)
-    obs_retrieval = ep.library.retrieve_best(ep.task, ep.thresholds.tau_o)
-    decision = decide(None, observed, obs_retrieval, ep.thresholds)
-    if decision.branch == LEARN_OBSERVATION:
-        ep.learn()
-    else:
-        assert decision.branch == NO_ACTION
-        ep.success = observed.success
 
 
 def run_loop(

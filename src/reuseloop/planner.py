@@ -336,6 +336,12 @@ class HttpPlanner:
             raise ValueError("endpoint must be non-empty")
         if not model:
             raise ValueError("model must be non-empty")
+        if not math.isfinite(temperature) or temperature < 0:
+            raise ValueError(f"temperature must be finite and nonnegative, got {temperature!r}")
+        if not math.isfinite(timeout_s) or timeout_s <= 0:
+            raise ValueError(f"timeout_s must be finite and positive, got {timeout_s!r}")
+        if retries < 0:
+            raise ValueError(f"retries must be nonnegative, got {retries!r}")
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature

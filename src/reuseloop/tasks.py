@@ -87,6 +87,8 @@ class TaskDescriptor:
             raise ValueError("goal must be non-empty")
         if not self.goal_tokens:
             raise ValueError("goal must contain at least one non-empty token")
+        if not self.target_sequence:
+            raise ValueError("target_sequence must be non-empty")
         if len(self.target_sequence) > self.constraints.max_steps:
             raise ValueError("target_sequence longer than constraints.max_steps")
 

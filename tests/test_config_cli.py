@@ -65,6 +65,13 @@ class TestConfigDocuments:
             config_from_dict({"planner": {"p_corrupt": 1.5}})
         assert "p_corrupt" in str(err.value)
 
+    def test_http_planner_settings_range_checked(self):
+        cases = [("timeout_s", 0.0), ("timeout_s", -1.0), ("temperature", -3.0), ("retries", -1)]
+        for name, value in cases:
+            with pytest.raises(SchemaError) as err:
+                config_from_dict({"planner": {name: value}})
+            assert err.value.field == f"planner.{name}"
+
     def test_overrides_follow_dotted_paths(self):
         doc = apply_overrides({"seed": 1}, {"planner.p_corrupt": 0.5, "n_tasks": 3})
         config = config_from_dict(doc)

@@ -1,4 +1,5 @@
-"""The README's configuration reference loads and states the real defaults."""
+"""The README's configuration reference loads and states the real defaults,
+and its Layout block names every module."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from reuseloop.config import (
     resolve_executor,
 )
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_full_schema_loads():
@@ -36,3 +38,12 @@ def test_readme_full_schema_loads():
     assert config.planner.p_corrupt == default_p_corrupt(config.mode)
     fitted = resolve_executor(RunConfig(), build_corpus(RunConfig()))
     assert vars(config.executor) == pytest.approx(vars(fitted), abs=0.005)
+
+
+def test_readme_layout_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"## Layout\n\n```\n(.*?)\n```", text, re.S)
+    assert match, "README lost its Layout block"
+    listed = set(re.findall(r"\w+", match.group(1)))
+    modules = {p.stem for p in (ROOT / "src" / "reuseloop").glob("*.py")} - {"__init__"}
+    assert modules <= listed, sorted(modules - listed)

@@ -28,6 +28,7 @@ from reuseloop.library import MethodLibrary
 from reuseloop.planner import MockPlanner
 from reuseloop.tasks import (
     OBSERVATION_FIRST,
+    OBSERVED_EVENT,
     SELF_TASK,
     TaskEvent,
     generate_corpus,
@@ -217,6 +218,103 @@ class TestObservationModes:
         )
         assert record.learned and record.success
         assert library.methods()[0].procedure == event.task.target_sequence
+
+
+# README's "Policy modes" table, cell by cell. Each cell runs one event on a
+# novel task (empty library) and on a task a working method covers. A row is
+# (cost items charged, llm_calls, hit, learned, success, library size after);
+# "observe" is the observe_s charge, booked to the collect phase.
+_WATCH = ("observe",)
+_PLAN_EXECUTE = ("plan_llm", "execute")
+_REUSE = ("retrieve", "execute")
+_LEARN_SELF = ("retrieve", "plan_llm", "collect", "train", "store", "execute")
+_LEARN_OBSERVED = ("observe", "retrieve", "plan_llm", "train", "store")
+
+POLICY_TABLE = {
+    (ALWAYS_LLM, SELF_TASK): ((_PLAN_EXECUTE, 1, False, False, True, 0),
+                              (_PLAN_EXECUTE, 1, False, False, True, 1)),
+    (LIBRARY_ONLY, SELF_TASK): ((("retrieve",), 0, False, False, False, 0),
+                                (_REUSE, 0, True, False, True, 1)),
+    (PROPOSED, SELF_TASK): ((_LEARN_SELF, 1, False, True, True, 1),
+                            (_REUSE, 0, True, False, True, 1)),
+    (OBSERVATION_ONLY, SELF_TASK): ((_PLAN_EXECUTE, 1, False, False, True, 0),
+                                    (_PLAN_EXECUTE, 1, False, False, True, 1)),
+    (PROPOSED_OBSERVATION, SELF_TASK): ((_LEARN_SELF, 1, False, True, True, 1),
+                                        (_REUSE, 0, True, False, True, 1)),
+    (ALWAYS_LLM, OBSERVED_EVENT): ((_WATCH, 0, False, False, True, 0),
+                                   (_WATCH, 0, False, False, True, 1)),
+    (LIBRARY_ONLY, OBSERVED_EVENT): ((_WATCH, 0, False, False, True, 0),
+                                     (_WATCH, 0, False, False, True, 1)),
+    (PROPOSED, OBSERVED_EVENT): ((_WATCH, 0, False, False, True, 0),
+                                 (_WATCH, 0, False, False, True, 1)),
+    (OBSERVATION_ONLY, OBSERVED_EVENT): ((_WATCH, 0, False, False, True, 0),
+                                         (_WATCH, 0, False, False, True, 1)),
+    (PROPOSED_OBSERVATION, OBSERVED_EVENT): ((_LEARN_OBSERVED, 1, False, True, True, 1),
+                                             (("observe", "retrieve"), 0, False, False, True, 1)),
+}
+
+
+def _observed_event():
+    return generate_corpus(seed=3, n_tasks=1, n_repeats=1, mode=OBSERVATION_FIRST)[0]
+
+
+def _phases_charged(task, items):
+    cost = {
+        "retrieve": CFG.retrieve_s, "plan_llm": LATENCY, "execute": exec_time(task),
+        "collect": CFG.collect_s, "train": CFG.train_s, "store": CFG.store_s,
+    }
+    phases = dict.fromkeys(_PHASE_FIELDS, 0.0)
+    for item in items:
+        if item == "observe":
+            phases["collect_s"] += CFG.observe_s
+        else:
+            phases[f"{item}_s"] += cost[item]
+    return phases
+
+
+class TestPolicyTable:
+    @pytest.mark.parametrize("covered", [False, True], ids=["novel", "covered"])
+    @pytest.mark.parametrize("mode, kind", sorted(POLICY_TABLE))
+    def test_cell(self, mode, kind, covered, library):
+        event = _observed_event()
+        if kind == SELF_TASK:
+            event = self_event(event.task)
+        if covered:
+            library.insert(method_for_task(event.task))
+        items, llm_calls, hit, learned, success, size = POLICY_TABLE[mode, kind][covered]
+        mock = planner()
+        record = run_episode(event, mode, library, mock, THRESHOLDS, CFG)
+        got = {name: getattr(record, name) for name in _PHASE_FIELDS}
+        assert got == pytest.approx(_phases_charged(event.task, items))
+        assert (record.llm_calls, mock.calls_made) == (llm_calls, llm_calls)
+        assert (record.hit, record.learned, record.success) == (hit, learned, success)
+        assert len(library) == size
+
+    @pytest.mark.parametrize("mode", [LIBRARY_ONLY, PROPOSED, PROPOSED_OBSERVATION])
+    def test_covered_method_that_fails(self, mode, task, library):
+        # A fresh exact-match method clears the confidence bar, but its
+        # procedure is wrong. library_only just fails; the proposed modes
+        # refine it with one plan call and store the new method.
+        library.insert(method_for_task(task, method_id="m-bad", successes=0, attempts=0,
+                                       procedure=("rotate",) * 3))
+        mock = planner()
+        record = run_episode(self_event(task, cycle=5), mode, library, mock, THRESHOLDS, CFG)
+        assert not record.success
+        assert library.get("m-bad").reliability.attempts == 1
+        got = {name: getattr(record, name) for name in _PHASE_FIELDS}
+        if mode == LIBRARY_ONLY:
+            assert got == pytest.approx(_phases_charged(task, _REUSE))
+            assert (record.llm_calls, mock.calls_made) == (0, 0)
+            assert record.hit and not record.learned
+            assert len(library) == 1
+        else:
+            bad_exec = CFG.base_s + CFG.per_step_s * 3
+            want = _phases_charged(task, _LEARN_SELF)
+            want["execute_s"] = bad_exec  # the failed reuse; refinement does not execute
+            assert got == pytest.approx(want)
+            assert (record.llm_calls, mock.calls_made) == (1, 1)
+            assert record.learned and not record.hit
+            assert len(library) == 2
 
 
 class TestRunLoop:
@@ -424,6 +522,14 @@ class TestClockAndExecutor:
             a == b for a, b in zip(wrong, task.target_sequence)
         ]
         assert clock.phases["collect"] == CFG.collect_s
+
+    def test_first_failed_step(self, task):
+        executor = SequenceExecutor(task, CFG)
+        target = list(task.target_sequence)
+        assert executor.first_failed_step(target) is None
+        assert executor.first_failed_step(target[:-1]) is None
+        assert executor.first_failed_step(["rotate", *target[1:]]) == 1
+        assert executor.first_failed_step([*target, "move"]) == len(target) + 1
 
     def test_record_invariants(self):
         with pytest.raises(ValueError):

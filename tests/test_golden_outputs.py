@@ -5,7 +5,7 @@ with ``--events``, and the sha256 of its ``runs.jsonl``, ``library.json``,
 ``report.json``, ``report.csv`` and ``events.json`` must match. The
 acceptance tests compare the README table to 4 decimals; these pins catch
 any change to a record, a stored method, a report value or the corpus
-writer.
+writer. Two learning modes are pinned again at ``planner.p_corrupt`` 0.3.
 """
 
 from __future__ import annotations
@@ -58,16 +58,41 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_bundled_run_outputs_are_pinned(name, tmp_path, capsys):
+# The learning modes at planner.p_corrupt 0.3, where some plans are
+# corrupted: a self plan then fails validation and the task is relearned on
+# a later repeat, and an observation outvotes the corrupted plan, so
+# proposed_observation's outputs equal its default-p_corrupt pins.
+CORRUPTED_DIGESTS = {
+    "self_proposed": {
+        "runs.jsonl": "312af6e8231c79fe1d0ef8db1130b8c18733ecbfea83e1f4c7c23969da6c3ee3",
+        "library.json": "27714f62c627b9298c7ad65240542b4462e17651614f1d1a2be7a8131eb81a91",
+        "report.json": "834f79334bdab0ef6e8b2bba9f944886f33ee736882bd831b50a0f227d5e4527",
+        "report.csv": "82a0e99d6654a01cce8a6fb8c8560454318f1f9f6669adda38dd2575ef204369",
+        "events.json": "931e58eed79b24a650ca2d90e673bfa3748595c15aa9688b509ebb5ddd705af5",
+    },
+    "proposed_observation": DIGESTS["proposed_observation"],
+}
+
+
+def _run_digests(name, tmp_path, capsys, *extra):
     argv = [
         "bench", "run", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path),
-        "--seed", "7", "--n_tasks", "20", "--n_repeats", "5", "--events",
+        "--seed", "7", "--n_tasks", "20", "--n_repeats", "5", "--events", *extra,
     ]
     assert main(argv) == 0
     capsys.readouterr()
-    got = {
+    return {
         output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
         for output in DIGESTS[name]
     }
-    assert got == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_bundled_run_outputs_are_pinned(name, tmp_path, capsys):
+    assert _run_digests(name, tmp_path, capsys) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_DIGESTS))
+def test_corrupted_plan_outputs_are_pinned(name, tmp_path, capsys):
+    got = _run_digests(name, tmp_path, capsys, "--planner.p_corrupt", "0.3")
+    assert got == CORRUPTED_DIGESTS[name]

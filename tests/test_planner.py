@@ -318,6 +318,14 @@ class TestHttpPlanner:
             HttpPlanner(endpoint=url, model="test-model").plan(task)
         assert server.requests[0]["authorization"] is None
 
+    @pytest.mark.parametrize("name, value", [
+        ("retries", -1), ("timeout_s", 0.0), ("timeout_s", -1.0), ("timeout_s", float("inf")),
+        ("timeout_s", float("nan")), ("temperature", -3.0), ("temperature", float("nan")),
+    ])
+    def test_bad_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            HttpPlanner(endpoint="http://127.0.0.1:1/x", model="m", **{name: value})
+
     def test_replan_requires_feedback(self, task):
         planner = HttpPlanner(endpoint="http://127.0.0.1:1/x", model="m")
         with pytest.raises(PlannerError):

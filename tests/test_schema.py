@@ -196,7 +196,7 @@ _configs = st.builds(
         endpoint=st.none() | _text,
         model=st.none() | _text,
         temperature=_floats(),
-        timeout_s=_floats(),
+        timeout_s=st.floats(0.0, 1e6, exclude_min=True),
         retries=st.integers(0, 9),
     ),
     library_path=st.none() | _text,

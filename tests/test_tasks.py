@@ -89,6 +89,10 @@ class TestDescriptorInvariants:
         with pytest.raises(ValueError):
             make_task(goal=())
 
+    def test_target_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="^target_sequence must be non-empty$"):
+            make_task(target=())
+
     def test_target_must_fit_max_steps(self):
         with pytest.raises(ValueError):
             make_task(target=("move",) * 9, max_steps=8)
@@ -197,6 +201,14 @@ class TestCorpusPersistence:
         with pytest.raises(SchemaError) as err:
             corpus_from_doc(doc)
         assert "goal" in str(err.value)
+
+    def test_empty_target_sequence_named(self):
+        doc = corpus_to_doc(generate_corpus(seed=1, n_tasks=1, n_repeats=1))
+        doc["events"][0]["task"]["target_sequence"] = []
+        with pytest.raises(SchemaError) as err:
+            corpus_from_doc(doc)
+        assert err.value.field == "events[0].task"
+        assert "target_sequence must be non-empty" in str(err.value)
 
     def test_string_sequences_rejected(self):
         events = generate_corpus(seed=1, n_tasks=1, n_repeats=1, mode=OBSERVATION_FIRST)
