@@ -38,11 +38,11 @@ planner = MockPlanner(seed=2, p_corrupt=1.0)  # force one wrong step
 plan = planner.plan(task).plan
 print(f"\nplanner proposed: {list(plan.direct_solution)}")
 
-dataset = EpisodeDataset(signature_of(task))
+dataset = EpisodeDataset()
 executor.collect(list(plan.direct_solution), dataset, VirtualClock())
 candidate = initialize(plan, dataset)
 for sample in dataset.self_samples:
-    if not sample.outcome.success:
+    if not sample.success:
         print(f"  step {sample.t} failed ({sample.action}); confidence halved, step flagged")
         quasi_adjust(candidate, sample)
 
@@ -60,7 +60,7 @@ observation = ObservedEvent(
     success=True,
     context={"source": "external-agent"},
 )
-dataset = EpisodeDataset(signature_of(task))
+dataset = EpisodeDataset()
 dataset.ingest_observation(observation)
 
 plan = MockPlanner(seed=2, p_corrupt=1.0).plan(task).plan

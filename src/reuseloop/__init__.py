@@ -53,7 +53,7 @@ from .errors import (
     ReuseLoopError,
     SchemaError,
 )
-from .experience import EpisodeDataset, ExperienceSample, Outcome, SampleContext
+from .experience import EpisodeDataset, ExperienceSample
 from .learner import (
     CandidateSolution,
     ValidationReport,

@@ -47,7 +47,7 @@ from typing import Any, get_type_hints
 
 from . import learner
 from .errors import PlannerError, RecordStreamError, SchemaError, number_text, read_dataclass
-from .experience import EpisodeDataset, ExperienceSample, Outcome, SampleContext, SOURCE_SELF
+from .experience import EpisodeDataset, ExperienceSample, SOURCE_SELF
 from .library import Method, MethodLibrary
 from .planner import EpisodeOutcome, Planner, PlannerFeedback, PlannerHistory
 from .tasks import TaskDescriptor, TaskEvent
@@ -112,8 +112,8 @@ class SequenceExecutor(learner.Replayer):
     Execution succeeds when the attempted sequence equals the target.
     ``replay`` makes that check for validation, at no cost; ``execute``
     charges the clock and makes it. ``collect`` records one experience
-    sample per step, with feedback 1 for a step matching the expected
-    action, and ``first_failed_step`` names the first step that does not.
+    sample per step, successful when the step matches the expected action,
+    and ``first_failed_step`` names the first step that does not.
     """
 
     def __init__(self, task: TaskDescriptor, config: ExecutorConfig):
@@ -127,24 +127,12 @@ class SequenceExecutor(learner.Replayer):
         clock.add("execute", self.config.execute_time(len(sequence)))
         return self.replay(sequence)
 
-    def collect(
-        self, sequence: list[str], dataset: EpisodeDataset, clock: VirtualClock
-    ) -> list[ExperienceSample]:
+    def collect(self, sequence: list[str], dataset: EpisodeDataset, clock: VirtualClock) -> None:
         clock.add("collect", self.config.collect_s)
         target = self.task.target_sequence
-        samples = []
         for i, action in enumerate(sequence, start=1):
             ok = i <= len(target) and action == target[i - 1]
-            sample = ExperienceSample(
-                t=i,
-                observation={"step": i},
-                action=action,
-                outcome=Outcome(success=ok, feedback=1.0 if ok else 0.0),
-                context=SampleContext(source=SOURCE_SELF, environment=dict(self.task.environment)),
-            )
-            dataset.record_step(sample)
-            samples.append(sample)
-        return samples
+            dataset.record_step(ExperienceSample(i, action, ok, SOURCE_SELF))
 
     def first_failed_step(self, sequence: list[str]) -> int | None:
         """1-based index of the first action off the target, None if there is none."""
@@ -210,7 +198,6 @@ class _Episode:
         planner: Planner,
         thresholds: TriggerThresholds,
         config: ExecutorConfig,
-        clock: VirtualClock,
         history: PlannerHistory | None,
     ):
         self.event = event
@@ -220,7 +207,7 @@ class _Episode:
         self.planner = planner
         self.thresholds = thresholds
         self.config = config
-        self.clock = clock
+        self.clock = VirtualClock()
         self.history = history
         self.executor = SequenceExecutor(event.task, config)
         self.llm_calls = 0
@@ -314,13 +301,11 @@ class _Episode:
         except PlannerError:
             return
         observed = self.event.observed
+        dataset = EpisodeDataset()
         if observed is not None:
-            dataset = EpisodeDataset(task_signature=observed.task_signature)
             dataset.ingest_observation(observed)
-        else:
-            dataset = EpisodeDataset(task_signature=self.task.signature)
-            if plan.direct_solution is not None:
-                self.executor.collect(list(plan.direct_solution), dataset, self.clock)
+        elif plan.direct_solution is not None:
+            self.executor.collect(list(plan.direct_solution), dataset, self.clock)
         try:
             candidate = learner.initialize(plan, dataset)
         except ValueError:
@@ -345,7 +330,6 @@ def run_episode(
     planner: Planner,
     thresholds: TriggerThresholds,
     executor_config: ExecutorConfig,
-    clock: VirtualClock | None = None,
     *,
     repeat_index: int = 1,
     history: PlannerHistory | None = None,
@@ -356,16 +340,15 @@ def run_episode(
     """
     if mode not in POLICY_MODES:
         raise ValueError(f"unknown policy mode {mode!r}")
-    clock = clock if clock is not None else VirtualClock()
-    ep = _Episode(event, mode, library, planner, thresholds, executor_config, clock, history)
+    ep = _Episode(event, mode, library, planner, thresholds, executor_config, history)
     ep.run()
     return RunRecord(
         policy=mode,
         task_id=event.task.id,
         repeat_index=repeat_index,
         cycle=event.cycle,
-        **{f"{phase}_s": seconds for phase, seconds in clock.phases.items()},
-        total_s=clock.now_s,
+        **{f"{phase}_s": seconds for phase, seconds in ep.clock.phases.items()},
+        total_s=ep.clock.now_s,
         llm_calls=ep.llm_calls,
         llm_time_s=ep.llm_time_s,
         success=ep.success,

@@ -1,16 +1,14 @@
 """Episode experience: step samples from self-execution and observation.
 
 An episode dataset keeps the two sources apart. Self-execution samples come
-from the agent's own attempts (failed steps included, with feedback 0);
-observation samples are unpacked from successful external behaviors.
+from the agent's own attempts, failed steps included; observation samples
+are unpacked from successful external behaviors, one successful sample per
+observed action.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Mapping
 
 from .tasks import ObservedEvent
 
@@ -20,51 +18,32 @@ SOURCES = (SOURCE_SELF, SOURCE_OBSERVED)
 
 
 @dataclass(frozen=True)
-class Outcome:
-    success: bool
-    feedback: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.feedback <= 1.0:
-            raise ValueError("feedback must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class SampleContext:
-    source: str
-    environment: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown sample source {self.source!r}")
-
-
-@dataclass(frozen=True)
 class ExperienceSample:
-    """One recorded step: observation, action, outcome, context."""
+    """One recorded step: its 1-based index, the action, whether it
+    succeeded, and where the sample came from."""
 
     t: int
-    observation: Mapping[str, Any]
     action: str
-    outcome: Outcome
-    context: SampleContext
+    success: bool
+    source: str
 
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("step index t must be >= 1")
+        if self.source not in SOURCES:
+            raise ValueError(f"unknown sample source {self.source!r}")
 
 
 @dataclass
 class EpisodeDataset:
     """Per-episode samples, split by source, step indices strictly increasing."""
 
-    task_signature: str
-    self_samples: list[ExperienceSample] = field(default_factory=list)
-    obs_samples: list[ExperienceSample] = field(default_factory=list)
+    self_samples: list[ExperienceSample] = field(default_factory=list, init=False)
+    obs_samples: list[ExperienceSample] = field(default_factory=list, init=False)
 
     def record_step(self, sample: ExperienceSample) -> "EpisodeDataset":
         """Append ``sample`` to the list matching its source."""
-        target = self.self_samples if sample.context.source == SOURCE_SELF else self.obs_samples
+        target = self.self_samples if sample.source == SOURCE_SELF else self.obs_samples
         if target and sample.t <= target[-1].t:
             raise ValueError(
                 f"step index {sample.t} not after last recorded index {target[-1].t}"
@@ -82,38 +61,11 @@ class EpisodeDataset:
             raise ValueError("only successful observations can be ingested")
         start = self.obs_samples[-1].t if self.obs_samples else 0
         for offset, action in enumerate(event.action_sequence, start=1):
-            self.obs_samples.append(
-                ExperienceSample(
-                    t=start + offset,
-                    observation={"channel": "external"},
-                    action=action,
-                    outcome=Outcome(success=True, feedback=1.0),
-                    context=SampleContext(source=SOURCE_OBSERVED, environment=dict(event.context)),
-                )
-            )
+            self.obs_samples.append(ExperienceSample(start + offset, action, True, SOURCE_OBSERVED))
         return self
 
     def merged_size(self) -> int:
         return len(self.self_samples) + len(self.obs_samples)
 
     def all_samples(self) -> list[ExperienceSample]:
-        return list(self.self_samples) + list(self.obs_samples)
-
-    def dump_jsonl(self, path: str | Path) -> None:
-        """Audit dump, one sample per line."""
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for sample in self.all_samples():
-                fh.write(json.dumps(_sample_to_dict(self.task_signature, sample)) + "\n")
-
-
-def _sample_to_dict(signature: str, s: ExperienceSample) -> dict:
-    return {
-        "task_signature": signature,
-        "t": s.t,
-        "observation": dict(s.observation),
-        "action": s.action,
-        "success": s.outcome.success,
-        "feedback": s.outcome.feedback,
-        "source": s.context.source,
-        "environment": dict(s.context.environment),
-    }
+        return self.self_samples + self.obs_samples

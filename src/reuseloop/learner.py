@@ -86,7 +86,7 @@ def initialize(plan: LearningPlan, dataset: EpisodeDataset) -> CandidateSolution
 def _successful_prefix(dataset: EpisodeDataset) -> list[str]:
     by_index: dict[int, Counter] = {}
     for sample in dataset.all_samples():
-        if sample.outcome.success:
+        if sample.success:
             by_index.setdefault(sample.t, Counter())[sample.action] += 1
     sequence = []
     t = 1
@@ -109,7 +109,7 @@ def quasi_adjust(candidate: CandidateSolution, new_sample: ExperienceSample) -> 
     idx = new_sample.t - 1
     if not 0 <= idx < len(candidate.sequence):
         raise ValueError(f"sample step {new_sample.t} outside candidate of length {len(candidate.sequence)}")
-    if new_sample.outcome.success:
+    if new_sample.success:
         candidate.per_step_confidence[idx] = (candidate.per_step_confidence[idx] + 1.0) / 2.0
     else:
         candidate.per_step_confidence[idx] /= 2.0
@@ -137,15 +137,13 @@ def train_episode(candidate: CandidateSolution, dataset: EpisodeDataset) -> Cand
         here = samples_at.get(i + 1)
         if not here:
             continue
-        wins = Counter(s.action for s in here if s.outcome.success)
+        wins = Counter(s.action for s in here if s.success)
         current = candidate.sequence[i]
         if wins:
             top = max(wins.values())
             winners = {a for a, c in wins.items() if c == top}
             candidate.sequence[i] = current if current in winners else min(winners)
-        candidate.per_step_confidence[i] = sum(
-            1 for s in here if s.outcome.success
-        ) / len(here)
+        candidate.per_step_confidence[i] = sum(1 for s in here if s.success) / len(here)
 
     candidate.stage = STAGE_REFINED
     candidate.flagged_steps.clear()

@@ -41,6 +41,9 @@ DEFAULT_P_CORRUPT = 0.05
 
 API_KEY_ENV = "REUSELOOP_API_KEY"
 
+# Entries each PlannerHistory list keeps, newest last.
+HISTORY_MAX_ENTRIES = 50
+
 
 @dataclass(frozen=True)
 class CandidateModel:
@@ -118,15 +121,14 @@ class PlannerHistory:
 
     recent_tasks: list[str] = field(default_factory=list)
     recent_methods: list[dict] = field(default_factory=list)
-    max_entries: int = 50
 
     def record_task(self, signature: str) -> None:
         self.recent_tasks.append(signature)
-        del self.recent_tasks[: -self.max_entries]
+        del self.recent_tasks[:-HISTORY_MAX_ENTRIES]
 
     def record_method(self, method_id: str, success_ratio: float) -> None:
         self.recent_methods.append({"id": method_id, "success_ratio": round(success_ratio, 4)})
-        del self.recent_methods[: -self.max_entries]
+        del self.recent_methods[:-HISTORY_MAX_ENTRIES]
 
 
 def _check_latency(latency_s: float) -> None:
@@ -204,7 +206,7 @@ class MockPlanner:
     planners built with the same seed and called in the same order produce
     identical calls. The direct solution equals the task's hidden target
     sequence, except that with probability ``p_corrupt`` one step is replaced
-    by a different action from the vocabulary.
+    by a different action from ``DEFAULT_ACTIONS``.
 
     ``replan`` applies a documented transformation: for every failed step in
     the feedback it inserts an ``observe`` directive immediately before that
@@ -217,7 +219,6 @@ class MockPlanner:
         seed: int = 0,
         latency_s: float = DEFAULT_MOCK_LATENCY_S,
         p_corrupt: float = DEFAULT_P_CORRUPT,
-        vocab: tuple[str, ...] = DEFAULT_ACTIONS,
     ):
         _check_latency(latency_s)
         if not 0.0 <= p_corrupt <= 1.0:
@@ -225,7 +226,6 @@ class MockPlanner:
         self.seed = seed
         self.latency_s = latency_s
         self.p_corrupt = p_corrupt
-        self.vocab = tuple(vocab)
         self._calls = 0
 
     @property
@@ -277,9 +277,7 @@ class MockPlanner:
         solution = list(task.target_sequence)
         if rng.random() < self.p_corrupt:
             idx = rng.randrange(len(solution))
-            alternatives = [a for a in self.vocab if a != solution[idx]]
-            if alternatives:
-                solution[idx] = rng.choice(alternatives)
+            solution[idx] = rng.choice([a for a in DEFAULT_ACTIONS if a != solution[idx]])
         return solution
 
     @staticmethod
@@ -314,8 +312,9 @@ class HttpPlanner:
     Sends ``{"model", "messages", "temperature"}`` to the configured
     endpoint; the first message embeds the plan schema, the task descriptor,
     and recent history. The response's message content is parsed as a plan
-    document. Schema violations and transport errors are retried up to
-    ``retries`` times before raising ``PlanningFailedError``.
+    document. Schema violations, transport errors and a non-string message
+    content are retried up to ``retries`` times before raising
+    ``PlanningFailedError``.
 
     Authentication: if the environment variable named by ``api_key_env``
     (default ``REUSELOOP_API_KEY``) is set, its value is sent as a bearer
@@ -408,6 +407,8 @@ class HttpPlanner:
                 # urlopen raises HTTPError on a non-2xx status.
                 with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
                     text = json.loads(response.read())["choices"][0]["message"]["content"]
+                if not isinstance(text, str):  # null for refusals and tool calls
+                    raise TypeError(f"message content is {type(text).__name__}, not a string")
             except Exception as exc:  # transport, status or envelope failure
                 latency += time.monotonic() - started
                 if isinstance(exc, urllib.error.HTTPError):

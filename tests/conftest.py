@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from reuseloop.library import Applicability, DataProfile, Method, MethodLibrary, Reliability
+from reuseloop.experience import SOURCE_SELF, ExperienceSample
+from reuseloop.library import (
+    Applicability,
+    DataProfile,
+    Method,
+    MethodLibrary,
+    Reliability,
+    matching_score,
+)
 from reuseloop.tasks import TaskConstraints, TaskDescriptor, normalize_goal, signature_of
 
 
@@ -68,6 +76,30 @@ def method_for_task(task, method_id="m-task", successes=1, attempts=1, procedure
         ),
         reliability=Reliability(successes=successes, attempts=attempts),
     )
+
+
+def make_sample(t, action="move", success=True, source=SOURCE_SELF):
+    return ExperienceSample(t, action, success, source)
+
+
+def linear_scan_oracle(library, task, tau_r):
+    """Independent reference for retrieve_best: explicit scan and tie-break.
+
+    Returns ``(method, score, covered)``.
+    """
+    best, best_key = None, None
+    for method in library.methods():
+        key = (
+            matching_score(task, method),
+            method.reliability.success_ratio,
+            method.reliability.last_used_cycle,
+        )
+        if best is None or key > best_key or (key == best_key and method.id < best.id):
+            best, best_key = method, key
+    if best is None:
+        return None, 0.0, False
+    score = matching_score(task, best)
+    return best, score, score >= tau_r
 
 
 @pytest.fixture

@@ -37,12 +37,11 @@ from reuseloop.engine import (
 )
 from reuseloop.experience import EpisodeDataset
 from reuseloop.learner import CandidateSolution, STAGE_INITIAL, train_episode
-from reuseloop.library import MethodLibrary, matching_score
+from reuseloop.library import MethodLibrary
 from reuseloop.metrics import aggregate, empirical_coverage
 from reuseloop.tasks import ObservedEvent, signature_of
 
-from conftest import make_method, make_task
-from test_experience import sample as experience_sample
+from conftest import linear_scan_oracle, make_method, make_sample, make_task
 from test_trigger import iter_trigger_table, run_table_case
 
 REFERENCE_MEANS = {
@@ -175,22 +174,6 @@ def test_criterion_5_cost_model_properties():
     print("criterion 5: PASS - cost-model properties hold on 10,000 random profiles")
 
 
-def _retrieval_oracle(library, task, tau_r):
-    best, best_key = None, None
-    for method in library.methods():
-        key = (
-            matching_score(task, method),
-            method.reliability.success_ratio,
-            method.reliability.last_used_cycle,
-        )
-        if best is None or key > best_key or (key == best_key and method.id < best.id):
-            best, best_key = method, key
-    if best is None:
-        return None, 0.0, False
-    score = matching_score(task, best)
-    return best, score, score >= tau_r
-
-
 def test_criterion_6_oracle_equivalence():
     rng = random.Random(61)
     token_pool = ["pick", "up", "red", "cube", "ball", "sort", "tray", "blue", "stack", "peg"]
@@ -218,7 +201,7 @@ def test_criterion_6_oracle_equivalence():
             )
         tau_r = rng.choice([0.0, 0.3, 0.8, 1.0])
         got = library.retrieve_best(task, tau_r)
-        want_method, want_score, want_covered = _retrieval_oracle(library, task, tau_r)
+        want_method, want_score, want_covered = linear_scan_oracle(library, task, tau_r)
         assert got.method is want_method
         assert got.score == want_score
         assert got.covered == want_covered
@@ -227,12 +210,12 @@ def test_criterion_6_oracle_equivalence():
     for _ in range(1_000):
         length = rng.randint(1, 6)
         start = [rng.choice(actions) for _ in range(length)]
-        dataset = EpisodeDataset("sig")
+        dataset = EpisodeDataset()
         remaining = 50
         n_self = rng.randint(0, min(20, remaining))
         for t in range(1, n_self + 1):
-            dataset.record_step(experience_sample(t, action=rng.choice(actions),
-                                                  success=rng.random() < 0.6))
+            dataset.record_step(make_sample(t, action=rng.choice(actions),
+                                            success=rng.random() < 0.6))
         remaining -= n_self
         while remaining > 0 and rng.random() < 0.6:
             obs_len = rng.randint(1, min(6, remaining))
@@ -253,7 +236,7 @@ def test_criterion_6_oracle_equivalence():
             if not here:
                 assert refined.sequence[i] == start[i]
                 continue
-            wins = Counter(s.action for s in here if s.outcome.success)
+            wins = Counter(s.action for s in here if s.success)
             if wins:
                 top = max(wins.values())
                 winners = sorted(a for a, c in wins.items() if c == top)
@@ -261,7 +244,7 @@ def test_criterion_6_oracle_equivalence():
             else:
                 expected = start[i]
             assert refined.sequence[i] == expected
-            good = sum(1 for s in here if s.outcome.success)
+            good = sum(1 for s in here if s.success)
             assert refined.per_step_confidence[i] == good / len(here)
     print("criterion 6: PASS - retrieval and consolidation match brute-force oracles (1,000 each)")
 
@@ -269,9 +252,9 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_experience_property():
     rng = random.Random(7)
     for _ in range(2_000):
-        dataset = EpisodeDataset("sig")
+        dataset = EpisodeDataset()
         for t in range(1, rng.randint(1, 12)):
-            dataset.record_step(experience_sample(t, success=rng.random() < 0.5))
+            dataset.record_step(make_sample(t, success=rng.random() < 0.5))
         for _ in range(rng.randint(0, 4)):
             dataset.ingest_observation(
                 ObservedEvent("sig", ("move",) * rng.randint(1, 6), True, {})

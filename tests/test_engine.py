@@ -514,11 +514,11 @@ class TestClockAndExecutor:
         clock = VirtualClock()
         from reuseloop.experience import EpisodeDataset
 
-        ds = EpisodeDataset(signature_of(task))
+        ds = EpisodeDataset()
         wrong = list(task.target_sequence)
         wrong[1] = "rotate" if wrong[1] != "rotate" else "push"
         executor.collect(wrong, ds, clock)
-        assert [s.outcome.success for s in ds.self_samples] == [
+        assert [s.success for s in ds.self_samples] == [
             a == b for a, b in zip(wrong, task.target_sequence)
         ]
         assert clock.phases["collect"] == CFG.collect_s

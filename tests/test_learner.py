@@ -6,14 +6,7 @@ from collections import Counter
 import pytest
 
 from reuseloop import learner
-from reuseloop.experience import (
-    EpisodeDataset,
-    ExperienceSample,
-    Outcome,
-    SampleContext,
-    SOURCE_OBSERVED,
-    SOURCE_SELF,
-)
+from reuseloop.experience import SOURCE_OBSERVED, EpisodeDataset
 from reuseloop.learner import (
     STAGE_ADJUSTED,
     STAGE_INITIAL,
@@ -32,17 +25,7 @@ from reuseloop.library import matching_score
 from reuseloop.planner import MockPlanner, UpdateCriteria
 from reuseloop.tasks import ObservedEvent
 
-from conftest import make_method, make_task
-
-
-def sample(t, action, success, source=SOURCE_SELF):
-    return ExperienceSample(
-        t=t,
-        observation={},
-        action=action,
-        outcome=Outcome(success=success, feedback=1.0 if success else 0.0),
-        context=SampleContext(source=source),
-    )
+from conftest import make_method, make_sample, make_task
 
 
 def plan_for(task, p_corrupt=0.0, seed=1):
@@ -71,63 +54,63 @@ class _FixedReplayer(learner.Replayer):
 
 class TestInitialize:
     def test_direct_solution_seeds_candidate(self, task):
-        candidate = initialize(plan_for(task), EpisodeDataset("sig"))
+        candidate = initialize(plan_for(task), EpisodeDataset())
         assert candidate.stage == STAGE_INITIAL
         assert tuple(candidate.sequence) == task.target_sequence
         assert candidate.per_step_confidence == [1.0] * len(task.target_sequence)
         assert candidate.model_family == "sequence"
 
     def test_observation_dataset_fallback(self, task):
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         ds.ingest_observation(ObservedEvent("sig", ("move", "grasp", "lift", "place"), True, {}))
         candidate = initialize(plan_without_solution(task), ds)
         assert candidate.sequence == ["move", "grasp", "lift", "place"]
 
     def test_prefix_stops_at_first_unsuccessful_index(self, task):
-        ds = EpisodeDataset("sig")
-        ds.record_step(sample(1, "move", True))
-        ds.record_step(sample(2, "grasp", False))
-        ds.record_step(sample(3, "lift", True))
+        ds = EpisodeDataset()
+        ds.record_step(make_sample(1, "move", True))
+        ds.record_step(make_sample(2, "grasp", False))
+        ds.record_step(make_sample(3, "lift", True))
         candidate = initialize(plan_without_solution(task), ds)
         assert candidate.sequence == ["move"]
 
     def test_empty_everything_is_an_error(self, task):
         with pytest.raises(ValueError):
-            initialize(plan_without_solution(task), EpisodeDataset("sig"))
+            initialize(plan_without_solution(task), EpisodeDataset())
 
 
 class TestQuasiAdjust:
     def test_failure_halves_confidence(self, task):
-        candidate = initialize(plan_for(task), EpisodeDataset("sig"))
-        quasi_adjust(candidate, sample(2, "grasp", False))
+        candidate = initialize(plan_for(task), EpisodeDataset())
+        quasi_adjust(candidate, make_sample(2, "grasp", False))
         assert candidate.per_step_confidence[1] == 0.5
         assert candidate.stage == STAGE_ADJUSTED
         assert 2 in candidate.flagged_steps
 
     def test_success_averages_toward_one(self, task):
-        candidate = initialize(plan_for(task), EpisodeDataset("sig"))
+        candidate = initialize(plan_for(task), EpisodeDataset())
         candidate.per_step_confidence[1] = 0.5
-        quasi_adjust(candidate, sample(2, "grasp", True))
+        quasi_adjust(candidate, make_sample(2, "grasp", True))
         assert candidate.per_step_confidence[1] == 0.75
 
     def test_refined_candidates_are_immutable(self, task):
-        candidate = initialize(plan_for(task), EpisodeDataset("sig"))
+        candidate = initialize(plan_for(task), EpisodeDataset())
         candidate.stage = STAGE_REFINED
         with pytest.raises(ValueError):
-            quasi_adjust(candidate, sample(1, "move", True))
+            quasi_adjust(candidate, make_sample(1, "move", True))
 
 
 class TestTrainEpisode:
     def test_majority_replaces_step(self):
         task = make_task(target=("move", "grasp", "lift", "place"))
         # index 3 saw place succeed twice and drop fail once
-        ds = EpisodeDataset("sig")
-        ds.record_step(sample(1, "move", True))
-        ds.record_step(sample(2, "grasp", True))
-        ds.record_step(sample(3, "lift", True))
-        ds.record_step(sample(4, "drop", False))
+        ds = EpisodeDataset()
+        ds.record_step(make_sample(1, "move", True))
+        ds.record_step(make_sample(2, "grasp", True))
+        ds.record_step(make_sample(3, "lift", True))
+        ds.record_step(make_sample(4, "drop", False))
         ds.ingest_observation(ObservedEvent("sig", ("move", "grasp", "lift", "place"), True, {}))
-        ds.obs_samples.append(sample(5, "place", True, source=SOURCE_OBSERVED))
+        ds.obs_samples.append(make_sample(5, "place", True, source=SOURCE_OBSERVED))
         # candidate starts from the faulty attempt
         plan = plan_for(make_task(target=("move", "grasp", "lift", "drop")))
         candidate = initialize(plan, ds)
@@ -136,16 +119,16 @@ class TestTrainEpisode:
         assert candidate.sequence[3] == "place"
 
     def test_fixed_point_on_agreeing_data(self, task):
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         for i, action in enumerate(task.target_sequence, start=1):
-            ds.record_step(sample(i, action, True))
+            ds.record_step(make_sample(i, action, True))
         candidate = initialize(plan_for(task), ds)
         refined = train_episode(candidate, ds)
         assert tuple(refined.sequence) == task.target_sequence
         assert refined.per_step_confidence == [1.0] * len(task.target_sequence)
 
     def test_observation_only_dataset_recovers_target(self, task):
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         ds.ingest_observation(ObservedEvent("sig", task.target_sequence, True, {}))
         candidate = initialize(plan_without_solution(task), ds)
         refined = train_episode(candidate, ds)
@@ -160,13 +143,13 @@ class TestTrainEpisode:
             update_criteria=plan.update_criteria,
             direct_solution=tuple(corrupted),
         )
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         ds.ingest_observation(ObservedEvent("sig", task.target_sequence, True, {}))
         refined = train_episode(initialize(plan, ds), ds)
         assert tuple(refined.sequence) == task.target_sequence
 
     def test_refined_is_immutable(self, task):
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         candidate = initialize(plan_for(task), ds)
         candidate = train_episode(candidate, ds)
         with pytest.raises(ValueError):
@@ -178,11 +161,11 @@ class TestTrainEpisode:
         for _ in range(300):
             length = rng.randint(1, 6)
             start = [rng.choice(actions) for _ in range(length)]
-            ds = EpisodeDataset("sig")
+            ds = EpisodeDataset()
             t_self = 0
             for _ in range(rng.randint(0, 20)):
                 t_self += 1
-                ds.record_step(sample(t_self, rng.choice(actions), rng.random() < 0.6))
+                ds.record_step(make_sample(t_self, rng.choice(actions), rng.random() < 0.6))
             for _ in range(rng.randint(0, 3)):
                 ds.ingest_observation(
                     ObservedEvent("sig", tuple(rng.choice(actions) for _ in range(rng.randint(1, 6))), True, {})
@@ -201,7 +184,7 @@ class TestTrainEpisode:
                 if not here:
                     assert refined.sequence[i] == start[i]
                     continue
-                wins = Counter(s.action for s in here if s.outcome.success)
+                wins = Counter(s.action for s in here if s.success)
                 if wins:
                     top = max(wins.values())
                     winners = sorted(a for a, c in wins.items() if c == top)
@@ -211,33 +194,33 @@ class TestTrainEpisode:
                         assert refined.sequence[i] == winners[0]
                 else:
                     assert refined.sequence[i] == start[i]
-                good = sum(1 for s in here if s.outcome.success)
+                good = sum(1 for s in here if s.success)
                 assert refined.per_step_confidence[i] == pytest.approx(good / len(here))
 
 
 class TestValidate:
     def test_correct_sequence_passes(self, task):
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         report = validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
         assert report.passed and report.replay_success
 
     def test_corrupted_sequence_fails_replay(self, task):
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         candidate.sequence[0] = "rotate"
         report = validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
         assert not report.replay_success and not report.passed
 
     def test_low_confidence_fails_despite_replay(self, task):
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         candidate.per_step_confidence[0] = 0.25
         report = validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
         assert report.replay_success and not report.passed
 
     def test_only_refined_candidates_validate(self, task):
-        candidate = initialize(plan_for(task), EpisodeDataset("sig"))
+        candidate = initialize(plan_for(task), EpisodeDataset())
         with pytest.raises(ValueError):
             validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
 
@@ -248,7 +231,7 @@ class TestValidate:
 
 class TestBuildMethod:
     def _validated_candidate(self, task, ds=None):
-        ds = ds if ds is not None else EpisodeDataset("sig")
+        ds = ds if ds is not None else EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
         return candidate, ds
@@ -261,7 +244,7 @@ class TestBuildMethod:
         assert (rel.successes, rel.attempts, rel.created_cycle) == (1, 1, 4)
 
     def test_data_profile_counts(self, task):
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         ds.ingest_observation(ObservedEvent("sig", task.target_sequence, True, {}))
         candidate, ds = self._validated_candidate(task, ds)
         method = build_method(candidate, task, ds, cycle=0)
@@ -271,13 +254,13 @@ class TestBuildMethod:
         )
 
     def test_unvalidated_candidate_rejected(self, task):
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         with pytest.raises(ValueError):
             build_method(candidate, task, ds, cycle=0)
 
     def test_failed_validation_rejected(self, task):
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         validate(candidate, _FixedReplayer(("other",)), UpdateCriteria())
         with pytest.raises(ValueError):
@@ -305,7 +288,7 @@ class TestUtility:
         assert needs_refinement(weak, 0, tau_u=0.3)
 
     def test_fresh_validated_method_not_refined_under_defaults(self, task):
-        ds = EpisodeDataset("sig")
+        ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
         method = build_method(candidate, task, ds, cycle=0)
@@ -313,11 +296,11 @@ class TestUtility:
 
 
 def test_stage_never_moves_backward(task):
-    ds = EpisodeDataset("sig")
-    ds.record_step(sample(1, task.target_sequence[0], True))
+    ds = EpisodeDataset()
+    ds.record_step(make_sample(1, task.target_sequence[0], True))
     candidate = initialize(plan_for(task), ds)
     order = [candidate.stage]
-    quasi_adjust(candidate, sample(2, "rotate", False))
+    quasi_adjust(candidate, make_sample(2, "rotate", False))
     order.append(candidate.stage)
     train_episode(candidate, ds)
     order.append(candidate.stage)

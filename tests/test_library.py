@@ -22,7 +22,7 @@ from reuseloop.library import (
 )
 from reuseloop.tasks import signature_of
 
-from conftest import make_method, make_task, method_for_task
+from conftest import linear_scan_oracle, make_method, make_task, method_for_task
 
 
 class TestMatchingScore:
@@ -52,27 +52,6 @@ class TestMatchingScore:
             b = set(rng.sample(tokens, rng.randint(0, len(tokens))))
             assert jaccard(a, b) == jaccard(b, a)
             assert 0.0 <= jaccard(a, b) <= 1.0
-
-
-def _linear_scan_oracle(library, task, tau_r):
-    """Independent reference for retrieve_best: explicit scan and tie-break."""
-    best = None
-    best_key = None
-    for method in library.methods():
-        key = (
-            matching_score(task, method),
-            method.reliability.success_ratio,
-            method.reliability.last_used_cycle,
-        )
-        if best is None:
-            best, best_key = method, key
-            continue
-        if key > best_key or (key == best_key and method.id < best.id):
-            best, best_key = method, key
-    if best is None:
-        return None, 0.0, False
-    score = matching_score(task, best)
-    return best, score, score >= tau_r
 
 
 class TestRetrieveBest:
@@ -145,7 +124,7 @@ class TestRetrieveBest:
                 )
             tau_r = rng.choice([0.0, 0.4, 0.8, 1.0])
             got = library.retrieve_best(task, tau_r)
-            want_method, want_score, want_covered = _linear_scan_oracle(library, task, tau_r)
+            want_method, want_score, want_covered = linear_scan_oracle(library, task, tau_r)
             assert got.method is want_method
             assert got.score == want_score
             assert got.covered == want_covered
@@ -195,7 +174,7 @@ def retrieval_cases(draw):
 
 def _assert_matches_oracle(library, task, tau_r):
     got = library.retrieve_best(task, tau_r)
-    want_method, want_score, want_covered = _linear_scan_oracle(library, task, tau_r)
+    want_method, want_score, want_covered = linear_scan_oracle(library, task, tau_r)
     assert got.method is want_method
     assert got.score == want_score
     assert got.covered == want_covered

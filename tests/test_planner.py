@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from reuseloop.errors import PlannerError, PlanningFailedError, SchemaError
 from reuseloop.planner import (
     DEFAULT_MOCK_LATENCY_S,
+    HISTORY_MAX_ENTRIES,
     PLAN_SCHEMA_DOC,
     EpisodeOutcome,
     HttpPlanner,
@@ -44,6 +45,15 @@ class TestMockDeterminism:
         b = MockPlanner(seed=5)
         history = PlannerHistory(recent_tasks=["sig-1", "sig-2"])
         assert a.plan(task, history) == b.plan(task, None)
+
+    def test_history_keeps_the_newest_entries(self):
+        history = PlannerHistory()
+        for i in range(HISTORY_MAX_ENTRIES + 5):
+            history.record_task(f"sig-{i}")
+            history.record_method(f"m-{i}", 1.0)
+        assert len(history.recent_tasks) == len(history.recent_methods) == HISTORY_MAX_ENTRIES
+        assert history.recent_tasks[0] == "sig-5"
+        assert history.recent_methods[-1]["id"] == f"m-{HISTORY_MAX_ENTRIES + 4}"
 
     def test_latency_default_and_override(self, task):
         assert MockPlanner(seed=1).plan(task).latency_s == DEFAULT_MOCK_LATENCY_S
@@ -289,6 +299,31 @@ class TestHttpPlanner:
                 planner.plan(task)
         assert len(server.requests) == 3
         assert planner.failed_calls == 1
+
+    def test_null_content_retried(self, task):
+        with scripted_server([(200, None), (200, VALID_PLAN_TEXT)]) as (server, url):
+            planner = HttpPlanner(endpoint=url, model="test-model", retries=2)
+            call = planner.plan(task)
+        assert call.plan.direct_solution == ("move", "grasp", "lift")
+        assert len(server.requests) == 2
+        assert planner.failed_calls == 0
+
+    @pytest.mark.parametrize(
+        "content", [None, 7, {"direct_solution": ["move"]}], ids=["null", "number", "object"]
+    )
+    def test_non_string_content_exhausts_retries(self, task, tmp_path, content):
+        transcript = tmp_path / "transcript.jsonl"
+        with scripted_server([(200, content)] * 3) as (server, url):
+            planner = HttpPlanner(
+                endpoint=url, model="test-model", retries=2, transcript_path=transcript
+            )
+            with pytest.raises(PlanningFailedError, match="not a string"):
+                planner.plan(task)
+        assert len(server.requests) == 3
+        assert planner.failed_calls == 1
+        entries = [json.loads(line) for line in transcript.read_text().splitlines()]
+        assert [e["attempt"] for e in entries] == [0, 1, 2]
+        assert all("not a string" in e["error"] for e in entries)
 
     def test_http_error_retried(self, task):
         script = [(500, "oops"), (200, VALID_PLAN_TEXT)]
