@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -120,21 +121,23 @@ class SequenceExecutor(learner.Replayer):
         self.task = task
         self.config = config
 
-    def replay(self, sequence: list[str]) -> bool:
+    def replay(self, sequence: Sequence[str]) -> bool:
         return tuple(sequence) == self.task.target_sequence
 
-    def execute(self, sequence: list[str], clock: VirtualClock) -> bool:
+    def execute(self, sequence: Sequence[str], clock: VirtualClock) -> bool:
         clock.add("execute", self.config.execute_time(len(sequence)))
         return self.replay(sequence)
 
-    def collect(self, sequence: list[str], dataset: EpisodeDataset, clock: VirtualClock) -> None:
+    def collect(
+        self, sequence: Sequence[str], dataset: EpisodeDataset, clock: VirtualClock
+    ) -> None:
         clock.add("collect", self.config.collect_s)
         target = self.task.target_sequence
         for i, action in enumerate(sequence, start=1):
             ok = i <= len(target) and action == target[i - 1]
             dataset.record_step(ExperienceSample(i, action, ok, SOURCE_SELF))
 
-    def first_failed_step(self, sequence: list[str]) -> int | None:
+    def first_failed_step(self, sequence: Sequence[str]) -> int | None:
         """1-based index of the first action off the target, None if there is none."""
         target = self.task.target_sequence
         return next(
@@ -237,14 +240,14 @@ class _Episode:
             except PlannerError:
                 return
             if solution is not None:
-                self.success = self.executor.execute(list(solution), self.clock)
+                self.success = self.executor.execute(solution, self.clock)
             return
 
         self.clock.add("retrieve", self.config.retrieve_s)
         found = self.library.retrieve_best(self.task, self.thresholds.tau_r)
         if self.mode == LIBRARY_ONLY:
             if found.covered:
-                self.success = self.executor.execute(list(found.method.procedure), self.clock)
+                self.success = self.executor.execute(found.method.procedure, self.clock)
                 self.library.update_reliability(found.method.id, self.success, self.event.cycle)
                 self.hit = True
             return
@@ -273,8 +276,7 @@ class _Episode:
         """Execute a stored method. If its utility then falls below ``tau_u``,
         re-enter learning once: replan from the execution feedback, with no
         second execution charge."""
-        attempted = list(method.procedure)
-        ok = self.executor.execute(attempted, self.clock)
+        ok = self.executor.execute(method.procedure, self.clock)
         self.library.update_reliability(method.id, ok, self.event.cycle)
         self.success = ok
         self.hit = True
@@ -282,7 +284,7 @@ class _Episode:
             self.history.record_method(method.id, method.reliability.success_ratio)
         # After update_reliability, so idle is 0; checking first moves the reuse-384 pins.
         if learner.needs_refinement(method, self.event.cycle, self.thresholds.tau_u):
-            failed_step = self.executor.first_failed_step(attempted)
+            failed_step = self.executor.first_failed_step(method.procedure)
             self.learn(PlannerFeedback(
                 episode_outcomes=[EpisodeOutcome(success=ok, failed_step=failed_step)],
                 notes="stored method utility fell below the refinement threshold",
@@ -305,7 +307,7 @@ class _Episode:
         if observed is not None:
             dataset.ingest_observation(observed)
         elif plan.direct_solution is not None:
-            self.executor.collect(list(plan.direct_solution), dataset, self.clock)
+            self.executor.collect(plan.direct_solution, dataset, self.clock)
         try:
             candidate = learner.initialize(plan, dataset)
         except ValueError:
@@ -320,7 +322,7 @@ class _Episode:
         if observed is not None:
             self.success = self.learned
         elif feedback is None:
-            self.success = self.executor.execute(list(candidate.sequence), self.clock)
+            self.success = self.executor.execute(candidate.sequence, self.clock)
 
 
 def run_episode(

@@ -15,6 +15,7 @@ analytically.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .experience import EpisodeDataset, ExperienceSample
@@ -58,7 +59,7 @@ class CandidateSolution:
 class Replayer:
     """Anything that can check a candidate sequence once, without side effects."""
 
-    def replay(self, sequence: list[str]) -> bool:  # pragma: no cover - interface
+    def replay(self, sequence: Sequence[str]) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -162,7 +163,7 @@ def validate(
     """
     if candidate.stage != STAGE_REFINED:
         raise ValueError("only refined candidates can be validated")
-    replay_success = bool(executor.replay(list(candidate.sequence)))
+    replay_success = bool(executor.replay(candidate.sequence))
     threshold = update_criteria.validation_threshold
     floor = min(candidate.per_step_confidence) if candidate.per_step_confidence else 0.0
     report = ValidationReport(

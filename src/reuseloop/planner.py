@@ -16,6 +16,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Protocol
 
@@ -199,14 +200,25 @@ def parse_plan(text: str) -> LearningPlan:
 # ---------------------------------------------------------------------------
 
 
+# Immutable parts every mock plan shares, beside LearningPlan's default UpdateCriteria.
+_MOCK_MODELS = (
+    CandidateModel("sequence", "goal decomposes into an ordered action chain"),
+    CandidateModel("hybrid", "fallback when pure sequence features underfit"),
+)
+_MOCK_SUBPROBLEMS = ("order primitives into an executable chain", "define a per-step success check")
+_execute_step = cache(partial(StrategyStep, "execute"))
+_requirement = cache(partial(DataRequirement, min_samples=1))
+
+
 class MockPlanner:
     """Deterministic stand-in for the LLM.
 
-    Output is a pure function of (task signature, seed, call index): two
-    planners built with the same seed and called in the same order produce
-    identical calls. The direct solution equals the task's hidden target
-    sequence, except that with probability ``p_corrupt`` one step is replaced
-    by a different action from ``DEFAULT_ACTIONS``.
+    Each call draws from an RNG keyed by (seed, task signature, call index)
+    and builds its plan from the task's goal, observations and target; the
+    same seed and call order give identical calls. The direct solution is the
+    hidden target, except that with probability ``p_corrupt`` one step is
+    replaced by a different action from ``DEFAULT_ACTIONS``. Clean,
+    feedback-free calls share one frozen ``PlannerCall`` per task content.
 
     ``replan`` applies a documented transformation: for every failed step in
     the feedback it inserts an ``observe`` directive immediately before that
@@ -227,6 +239,7 @@ class MockPlanner:
         self.latency_s = latency_s
         self.p_corrupt = p_corrupt
         self._calls = 0
+        self._clean: dict[tuple, PlannerCall] = {}
 
     @property
     def calls_made(self) -> int:
@@ -240,27 +253,17 @@ class MockPlanner:
     ) -> PlannerCall:
         call_index = self._calls
         self._calls += 1
-        solution = self._solution_for(task, call_index)
-        plan = LearningPlan(
-            candidate_models=(
-                CandidateModel("sequence", "goal decomposes into an ordered action chain"),
-                CandidateModel("hybrid", "fallback when pure sequence features underfit"),
-            ),
-            subproblems=(
-                f"ground goal '{' '.join(task.goal)}' to actuator primitives",
-                "order primitives into an executable chain",
-                "define a per-step success check",
-            ),
-            data_requirements=tuple(
-                DataRequirement(channel=ch, min_samples=1) for ch in task.observations
-            ),
-            strategy=tuple(StrategyStep("execute", action) for action in solution),
-            update_criteria=UpdateCriteria(),
-            direct_solution=tuple(solution),
-        )
+        # random() < 0.0 never holds, so p_corrupt 0 skips the draw.
+        solution = self._solution_for(task, call_index) if self.p_corrupt else task.target_sequence
         if feedback is not None and feedback.episode_outcomes:
-            plan = self._weave_feedback(plan, feedback)
-        return PlannerCall(latency_s=self.latency_s, plan=plan)
+            plan = self._weave_feedback(self._build(task, solution), feedback)
+            return PlannerCall(self.latency_s, plan)
+        if solution != task.target_sequence:
+            return PlannerCall(self.latency_s, self._build(task, solution))
+        key = (task.goal, task.observations, solution)  # not the signature: it ignores these
+        if (call := self._clean.get(key)) is None:
+            call = self._clean[key] = PlannerCall(self.latency_s, self._build(task, solution))
+        return call
 
     def replan(
         self,
@@ -272,31 +275,38 @@ class MockPlanner:
             raise PlannerError("replan requires feedback with at least one episode outcome")
         return self.plan(task, history, feedback)
 
-    def _solution_for(self, task: TaskDescriptor, call_index: int) -> list[str]:
+    def _solution_for(self, task: TaskDescriptor, call_index: int) -> tuple[str, ...]:
         rng = random.Random(f"{self.seed}:{task.signature}:{call_index}")
+        if rng.random() >= self.p_corrupt:
+            return task.target_sequence
         solution = list(task.target_sequence)
-        if rng.random() < self.p_corrupt:
-            idx = rng.randrange(len(solution))
-            solution[idx] = rng.choice([a for a in DEFAULT_ACTIONS if a != solution[idx]])
-        return solution
+        idx = rng.randrange(len(solution))
+        solution[idx] = rng.choice([a for a in DEFAULT_ACTIONS if a != solution[idx]])
+        return tuple(solution)
+
+    @staticmethod
+    def _build(task: TaskDescriptor, solution: tuple[str, ...]) -> LearningPlan:
+        return LearningPlan(
+            candidate_models=_MOCK_MODELS,
+            subproblems=(
+                f"ground goal '{' '.join(task.goal)}' to actuator primitives",
+                *_MOCK_SUBPROBLEMS,
+            ),
+            data_requirements=tuple(map(_requirement, task.observations)),
+            strategy=tuple(map(_execute_step, solution)),
+            direct_solution=solution,
+        )
 
     @staticmethod
     def _weave_feedback(plan: LearningPlan, feedback: PlannerFeedback) -> LearningPlan:
-        failed = sorted(
-            {
-                o.failed_step
-                for o in feedback.episode_outcomes
-                if not o.success and o.failed_step is not None
-            }
-        )
+        failed = {o.failed_step for o in feedback.episode_outcomes if not o.success} - {None}
         if not failed:
             return plan
         strategy: list[StrategyStep] = []
         for step_no, directive in enumerate(plan.strategy, start=1):
             if step_no in failed:
-                strategy.append(
-                    StrategyStep("observe", f"inspect preconditions before step {step_no}")
-                )
+                note = f"inspect preconditions before step {step_no}"
+                strategy.append(StrategyStep("observe", note))
             strategy.append(directive)
         return replace(plan, strategy=tuple(strategy))
 

@@ -5,7 +5,8 @@ with ``--events``, and the sha256 of its ``runs.jsonl``, ``library.json``,
 ``report.json``, ``report.csv`` and ``events.json`` must match. The
 acceptance tests compare the README table to 4 decimals; these pins catch
 any change to a record, a stored method, a report value or the corpus
-writer. Two learning modes are pinned again at ``planner.p_corrupt`` 0.3.
+writer. Two learning modes and both baseline modes are pinned again at
+``planner.p_corrupt`` 0.3.
 """
 
 from __future__ import annotations
@@ -58,11 +59,26 @@ DIGESTS = {
 }
 
 
-# The learning modes at planner.p_corrupt 0.3, where some plans are
-# corrupted: a self plan then fails validation and the task is relearned on
-# a later repeat, and an observation outvotes the corrupted plan, so
-# proposed_observation's outputs equal its default-p_corrupt pins.
+# Runs at planner.p_corrupt 0.3, where some plans are corrupted: a self plan
+# then fails validation and the task is relearned on a later repeat, and an
+# observation outvotes the corrupted plan, so proposed_observation's outputs
+# equal its default-p_corrupt pins. The baseline modes plan on every self
+# event, and a corrupted draw fails that event's execution.
 CORRUPTED_DIGESTS = {
+    "self_always_llm": {
+        "runs.jsonl": "8fcda7736a5603ab46925451f9111a07c4d610e90bc0f1760b86deaf4e2a12c5",
+        "library.json": "ee7a5764d6a13012c564d085a91fd34ad1025149b24d13a620cc3cb190a379e3",
+        "report.json": "17e32105f5167c3df36d28084a41f3fe8d253a18bf268c886048c2acf04d1f9a",
+        "report.csv": "77b297a911df6738fb194c84ecd52d2d40488003882d3a807246ad6864fcde21",
+        "events.json": "931e58eed79b24a650ca2d90e673bfa3748595c15aa9688b509ebb5ddd705af5",
+    },
+    "observation_only": {
+        "runs.jsonl": "e30b8d29d5146b2e82ce834befefdbe06d791a227fd1290d7c3818e3bdf6b64a",
+        "library.json": "ee7a5764d6a13012c564d085a91fd34ad1025149b24d13a620cc3cb190a379e3",
+        "report.json": "af0ffc4f1fdd2e501d9f8f0847c93187b4609d4ea7b7a1e2b98c1ef68c7bd6b0",
+        "report.csv": "c57c76f88c4eaf144847aede4e73b26c7280bd2f304d4d8d8fc32d050247f517",
+        "events.json": "b7a9b9b7d012a3b8aa94ef3b9b485161cd068426d6f349f87e7b9cec95841c7f",
+    },
     "self_proposed": {
         "runs.jsonl": "312af6e8231c79fe1d0ef8db1130b8c18733ecbfea83e1f4c7c23969da6c3ee3",
         "library.json": "27714f62c627b9298c7ad65240542b4462e17651614f1d1a2be7a8131eb81a91",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import threading
 import types
 import typing
@@ -28,7 +29,7 @@ from reuseloop.planner import (
     parse_plan,
     plan_to_dict,
 )
-from reuseloop.tasks import generate_corpus
+from reuseloop.tasks import DEFAULT_ACTIONS, generate_corpus
 
 from conftest import make_task
 
@@ -123,6 +124,113 @@ class TestMockReplan:
         ).plan
         assert replanned == plain
         assert replanned.update_criteria == plain.update_criteria
+
+
+# Four tasks of one signature: the signature ignores the target, the
+# observations and the goal's case, and each of these changes the plan.
+_BASE = make_task()
+SAME_SIGNATURE_TASKS = (
+    _BASE,
+    make_task(target=("lift", "grasp", "move")),
+    dataclasses.replace(_BASE, observations=("vision",)),
+    make_task(goal=("Pick", "Up", "Red", "Cube")),
+)
+OTHER_TASK = make_task(goal=("stack", "blue", "block"), target=("move", "place"), task_id="t-1")
+
+
+def reference_plan(seed, p_corrupt, task, call_index, feedback=None):
+    """The documented mock plan, written out independently of the planner."""
+    rng = random.Random(f"{seed}:{task.signature}:{call_index}")
+    solution = list(task.target_sequence)
+    if rng.random() < p_corrupt:
+        idx = rng.randrange(len(solution))
+        solution[idx] = rng.choice([a for a in DEFAULT_ACTIONS if a != solution[idx]])
+    failed = set()
+    if feedback is not None:
+        failed = {o.failed_step for o in feedback.episode_outcomes if not o.success}
+    strategy = []
+    for step_no, action in enumerate(solution, start=1):
+        if step_no in failed:
+            strategy.append(
+                {"kind": "observe", "detail": f"inspect preconditions before step {step_no}"}
+            )
+        strategy.append({"kind": "execute", "detail": action})
+    return {
+        "candidate_models": [
+            {"family": "sequence", "rationale": "goal decomposes into an ordered action chain"},
+            {"family": "hybrid", "rationale": "fallback when pure sequence features underfit"},
+        ],
+        "subproblems": [
+            f"ground goal '{' '.join(task.goal)}' to actuator primitives",
+            "order primitives into an executable chain",
+            "define a per-step success check",
+        ],
+        "data_requirements": [{"channel": ch, "min_samples": 1} for ch in task.observations],
+        "strategy": strategy,
+        "update_criteria": {"validation_threshold": 0.5, "max_episodes": 3},
+        "direct_solution": solution,
+    }
+
+
+class TestMockCache:
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 0, 3, 2, 0, 1)])
+    def test_same_signature_tasks_get_their_own_plans(self, order):
+        assert len({t.signature for t in SAME_SIGNATURE_TASKS}) == 1
+        planner = MockPlanner(seed=3, p_corrupt=0.0)
+        for i in order:
+            task = SAME_SIGNATURE_TASKS[i]
+            plan = planner.plan(task).plan
+            assert plan.direct_solution == task.target_sequence
+            assert [s.detail for s in plan.strategy] == list(task.target_sequence)
+            assert [r.channel for r in plan.data_requirements] == list(task.observations)
+            goal = " ".join(task.goal)
+            assert plan.subproblems[0] == f"ground goal '{goal}' to actuator primitives"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        p_corrupt=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        calls=st.lists(
+            st.tuples(
+                st.integers(0, len(SAME_SIGNATURE_TASKS)),
+                st.sampled_from(["plan", "plan_with_feedback", "replan"]),
+                st.lists(
+                    st.builds(EpisodeOutcome, st.booleans(), st.none() | st.integers(0, 4)),
+                    min_size=1,
+                    max_size=3,
+                ),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_matches_reference_over_interleaved_calls(self, seed, p_corrupt, calls):
+        tasks = (*SAME_SIGNATURE_TASKS, OTHER_TASK)
+        planner = MockPlanner(seed=seed, p_corrupt=p_corrupt)
+        first_clean = {}
+        not_clean = []  # corrupted or feedback calls; kept alive so ids stay unique
+        for call_index, (task_no, how, outcomes) in enumerate(calls):
+            task = tasks[task_no]
+            feedback = None if how == "plan" else PlannerFeedback(episode_outcomes=outcomes)
+            if how == "replan":
+                call = planner.replan(task, None, feedback)
+            else:
+                call = planner.plan(task, None, feedback)
+            assert planner.calls_made == call_index + 1
+            assert call.latency_s == DEFAULT_MOCK_LATENCY_S
+            expected = reference_plan(seed, p_corrupt, task, call_index, feedback)
+            assert plan_to_dict(call.plan) == expected
+            clean = feedback is None and tuple(expected["direct_solution"]) == task.target_sequence
+            if not clean:
+                not_clean.append(call)
+                continue
+            assert all(call is not other for other in not_clean)
+            if p_corrupt == 0.0:
+                assert first_clean.setdefault(task_no, call) is call
+
+    def test_clean_call_is_shared_at_zero_corruption(self, task):
+        planner = MockPlanner(seed=1, p_corrupt=0.0)
+        assert planner.plan(task) is planner.plan(task)
+        assert planner.calls_made == 2
 
 
 class TestParsePlan:
