@@ -97,8 +97,8 @@ class VirtualClock:
     def add(self, phase: str, seconds: float) -> None:
         if phase not in self.phases:
             raise ValueError(f"unknown phase {phase!r}")
-        if seconds < 0:
-            raise ValueError("durations must be nonnegative")
+        if not 0.0 <= seconds < math.inf:
+            raise ValueError(f"durations must be finite and nonnegative, got {seconds!r}")
         self.phases[phase] += seconds
 
     @property
@@ -149,6 +149,7 @@ class SequenceExecutor(learner.Replayer):
 
 _PHASE_FIELDS = tuple(f"{phase}_s" for phase in PHASES)
 _NONNEGATIVE_FIELDS = (*_PHASE_FIELDS, "llm_time_s", "llm_calls")
+_FINITE_FIELDS = (*_PHASE_FIELDS, "total_s", "llm_time_s")
 _phase_times = attrgetter(*_PHASE_FIELDS)
 
 
@@ -178,6 +179,10 @@ class RunRecord:
         if min(phases) < 0 or self.llm_time_s < 0 or self.llm_calls < 0:
             name = next(name for name in _NONNEGATIVE_FIELDS if getattr(self, name) < 0)
             raise ValueError(f"{name} must be nonnegative")
+        # A finite total over nonnegative phases makes every phase finite.
+        if not (math.isfinite(self.total_s) and math.isfinite(self.llm_time_s)):
+            name = next(name for name in _FINITE_FIELDS if not math.isfinite(getattr(self, name)))
+            raise ValueError(f"{name} must be finite")
         if self.repeat_index < 1:
             raise ValueError("repeat_index must be >= 1")
         if self.cycle < 0:
@@ -344,18 +349,10 @@ def run_episode(
         raise ValueError(f"unknown policy mode {mode!r}")
     ep = _Episode(event, mode, library, planner, thresholds, executor_config, history)
     ep.run()
+    # Positional: the phases come in PHASES order, which RunRecord's fields follow.
     return RunRecord(
-        policy=mode,
-        task_id=event.task.id,
-        repeat_index=repeat_index,
-        cycle=event.cycle,
-        **{f"{phase}_s": seconds for phase, seconds in ep.clock.phases.items()},
-        total_s=ep.clock.now_s,
-        llm_calls=ep.llm_calls,
-        llm_time_s=ep.llm_time_s,
-        success=ep.success,
-        hit=ep.hit,
-        learned=ep.learned,
+        mode, event.task.id, repeat_index, event.cycle, *ep.clock.phases.values(),
+        ep.clock.now_s, ep.llm_calls, ep.llm_time_s, ep.success, ep.hit, ep.learned,
     )
 
 

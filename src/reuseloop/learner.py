@@ -130,21 +130,24 @@ def train_episode(candidate: CandidateSolution, dataset: EpisodeDataset) -> Cand
     """
     if candidate.stage == STAGE_REFINED:
         raise ValueError("refined candidates are immutable")
-    samples_at: dict[int, list[ExperienceSample]] = {}
+    # One pass: per step index, the number of samples and the successes by action.
+    samples_at: dict[int, int] = {}
+    wins_at: dict[int, dict[str, int]] = {}
     for sample in dataset.all_samples():
-        samples_at.setdefault(sample.t, []).append(sample)
+        samples_at[sample.t] = samples_at.get(sample.t, 0) + 1
+        wins = wins_at.setdefault(sample.t, {})
+        if sample.success:
+            wins[sample.action] = wins.get(sample.action, 0) + 1
 
-    for i in range(len(candidate.sequence)):
-        here = samples_at.get(i + 1)
-        if not here:
+    for i, current in enumerate(candidate.sequence):
+        wins = wins_at.get(i + 1)
+        if wins is None:
             continue
-        wins = Counter(s.action for s in here if s.success)
-        current = candidate.sequence[i]
         if wins:
             top = max(wins.values())
-            winners = {a for a, c in wins.items() if c == top}
-            candidate.sequence[i] = current if current in winners else min(winners)
-        candidate.per_step_confidence[i] = sum(1 for s in here if s.success) / len(here)
+            if wins.get(current) != top:
+                candidate.sequence[i] = min(a for a, c in wins.items() if c == top)
+        candidate.per_step_confidence[i] = sum(wins.values()) / samples_at[i + 1]
 
     candidate.stage = STAGE_REFINED
     candidate.flagged_steps.clear()

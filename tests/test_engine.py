@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -10,9 +11,11 @@ from reuseloop.engine import (
     ALWAYS_LLM,
     LIBRARY_ONLY,
     OBSERVATION_ONLY,
+    PHASES,
     POLICY_MODES,
     PROPOSED,
     PROPOSED_OBSERVATION,
+    RECORD_FIELDS,
     ExecutorConfig,
     RunRecord,
     SequenceExecutor,
@@ -44,6 +47,7 @@ CFG = ExecutorConfig(
 )
 THRESHOLDS = TriggerThresholds()
 LATENCY = 0.5
+INF, NAN = float("inf"), float("nan")
 
 
 def planner(p_corrupt=0.0, seed=1):
@@ -386,7 +390,8 @@ class TestRunLoop:
 
 
 _PHASE_FIELDS = ("retrieve_s", "plan_llm_s", "execute_s", "collect_s", "train_s", "store_s")
-_phase_times = st.floats(min_value=0.0, allow_nan=False)
+# Bounded so that the six-phase total stays finite, as a record's must.
+_phase_times = st.floats(min_value=0.0, max_value=1e300)
 
 
 @st.composite
@@ -408,10 +413,10 @@ def _run_records(draw):
     )
 
 
-_INF_RECORD = RunRecord(
-    policy=PROPOSED, task_id="t-inf", repeat_index=1, cycle=0,
-    retrieve_s=0.0, plan_llm_s=0.0, execute_s=float("inf"), collect_s=0.0, train_s=0.0,
-    store_s=0.0, total_s=float("inf"), llm_calls=0, llm_time_s=float("nan"),
+_EXTREME_RECORD = RunRecord(
+    policy=PROPOSED, task_id="t-extreme", repeat_index=1, cycle=0,
+    retrieve_s=0.0, plan_llm_s=5e-324, execute_s=1e300, collect_s=0.1, train_s=1e-7,
+    store_s=0.0, total_s=5e-324 + 1e300 + 0.1 + 1e-7, llm_calls=0, llm_time_s=5e-324,
     success=False, hit=False, learned=False,
 )
 
@@ -429,12 +434,33 @@ class TestRecordStreams:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_run_records(), max_size=5))
-    @example([_INF_RECORD])
+    @example([_EXTREME_RECORD])
     def test_lines_are_compact_json_dumps_property(self, tmp_path_factory, records):
         path = tmp_path_factory.getbasetemp() / "property-runs.jsonl"
         write_records(records, path)
         expected = "".join(json.dumps(record_to_dict(r)) + "\n" for r in records)
         assert path.read_text(encoding="utf-8") == expected
+        assert read_records(path) == records
+
+    def test_fields_follow_the_clock_phases(self):
+        # run_episode builds each record positionally from the clock's phases.
+        assert RECORD_FIELDS[:4] == ("policy", "task_id", "repeat_index", "cycle")
+        assert RECORD_FIELDS[4:11] == (*_PHASE_FIELDS, "total_s")
+        assert RECORD_FIELDS[4:10] == tuple(f"{phase}_s" for phase in PHASES)
+        assert RECORD_FIELDS[11:] == ("llm_calls", "llm_time_s", "success", "hit", "learned")
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"execute_s": INF, "total_s": INF}, "execute_s"),
+        ({"plan_llm_s": INF, "total_s": INF, "llm_time_s": INF}, "plan_llm_s"),
+        ({"total_s": NAN}, "total_s"),
+        ({"total_s": INF}, "total_s"),
+        ({"llm_time_s": NAN}, "llm_time_s"),
+        ({"llm_time_s": INF}, "llm_time_s"),
+    ])
+    def test_non_finite_record_rejected(self, changes, field):
+        # Such a record would be written as NaN or Infinity, which read_records rejects.
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            dataclasses.replace(self._records()[0], **changes)
 
     def test_write_avoids_the_pure_python_encoder(self, tmp_path, monkeypatch):
         records = self._records()
@@ -530,6 +556,13 @@ class TestClockAndExecutor:
         assert executor.first_failed_step(target[:-1]) is None
         assert executor.first_failed_step(["rotate", *target[1:]]) == 1
         assert executor.first_failed_step([*target, "move"]) == len(target) + 1
+
+    @pytest.mark.parametrize("value", [INF, NAN, -INF])
+    def test_non_finite_duration_rejected(self, value):
+        clock = VirtualClock()
+        with pytest.raises(ValueError, match="^durations must be finite and nonnegative"):
+            clock.add("execute", value)
+        assert clock.now_s == 0.0
 
     def test_record_invariants(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ with ``--events``, and the sha256 of its ``runs.jsonl``, ``library.json``,
 acceptance tests compare the README table to 4 decimals; these pins catch
 any change to a record, a stored method, a report value or the corpus
 writer. Two learning modes and both baseline modes are pinned again at
-``planner.p_corrupt`` 0.3.
+``planner.p_corrupt`` 0.3, and the two learning modes at 384 tasks x 3
+repeats.
 """
 
 from __future__ import annotations
@@ -90,10 +91,33 @@ CORRUPTED_DIGESTS = {
 }
 
 
-def _run_digests(name, tmp_path, capsys, *extra):
+# The two learning modes again at the size of perfbench's reuse-384
+# workload, 384 tasks x 3 repeats, where round 1 grows a 384-method library
+# and later rounds reuse it.
+BENCHMARK_SIZE_DIGESTS = {
+    "self_proposed": {
+        "runs.jsonl": "4a9fd183ee03e7644b5c168c40e6c6aa41a37ac4b0a33c6bfcb1a57e72db8e2a",
+        "library.json": "79ca30b5cec6daf0199f1387ef8992cdd8902fe44f60f7883c4abf99ac59738f",
+        "report.json": "2791842907364733fff89d30b76d3392cb5613e2d6238183a4a2744323e1e2d7",
+        "report.csv": "4537d6f427c68d1264d4a5bfb9d90743301bb0b05d63f91fbadc8f2ecc4c3009",
+        "events.json": "ed86747ca4d47b3f0f225f79ffb1c6abef20cc31ae39f2ccfa9dec567dfdae07",
+    },
+    "proposed_observation": {
+        "runs.jsonl": "c6a0c8b69817ed2f581ef7e269ee887617b4840791cc60f9f803909e3f4e006e",
+        "library.json": "03be2982b36b67af2286a162e1ac619c729c16173a961a42c7c949eac65a99b4",
+        "report.json": "10b640216750f0710bbfdfe924f78b0a77410763c9b36a596025b1e25bc84a8a",
+        "report.csv": "4556f46d19af3a7b5c9b1604e9b651e04302f06af9c255177bc1338efa7a9393",
+        "events.json": "69cc370b17225f39989f4a3d868e87d8ad7b08c9eaaae7aa1470d09a8670b095",
+    },
+}
+
+
+def _run_digests(name, tmp_path, capsys, *extra, size=(20, 5)):
+    n_tasks, n_repeats = size
     argv = [
         "bench", "run", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path),
-        "--seed", "7", "--n_tasks", "20", "--n_repeats", "5", "--events", *extra,
+        "--seed", "7", "--n_tasks", str(n_tasks), "--n_repeats", str(n_repeats), "--events",
+        *extra,
     ]
     assert main(argv) == 0
     capsys.readouterr()
@@ -112,3 +136,9 @@ def test_bundled_run_outputs_are_pinned(name, tmp_path, capsys):
 def test_corrupted_plan_outputs_are_pinned(name, tmp_path, capsys):
     got = _run_digests(name, tmp_path, capsys, "--planner.p_corrupt", "0.3")
     assert got == CORRUPTED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SIZE_DIGESTS))
+def test_benchmark_size_outputs_are_pinned(name, tmp_path, capsys):
+    got = _run_digests(name, tmp_path, capsys, size=(384, 3))
+    assert got == BENCHMARK_SIZE_DIGESTS[name]

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from reuseloop import learner
-from reuseloop.experience import SOURCE_OBSERVED, EpisodeDataset
+from reuseloop.experience import SOURCE_OBSERVED, SOURCE_SELF, EpisodeDataset
 from reuseloop.learner import (
     STAGE_ADJUSTED,
     STAGE_INITIAL,
@@ -195,7 +195,39 @@ class TestTrainEpisode:
                 else:
                     assert refined.sequence[i] == start[i]
                 good = sum(1 for s in here if s.success)
-                assert refined.per_step_confidence[i] == pytest.approx(good / len(here))
+                assert refined.per_step_confidence[i] == good / len(here)
+
+    @pytest.mark.parametrize("start, samples, sequence, confidence", [
+        pytest.param(
+            ["rotate", "place"], [(1, "move", True, SOURCE_SELF), (1, "grasp", True, SOURCE_OBSERVED)],
+            ["grasp", "place"], [1.0, 0.75], id="tie_without_candidate_goes_to_min",
+        ),
+        pytest.param(
+            ["move", "place"], [(1, "move", True, SOURCE_SELF), (1, "grasp", True, SOURCE_OBSERVED)],
+            ["move", "place"], [1.0, 0.75], id="tie_with_candidate_keeps_it",
+        ),
+        pytest.param(
+            ["lift", "place"], [(1, "move", False, SOURCE_SELF), (2, "drop", False, SOURCE_SELF)],
+            ["lift", "place"], [0.0, 0.0], id="only_failed_samples",
+        ),
+        pytest.param(
+            ["drop", "place"], [(1, "drop", False, SOURCE_SELF), (1, "place", True, SOURCE_OBSERVED)],
+            ["place", "place"], [0.5, 0.75], id="self_and_observed_at_one_index",
+        ),
+    ])
+    def test_named_cases(self, start, samples, sequence, confidence):
+        ds = EpisodeDataset()
+        for t, action, success, source in samples:
+            ds.record_step(make_sample(t, action, success, source=source))
+        candidate = CandidateSolution(
+            stage=STAGE_INITIAL,
+            sequence=list(start),
+            per_step_confidence=[0.25, 0.75],
+            model_family="sequence",
+        )
+        refined = train_episode(candidate, ds)
+        assert refined.sequence == sequence
+        assert refined.per_step_confidence == confidence
 
 
 class TestValidate:
