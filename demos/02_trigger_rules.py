@@ -52,12 +52,7 @@ print(f"  score={retrieval.score:.2f} confidence={confidence(retrieval.method, r
 show("task B with a 1/8 record", decide(retrieval, None, None, thresholds))
 
 print("\n=== observations can trigger learning on their own ===")
-observation = ObservedEvent(
-    task_signature=task_b.signature,
-    action_sequence=task_b.target_sequence,
-    success=True,
-    context={"source": "external-agent"},
-)
+observation = ObservedEvent(task_b.target_sequence, success=True)
 obs_retrieval = library.retrieve_best(task_b, thresholds.tau_o)
 show("watched someone solve uncovered task B",
      decide(None, observation, obs_retrieval, thresholds))
@@ -67,11 +62,6 @@ obs_retrieval = library.retrieve_best(task_b, thresholds.tau_o)
 show("same observation, but task B is covered now",
      decide(None, observation, obs_retrieval, thresholds))
 
-failed = ObservedEvent(
-    task_signature=task_b.signature,
-    action_sequence=task_b.target_sequence,
-    success=False,
-    context={},
-)
+failed = ObservedEvent(task_b.target_sequence, success=False)
 show("a failed external attempt never triggers",
      decide(None, failed, obs_retrieval, thresholds))

@@ -21,7 +21,6 @@ from reuseloop import (
     generate_corpus,
     initialize,
     quasi_adjust,
-    signature_of,
     train_episode,
     validate,
 )
@@ -54,12 +53,7 @@ print(f"validation passed: {report.passed} (replay {report.replay_success})")
 print("nothing stored: a single bad attempt cannot outvote itself")
 
 # --- 2. the same planner, plus one successful observation ------------------
-observation = ObservedEvent(
-    task_signature=signature_of(task),
-    action_sequence=task.target_sequence,
-    success=True,
-    context={"source": "external-agent"},
-)
+observation = ObservedEvent(task.target_sequence, success=True)
 dataset = EpisodeDataset()
 dataset.ingest_observation(observation)
 

@@ -266,10 +266,7 @@ class _Episode:
     # -- planner access -----------------------------------------------------
 
     def _plan(self, feedback: PlannerFeedback | None = None):
-        if feedback is None:
-            call = self.planner.plan(self.task, self.history)
-        else:
-            call = self.planner.replan(self.task, self.history, feedback)
+        call = self.planner.plan(self.task, self.history, feedback)
         self.clock.add("plan_llm", call.latency_s)
         self.llm_calls += 1
         self.llm_time_s += call.latency_s

@@ -54,12 +54,17 @@ def _mismatch(kind: type, value: Any, path: str = "") -> _Violation:
 
 
 def _check_items(item: type, container: type, value: list):
-    """``container(value)`` once every entry of ``value`` is exactly an ``item``."""
+    """``container(value)`` once every entry of ``value`` is exactly an
+    ``item``; a set or frozenset also takes no entry twice."""
     for entry in value:
         if type(entry) is not item:
             i = [type(e) is item for e in value].index(False)
             raise _mismatch(item, entry, f"[{i}]")
-    return container(value)
+    result = container(value)
+    if len(result) != len(value):  # a set dropped a repeat
+        i = next(i for i in range(len(value)) if value[i] in value[:i])
+        raise _Violation(f"[{i}]", f"duplicate entry {value[i]!r}")
+    return result
 
 
 def _read_items(read, container: type, value: list):
@@ -190,16 +195,17 @@ def read_dataclass(cls, doc: Any, where: str = ""):
     widened, and rejects NaN and the infinities; an ``X | None`` field may be
     ``null``. A nested dataclass is read the same way, alone or as the items
     of a ``tuple[X, ...]``; other tuples and sets are lists of ``X``, and a
-    ``Mapping[str, X]`` or ``dict[str, X]`` is an object whose values are
-    ``X``, any JSON value for ``Any``. A missing field takes the dataclass
-    default; one without a default is required.
+    set's list may not repeat an entry. A ``Mapping[str, X]`` or
+    ``dict[str, X]`` is an object whose values are ``X``, any JSON value for
+    ``Any``. A missing field takes the dataclass default; one without a
+    default is required.
 
     A violation raises ``SchemaError`` naming its dotted path below
     ``where``, the object's own path (empty at the root), e.g.
     ``events[2].task.constraints.max_steps``: a non-object, an unknown key,
-    a missing or mistyped field, or a ``ValueError`` from a dataclass, which
-    is named at the object it builds (``<root>`` at the root). Paths are
-    built only when raising.
+    a missing or mistyped field, a repeated set entry, or a ``ValueError``
+    from a dataclass, which is named at the object it builds (``<root>`` at
+    the root). Paths are built only when raising.
     """
     return _at(where, cls, cls, doc)
 

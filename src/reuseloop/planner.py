@@ -143,27 +143,20 @@ def _check_latency(latency_s: float) -> None:
 class PlannerCall:
     latency_s: float
     plan: LearningPlan
-    raw: str | None = None
 
     def __post_init__(self):
         _check_latency(self.latency_s)
 
 
 class Planner(Protocol):
-    """The planning interface both implementations satisfy."""
+    """The planning interface both implementations satisfy: one call, which
+    revises the plan from ``feedback`` when it carries an episode outcome."""
 
     def plan(
         self,
         task: TaskDescriptor,
         history: PlannerHistory | None = None,
         feedback: PlannerFeedback | None = None,
-    ) -> PlannerCall: ...
-
-    def replan(
-        self,
-        task: TaskDescriptor,
-        history: PlannerHistory | None,
-        feedback: PlannerFeedback,
     ) -> PlannerCall: ...
 
 
@@ -220,10 +213,10 @@ class MockPlanner:
     replaced by a different action from ``DEFAULT_ACTIONS``. Clean,
     feedback-free calls share one frozen ``PlannerCall`` per task content.
 
-    ``replan`` applies a documented transformation: for every failed step in
-    the feedback it inserts an ``observe`` directive immediately before that
-    step's ``execute`` directive; after an all-success episode the plan is
-    returned unchanged (a fixed point).
+    Feedback with an episode outcome applies a documented transformation:
+    for every failed step it inserts an ``observe`` directive immediately
+    before that step's ``execute`` directive; after an all-success episode
+    the plan is returned unchanged (a fixed point).
     """
 
     def __init__(
@@ -271,6 +264,9 @@ class MockPlanner:
         history: PlannerHistory | None,
         feedback: PlannerFeedback,
     ) -> PlannerCall:
+        """``plan`` with required feedback. Kept only because
+        ``perfbench/tracer.py`` wraps it by name; ROADMAP item 3 deletes it
+        once item 1 lets the tracer skip a missing name."""
         if feedback is None or not feedback.episode_outcomes:
             raise PlannerError("replan requires feedback with at least one episode outcome")
         return self.plan(task, history, feedback)
@@ -368,30 +364,14 @@ class HttpPlanner:
         history: PlannerHistory | None = None,
         feedback: PlannerFeedback | None = None,
     ) -> PlannerCall:
-        messages = [{"role": "system", "content": self._prompt(task, history, feedback)}]
         if feedback is not None and feedback.episode_outcomes:
-            messages.append(
-                {
-                    "role": "user",
-                    "content": "Revise the plan using the execution feedback above. "
-                    "Return only the JSON document.",
-                }
-            )
+            ask = "Revise the plan using the execution feedback above. Return only the JSON document."
         else:
-            messages.append(
-                {"role": "user", "content": "Return only the learning-plan JSON document."}
-            )
-        return self._call(messages)
-
-    def replan(
-        self,
-        task: TaskDescriptor,
-        history: PlannerHistory | None,
-        feedback: PlannerFeedback,
-    ) -> PlannerCall:
-        if feedback is None or not feedback.episode_outcomes:
-            raise PlannerError("replan requires feedback with at least one episode outcome")
-        return self.plan(task, history, feedback)
+            ask = "Return only the learning-plan JSON document."
+        return self._call([
+            {"role": "system", "content": self._prompt(task, history, feedback)},
+            {"role": "user", "content": ask},
+        ])
 
     def _call(self, messages: list[dict]) -> PlannerCall:
         # Imported here: urllib.request loads http.client and ssl, ~3 MiB
@@ -444,7 +424,7 @@ class HttpPlanner:
                     },
                 ]
                 continue
-            return PlannerCall(latency_s=latency, plan=plan, raw=text)
+            return PlannerCall(latency_s=latency, plan=plan)
 
         self.failed_calls += 1
         raise PlanningFailedError(

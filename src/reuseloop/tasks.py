@@ -14,7 +14,7 @@ import itertools
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -105,12 +105,11 @@ class TaskDescriptor:
 
 @dataclass(frozen=True)
 class ObservedEvent:
-    """A successful (or failed) external behavior the agent witnessed."""
+    """A successful (or failed) external behavior the agent witnessed; the
+    enclosing ``TaskEvent`` names its task."""
 
-    task_signature: str
     action_sequence: tuple[str, ...]
     success: bool
-    context: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.success and not self.action_sequence:
@@ -154,7 +153,6 @@ def generate_corpus(
     n_tasks: int,
     n_repeats: int,
     mode: str = SELF_EXECUTION,
-    vocab: tuple[str, ...] = DEFAULT_ACTIONS,
 ) -> list[TaskEvent]:
     """Build the deterministic repeated-task event stream.
 
@@ -172,8 +170,6 @@ def generate_corpus(
         raise ValueError("n_repeats must be >= 1")
     if mode not in CORPUS_MODES:
         raise ValueError(f"unknown corpus mode {mode!r}")
-    if not vocab:
-        raise ValueError("action vocabulary must be non-empty")
 
     combos = list(itertools.product(_VERBS, _COLORS, _OBJECTS))
     if n_tasks > len(combos):
@@ -185,7 +181,7 @@ def generate_corpus(
     tasks = []
     for i, (verb, color, obj) in enumerate(combos[:n_tasks]):
         length = rng.randint(3, 6)
-        target = tuple(rng.choice(vocab) for _ in range(length))
+        target = tuple(rng.choice(DEFAULT_ACTIONS) for _ in range(length))
         tasks.append(
             TaskDescriptor(
                 id=f"task-{i:03d}",
@@ -203,12 +199,7 @@ def generate_corpus(
     for repeat in range(1, n_repeats + 1):
         for task in tasks:
             if mode == OBSERVATION_FIRST and repeat == 1:
-                observed = ObservedEvent(
-                    task_signature=task.signature,
-                    action_sequence=task.target_sequence,
-                    success=True,
-                    context={"source": "external-agent"},
-                )
+                observed = ObservedEvent(task.target_sequence, True)
                 events.append(TaskEvent(cycle, OBSERVED_EVENT, task, observed))
             else:
                 events.append(TaskEvent(cycle, SELF_TASK, task))

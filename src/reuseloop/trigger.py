@@ -43,17 +43,19 @@ class TriggerThresholds:
 
 @dataclass(frozen=True)
 class TriggerDecision:
-    z: bool
     branch: str
     method: Method | None = None
 
     def __post_init__(self):
         if self.branch not in BRANCHES:
             raise ValueError(f"unknown branch {self.branch!r}")
-        if self.z != (self.branch in LEARN_BRANCHES):
-            raise ValueError("z must mirror whether the branch learns")
         if (self.method is not None) != (self.branch == REUSE):
             raise ValueError("method present iff branch is reuse")
+
+    @property
+    def z(self) -> bool:
+        """The paper's learning indicator: whether the branch learns."""
+        return self.branch in LEARN_BRANCHES
 
 
 def confidence(method: Method, score: float) -> float:
@@ -88,15 +90,14 @@ def decide(
     if retrieval is not None:
         # An empty library scores 0; it is uncovered even under tau_r = 0.
         if retrieval.method is None or retrieval.score < thresholds.tau_r:
-            return TriggerDecision(z=True, branch=LEARN_UNCOVERED)
+            return TriggerDecision(LEARN_UNCOVERED)
         if confidence(retrieval.method, retrieval.score) < thresholds.tau_q:
-            return TriggerDecision(z=True, branch=LEARN_LOW_CONFIDENCE)
+            return TriggerDecision(LEARN_LOW_CONFIDENCE)
 
     if observation is not None and observation.success:
-        assert obs_retrieval is not None
         if obs_retrieval.score < thresholds.tau_o:
-            return TriggerDecision(z=True, branch=LEARN_OBSERVATION)
+            return TriggerDecision(LEARN_OBSERVATION)
 
     if retrieval is not None:
-        return TriggerDecision(z=False, branch=REUSE, method=retrieval.method)
-    return TriggerDecision(z=False, branch=NO_ACTION)
+        return TriggerDecision(REUSE, retrieval.method)
+    return TriggerDecision(NO_ACTION)

@@ -220,7 +220,7 @@ def test_criterion_6_oracle_equivalence():
         while remaining > 0 and rng.random() < 0.6:
             obs_len = rng.randint(1, min(6, remaining))
             dataset.ingest_observation(
-                ObservedEvent("sig", tuple(rng.choice(actions) for _ in range(obs_len)), True, {})
+                ObservedEvent(tuple(rng.choice(actions) for _ in range(obs_len)), True)
             )
             remaining -= obs_len
         candidate = CandidateSolution(
@@ -257,7 +257,7 @@ def test_criterion_7_experience_property():
             dataset.record_step(make_sample(t, success=rng.random() < 0.5))
         for _ in range(rng.randint(0, 4)):
             dataset.ingest_observation(
-                ObservedEvent("sig", ("move",) * rng.randint(1, 6), True, {})
+                ObservedEvent(("move",) * rng.randint(1, 6), True)
             )
         assert dataset.merged_size() >= len(dataset.self_samples)
     print("criterion 7: PASS - merged experience never smaller than self-execution alone")

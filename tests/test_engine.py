@@ -28,7 +28,7 @@ from reuseloop.engine import (
 )
 from reuseloop.errors import PlanningFailedError, RecordStreamError
 from reuseloop.library import MethodLibrary
-from reuseloop.planner import MockPlanner
+from reuseloop.planner import EpisodeOutcome, MockPlanner
 from reuseloop.tasks import (
     OBSERVATION_FIRST,
     OBSERVED_EVENT,
@@ -66,7 +66,17 @@ class _FailingPlanner:
     def plan(self, task, history=None, feedback=None):
         raise PlanningFailedError("endpoint unreachable")
 
-    replan = plan
+
+class _PlanOnlyPlanner:
+    """A mock behind ``plan`` alone, keeping the feedback of each call."""
+
+    def __init__(self):
+        self.mock = planner()
+        self.feedback = []
+
+    def plan(self, task, history=None, feedback=None):
+        self.feedback.append(feedback)
+        return self.mock.plan(task, history, feedback)
 
 
 class TestProposedMode:
@@ -117,9 +127,12 @@ class TestProposedMode:
         bad = method_for_task(task, method_id="m-bad", successes=0, attempts=0,
                               procedure=("rotate",) * 3)
         library.insert(bad)
-        record = run_episode(self_event(task, cycle=5), PROPOSED, library, planner(), THRESHOLDS, CFG)
+        plan_only = _PlanOnlyPlanner()
+        record = run_episode(self_event(task, cycle=5), PROPOSED, library, plan_only, THRESHOLDS, CFG)
         assert not record.success  # the reuse execution itself failed
         assert record.llm_calls == 1
+        (feedback,) = plan_only.feedback  # the re-entry asks plan, with feedback
+        assert feedback.episode_outcomes == [EpisodeOutcome(success=False, failed_step=1)]
         assert record.learned and not record.hit
         assert len(library) == 2
         assert library.get("m-bad").reliability.attempts == 1

@@ -40,7 +40,7 @@ class TestRecordStep:
 class TestIngestObservation:
     def test_four_actions_become_four_successful_samples(self):
         ds = EpisodeDataset()
-        ds.ingest_observation(ObservedEvent("sig", ("move", "grasp", "lift", "place"), True, {}))
+        ds.ingest_observation(ObservedEvent(("move", "grasp", "lift", "place"), True))
         assert len(ds.obs_samples) == 4
         assert all(s.success for s in ds.obs_samples)
         assert [s.t for s in ds.obs_samples] == [1, 2, 3, 4]
@@ -48,21 +48,21 @@ class TestIngestObservation:
 
     def test_second_event_renumbers(self):
         ds = EpisodeDataset()
-        ds.ingest_observation(ObservedEvent("sig", ("move", "grasp", "lift"), True, {}))
-        ds.ingest_observation(ObservedEvent("sig", ("rotate", "place"), True, {}))
+        ds.ingest_observation(ObservedEvent(("move", "grasp", "lift"), True))
+        ds.ingest_observation(ObservedEvent(("rotate", "place"), True))
         assert len(ds.obs_samples) == 5
         assert [s.t for s in ds.obs_samples] == [1, 2, 3, 4, 5]
 
     def test_failed_event_rejected(self):
         ds = EpisodeDataset()
         with pytest.raises(ValueError):
-            ds.ingest_observation(ObservedEvent("sig", ("move",), False, {}))
+            ds.ingest_observation(ObservedEvent(("move",), False))
         assert ds.merged_size() == 0
 
     def test_never_touches_self_samples(self):
         ds = EpisodeDataset()
         ds.record_step(make_sample(1))
-        ds.ingest_observation(ObservedEvent("sig", ("move", "grasp"), True, {}))
+        ds.ingest_observation(ObservedEvent(("move", "grasp"), True))
         assert len(ds.self_samples) == 1
 
 
@@ -80,7 +80,7 @@ class TestMergedSize:
         ds = EpisodeDataset()
         for t in range(1, 4):
             ds.record_step(make_sample(t))
-        ds.ingest_observation(ObservedEvent("sig", ("move",) * 4, True, {}))
+        ds.ingest_observation(ObservedEvent(("move",) * 4, True))
         assert ds.merged_size() == 7
 
     def test_merged_never_below_self_on_random_datasets(self):
@@ -91,7 +91,7 @@ class TestMergedSize:
                 ds.record_step(make_sample(t, success=rng.random() < 0.7))
             for _ in range(rng.randint(0, 3)):
                 ds.ingest_observation(
-                    ObservedEvent("sig", ("move",) * rng.randint(1, 5), True, {})
+                    ObservedEvent(("move",) * rng.randint(1, 5), True)
                 )
             assert ds.merged_size() >= len(ds.self_samples)
 

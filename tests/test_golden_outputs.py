@@ -48,14 +48,14 @@ DIGESTS = {
         "library.json": "ee7a5764d6a13012c564d085a91fd34ad1025149b24d13a620cc3cb190a379e3",
         "report.json": "87d238e2081f9c87128f2e80bdd98d84248babf8371fbed5c39c039f4d995f18",
         "report.csv": "f97c2a3873d1edd9736d0b008d9a2197df229e8cac8a1056f5f13ab02fa0e868",
-        "events.json": "b7a9b9b7d012a3b8aa94ef3b9b485161cd068426d6f349f87e7b9cec95841c7f",
+        "events.json": "3cf6ab1ceaa03b695eb01390a9fe9d81d0024c9b2279dd1f83b3c8c378ebef2f",
     },
     "proposed_observation": {
         "runs.jsonl": "a114a4c8c1e766ba254609f0743d52e1409e79b89cd2b978061814af8b3ccf46",
         "library.json": "42473d980c3fa69facbbae4f9f8c51d9362daa059d0c7bc790be8066a3acd210",
         "report.json": "7ecc29f5681a5d10a534e16630fa441cace802de842fe5cad45dbfbb40ee5a06",
         "report.csv": "a82e37bf07435aa343e91e37811bde43b146e8e17f5aff71390b0433b114430f",
-        "events.json": "b7a9b9b7d012a3b8aa94ef3b9b485161cd068426d6f349f87e7b9cec95841c7f",
+        "events.json": "3cf6ab1ceaa03b695eb01390a9fe9d81d0024c9b2279dd1f83b3c8c378ebef2f",
     },
 }
 
@@ -78,7 +78,7 @@ CORRUPTED_DIGESTS = {
         "library.json": "ee7a5764d6a13012c564d085a91fd34ad1025149b24d13a620cc3cb190a379e3",
         "report.json": "af0ffc4f1fdd2e501d9f8f0847c93187b4609d4ea7b7a1e2b98c1ef68c7bd6b0",
         "report.csv": "c57c76f88c4eaf144847aede4e73b26c7280bd2f304d4d8d8fc32d050247f517",
-        "events.json": "b7a9b9b7d012a3b8aa94ef3b9b485161cd068426d6f349f87e7b9cec95841c7f",
+        "events.json": "3cf6ab1ceaa03b695eb01390a9fe9d81d0024c9b2279dd1f83b3c8c378ebef2f",
     },
     "self_proposed": {
         "runs.jsonl": "312af6e8231c79fe1d0ef8db1130b8c18733ecbfea83e1f4c7c23969da6c3ee3",
@@ -107,7 +107,7 @@ BENCHMARK_SIZE_DIGESTS = {
         "library.json": "03be2982b36b67af2286a162e1ac619c729c16173a961a42c7c949eac65a99b4",
         "report.json": "10b640216750f0710bbfdfe924f78b0a77410763c9b36a596025b1e25bc84a8a",
         "report.csv": "4556f46d19af3a7b5c9b1604e9b651e04302f06af9c255177bc1338efa7a9393",
-        "events.json": "69cc370b17225f39989f4a3d868e87d8ad7b08c9eaaae7aa1470d09a8670b095",
+        "events.json": "c39a96da81c7016051c434dd89ca590575be618c25df87141b0774db48c70109",
     },
 }
 

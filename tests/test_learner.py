@@ -62,7 +62,7 @@ class TestInitialize:
 
     def test_observation_dataset_fallback(self, task):
         ds = EpisodeDataset()
-        ds.ingest_observation(ObservedEvent("sig", ("move", "grasp", "lift", "place"), True, {}))
+        ds.ingest_observation(ObservedEvent(("move", "grasp", "lift", "place"), True))
         candidate = initialize(plan_without_solution(task), ds)
         assert candidate.sequence == ["move", "grasp", "lift", "place"]
 
@@ -109,7 +109,7 @@ class TestTrainEpisode:
         ds.record_step(make_sample(2, "grasp", True))
         ds.record_step(make_sample(3, "lift", True))
         ds.record_step(make_sample(4, "drop", False))
-        ds.ingest_observation(ObservedEvent("sig", ("move", "grasp", "lift", "place"), True, {}))
+        ds.ingest_observation(ObservedEvent(("move", "grasp", "lift", "place"), True))
         ds.obs_samples.append(make_sample(5, "place", True, source=SOURCE_OBSERVED))
         # candidate starts from the faulty attempt
         plan = plan_for(make_task(target=("move", "grasp", "lift", "drop")))
@@ -129,7 +129,7 @@ class TestTrainEpisode:
 
     def test_observation_only_dataset_recovers_target(self, task):
         ds = EpisodeDataset()
-        ds.ingest_observation(ObservedEvent("sig", task.target_sequence, True, {}))
+        ds.ingest_observation(ObservedEvent(task.target_sequence, True))
         candidate = initialize(plan_without_solution(task), ds)
         refined = train_episode(candidate, ds)
         assert tuple(refined.sequence) == task.target_sequence
@@ -144,7 +144,7 @@ class TestTrainEpisode:
             direct_solution=tuple(corrupted),
         )
         ds = EpisodeDataset()
-        ds.ingest_observation(ObservedEvent("sig", task.target_sequence, True, {}))
+        ds.ingest_observation(ObservedEvent(task.target_sequence, True))
         refined = train_episode(initialize(plan, ds), ds)
         assert tuple(refined.sequence) == task.target_sequence
 
@@ -168,7 +168,7 @@ class TestTrainEpisode:
                 ds.record_step(make_sample(t_self, rng.choice(actions), rng.random() < 0.6))
             for _ in range(rng.randint(0, 3)):
                 ds.ingest_observation(
-                    ObservedEvent("sig", tuple(rng.choice(actions) for _ in range(rng.randint(1, 6))), True, {})
+                    ObservedEvent(tuple(rng.choice(actions) for _ in range(rng.randint(1, 6))), True)
                 )
             candidate = CandidateSolution(
                 stage=STAGE_INITIAL,
@@ -277,7 +277,7 @@ class TestBuildMethod:
 
     def test_data_profile_counts(self, task):
         ds = EpisodeDataset()
-        ds.ingest_observation(ObservedEvent("sig", task.target_sequence, True, {}))
+        ds.ingest_observation(ObservedEvent(task.target_sequence, True))
         candidate, ds = self._validated_candidate(task, ds)
         method = build_method(candidate, task, ds, cycle=0)
         profile = method.data_profile

@@ -521,6 +521,20 @@ class TestPersistence:
         assert err.value.field == "methods[2].id"
         assert "duplicate method id 'm-a'" in str(err.value)
 
+    @pytest.mark.parametrize("name, entries, field, repeat", [
+        ("signatures", ["s", "s"], "signatures[1]", "'s'"),
+        ("goal_tokens", ["a", "a", "b"], "goal_tokens[1]", "'a'"),
+        ("goal_tokens", ["a", "b", "c", "b"], "goal_tokens[3]", "'b'"),
+    ], ids=["signature", "goal_token", "goal_token_after_others"])
+    def test_repeated_set_entry_named(self, name, entries, field, repeat):
+        # Read as a set, the repeat would vanish and the next save drop it.
+        doc = MethodLibrary([make_method("m-a")]).to_doc()
+        doc["methods"][0]["applicability"][name] = entries
+        with pytest.raises(SchemaError) as err:
+            MethodLibrary.from_doc(doc)
+        assert err.value.field == f"methods[0].applicability.{field}"
+        assert err.value.message == f"duplicate entry {repeat}"
+
     def test_malformed_field_named(self, tmp_path):
         library = MethodLibrary()
         library.insert(make_method("m-a", successes=1, attempts=1))

@@ -469,10 +469,19 @@ class TestHttpPlanner:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             HttpPlanner(endpoint="http://127.0.0.1:1/x", model="m", **{name: value})
 
-    def test_replan_requires_feedback(self, task):
-        planner = HttpPlanner(endpoint="http://127.0.0.1:1/x", model="m")
-        with pytest.raises(PlannerError):
-            planner.replan(task, None, PlannerFeedback())
+    def test_feedback_goes_through_plan(self, task):
+        failed = PlannerFeedback(episode_outcomes=[EpisodeOutcome(False, failed_step=2)])
+        with scripted_server([(200, VALID_PLAN_TEXT)]) as (server, url):
+            planner = HttpPlanner(endpoint=url, model="test-model")
+            planner.plan(task, None, failed)
+            planner.plan(task, None, PlannerFeedback())
+        revise, plain = (request["body"]["messages"] for request in server.requests)
+        assert revise[-1]["content"].startswith(
+            "Revise the plan using the execution feedback above."
+        )
+        assert '"failed_step": 2' in revise[0]["content"]
+        assert plain[-1]["content"] == "Return only the learning-plan JSON document."
+        assert not hasattr(planner, "replan")
 
     def test_transcript_written_without_credential_leak(self, task, tmp_path, monkeypatch):
         monkeypatch.setenv("REUSELOOP_API_KEY", "secret-token")

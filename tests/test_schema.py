@@ -4,9 +4,10 @@ Each property draws a valid document, checks that it reads back equal, then
 applies one mutation and checks that loading raises ``SchemaError`` whose
 ``field`` is the mutated dotted path. The mutations are: drop a required
 key, add an unknown key, give a field (or a list item or mapping value) the
-wrong JSON type, put ``null`` in a non-nullable field, and put a non-finite
-number in a float field. The sites are found by walking the document
-against the dataclass annotations, independently of the reader.
+wrong JSON type, put ``null`` in a non-nullable field, put a non-finite
+number in a float field, and repeat an entry of a set-typed list. The sites
+are found by walking the document against the dataclass annotations,
+independently of the reader.
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ def _sites(cls, doc: dict, path: str = "", at: tuple = ()) -> list[tuple]:
                 sites.extend(_sites(item, entry, f"{fpath}[{i}]", (*inner, i)))
         elif kind is list:
             sites.extend((f"{fpath}[{i}]", inner, i, _WRONG[item]) for i in range(len(value)))
+            if value and typing.get_origin(hints[f.name]) in (set, frozenset):
+                # The first repeat is the appended copy.
+                sites.append((f"{fpath}[{len(value)}]", at, f.name, [*value, value[0]]))
         elif kind is dict and item in _WRONG:
             sites.extend((_join(fpath, key), inner, key, _WRONG[item]) for key in value)
     return sites

@@ -153,7 +153,7 @@ class TestGenerateCorpus:
         b = generate_corpus(seed=2, n_tasks=10, n_repeats=1)
         assert json.dumps(corpus_to_doc(a)) != json.dumps(corpus_to_doc(b))
 
-    def test_targets_use_configured_vocabulary(self):
+    def test_targets_drawn_from_default_actions(self):
         events = generate_corpus(seed=9, n_tasks=30, n_repeats=2)
         for e in events:
             assert all(a in DEFAULT_ACTIONS for a in e.task.target_sequence)
@@ -230,6 +230,27 @@ class TestCorpusPersistence:
             with pytest.raises(SchemaError) as err:
                 corpus_from_doc(doc)
             assert err.value.field == "events[0]." + ".".join(path)
+
+    def test_observed_object_is_action_sequence_and_success(self):
+        events = generate_corpus(seed=1, n_tasks=1, n_repeats=1, mode=OBSERVATION_FIRST)
+        observed = corpus_to_doc(events)["events"][0]["observed"]
+        assert observed == {"action_sequence": list(events[0].task.target_sequence), "success": True}
+
+    def test_old_observation_format_rejected(self):
+        # Before ObservedEvent lost its copies, each observation also held
+        # the task's signature and a context object.
+        event = generate_corpus(seed=1, n_tasks=1, n_repeats=1, mode=OBSERVATION_FIRST)[0]
+        doc = corpus_to_doc([event])
+        doc["events"][0]["observed"] = {
+            "task_signature": event.task.signature,
+            "action_sequence": list(event.task.target_sequence),
+            "success": True,
+            "context": {"source": "external-agent"},
+        }
+        with pytest.raises(SchemaError) as err:
+            corpus_from_doc(doc)
+        assert err.value.field == "events[0].observed.task_signature"
+        assert err.value.message == "unknown field"
 
     def test_non_increasing_cycles_rejected(self):
         doc = corpus_to_doc(generate_corpus(seed=1, n_tasks=2, n_repeats=1))

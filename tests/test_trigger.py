@@ -63,13 +63,13 @@ class TestDecideExamples:
         assert decision.z and decision.branch == LEARN_LOW_CONFIDENCE
 
     def test_observation_without_pending_task(self, task):
-        observation = ObservedEvent("sig-x", ("move", "grasp"), True, {})
+        observation = ObservedEvent(("move", "grasp"), True)
         obs_retrieval = RetrievalResult(method=None, score=0.0, covered=False)
         decision = decide(None, observation, obs_retrieval, THRESHOLDS)
         assert decision.z and decision.branch == LEARN_OBSERVATION
 
     def test_covered_observation_is_no_action(self, task):
-        observation = ObservedEvent("sig-x", ("move", "grasp"), True, {})
+        observation = ObservedEvent(("move", "grasp"), True)
         obs_retrieval = _retrieval(task, 1.0)
         decision = decide(None, observation, obs_retrieval, THRESHOLDS)
         assert not decision.z and decision.branch == NO_ACTION
@@ -126,9 +126,7 @@ def run_table_case(task_state, obs_state):
     observation = obs_retrieval = None
     if obs_state is not None:
         obs_success, obs_score_low = obs_state
-        observation = ObservedEvent(
-            "sig-obs", ("move",), success=obs_success, context={}
-        )
+        observation = ObservedEvent(("move",), success=obs_success)
         obs_score = 0.0 if obs_score_low else 1.0
         obs_method = method_for_task(make_task(goal=("other", "goal")), method_id="m-obs")
         obs_retrieval = RetrievalResult(
@@ -181,8 +179,8 @@ class TestThresholdBoundaries:
 
 def test_decision_invariants():
     with pytest.raises(ValueError):
-        TriggerDecision(z=True, branch=REUSE)
+        TriggerDecision(REUSE)
     with pytest.raises(ValueError):
-        TriggerDecision(z=False, branch=LEARN_UNCOVERED)
+        TriggerDecision(NO_ACTION, method=make_method())
     with pytest.raises(ValueError):
-        TriggerDecision(z=False, branch=NO_ACTION, method=make_method())
+        TriggerDecision("bogus")
