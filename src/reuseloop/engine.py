@@ -38,16 +38,17 @@ index the collected samples cover, which subsumes that adjustment here.
 from __future__ import annotations
 
 import json
+import marshal
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, get_type_hints
 
 from . import learner
-from .errors import PlannerError, RecordStreamError, SchemaError, number_text, read_dataclass
+from .errors import PlannerError, RecordStreamError, SchemaError, read_dataclass
 from .experience import EpisodeDataset, ExperienceSample, SOURCE_SELF
 from .library import Method, MethodLibrary
 from .planner import EpisodeOutcome, Planner, PlannerFeedback, PlannerHistory
@@ -407,29 +408,87 @@ def record_from_dict(doc: Any) -> RunRecord:
     return record
 
 
-# json.dumps' text for each type a RunRecord field has.
-_JSON_TEXT = {
-    str: encode_basestring_ascii,
-    int: repr,
-    float: number_text,
-    bool: {True: "true", False: "false"}.__getitem__,
-}
+# A record line is a head, the four fields that name the episode, then a
+# block of the other twelve. The virtual clock charges fixed phase costs, so
+# blocks repeat from one record to the next, and write_records formats each
+# distinct block once.
+_HEAD_FIELDS = RECORD_FIELDS[:4]
+_BLOCK_FIELDS = RECORD_FIELDS[4:]
 _RECORD_HINTS = get_type_hints(RunRecord)
-_FIELD_TEXT = tuple(_JSON_TEXT[_RECORD_HINTS[name]] for name in RECORD_FIELDS)
-_RECORD_LINE = "{%s}\n" % ", ".join(f"{encode_basestring_ascii(name)}: %s" for name in RECORD_FIELDS)
-_record_values = attrgetter(*RECORD_FIELDS)
+_BLOCK_TYPES = tuple(_RECORD_HINTS[name] for name in _BLOCK_FIELDS)
+# The exact types a field may hold. A float field also takes an int, which
+# json.dumps writes as an int and the reader widens. For any other type,
+# a subclass included, json.dumps writes a line that the reader rejects or
+# reads back as another value.
+_ACCEPTED = {str: (str,), int: (int,), float: (float, int), bool: (bool,)}
+_head = attrgetter(*_HEAD_FIELDS)
+_block = attrgetter(*_BLOCK_FIELDS)
+# A block holds its numbers first, then its flags; for a number of an
+# accepted type and finite, repr is json.dumps' text.
+_N_NUMBERS = _BLOCK_TYPES.index(bool)
+_BLOCK_LINE = "".join(
+    f", {encode_basestring_ascii(name)}: {'%s' if kind is bool else '%r'}"
+    for name, kind in zip(_BLOCK_FIELDS, _BLOCK_TYPES)
+) + "}\n"
+_FLOAT_FIELDS = tuple(name for name in _BLOCK_FIELDS if _RECORD_HINTS[name] is float)
+_block_floats = itemgetter(*(_BLOCK_FIELDS.index(name) for name in _FLOAT_FIELDS))
+_flag_text = {True: "true", False: "false"}.__getitem__
 
 
-def _record_line(record: RunRecord) -> str:
-    """``json.dumps(record_to_dict(record)) + "\\n"``, one converter per field."""
-    return _RECORD_LINE % tuple([text(v) for text, v in zip(_FIELD_TEXT, _record_values(record))])
+def _check_types(names: tuple[str, ...], values: tuple) -> None:
+    """Raise ``TypeError`` for the first field whose value's type it may not hold."""
+    for name, value in zip(names, values):
+        accepted = _ACCEPTED[_RECORD_HINTS[name]]
+        if type(value) not in accepted:
+            expected = " or ".join(t.__name__ for t in accepted)
+            raise TypeError(f"{name} must be {expected}, not {type(value).__name__}")
+
+
+def _block_text(values: tuple) -> str:
+    """A block's JSON text, after checking its types and that its times are finite."""
+    if tuple(map(type, values)) != _BLOCK_TYPES:
+        _check_types(_BLOCK_FIELDS, values)  # an int in a float field passes
+    floats = _block_floats(values)
+    if not math.isfinite(sum(floats)):  # a NaN or an infinity, or finite times that overflow
+        for name, value in zip(_FLOAT_FIELDS, floats):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+    return _BLOCK_LINE % (*values[:_N_NUMBERS], *map(_flag_text, values[_N_NUMBERS:]))
 
 
 def write_records(records: list[RunRecord], path: str | Path) -> None:
     """Write one line per record: the compact ``json.dumps`` form, fields in
-    ``RECORD_FIELDS`` order, streamed line by line."""
+    ``RECORD_FIELDS`` order, streamed line by line.
+
+    A value whose type its field may not hold raises ``TypeError``. A NaN or
+    infinite time, which only a record changed after it was built can hold,
+    raises ``ValueError``. Each distinct block is checked and formatted once
+    per call. Its memo key is the block's marshal bytes: marshal writes each
+    value with a type code, and a float as its eight IEEE bytes. So values
+    that compare equal but print apart (``0.0`` and ``-0.0``, ``5`` and
+    ``5.0``, ``1`` and ``True``) never share a text.
+    """
+    blocks: dict[bytes, str] = {}
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.writelines(map(_record_line, records))
+        write = fh.write
+        for record in records:
+            policy, task_id, repeat_index, cycle = head = _head(record)
+            if not (type(policy) is str and type(task_id) is str
+                    and type(repeat_index) is int and type(cycle) is int):
+                _check_types(_HEAD_FIELDS, head)
+            values = _block(record)
+            try:
+                key = marshal.dumps(values, 2)  # version 2: no back-references
+            except ValueError:  # marshal refuses only values no field accepts
+                _check_types(_BLOCK_FIELDS, values)
+                raise
+            if (block := blocks.get(key)) is None:
+                block = blocks[key] = _block_text(values)
+            write(
+                f'{{"policy": {encode_basestring_ascii(policy)}, '
+                f'"task_id": {encode_basestring_ascii(task_id)}, '
+                f'"repeat_index": {repeat_index}, "cycle": {cycle}{block}'
+            )
 
 
 def read_records(path: str | Path) -> list[RunRecord]:

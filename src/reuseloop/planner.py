@@ -364,7 +364,9 @@ class HttpPlanner:
         history: PlannerHistory | None = None,
         feedback: PlannerFeedback | None = None,
     ) -> PlannerCall:
-        if feedback is not None and feedback.episode_outcomes:
+        if feedback is not None and not feedback.episode_outcomes:
+            feedback = None  # nothing to revise from, as MockPlanner reads it
+        if feedback is not None:
             ask = "Revise the plan using the execution feedback above. Return only the JSON document."
         else:
             ask = "Return only the learning-plan JSON document."

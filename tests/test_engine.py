@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -433,6 +434,60 @@ _EXTREME_RECORD = RunRecord(
     success=False, hit=False, learned=False,
 )
 
+# The float fields of a record's block, its fields after the first four.
+_BLOCK_FLOAT_FIELDS = (*_PHASE_FIELDS, "total_s", "llm_time_s")
+
+
+@st.composite
+def _record_streams(draw):
+    """Whole records, shuffled with copies that repeat a drawn block under
+    another head. A copy may also change one float field only in how it
+    prints: a zero's sign, or an integral float written as an int."""
+    records = draw(st.lists(_run_records(), max_size=5))
+    copies = []
+    for source in draw(st.lists(st.sampled_from(records), max_size=6)) if records else []:
+        name = draw(st.sampled_from(_BLOCK_FLOAT_FIELDS))
+        value = getattr(source, name)
+        look_alike = -value if value == 0 else int(value) if value.is_integer() else value
+        copies.append(dataclasses.replace(
+            source,
+            task_id=draw(st.sampled_from(["t-a", "t-b", source.task_id])),
+            repeat_index=draw(st.integers(min_value=1, max_value=9)),
+            cycle=draw(st.integers(min_value=0, max_value=99)),
+            **({name: look_alike} if draw(st.booleans()) else {}),
+        ))
+    return draw(st.permutations(records + copies))
+
+
+_ZERO_RECORD = RunRecord(
+    policy=ALWAYS_LLM, task_id="t-zero", repeat_index=1, cycle=0,
+    retrieve_s=0.0, plan_llm_s=0.0, execute_s=5.0, collect_s=0.0, train_s=0.0,
+    store_s=0.0, total_s=5.0, llm_calls=0, llm_time_s=0.0,
+    success=False, hit=False, learned=False,
+)
+# Equal blocks that json.dumps writes apart, each pair in both orders.
+_SIGNED_ZEROS = [
+    dataclasses.replace(_ZERO_RECORD, cycle=cycle, retrieve_s=zero)
+    for cycle, zero in enumerate([0.0, -0.0, -0.0, 0.0])
+]
+_INT_AND_FLOAT = [
+    dataclasses.replace(_ZERO_RECORD, cycle=cycle, execute_s=five, total_s=five)
+    for cycle, five in enumerate([5.0, 5, 5, 5.0])
+]
+
+
+class _Seconds(float):
+    def __repr__(self):
+        return f"{float(self)} s"
+
+
+_TYPED_RECORD = RunRecord(
+    policy=PROPOSED, task_id="t-types", repeat_index=1, cycle=0,
+    retrieve_s=1.0, plan_llm_s=0.0, execute_s=2.0, collect_s=0.0, train_s=0.0,
+    store_s=0.0, total_s=3.0, llm_calls=1, llm_time_s=0.0,
+    success=True, hit=False, learned=False,
+)
+
 
 class TestRecordStreams:
     def _records(self):
@@ -446,14 +501,43 @@ class TestRecordStreams:
         assert read_records(path) == records
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_run_records(), max_size=5))
+    @given(_record_streams())
     @example([_EXTREME_RECORD])
+    @example(_SIGNED_ZEROS)
+    @example(_INT_AND_FLOAT)
     def test_lines_are_compact_json_dumps_property(self, tmp_path_factory, records):
         path = tmp_path_factory.getbasetemp() / "property-runs.jsonl"
         write_records(records, path)
         expected = "".join(json.dumps(record_to_dict(r)) + "\n" for r in records)
         assert path.read_text(encoding="utf-8") == expected
         assert read_records(path) == records
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"llm_calls": True}, "llm_calls"),  # written as True: not JSON
+        ({"repeat_index": 1.0}, "repeat_index"),  # a line the reader rejects
+        ({"success": 1}, "success"),  # written as true, not json.dumps' 1
+        ({"retrieve_s": True}, "retrieve_s"),  # written as True: not JSON
+        ({"train_s": _Seconds(0.0)}, "train_s"),  # its repr is not json.dumps' text
+        ({"llm_time_s": Decimal(0)}, "llm_time_s"),  # not a JSON number
+        ({"cycle": 0.0, "success": 1}, "cycle"),  # the first field is named
+    ])
+    def test_field_types_checked(self, tmp_path, changes, field):
+        # Each equals _TYPED_RECORD's value, so after it the bad record's head
+        # is checked and its block is a memo miss.
+        bad = dataclasses.replace(_TYPED_RECORD, **changes)
+        for records in ([bad], [_TYPED_RECORD, bad]):
+            with pytest.raises(TypeError, match=f"^{field} must be "):
+                write_records(records, tmp_path / "runs.jsonl")
+
+    @pytest.mark.parametrize("field, value", [
+        ("llm_time_s", NAN), ("total_s", INF), ("execute_s", -INF),
+    ])
+    def test_non_finite_time_not_written(self, tmp_path, field, value):
+        # RunRecord refuses one when built; only a later change can set it.
+        record = dataclasses.replace(_TYPED_RECORD)
+        setattr(record, field, value)
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            write_records([_TYPED_RECORD, record], tmp_path / "runs.jsonl")
 
     def test_fields_follow_the_clock_phases(self):
         # run_episode builds each record positionally from the clock's phases.

@@ -483,6 +483,18 @@ class TestHttpPlanner:
         assert plain[-1]["content"] == "Return only the learning-plan JSON document."
         assert not hasattr(planner, "replan")
 
+    def test_feedback_without_outcome_is_no_feedback(self, task):
+        # As MockPlanner reads it: nothing to revise from, so no feedback block.
+        feedbacks = [None, PlannerFeedback(), PlannerFeedback(notes="stored method decayed")]
+        with scripted_server([(200, VALID_PLAN_TEXT)] * len(feedbacks)) as (server, url):
+            planner = HttpPlanner(endpoint=url, model="test-model")
+            for feedback in feedbacks:
+                planner.plan(task, None, feedback)
+        none, empty, notes_only = (request["body"]["messages"] for request in server.requests)
+        assert empty == none
+        assert notes_only == none
+        assert '"feedback"' not in none[0]["content"]
+
     def test_transcript_written_without_credential_leak(self, task, tmp_path, monkeypatch):
         monkeypatch.setenv("REUSELOOP_API_KEY", "secret-token")
         transcript = tmp_path / "transcript.jsonl"
