@@ -7,17 +7,10 @@ Repeat-wise curves show where the amortization comes from: the proposed
 policy pays a learning premium once, then reuses for free.
 """
 
-from reuseloop import (
-    MethodLibrary,
-    POLICY_MODES,
-    aggregate,
-    empirical_coverage,
-    run_loop,
-)
+from reuseloop import MethodLibrary, POLICY_MODES, aggregate, run_loop
 from reuseloop.config import RunConfig, build_corpus, build_planner, resolve_executor
 
 reports = {}
-coverage = {}
 for mode in POLICY_MODES:
     config = RunConfig(seed=7, n_tasks=20, n_repeats=5, mode=mode)
     events = build_corpus(config)
@@ -26,7 +19,6 @@ for mode in POLICY_MODES:
     library = MethodLibrary()
     records = run_loop(events, mode, library, planner, config.thresholds, executor)
     reports[mode] = aggregate(records).policies[mode]
-    coverage[mode] = empirical_coverage(records)
 
 print("overall (100 runs per policy)")
 header = f"{'policy':<22}{'total_s':>9}{'llm_calls':>11}{'llm_ratio':>11}{'success':>9}{'hit':>7}"
@@ -54,7 +46,8 @@ for mode in POLICY_MODES:
 print("\nlibrary hit rate by repeat (empirical coverage)")
 print(f"{'policy':<22}" + "".join(f"{f'r{i}':>9}" for i in range(1, 6)))
 for mode in POLICY_MODES:
-    print(f"{mode:<22}" + "".join(f"{v:>9.2f}" for v in coverage[mode]))
+    curve = [reports[mode].per_repeat[i].hit_rate for i in range(1, 6)]
+    print(f"{mode:<22}" + "".join(f"{v:>9.2f}" for v in curve))
 
 print(
     "\nreading the curves: the proposed policy is slowest in repeat 1 (it"

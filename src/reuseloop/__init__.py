@@ -6,23 +6,14 @@ planner-driven learning episode whose validated result is consolidated into
 a persistent method library. The package bundles the loop engine, a
 deterministic benchmark over a virtual clock, and the analytic cost model
 that quantifies when the one-time learning investment amortizes.
+
+The package root re-exports only what README's quick start, ``demos/`` and
+``perfbench/`` import from it; import everything else from its submodule.
 """
 
-from .config import (
-    PlannerSettings,
-    RunConfig,
-    build_corpus,
-    build_planner,
-    config_from_dict,
-    load_config,
-    reference_executor,
-    reference_latency,
-    resolve_executor,
-)
+from .config import RunConfig, build_corpus, build_planner, resolve_executor
 from .costs import (
     CostProfile,
-    DelayComparison,
-    ReuseBenefit,
     benefit_condition_holds,
     delay_comparison,
     expected_task_cost,
@@ -31,79 +22,23 @@ from .costs import (
 )
 from .engine import (
     ALWAYS_LLM,
-    LIBRARY_ONLY,
     OBSERVATION_ONLY,
     POLICY_MODES,
     PROPOSED,
     PROPOSED_OBSERVATION,
     ExecutorConfig,
-    RunRecord,
     SequenceExecutor,
     VirtualClock,
     read_records,
-    run_episode,
     run_loop,
     write_records,
 )
-from .errors import (
-    LibraryError,
-    PlannerError,
-    PlanningFailedError,
-    RecordStreamError,
-    ReuseLoopError,
-    SchemaError,
-)
-from .experience import EpisodeDataset, ExperienceSample
-from .learner import (
-    CandidateSolution,
-    ValidationReport,
-    build_method,
-    initialize,
-    needs_refinement,
-    quasi_adjust,
-    train_episode,
-    utility,
-    validate,
-)
-from .library import (
-    Applicability,
-    DataProfile,
-    Method,
-    MethodLibrary,
-    Reliability,
-    RetrievalResult,
-    matching_score,
-)
-from .metrics import (
-    MetricsReport,
-    aggregate,
-    empirical_coverage,
-    format_report_table,
-    report_to_dict,
-    write_report_csv,
-    write_report_json,
-)
-from .planner import (
-    HttpPlanner,
-    LearningPlan,
-    MockPlanner,
-    PlannerCall,
-    PlannerFeedback,
-    PlannerHistory,
-    parse_plan,
-    plan_to_dict,
-)
-from .tasks import (
-    DEFAULT_ACTIONS,
-    ObservedEvent,
-    TaskConstraints,
-    TaskDescriptor,
-    TaskEvent,
-    generate_corpus,
-    load_corpus,
-    save_corpus,
-    signature_of,
-)
-from .trigger import TriggerDecision, TriggerThresholds, confidence, decide
+from .experience import EpisodeDataset
+from .learner import build_method, initialize, quasi_adjust, train_episode, validate
+from .library import MethodLibrary, matching_score
+from .metrics import aggregate, write_report_csv, write_report_json
+from .planner import MockPlanner
+from .tasks import generate_corpus, signature_of
+from .trigger import TriggerThresholds, confidence, decide
 
 __version__ = "0.1.0"

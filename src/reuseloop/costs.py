@@ -8,7 +8,8 @@ how much a delayed-update strategy loses to quasi-real-time updating.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -27,8 +28,9 @@ class CostProfile:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be nonnegative")
+            value = getattr(self, f.name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{f.name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,8 @@ def delay_comparison(profile: CostProfile, c_delay_quasi: float) -> DelayCompari
     The quasi strategy replaces the delay term with the (smaller)
     ``c_delay_quasi``, so its total never exceeds the delayed one.
     """
-    if c_delay_quasi < 0:
-        raise ValueError("c_delay_quasi must be nonnegative")
-    if c_delay_quasi > profile.c_delay:
-        raise ValueError("c_delay_quasi cannot exceed the profile's c_delay")
+    if not 0.0 <= c_delay_quasi <= profile.c_delay:
+        raise ValueError(f"c_delay_quasi must lie in [0, c_delay], got {c_delay_quasi!r}")
     common = (
         profile.c_retrieve
         + profile.c_exec
@@ -115,10 +115,6 @@ def delay_comparison(profile: CostProfile, c_delay_quasi: float) -> DelayCompari
         delayed_total=common + profile.c_delay,
         quasi_total=common + c_delay_quasi,
     )
-
-
-def profile_to_dict(profile: CostProfile) -> dict:
-    return asdict(profile)
 
 
 def profile_from_dict(doc: Any) -> CostProfile:

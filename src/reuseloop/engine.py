@@ -395,10 +395,6 @@ def run_loop(
 RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
-def record_to_dict(record: RunRecord) -> dict:
-    return {name: getattr(record, name) for name in RECORD_FIELDS}
-
-
 def record_from_dict(doc: Any) -> RunRecord:
     """Read one record against ``RunRecord``, which checks the values; the
     policy must also be a known mode."""

@@ -169,25 +169,25 @@ def _widen(value: int) -> float:
         raise _Violation("", "expected a finite number, got an integer too large for a float") from None
 
 
-def _at(where: str, cls, build, doc: Any):
-    """``_read`` for ``cls``, with a violation raised as ``SchemaError`` below ``where``."""
+def _at(cls, build, doc: Any):
+    """``_read`` for ``cls``, with a violation raised as ``SchemaError``."""
     try:
         return _read(_schema(cls), build, doc)
     except _Violation as exc:
-        raise SchemaError((where + exc.path).lstrip(".") or "<root>", exc.message) from exc.__cause__
+        raise SchemaError(exc.path.lstrip(".") or "<root>", exc.message) from exc.__cause__
 
 
-def typed_fields(cls, doc: Any, where: str = "") -> dict:
+def typed_fields(cls, doc: Any) -> dict:
     """``read_dataclass``'s checks, returning the constructor kwargs unbuilt.
 
     For a loader that names a value error at the field rather than at the
     object: it checks the kwargs, then builds ``cls`` itself. A field left
     out of ``doc`` is left out of the kwargs, to take its default.
     """
-    return _at(where, cls, dict, doc)
+    return _at(cls, dict, doc)
 
 
-def read_dataclass(cls, doc: Any, where: str = ""):
+def read_dataclass(cls, doc: Any):
     """Build the dataclass ``cls`` from the JSON object ``doc``.
 
     Each field is read against its annotation, with exact types: ``bool`` is
@@ -200,14 +200,13 @@ def read_dataclass(cls, doc: Any, where: str = ""):
     ``Any``. A missing field takes the dataclass default; one without a
     default is required.
 
-    A violation raises ``SchemaError`` naming its dotted path below
-    ``where``, the object's own path (empty at the root), e.g.
-    ``events[2].task.constraints.max_steps``: a non-object, an unknown key,
-    a missing or mistyped field, a repeated set entry, or a ``ValueError``
-    from a dataclass, which is named at the object it builds (``<root>`` at
-    the root). Paths are built only when raising.
+    A violation raises ``SchemaError`` naming its dotted path from the root,
+    e.g. ``events[2].task.constraints.max_steps``: a non-object, an unknown
+    key, a missing or mistyped field, a repeated set entry, or a
+    ``ValueError`` from a dataclass, which is named at the object it builds
+    (``<root>`` at the root). Paths are built only when raising.
     """
-    return _at(where, cls, cls, doc)
+    return _at(cls, cls, doc)
 
 
 def read_versioned(cls, doc: Any, version: int):

@@ -64,8 +64,5 @@ class EpisodeDataset:
             self.obs_samples.append(ExperienceSample(start + offset, action, True, SOURCE_OBSERVED))
         return self
 
-    def merged_size(self) -> int:
-        return len(self.self_samples) + len(self.obs_samples)
-
     def all_samples(self) -> list[ExperienceSample]:
         return self.self_samples + self.obs_samples

@@ -13,7 +13,6 @@ included, equals that of scoring every stored method.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -269,10 +268,6 @@ class MethodLibrary:
         return {"n_methods": len(self), "methods": rows}
 
     # -- persistence --------------------------------------------------------
-
-    def to_doc(self) -> dict:
-        """The ``library.json`` document: the text ``save`` writes, parsed back."""
-        return json.loads("".join(self._json_chunks()))
 
     def save(self, path: str | Path) -> None:
         """Write the library as JSON, atomically.

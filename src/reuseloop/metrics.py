@@ -94,19 +94,6 @@ def aggregate(records: list[RunRecord]) -> MetricsReport:
     return MetricsReport(policies=policies, notes=_REPORT_NOTES)
 
 
-def empirical_coverage(records: list[RunRecord]) -> list[float]:
-    """Hit fraction per repeat index (ascending), an estimate of coverage p."""
-    if not records:
-        raise ValueError("cannot estimate coverage from an empty record list")
-    by_repeat: dict[int, list[RunRecord]] = {}
-    for record in records:
-        by_repeat.setdefault(record.repeat_index, []).append(record)
-    return [
-        _mean([1.0 if r.hit else 0.0 for r in group])
-        for _, group in sorted(by_repeat.items())
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Serialization (values rounded to 4 decimals here, never upstream)
 # ---------------------------------------------------------------------------

@@ -20,14 +20,7 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Any, Protocol
 
-from .errors import (
-    PlannerError,
-    PlanningFailedError,
-    SchemaError,
-    parse_json,
-    read_dataclass,
-    to_doc,
-)
+from .errors import PlannerError, PlanningFailedError, SchemaError, parse_json, read_dataclass
 from .tasks import DEFAULT_ACTIONS, TaskDescriptor
 
 logger = logging.getLogger(__name__)
@@ -174,10 +167,6 @@ PLAN_SCHEMA_DOC = {
 }
 
 
-def plan_to_dict(plan: LearningPlan) -> dict:
-    return to_doc(plan)
-
-
 def plan_from_dict(doc: Any) -> LearningPlan:
     """Read a plan document against ``LearningPlan``; optional parts take its defaults."""
     return read_dataclass(LearningPlan, doc)
@@ -233,10 +222,6 @@ class MockPlanner:
         self.p_corrupt = p_corrupt
         self._calls = 0
         self._clean: dict[tuple, PlannerCall] = {}
-
-    @property
-    def calls_made(self) -> int:
-        return self._calls
 
     def plan(
         self,
@@ -322,9 +307,9 @@ class HttpPlanner:
     content are retried up to ``retries`` times before raising
     ``PlanningFailedError``.
 
-    Authentication: if the environment variable named by ``api_key_env``
-    (default ``REUSELOOP_API_KEY``) is set, its value is sent as a bearer
-    token. The value itself is never logged or written to transcripts.
+    Authentication: if ``REUSELOOP_API_KEY`` is set in the environment, its
+    value is sent as a bearer token. The value itself is never logged or
+    written to transcripts.
     """
 
     def __init__(
@@ -334,7 +319,6 @@ class HttpPlanner:
         temperature: float = 0.0,
         timeout_s: float = 30.0,
         retries: int = 2,
-        api_key_env: str = API_KEY_ENV,
         transcript_path: str | Path | None = None,
     ):
         if not endpoint:
@@ -352,7 +336,6 @@ class HttpPlanner:
         self.temperature = temperature
         self.timeout_s = timeout_s
         self.retries = retries
-        self.api_key_env = api_key_env
         self.transcript_path = Path(transcript_path) if transcript_path else None
         # Calls that exhausted their retry budget; callers that swallow
         # PlanningFailedError per episode can still see failures happened.
@@ -382,7 +365,7 @@ class HttpPlanner:
         import urllib.request
 
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env)
+        api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 

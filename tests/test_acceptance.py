@@ -31,14 +31,14 @@ from reuseloop.engine import (
     OBSERVATION_ONLY,
     PROPOSED,
     PROPOSED_OBSERVATION,
-    record_to_dict,
+    read_records,
     run_loop,
     write_records,
 )
 from reuseloop.experience import EpisodeDataset
 from reuseloop.learner import CandidateSolution, STAGE_INITIAL, train_episode
 from reuseloop.library import MethodLibrary
-from reuseloop.metrics import aggregate, empirical_coverage
+from reuseloop.metrics import aggregate
 from reuseloop.tasks import ObservedEvent, signature_of
 
 from conftest import linear_scan_oracle, make_method, make_sample, make_task
@@ -259,7 +259,7 @@ def test_criterion_7_experience_property():
             dataset.ingest_observation(
                 ObservedEvent(("move",) * rng.randint(1, 6), True)
             )
-        assert dataset.merged_size() >= len(dataset.self_samples)
+        assert len(dataset.all_samples()) >= len(dataset.self_samples)
     print("criterion 7: PASS - merged experience never smaller than self-execution alone")
 
 
@@ -273,7 +273,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         library_path = tmp_path / f"library-{i}.json"
         library.save(library_path)
         reloaded = MethodLibrary.load(library_path)
-        assert reloaded.to_doc() == library.to_doc()
+        reloaded.save(tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == library_path.read_bytes()
         assert reloaded.methods() == library.methods()
     assert paths[0].read_bytes() == paths[1].read_bytes()
     print("criterion 8: PASS - byte-identical reruns; library round-trip is the identity")
@@ -293,7 +294,8 @@ def test_coverage_curve_is_non_decreasing(runs):
     # Supporting check for the coverage-monotonicity property on the
     # reference proposed run.
     records, _ = runs[PROPOSED]
-    curve = empirical_coverage(records)
+    per_repeat = aggregate(records).policies[PROPOSED].per_repeat
+    curve = [per_repeat[i].hit_rate for i in sorted(per_repeat)]
     assert curve == [0.0, 1.0, 1.0, 1.0, 1.0]
     assert all(a <= b for a, b in zip(curve, curve[1:]))
 
@@ -303,9 +305,5 @@ def test_record_streams_round_trip(runs, tmp_path):
     records, _ = runs[PROPOSED]
     path = tmp_path / "runs.jsonl"
     write_records(records, path)
-    from reuseloop.engine import read_records
-
-    assert [record_to_dict(r) for r in read_records(path)] == [
-        record_to_dict(r) for r in records
-    ]
+    assert read_records(path) == records
     assert json.loads(path.read_text().splitlines()[0])["policy"] == PROPOSED

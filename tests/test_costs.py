@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
+import math
 import random
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -12,7 +15,6 @@ from reuseloop.costs import (
     learning_overhead,
     load_profile,
     profile_from_dict,
-    profile_to_dict,
     reuse_benefit,
     single_task_cost,
 )
@@ -48,6 +50,14 @@ class TestSingleTaskCost:
     def test_negative_profile_rejected(self):
         with pytest.raises(ValueError):
             CostProfile(c_plan=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(CostProfile)])
+    def test_non_finite_profile_rejected_at_its_field(self, name, value):
+        # Else reuse_benefit returns NaN fields and the benefit condition
+        # quietly reads False.
+        with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+            CostProfile(**{name: value})
 
 
 class TestExpectedTaskCost:
@@ -132,10 +142,15 @@ class TestDelayComparison:
         with pytest.raises(ValueError):
             delay_comparison(CostProfile(c_delay=1.0), 1.5)
 
+    @pytest.mark.parametrize("quasi", [-0.1, math.nan, math.inf])
+    def test_negative_or_non_finite_quasi_delay_rejected(self, quasi):
+        with pytest.raises(ValueError, match=r"^c_delay_quasi must lie in \[0, c_delay\]"):
+            delay_comparison(CostProfile(c_delay=1.0), quasi)
+
 
 class TestProfileDocuments:
     def test_round_trip(self):
-        assert profile_from_dict(profile_to_dict(WORKED)) == WORKED
+        assert profile_from_dict(asdict(WORKED)) == WORKED
 
     def test_missing_fields_default_to_zero(self):
         profile = profile_from_dict({"c_exec": 3.0})
@@ -150,7 +165,5 @@ class TestProfileDocuments:
 
     def test_load(self, tmp_path):
         path = tmp_path / "profile.json"
-        import json
-
-        path.write_text(json.dumps(profile_to_dict(WORKED)))
+        path.write_text(json.dumps(asdict(WORKED)))
         assert load_profile(path) == WORKED

@@ -22,7 +22,6 @@ from reuseloop.engine import (
     SequenceExecutor,
     VirtualClock,
     read_records,
-    record_to_dict,
     run_episode,
     run_loop,
     write_records,
@@ -69,7 +68,8 @@ class _FailingPlanner:
 
 
 class _PlanOnlyPlanner:
-    """A mock behind ``plan`` alone, keeping the feedback of each call."""
+    """A mock behind ``plan`` alone, keeping the feedback of each call, so
+    ``len(feedback)`` counts the calls."""
 
     def __init__(self):
         self.mock = planner()
@@ -167,19 +167,19 @@ class TestBaselineModes:
         assert record.total_s == pytest.approx(LATENCY + exec_time(task))
 
     def test_library_only_uncovered_fails_without_planning(self, task, library):
-        mock = planner()
+        mock = _PlanOnlyPlanner()
         record = run_episode(self_event(task), LIBRARY_ONLY, library, mock, THRESHOLDS, CFG)
         assert not record.success
         assert record.llm_calls == 0
-        assert mock.calls_made == 0
+        assert len(mock.feedback) == 0
         assert record.total_s == pytest.approx(CFG.retrieve_s)
 
     def test_library_only_covered_executes(self, task, library):
         library.insert(method_for_task(task))
-        mock = planner()
+        mock = _PlanOnlyPlanner()
         record = run_episode(self_event(task), LIBRARY_ONLY, library, mock, THRESHOLDS, CFG)
         assert record.success and record.hit
-        assert mock.calls_made == 0
+        assert len(mock.feedback) == 0
         assert record.total_s == pytest.approx(CFG.retrieve_s + exec_time(task))
 
 
@@ -191,11 +191,11 @@ class TestObservationModes:
 
     def test_observation_only_just_watches(self, library):
         event = self._observed_event()
-        mock = planner()
+        mock = _PlanOnlyPlanner()
         record = run_episode(event, OBSERVATION_ONLY, library, mock, THRESHOLDS, CFG)
         assert record.success
         assert record.total_s == pytest.approx(CFG.observe_s)
-        assert mock.calls_made == 0
+        assert len(mock.feedback) == 0
         assert len(library) == 0
 
     def test_observation_only_self_rounds_match_always_llm(self, task, library):
@@ -220,11 +220,11 @@ class TestObservationModes:
     def test_covered_observation_is_no_action(self, library):
         event = self._observed_event()
         library.insert(method_for_task(event.task))
-        mock = planner()
+        mock = _PlanOnlyPlanner()
         record = run_episode(event, PROPOSED_OBSERVATION, library, mock, THRESHOLDS, CFG)
         assert not record.learned and not record.hit
         assert record.success
-        assert mock.calls_made == 0
+        assert len(mock.feedback) == 0
         assert record.total_s == pytest.approx(CFG.observe_s + CFG.retrieve_s)
         assert len(library) == 1
 
@@ -300,11 +300,11 @@ class TestPolicyTable:
         if covered:
             library.insert(method_for_task(event.task))
         items, llm_calls, hit, learned, success, size = POLICY_TABLE[mode, kind][covered]
-        mock = planner()
+        mock = _PlanOnlyPlanner()
         record = run_episode(event, mode, library, mock, THRESHOLDS, CFG)
         got = {name: getattr(record, name) for name in _PHASE_FIELDS}
         assert got == pytest.approx(_phases_charged(event.task, items))
-        assert (record.llm_calls, mock.calls_made) == (llm_calls, llm_calls)
+        assert (record.llm_calls, len(mock.feedback)) == (llm_calls, llm_calls)
         assert (record.hit, record.learned, record.success) == (hit, learned, success)
         assert len(library) == size
 
@@ -315,14 +315,14 @@ class TestPolicyTable:
         # refine it with one plan call and store the new method.
         library.insert(method_for_task(task, method_id="m-bad", successes=0, attempts=0,
                                        procedure=("rotate",) * 3))
-        mock = planner()
+        mock = _PlanOnlyPlanner()
         record = run_episode(self_event(task, cycle=5), mode, library, mock, THRESHOLDS, CFG)
         assert not record.success
         assert library.get("m-bad").reliability.attempts == 1
         got = {name: getattr(record, name) for name in _PHASE_FIELDS}
         if mode == LIBRARY_ONLY:
             assert got == pytest.approx(_phases_charged(task, _REUSE))
-            assert (record.llm_calls, mock.calls_made) == (0, 0)
+            assert (record.llm_calls, len(mock.feedback)) == (0, 0)
             assert record.hit and not record.learned
             assert len(library) == 1
         else:
@@ -330,7 +330,7 @@ class TestPolicyTable:
             want = _phases_charged(task, _LEARN_SELF)
             want["execute_s"] = bad_exec  # the failed reuse; refinement does not execute
             assert got == pytest.approx(want)
-            assert (record.llm_calls, mock.calls_made) == (1, 1)
+            assert (record.llm_calls, len(mock.feedback)) == (1, 1)
             assert record.learned and not record.hit
             assert len(library) == 2
 
@@ -390,7 +390,7 @@ class TestRunLoop:
         def one_run():
             events = generate_corpus(seed=11, n_tasks=10, n_repeats=4)
             records = run_loop(events, PROPOSED, MethodLibrary(), planner(seed=11), THRESHOLDS, CFG)
-            return json.dumps([record_to_dict(r) for r in records])
+            return json.dumps([dataclasses.asdict(r) for r in records])
 
         assert one_run() == one_run()
 
@@ -508,7 +508,7 @@ class TestRecordStreams:
     def test_lines_are_compact_json_dumps_property(self, tmp_path_factory, records):
         path = tmp_path_factory.getbasetemp() / "property-runs.jsonl"
         write_records(records, path)
-        expected = "".join(json.dumps(record_to_dict(r)) + "\n" for r in records)
+        expected = "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in records)
         assert path.read_text(encoding="utf-8") == expected
         assert read_records(path) == records
 
@@ -561,7 +561,7 @@ class TestRecordStreams:
 
     def test_write_avoids_the_pure_python_encoder(self, tmp_path, monkeypatch):
         records = self._records()
-        expected = "".join(json.dumps(record_to_dict(r)) + "\n" for r in records)
+        expected = "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in records)
 
         def refuse(*args, **kwargs):
             raise AssertionError("pure-Python JSON encoder used")

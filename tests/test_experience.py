@@ -57,7 +57,7 @@ class TestIngestObservation:
         ds = EpisodeDataset()
         with pytest.raises(ValueError):
             ds.ingest_observation(ObservedEvent(("move",), False))
-        assert ds.merged_size() == 0
+        assert len(ds.all_samples()) == 0
 
     def test_never_touches_self_samples(self):
         ds = EpisodeDataset()
@@ -68,20 +68,20 @@ class TestIngestObservation:
 
 class TestMergedSize:
     def test_empty(self):
-        assert EpisodeDataset().merged_size() == 0
+        assert len(EpisodeDataset().all_samples()) == 0
 
     def test_self_only(self):
         ds = EpisodeDataset()
         for t in range(1, 4):
             ds.record_step(make_sample(t))
-        assert ds.merged_size() == 3
+        assert len(ds.all_samples()) == 3
 
     def test_mixed(self):
         ds = EpisodeDataset()
         for t in range(1, 4):
             ds.record_step(make_sample(t))
         ds.ingest_observation(ObservedEvent(("move",) * 4, True))
-        assert ds.merged_size() == 7
+        assert len(ds.all_samples()) == 7
 
     def test_merged_never_below_self_on_random_datasets(self):
         rng = random.Random(21)
@@ -93,7 +93,7 @@ class TestMergedSize:
                 ds.ingest_observation(
                     ObservedEvent(("move",) * rng.randint(1, 5), True)
                 )
-            assert ds.merged_size() >= len(ds.self_samples)
+            assert len(ds.all_samples()) >= len(ds.self_samples)
 
 
 def test_sample_validation():
@@ -104,6 +104,6 @@ def test_sample_validation():
 
 
 def test_dataset_takes_no_arguments():
-    assert EpisodeDataset().merged_size() == 0
+    assert len(EpisodeDataset().all_samples()) == 0
     with pytest.raises(TypeError):
         EpisodeDataset("sig")

@@ -393,6 +393,13 @@ def _method_to_dict(m: Method) -> dict:
     }
 
 
+def saved_doc(library: MethodLibrary, tmp_path: Path) -> dict:
+    """The ``library.json`` document ``save`` writes, parsed back."""
+    path = tmp_path / "saved.json"
+    library.save(path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def _oracle_text(library: MethodLibrary) -> str:
     doc = {"version": 1, "methods": [_method_to_dict(m) for m in library.methods()]}
     return json.dumps(doc, indent=2) + "\n"
@@ -485,11 +492,12 @@ class TestPersistence:
         path = tmp_path / "lib.json"
         library.save(path)
         loaded = MethodLibrary.load(path)
-        assert loaded.to_doc() == library.to_doc()
+        loaded.save(tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
         for original, copy in zip(library.methods(), loaded.methods()):
             assert original == copy
 
-    def test_generic_codec_agrees_with_the_library_codec(self, library):
+    def test_generic_codec_agrees_with_the_library_codec(self, library, tmp_path):
         # library.json keeps its hand-written writer for speed; the generic
         # to_doc writes the same entries, sets and free-form mappings included.
         method = dataclasses.replace(
@@ -497,14 +505,14 @@ class TestPersistence:
             step_params=({"speed": 0.5},) * 3,
         )
         library.insert(method)
-        (entry,) = library.to_doc()["methods"]
+        (entry,) = saved_doc(library, tmp_path)["methods"]
         assert to_doc(method) == entry
-        assert read_dataclass(Method, json.loads(json.dumps(entry)), "methods[0]") == method
+        assert read_dataclass(Method, entry) == method
 
     def test_successes_exceeding_attempts_rejected(self, tmp_path):
         library = MethodLibrary()
         library.insert(make_method("m-a", successes=1, attempts=1))
-        doc = library.to_doc()
+        doc = saved_doc(library, tmp_path)
         doc["methods"][0]["reliability"]["successes"] = 5
         path = tmp_path / "lib.json"
         path.write_text(json.dumps(doc))
@@ -513,8 +521,8 @@ class TestPersistence:
         assert "successes" in str(err.value)
         assert err.value.field == "methods[0].reliability"
 
-    def test_duplicate_ids_named(self):
-        doc = MethodLibrary([make_method("m-a"), make_method("m-b")]).to_doc()
+    def test_duplicate_ids_named(self, tmp_path):
+        doc = saved_doc(MethodLibrary([make_method("m-a"), make_method("m-b")]), tmp_path)
         doc["methods"].append(doc["methods"][0])
         with pytest.raises(SchemaError) as err:
             MethodLibrary.from_doc(doc)
@@ -526,9 +534,9 @@ class TestPersistence:
         ("goal_tokens", ["a", "a", "b"], "goal_tokens[1]", "'a'"),
         ("goal_tokens", ["a", "b", "c", "b"], "goal_tokens[3]", "'b'"),
     ], ids=["signature", "goal_token", "goal_token_after_others"])
-    def test_repeated_set_entry_named(self, name, entries, field, repeat):
+    def test_repeated_set_entry_named(self, name, entries, field, repeat, tmp_path):
         # Read as a set, the repeat would vanish and the next save drop it.
-        doc = MethodLibrary([make_method("m-a")]).to_doc()
+        doc = saved_doc(MethodLibrary([make_method("m-a")]), tmp_path)
         doc["methods"][0]["applicability"][name] = entries
         with pytest.raises(SchemaError) as err:
             MethodLibrary.from_doc(doc)
@@ -551,7 +559,7 @@ class TestPersistence:
             (("reliability", "bogus"), 1, "methods[0].reliability.bogus"),
         ]
         for keys, value, field in cases:
-            doc = library.to_doc()
+            doc = saved_doc(library, tmp_path)
             node = doc["methods"][0]
             for key in keys[:-1]:
                 node = node[key]
@@ -566,12 +574,12 @@ class TestPersistence:
             assert err.value.field == field
         # An unknown root key, and an unknown method key in place of the
         # optional step_params.
-        doc = library.to_doc()
+        doc = saved_doc(library, tmp_path)
         doc["zz"] = 1
         with pytest.raises(SchemaError) as err:
             MethodLibrary.from_doc(doc)
         assert err.value.field == "zz"
-        doc = library.to_doc()
+        doc = saved_doc(library, tmp_path)
         del doc["methods"][0]["step_params"]
         doc["methods"][0]["extra_key"] = None
         with pytest.raises(SchemaError) as err:

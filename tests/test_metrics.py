@@ -10,7 +10,6 @@ from reuseloop.engine import PROPOSED, RunRecord
 from reuseloop.metrics import (
     CSV_COLUMNS,
     aggregate,
-    empirical_coverage,
     format_report_table,
     report_to_dict,
     write_report_csv,
@@ -157,22 +156,24 @@ class TestAggregate:
             assert pm.hit_rate == pytest.approx(s["hit"] / s["n"])
 
 
+def hit_curve(records):
+    """The per-repeat hit rates of the one policy in ``records``: the
+    empirical estimate of coverage p, by repeat."""
+    (pm,) = aggregate(records).policies.values()
+    return [pm.per_repeat[i].hit_rate for i in sorted(pm.per_repeat)]
+
+
 class TestEmpiricalCoverage:
     def test_reference_curve(self):
-        coverage = empirical_coverage(reference_records())
-        assert coverage == [0.0, 1.0, 1.0, 1.0, 1.0]
+        assert hit_curve(reference_records()) == [0.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_never_hitting_policy(self):
         rows = [record(repeat_index=i, hit=False) for i in range(1, 6)]
-        assert empirical_coverage(rows) == [0.0] * 5
+        assert hit_curve(rows) == [0.0] * 5
 
     def test_non_decreasing_on_learning_run(self):
-        coverage = empirical_coverage(reference_records())
+        coverage = hit_curve(reference_records())
         assert all(a <= b for a, b in zip(coverage, coverage[1:]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_coverage([])
 
 
 class TestSerialization:

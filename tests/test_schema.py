@@ -242,11 +242,13 @@ _EXAMPLES = 100
 class TestMutations:
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(_libraries, st.data())
-    def test_method_entries(self, library, data):
+    def test_method_entries(self, tmp_path_factory, library, data):
         def read(doc):
             return _LibraryDoc(1, tuple(MethodLibrary.from_doc(doc).methods()))
 
-        _check(_LibraryDoc, library.to_doc(), read, data)
+        path = tmp_path_factory.getbasetemp() / "schema-library.json"
+        library.save(path)
+        _check(_LibraryDoc, json.loads(path.read_text(encoding="utf-8")), read, data)
 
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(_run_records(), st.data())
