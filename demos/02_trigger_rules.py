@@ -36,32 +36,32 @@ def show(label, decision):
 print("=== empty library: everything is uncovered ===")
 library = MethodLibrary()
 retrieval = library.retrieve_best(task_a, thresholds.tau_r)
-show("first sight of task A", decide(retrieval, None, None, thresholds))
+show("first sight of task A", decide(retrieval, thresholds))
 
 print("\n=== covered task, trustworthy method ===")
 library.insert(stored_method(task_a, successes=5, attempts=5))
 retrieval = library.retrieve_best(task_a, thresholds.tau_r)
 method = retrieval.method
 print(f"  score={retrieval.score:.2f} confidence={confidence(method, retrieval.score):.3f}")
-show("task A again", decide(retrieval, None, None, thresholds))
+show("task A again", decide(retrieval, thresholds))
 
 print("\n=== covered task, shaky method ===")
 shaky_library = MethodLibrary([stored_method(task_b, successes=1, attempts=8)])
 retrieval = shaky_library.retrieve_best(task_b, thresholds.tau_r)
 print(f"  score={retrieval.score:.2f} confidence={confidence(retrieval.method, retrieval.score):.3f}")
-show("task B with a 1/8 record", decide(retrieval, None, None, thresholds))
+show("task B with a 1/8 record", decide(retrieval, thresholds))
 
 print("\n=== observations can trigger learning on their own ===")
 observation = ObservedEvent(task_b.target_sequence, success=True)
 obs_retrieval = library.retrieve_best(task_b, thresholds.tau_o)
 show("watched someone solve uncovered task B",
-     decide(None, observation, obs_retrieval, thresholds))
+     decide(obs_retrieval, thresholds, observation))
 
 library.insert(stored_method(task_b, successes=3, attempts=3))
 obs_retrieval = library.retrieve_best(task_b, thresholds.tau_o)
 show("same observation, but task B is covered now",
-     decide(None, observation, obs_retrieval, thresholds))
+     decide(obs_retrieval, thresholds, observation))
 
 failed = ObservedEvent(task_b.target_sequence, success=False)
 show("a failed external attempt never triggers",
-     decide(None, failed, obs_retrieval, thresholds))
+     decide(obs_retrieval, thresholds, failed))

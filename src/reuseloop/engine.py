@@ -53,7 +53,7 @@ from .experience import EpisodeDataset, ExperienceSample, SOURCE_SELF
 from .library import Method, MethodLibrary
 from .planner import EpisodeOutcome, Planner, PlannerFeedback, PlannerHistory
 from .tasks import TaskDescriptor, TaskEvent
-from .trigger import LEARN_OBSERVATION, REUSE, TriggerThresholds, decide
+from .trigger import LEARN_OBSERVATION, REUSE, TriggerThresholds, decide, needs_refinement
 
 ALWAYS_LLM = "always_llm"
 LIBRARY_ONLY = "library_only"
@@ -220,7 +220,6 @@ class _Episode:
         self.history = history
         self.executor = SequenceExecutor(event.task, config)
         self.llm_calls = 0
-        self.llm_time_s = 0.0
         self.success = False
         self.hit = False
         self.learned = False
@@ -233,7 +232,7 @@ class _Episode:
             if self.mode == PROPOSED_OBSERVATION:
                 self.clock.add("retrieve", self.config.retrieve_s)
                 found = self.library.retrieve_best(self.task, self.thresholds.tau_o)
-                if decide(None, observed, found, self.thresholds).branch == LEARN_OBSERVATION:
+                if decide(found, self.thresholds, observed).branch == LEARN_OBSERVATION:
                     self.learn()
                     return
             self.success = observed.success  # watched, or already covered
@@ -258,9 +257,8 @@ class _Episode:
                 self.hit = True
             return
 
-        decision = decide(found, None, None, self.thresholds)
-        if decision.branch == REUSE:
-            self.reuse(decision.method)
+        if decide(found, self.thresholds).branch == REUSE:
+            self.reuse(found.method)
         else:
             self.learn()
 
@@ -270,7 +268,6 @@ class _Episode:
         call = self.planner.plan(self.task, self.history, feedback)
         self.clock.add("plan_llm", call.latency_s)
         self.llm_calls += 1
-        self.llm_time_s += call.latency_s
         return call
 
     # -- reuse and learning ---------------------------------------------------
@@ -286,7 +283,7 @@ class _Episode:
         if self.history is not None:
             self.history.record_method(method.id, method.reliability.success_ratio)
         # After update_reliability, so idle is 0; checking first moves the reuse-384 pins.
-        if learner.needs_refinement(method, self.event.cycle, self.thresholds.tau_u):
+        if needs_refinement(method, self.event.cycle, self.thresholds.tau_u):
             failed_step = self.executor.first_failed_step(method.procedure)
             self.learn(PlannerFeedback(
                 episode_outcomes=[EpisodeOutcome(success=ok, failed_step=failed_step)],
@@ -347,10 +344,12 @@ def run_episode(
         raise ValueError(f"unknown policy mode {mode!r}")
     ep = _Episode(event, mode, library, planner, thresholds, executor_config, history)
     ep.run()
-    # Positional: the phases come in PHASES order, which RunRecord's fields follow.
+    # Positional: the phases come in PHASES order, which RunRecord's fields
+    # follow. All LLM time is the planner latency charged to plan_llm.
+    phases = ep.clock.phases
     return RunRecord(
-        mode, event.task.id, repeat_index, event.cycle, *ep.clock.phases.values(),
-        ep.clock.now_s, ep.llm_calls, ep.llm_time_s, ep.success, ep.hit, ep.learned,
+        mode, event.task.id, repeat_index, event.cycle, *phases.values(),
+        ep.clock.now_s, ep.llm_calls, phases["plan_llm"], ep.success, ep.hit, ep.learned,
     )
 
 

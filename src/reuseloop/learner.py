@@ -4,7 +4,8 @@ A candidate solution moves from ``initial`` (seeded from the plan's direct
 solution or from observed data) to ``refined`` (post-episode consolidation
 by per-index majority over successful samples). A refined candidate that
 replays correctly and clears the plan's validation threshold is packaged as
-a new library method.
+a new library method. This module only consolidates: when to learn, and
+when a stored method needs refinement, is ``trigger``'s to say.
 
 ``quasi_adjust`` (the ``adjusted`` stage) is a library primitive the engine
 no longer calls: ``train_episode``'s per-index recount subsumes it in this
@@ -33,7 +34,6 @@ _STAGE_ORDER = {STAGE_INITIAL: 0, STAGE_ADJUSTED: 1, STAGE_REFINED: 2}
 class ValidationReport:
     passed: bool
     replay_success: bool
-    threshold_used: float
 
     def __post_init__(self):
         if self.passed and not self.replay_success:
@@ -167,12 +167,10 @@ def validate(
     if candidate.stage != STAGE_REFINED:
         raise ValueError("only refined candidates can be validated")
     replay_success = bool(executor.replay(candidate.sequence))
-    threshold = update_criteria.validation_threshold
     floor = min(candidate.per_step_confidence) if candidate.per_step_confidence else 0.0
     report = ValidationReport(
-        passed=replay_success and floor >= threshold,
+        passed=replay_success and floor >= update_criteria.validation_threshold,
         replay_success=replay_success,
-        threshold_used=threshold,
     )
     candidate.validation = report
     return report
@@ -210,13 +208,3 @@ def build_method(
         ),
     )
 
-
-def utility(method: Method, current_cycle: int) -> float:
-    """Long-term usefulness: success ratio decayed by time since last use."""
-    idle = max(0, current_cycle - method.reliability.last_used_cycle)
-    return method.reliability.success_ratio / (1.0 + 0.01 * idle)
-
-
-def needs_refinement(method: Method, current_cycle: int, tau_u: float) -> bool:
-    """True when utility falls strictly below ``tau_u``."""
-    return utility(method, current_cycle) < tau_u

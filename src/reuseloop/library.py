@@ -258,10 +258,7 @@ class MethodLibrary:
                 {
                     "id": m.id,
                     "procedure_len": len(m.procedure),
-                    "successes": m.reliability.successes,
-                    "attempts": m.reliability.attempts,
                     "success_ratio": round(m.reliability.success_ratio, 4),
-                    "n_signatures": len(m.applicability.signatures),
                     "n_goal_tokens": len(m.applicability.goal_tokens),
                 }
             )

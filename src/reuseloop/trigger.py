@@ -1,14 +1,17 @@
-"""The learning-trigger rule.
+"""When the loop learns: the trigger for one event, and the refinement test.
 
-Given the retrieval result for the current task (if any) and an optional
-external observation, ``decide`` picks exactly one branch, evaluating the
-cases in fixed order:
+``decide`` judges one event from the lookup the engine made for it, against
+the self-task or the observation coverage threshold. The lookup's
+``covered`` is the only coverage test. The cases, in order:
 
-1. the task is uncovered (best score below ``tau_r``)            -> learn
+1. a self task that is uncovered                                  -> learn
 2. covered, but confidence in the method is below ``tau_q``       -> learn
-3. a successful observation scores below ``tau_o``                -> learn
-4. otherwise reuse the retrieved method, or do nothing when the
-   event is a pure observation that is already covered.
+3. a successful observation of an uncovered task                  -> learn
+4. otherwise reuse the retrieved method, or do nothing for an
+   observed event.
+
+After a reuse, ``needs_refinement`` says whether the method's utility fell
+below ``tau_u``, so that the episode learns once more.
 """
 
 from __future__ import annotations
@@ -44,13 +47,10 @@ class TriggerThresholds:
 @dataclass(frozen=True)
 class TriggerDecision:
     branch: str
-    method: Method | None = None
 
     def __post_init__(self):
         if self.branch not in BRANCHES:
             raise ValueError(f"unknown branch {self.branch!r}")
-        if (self.method is not None) != (self.branch == REUSE):
-            raise ValueError("method present iff branch is reuse")
 
     @property
     def z(self) -> bool:
@@ -63,41 +63,40 @@ def confidence(method: Method, score: float) -> float:
 
     Laplace-smoothed success ratio, (successes + 1) / (attempts + 2), scaled
     by the retrieved matching score so barely-related methods are never
-    trusted. A fresh method on an exact match sits at 0.5.
+    trusted. A method ``learner.build_method`` stores starts at 1/1, so on an
+    exact match it sits at 2/3; an untried 0/0 method would sit at 0.5.
     """
     rel = method.reliability
     return (rel.successes + 1) / (rel.attempts + 2) * score
 
 
 def decide(
-    retrieval: RetrievalResult | None,
-    observation: ObservedEvent | None,
-    obs_retrieval: RetrievalResult | None,
+    found: RetrievalResult,
     thresholds: TriggerThresholds,
+    observed: ObservedEvent | None = None,
 ) -> TriggerDecision:
-    """Apply the piecewise trigger rule.
+    """Pick the branch for one event from its lookup, ``found``.
 
-    ``retrieval`` is the lookup for the self-execution task at hand, or None
-    for a pure observation event (no self task pending, so the
-    uncovered/low-confidence cases cannot fire). ``observation`` and
-    ``obs_retrieval`` are paired.
+    A self task passes no ``observed``; an observed event passes its
+    observation.
     """
-    if (observation is None) != (obs_retrieval is None):
-        raise ValueError("observation and obs_retrieval must be provided together")
-    if retrieval is None and observation is None:
-        raise ValueError("decide needs a retrieval, an observation, or both")
-
-    if retrieval is not None:
-        # An empty library scores 0; it is uncovered even under tau_r = 0.
-        if retrieval.method is None or retrieval.score < thresholds.tau_r:
-            return TriggerDecision(LEARN_UNCOVERED)
-        if confidence(retrieval.method, retrieval.score) < thresholds.tau_q:
-            return TriggerDecision(LEARN_LOW_CONFIDENCE)
-
-    if observation is not None and observation.success:
-        if obs_retrieval.score < thresholds.tau_o:
+    if observed is not None:
+        if observed.success and not found.covered:
             return TriggerDecision(LEARN_OBSERVATION)
+        return TriggerDecision(NO_ACTION)
+    if not found.covered:
+        return TriggerDecision(LEARN_UNCOVERED)
+    if confidence(found.method, found.score) < thresholds.tau_q:
+        return TriggerDecision(LEARN_LOW_CONFIDENCE)
+    return TriggerDecision(REUSE)
 
-    if retrieval is not None:
-        return TriggerDecision(REUSE, retrieval.method)
-    return TriggerDecision(NO_ACTION)
+
+def utility(method: Method, current_cycle: int) -> float:
+    """Long-term usefulness: success ratio decayed by time since last use."""
+    idle = max(0, current_cycle - method.reliability.last_used_cycle)
+    return method.reliability.success_ratio / (1.0 + 0.01 * idle)
+
+
+def needs_refinement(method: Method, current_cycle: int, tau_u: float) -> bool:
+    """True when utility falls strictly below ``tau_u``."""
+    return utility(method, current_cycle) < tau_u

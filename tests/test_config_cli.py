@@ -23,6 +23,8 @@ from reuseloop.errors import SchemaError
 from reuseloop.library import MethodLibrary
 from reuseloop.planner import HttpPlanner, MockPlanner
 
+from conftest import make_method
+
 
 class TestConfigDocuments:
     def test_two_line_config_fills_defaults(self):
@@ -310,6 +312,21 @@ class TestLibraryInspect:
         MethodLibrary().save(path)
         assert main(["library", "inspect", "--path", str(path)]) == 0
         assert "0 methods" in capsys.readouterr().out
+
+    def test_two_method_table(self, tmp_path, capsys):
+        path = tmp_path / "library.json"
+        MethodLibrary([
+            make_method("m-b", procedure=("move", "grasp"), successes=2, attempts=3),
+            make_method("m-a", goal_tokens=("open", "door"), successes=1, attempts=1),
+        ]).save(path)
+        assert main(["library", "inspect", "--path", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "2 methods\n"
+            "id                       steps  success_ratio  goal_tokens\n"
+            "----------------------------------------------------------\n"
+            "m-a                          3         1.0000            2\n"
+            "m-b                          2         0.6667            4\n"
+        )
 
     def test_post_benchmark_library(self, config_file, tmp_path, capsys):
         main(["bench", "run", "--config", str(config_file)])

@@ -33,6 +33,7 @@ from reuseloop.tasks import (
     OBSERVATION_FIRST,
     OBSERVED_EVENT,
     SELF_TASK,
+    ObservedEvent,
     TaskEvent,
     generate_corpus,
     signature_of,
@@ -228,6 +229,18 @@ class TestObservationModes:
         assert record.total_s == pytest.approx(CFG.observe_s + CFG.retrieve_s)
         assert len(library) == 1
 
+    @pytest.mark.parametrize("kind", [SELF_TASK, OBSERVED_EVENT])
+    def test_empty_library_learns_at_zero_threshold(self, kind, library):
+        # An empty library covers nothing, even at tau_r = tau_o = 0: a self
+        # task and a successful observation both learn.
+        event = self._observed_event()
+        if kind == SELF_TASK:
+            event = self_event(event.task)
+        zero = TriggerThresholds(tau_r=0.0, tau_o=0.0)
+        record = run_episode(event, PROPOSED_OBSERVATION, library, planner(), zero, CFG)
+        assert record.learned and record.success
+        assert len(library) == 1
+
     def test_observation_corrects_corrupted_plan(self, library):
         # The observed sequence outvotes a corrupted direct solution.
         event = self._observed_event()
@@ -241,7 +254,10 @@ class TestObservationModes:
 # README's "Policy modes" table, cell by cell. Each cell runs one event on a
 # novel task (empty library) and on a task a working method covers. A row is
 # (cost items charged, llm_calls, hit, learned, success, library size after);
-# "observe" is the observe_s charge, booked to the collect phase.
+# "observe" is the observe_s charge, booked to the collect phase. A failed
+# observation is an observed event whose external attempt failed: no mode
+# learns from it.
+FAILED_OBSERVATION = "failed_observation"
 _WATCH = ("observe",)
 _PLAN_EXECUTE = ("plan_llm", "execute")
 _REUSE = ("retrieve", "execute")
@@ -269,6 +285,12 @@ POLICY_TABLE = {
                                          (_WATCH, 0, False, False, True, 1)),
     (PROPOSED_OBSERVATION, OBSERVED_EVENT): ((_LEARN_OBSERVED, 1, False, True, True, 1),
                                              (("observe", "retrieve"), 0, False, False, True, 1)),
+    **{(mode, FAILED_OBSERVATION): ((_WATCH, 0, False, False, False, 0),
+                                    (_WATCH, 0, False, False, False, 1))
+       for mode in (ALWAYS_LLM, LIBRARY_ONLY, PROPOSED, OBSERVATION_ONLY)},
+    (PROPOSED_OBSERVATION, FAILED_OBSERVATION): (
+        (("observe", "retrieve"), 0, False, False, False, 0),
+        (("observe", "retrieve"), 0, False, False, False, 1)),
 }
 
 
@@ -297,6 +319,9 @@ class TestPolicyTable:
         event = _observed_event()
         if kind == SELF_TASK:
             event = self_event(event.task)
+        elif kind == FAILED_OBSERVATION:
+            failed = ObservedEvent(event.observed.action_sequence, success=False)
+            event = dataclasses.replace(event, observed=failed)
         if covered:
             library.insert(method_for_task(event.task))
         items, llm_calls, hit, learned, success, size = POLICY_TABLE[mode, kind][covered]

@@ -15,15 +15,14 @@ from reuseloop.learner import (
     ValidationReport,
     build_method,
     initialize,
-    needs_refinement,
     quasi_adjust,
     train_episode,
-    utility,
     validate,
 )
 from reuseloop.library import matching_score
 from reuseloop.planner import MockPlanner, UpdateCriteria
 from reuseloop.tasks import ObservedEvent
+from reuseloop.trigger import needs_refinement, utility
 
 from conftest import make_method, make_sample, make_task
 
@@ -258,7 +257,7 @@ class TestValidate:
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):
-            ValidationReport(passed=True, replay_success=False, threshold_used=0.5)
+            ValidationReport(passed=True, replay_success=False)
 
 
 class TestBuildMethod:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 
 import pytest
 
-from reuseloop.library import RetrievalResult, matching_score
+from reuseloop import learner
+from reuseloop.engine import ExecutorConfig, SequenceExecutor
+from reuseloop.experience import EpisodeDataset
+from reuseloop.library import MethodLibrary, RetrievalResult, matching_score
+from reuseloop.planner import MockPlanner
 from reuseloop.tasks import ObservedEvent
 from reuseloop.trigger import (
     LEARN_LOW_CONFIDENCE,
@@ -25,6 +30,7 @@ THRESHOLDS = TriggerThresholds(tau_r=0.8, tau_q=0.5, tau_o=0.8, tau_u=0.3)
 
 class TestConfidence:
     def test_fresh_method_on_exact_match(self, task):
+        # An untried 0/0 method; the engine never stores one.
         method = method_for_task(task, successes=0, attempts=0)
         assert confidence(method, matching_score(task, method)) == pytest.approx(0.5)
 
@@ -53,37 +59,31 @@ def _retrieval(task, score, successes=1, attempts=1):
 class TestDecideExamples:
     def test_uncovered_task(self, task):
         retrieval = _retrieval(task, 0.5)
-        decision = decide(retrieval, None, None, THRESHOLDS)
+        decision = decide(retrieval, THRESHOLDS)
         assert decision.z and decision.branch == LEARN_UNCOVERED
 
     def test_low_confidence(self, task):
         # covered score but weak record: 1 success in 8 -> confidence 0.25
         retrieval = _retrieval(task, 1.0, successes=1, attempts=8)
-        decision = decide(retrieval, None, None, THRESHOLDS)
+        decision = decide(retrieval, THRESHOLDS)
         assert decision.z and decision.branch == LEARN_LOW_CONFIDENCE
 
     def test_observation_without_pending_task(self, task):
         observation = ObservedEvent(("move", "grasp"), True)
         obs_retrieval = RetrievalResult(method=None, score=0.0, covered=False)
-        decision = decide(None, observation, obs_retrieval, THRESHOLDS)
+        decision = decide(obs_retrieval, THRESHOLDS, observation)
         assert decision.z and decision.branch == LEARN_OBSERVATION
 
     def test_covered_observation_is_no_action(self, task):
         observation = ObservedEvent(("move", "grasp"), True)
         obs_retrieval = _retrieval(task, 1.0)
-        decision = decide(None, observation, obs_retrieval, THRESHOLDS)
+        decision = decide(obs_retrieval, THRESHOLDS, observation)
         assert not decision.z and decision.branch == NO_ACTION
-        assert decision.method is None
 
     def test_reuse(self, task):
         retrieval = _retrieval(task, 1.0, successes=5, attempts=5)
-        decision = decide(retrieval, None, None, THRESHOLDS)
+        decision = decide(retrieval, THRESHOLDS)
         assert not decision.z and decision.branch == REUSE
-        assert decision.method is retrieval.method
-
-    def test_argument_pairing_enforced(self, task):
-        with pytest.raises(ValueError):
-            decide(None, None, None, THRESHOLDS)
 
 
 def expected_branch(task_present, score_low, conf_low, obs):
@@ -100,31 +100,28 @@ def expected_branch(task_present, score_low, conf_low, obs):
 
 
 def iter_trigger_table():
-    """Every combination the trigger rule distinguishes.
+    """Every case the trigger rule distinguishes; an event is one or the other.
 
-    Task side: present with score below/above tau_r crossed with confidence
-    below/above tau_q, or absent. Observation side: absent, or present with
-    success x (score below/above tau_o).
+    A self task: score below/above tau_r crossed with confidence below/above
+    tau_q. An observed event: success x (score below/above tau_o).
     """
-    task_states = [None] + list(itertools.product([True, False], [True, False]))
-    obs_states = [None] + list(itertools.product([True, False], [True, False]))
-    for task_state, obs_state in itertools.product(task_states, obs_states):
-        if task_state is None and obs_state is None:
-            continue
-        yield task_state, obs_state
+    states = list(itertools.product([True, False], [True, False]))
+    for task_state in states:
+        yield task_state, None
+    for obs_state in states:
+        yield None, obs_state
 
 
 def run_table_case(task_state, obs_state):
     task = make_task()
-    retrieval = None
     if task_state is not None:
         score_low, conf_low = task_state
         score = 0.5 if score_low else 1.0
         # attempts tuned so Laplace-smoothed confidence lands below/above 0.5
         successes, attempts = (1, 8) if conf_low else (5, 5)
         retrieval = _retrieval(task, score, successes=successes, attempts=attempts)
-    observation = obs_retrieval = None
-    if obs_state is not None:
+        decision = decide(retrieval, THRESHOLDS)
+    else:
         obs_success, obs_score_low = obs_state
         observation = ObservedEvent(("move",), success=obs_success)
         obs_score = 0.0 if obs_score_low else 1.0
@@ -132,7 +129,7 @@ def run_table_case(task_state, obs_state):
         obs_retrieval = RetrievalResult(
             method=obs_method, score=obs_score, covered=obs_score >= THRESHOLDS.tau_o
         )
-    decision = decide(retrieval, observation, obs_retrieval, THRESHOLDS)
+        decision = decide(obs_retrieval, THRESHOLDS, observation)
     want = expected_branch(
         task_state is not None,
         task_state[0] if task_state else False,
@@ -150,12 +147,12 @@ class TestExhaustiveTable:
             assert decision.branch == want, (task_state, obs_state)
             assert decision.z == (want in {LEARN_UNCOVERED, LEARN_LOW_CONFIDENCE, LEARN_OBSERVATION})
             checked += 1
-        assert checked == 24
+        assert checked == 8
 
     def test_pure_function(self, task):
         retrieval = _retrieval(task, 1.0, successes=5, attempts=5)
-        first = decide(retrieval, None, None, THRESHOLDS)
-        second = decide(retrieval, None, None, THRESHOLDS)
+        first = decide(retrieval, THRESHOLDS)
+        second = decide(retrieval, THRESHOLDS)
         assert first == second
 
 
@@ -163,14 +160,30 @@ class TestThresholdBoundaries:
     def test_fresh_method_trusted_exactly_at_boundary(self, task):
         # confidence 0.5 is not strictly below tau_q = 0.5
         retrieval = _retrieval(task, 1.0, successes=0, attempts=0)
-        decision = decide(retrieval, None, None, THRESHOLDS)
+        decision = decide(retrieval, THRESHOLDS)
         assert decision.branch == REUSE
 
+    def test_stored_method_trusted_exactly_at_two_thirds(self, task):
+        # build_method stores a method at 1/1, so on an exact match its
+        # confidence is (1 + 1) / (1 + 2) = 2/3.
+        plan = MockPlanner(seed=1).plan(task).plan
+        dataset = EpisodeDataset()
+        candidate = learner.train_episode(learner.initialize(plan, dataset), dataset)
+        learner.validate(candidate, SequenceExecutor(task, ExecutorConfig()), plan.update_criteria)
+        library = MethodLibrary([learner.build_method(candidate, task, dataset, cycle=0)])
+        found = library.retrieve_best(task, THRESHOLDS.tau_r)
+        assert confidence(found.method, found.score) == 2 / 3
+        assert decide(found, TriggerThresholds(tau_q=2 / 3)).branch == REUSE
+        assert decide(found, TriggerThresholds(tau_q=2 / 3 + 1e-9)).branch == LEARN_LOW_CONFIDENCE
+
     def test_score_at_tau_r_is_covered(self, task):
-        thresholds = TriggerThresholds(tau_r=0.6, tau_q=0.5, tau_o=0.8, tau_u=0.3)
-        retrieval = _retrieval(task, 0.6, successes=5, attempts=5)
-        decision = decide(retrieval, None, None, thresholds)
-        assert decision.branch == REUSE
+        # pick/up/blue/cube against pick/up/red/cube: Jaccard 3/5 = 0.6.
+        library = MethodLibrary([make_method(goal_tokens=("pick", "up", "blue", "cube"),
+                                             successes=5, attempts=5)])
+        found = library.retrieve_best(task, 0.6)
+        assert found.score == 0.6 and found.covered
+        assert decide(found, TriggerThresholds(tau_r=0.6)).branch == REUSE
+        assert not library.retrieve_best(task, 0.6 + 1e-9).covered
 
     def test_threshold_range_validated(self):
         with pytest.raises(ValueError):
@@ -178,9 +191,6 @@ class TestThresholdBoundaries:
 
 
 def test_decision_invariants():
-    with pytest.raises(ValueError):
-        TriggerDecision(REUSE)
-    with pytest.raises(ValueError):
-        TriggerDecision(NO_ACTION, method=make_method())
+    assert [f.name for f in fields(TriggerDecision)] == ["branch"]
     with pytest.raises(ValueError):
         TriggerDecision("bogus")
