@@ -92,27 +92,22 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
 
 
 def cmd_library_inspect(args: argparse.Namespace) -> int:
-    library = MethodLibrary.load(args.path)
-    stats = library.stats()
-    print(f"{stats['n_methods']} methods")
-    if stats["methods"]:
+    methods = sorted(MethodLibrary.load(args.path).methods(), key=lambda m: m.id)
+    print(f"{len(methods)} methods")
+    if methods:
         header = f"{'id':<24}{'steps':>6}{'success_ratio':>15}{'goal_tokens':>13}"
         print(header)
         print("-" * len(header))
-        for row in stats["methods"]:
+        for m in methods:
             print(
-                f"{row['id']:<24}{row['procedure_len']:>6}"
-                f"{row['success_ratio']:>15.4f}{row['n_goal_tokens']:>13}"
+                f"{m.id:<24}{len(m.procedure):>6}"
+                f"{m.reliability.success_ratio:>15.4f}{len(m.applicability.goal_tokens):>13}"
             )
     return 0
 
 
 def cmd_cost_analyze(args: argparse.Namespace) -> int:
     profile = costs.load_profile(args.profile)
-    if not 0.0 <= args.rho <= 1.0:
-        raise SchemaError("rho", "must lie in [0, 1]")
-    if args.k < 0:
-        raise SchemaError("k", "must be nonnegative")
     result = costs.reuse_benefit(profile, args.rho, args.k)
     holds = costs.benefit_condition_holds(profile, args.rho, args.k)
     print(f"delta_c     {result.delta_c:.4f}")

@@ -25,11 +25,21 @@ from .engine import (
     ExecutorConfig,
 )
 from .errors import SchemaError, parse_json, read_dataclass
-from .planner import DEFAULT_MOCK_LATENCY_S, DEFAULT_P_CORRUPT, HttpPlanner, MockPlanner, Planner
+from .planner import (
+    DEFAULT_MOCK_LATENCY_S,
+    DEFAULT_P_CORRUPT,
+    HttpPlanner,
+    MockPlanner,
+    Planner,
+    check_http_settings,
+    check_latency,
+    check_p_corrupt,
+)
 from .tasks import (
     OBSERVATION_FIRST,
     SELF_EXECUTION,
     TaskEvent,
+    check_corpus_size,
     generate_corpus,
     mean_target_length,
 )
@@ -147,6 +157,17 @@ class PlannerSettings:
     timeout_s: float = 30.0
     retries: int = 2
 
+    def __post_init__(self):
+        if self.kind not in (MOCK, HTTP):
+            raise ValueError(f"kind must be '{MOCK}' or '{HTTP}'")
+        if self.latency_s is not None:
+            check_latency(self.latency_s)
+        if self.p_corrupt is not None:
+            check_p_corrupt(self.p_corrupt)
+        check_http_settings(self.temperature, self.timeout_s, self.retries)
+        if self.kind == HTTP and not (self.endpoint and self.model):
+            raise ValueError("http planner requires endpoint and model")
+
 
 @dataclass
 class RunConfig:
@@ -160,32 +181,16 @@ class RunConfig:
     library_path: str | None = None
     output_dir: str = "bench_out"
 
+    def __post_init__(self):
+        if self.mode not in POLICY_MODES:
+            raise ValueError(f"mode must be one of {', '.join(POLICY_MODES)}")
+        check_corpus_size(self.n_tasks, self.n_repeats)
+
 
 def config_from_dict(doc: dict) -> RunConfig:
-    """Build a ``RunConfig``; every field, nested ones included, is optional and typed."""
-    config = read_dataclass(RunConfig, doc)
-    if config.mode not in POLICY_MODES:
-        raise SchemaError("mode", f"expected one of {', '.join(POLICY_MODES)}")
-    settings = config.planner
-    if settings.kind not in (MOCK, HTTP):
-        raise SchemaError("planner.kind", f"expected '{MOCK}' or '{HTTP}'")
-    if settings.p_corrupt is not None and not 0.0 <= settings.p_corrupt <= 1.0:
-        raise SchemaError("planner.p_corrupt", "must lie in [0, 1]")
-    if settings.latency_s is not None and settings.latency_s < 0:
-        raise SchemaError("planner.latency_s", "must be nonnegative")
-    if settings.retries < 0:
-        raise SchemaError("planner.retries", "expected a nonnegative integer")
-    if settings.timeout_s <= 0:
-        raise SchemaError("planner.timeout_s", "must be positive")
-    if settings.temperature < 0:
-        raise SchemaError("planner.temperature", "must be nonnegative")
-    if settings.kind == HTTP and (not settings.endpoint or not settings.model):
-        raise SchemaError("planner", "http planner requires endpoint and model")
-    if config.n_tasks < 1:
-        raise SchemaError("n_tasks", "must be >= 1")
-    if config.n_repeats < 1:
-        raise SchemaError("n_repeats", "must be >= 1")
-    return config
+    """Build a ``RunConfig``; every field, nested ones included, is optional
+    and typed, and a bad value is named at its field."""
+    return read_dataclass(RunConfig, doc)
 
 
 def apply_overrides(doc: dict, overrides: dict[str, Any]) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .errors import SchemaError, parse_json, typed_fields
+from .errors import parse_json, read_dataclass
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,7 @@ def delay_comparison(profile: CostProfile, c_delay_quasi: float) -> DelayCompari
 
 def profile_from_dict(doc: Any) -> CostProfile:
     """Read a cost profile; a negative cost is named at its field."""
-    values = typed_fields(CostProfile, doc)
-    for name, value in values.items():
-        if value < 0:
-            raise SchemaError(name, "must be nonnegative")
-    return CostProfile(**values)
+    return read_dataclass(CostProfile, doc)
 
 
 def load_profile(path: str | Path) -> CostProfile:

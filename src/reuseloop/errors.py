@@ -1,6 +1,6 @@
 """Exception types, the one dataclass reader every loader uses
-(``read_dataclass``, with ``typed_fields`` and ``read_versioned`` built on
-it), ``to_doc``, ``number_text`` and ``parse_json``."""
+(``read_dataclass``, with ``read_versioned`` built on it), ``to_doc``,
+``number_text`` and ``parse_json``."""
 
 from __future__ import annotations
 
@@ -127,7 +127,8 @@ def _schema(cls) -> tuple[frozenset[str], tuple[tuple, ...]]:
 def _read(schema, build, doc: Any):
     """``build(**kwargs)`` with the fields in ``schema``, ``_schema(cls)``'s
     result, read from ``doc``; a violation, a ``ValueError`` from ``build``
-    included, raises ``_Violation``."""
+    included, raises ``_Violation``. A ``ValueError`` whose message starts
+    with a field name is placed at that field."""
     if type(doc) is not dict:
         raise _Violation("", "expected a JSON object")
     names, entries = schema
@@ -159,6 +160,9 @@ def _read(schema, build, doc: Any):
     try:
         return build(**kwargs)
     except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name in names:
+            raise _Violation(f".{name}", rest) from exc
         raise _Violation("", str(exc)) from exc
 
 
@@ -167,24 +171,6 @@ def _widen(value: int) -> float:
         return float(value)
     except OverflowError:
         raise _Violation("", "expected a finite number, got an integer too large for a float") from None
-
-
-def _at(cls, build, doc: Any):
-    """``_read`` for ``cls``, with a violation raised as ``SchemaError``."""
-    try:
-        return _read(_schema(cls), build, doc)
-    except _Violation as exc:
-        raise SchemaError(exc.path.lstrip(".") or "<root>", exc.message) from exc.__cause__
-
-
-def typed_fields(cls, doc: Any) -> dict:
-    """``read_dataclass``'s checks, returning the constructor kwargs unbuilt.
-
-    For a loader that names a value error at the field rather than at the
-    object: it checks the kwargs, then builds ``cls`` itself. A field left
-    out of ``doc`` is left out of the kwargs, to take its default.
-    """
-    return _at(cls, dict, doc)
 
 
 def read_dataclass(cls, doc: Any):
@@ -203,10 +189,18 @@ def read_dataclass(cls, doc: Any):
     A violation raises ``SchemaError`` naming its dotted path from the root,
     e.g. ``events[2].task.constraints.max_steps``: a non-object, an unknown
     key, a missing or mistyped field, a repeated set entry, or a
-    ``ValueError`` from a dataclass, which is named at the object it builds
-    (``<root>`` at the root). Paths are built only when raising.
+    ``ValueError`` from a dataclass. Such an error whose message starts with
+    one of the dataclass's field names is named at that field, with the rest
+    of the message (``executor.base_s: must be nonnegative``); any other is
+    named at the object it builds (``<root>`` at the root). So a bad value,
+    worded ``"<field> must ..."``, is named at its field, and a check that
+    spans fields, worded otherwise (the http planner's endpoint/model
+    pairing), at its object. Paths are built only when raising.
     """
-    return _at(cls, cls, doc)
+    try:
+        return _read(_schema(cls), cls, doc)
+    except _Violation as exc:
+        raise SchemaError(exc.path.lstrip(".") or "<root>", exc.message) from exc.__cause__
 
 
 def read_versioned(cls, doc: Any, version: int):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .experience import EpisodeDataset, ExperienceSample
 from .library import Applicability, DataProfile, Method, Reliability
@@ -27,7 +27,7 @@ from .tasks import TaskDescriptor
 STAGE_INITIAL = "initial"
 STAGE_ADJUSTED = "adjusted"
 STAGE_REFINED = "refined"
-_STAGE_ORDER = {STAGE_INITIAL: 0, STAGE_ADJUSTED: 1, STAGE_REFINED: 2}
+STAGES = (STAGE_INITIAL, STAGE_ADJUSTED, STAGE_REFINED)
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,10 @@ class CandidateSolution:
     sequence: list[str]
     per_step_confidence: list[float]
     model_family: str
-    flagged_steps: set[int] = field(default_factory=set)
     validation: ValidationReport | None = None
 
     def __post_init__(self):
-        if self.stage not in _STAGE_ORDER:
+        if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}")
         if len(self.per_step_confidence) != len(self.sequence):
             raise ValueError("per_step_confidence must align with sequence")
@@ -101,9 +100,8 @@ def _successful_prefix(dataset: EpisodeDataset) -> list[str]:
 def quasi_adjust(candidate: CandidateSolution, new_sample: ExperienceSample) -> CandidateSolution:
     """Fold one fresh sample into the candidate (intermediate stage).
 
-    A failure at step k halves that step's confidence and flags the step for
-    replacement during consolidation; a success averages the confidence back
-    toward 1. Refined candidates are immutable.
+    A failure at step k halves that step's confidence; a success averages it
+    back toward 1. Refined candidates are immutable.
     """
     if candidate.stage == STAGE_REFINED:
         raise ValueError("refined candidates cannot be adjusted")
@@ -114,7 +112,6 @@ def quasi_adjust(candidate: CandidateSolution, new_sample: ExperienceSample) -> 
         candidate.per_step_confidence[idx] = (candidate.per_step_confidence[idx] + 1.0) / 2.0
     else:
         candidate.per_step_confidence[idx] /= 2.0
-        candidate.flagged_steps.add(new_sample.t)
     candidate.stage = STAGE_ADJUSTED
     return candidate
 
@@ -150,7 +147,6 @@ def train_episode(candidate: CandidateSolution, dataset: EpisodeDataset) -> Cand
         candidate.per_step_confidence[i] = sum(wins.values()) / samples_at[i + 1]
 
     candidate.stage = STAGE_REFINED
-    candidate.flagged_steps.clear()
     return candidate
 
 

@@ -56,9 +56,9 @@ class Applicability:
         self.signatures = frozenset(self.signatures)
         self.goal_tokens = frozenset(self.goal_tokens)
         if not self.signatures:
-            raise ValueError("applicability.signatures must be non-empty")
+            raise ValueError("signatures must be non-empty")
         if self.max_steps < 1:
-            raise ValueError("applicability.max_steps must be positive")
+            raise ValueError("max_steps must be positive")
 
 
 @dataclass
@@ -99,7 +99,7 @@ class Method:
 
     def __post_init__(self):
         if not self.id:
-            raise ValueError("method id must be non-empty")
+            raise ValueError("id must be non-empty")
         if not self.procedure:
             raise ValueError("procedure must be non-empty")
         if self.step_params is not None and len(self.step_params) != len(self.procedure):
@@ -249,20 +249,6 @@ class MethodLibrary:
         # With no method tied at a positive score, every method scores 0.
         best = min(tied or self._methods.values(), key=_tie_key)
         return RetrievalResult(method=best, score=score, covered=score >= tau_r)
-
-    def stats(self) -> dict:
-        """Inspection summary: method count plus per-method ratios, by id."""
-        rows = []
-        for m in sorted(self.methods(), key=lambda m: m.id):
-            rows.append(
-                {
-                    "id": m.id,
-                    "procedure_len": len(m.procedure),
-                    "success_ratio": round(m.reliability.success_ratio, 4),
-                    "n_goal_tokens": len(m.applicability.goal_tokens),
-                }
-            )
-        return {"n_methods": len(self), "methods": rows}
 
     # -- persistence --------------------------------------------------------
 

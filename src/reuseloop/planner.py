@@ -20,7 +20,7 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Any, Protocol
 
-from .errors import PlannerError, PlanningFailedError, SchemaError, parse_json, read_dataclass
+from .errors import PlannerError, PlanningFailedError, SchemaError, parse_json, read_dataclass, to_doc
 from .tasks import DEFAULT_ACTIONS, TaskDescriptor
 
 logger = logging.getLogger(__name__)
@@ -125,11 +125,28 @@ class PlannerHistory:
         del self.recent_methods[:-HISTORY_MAX_ENTRIES]
 
 
-def _check_latency(latency_s: float) -> None:
+# Setting checks, shared by the planners and config.PlannerSettings.
+
+
+def check_latency(latency_s: float) -> None:
     if not math.isfinite(latency_s):
         raise ValueError(f"latency_s must be finite, got {latency_s!r}")
     if latency_s < 0:
         raise ValueError("latency_s must be nonnegative")
+
+
+def check_p_corrupt(p_corrupt: float) -> None:
+    if not 0.0 <= p_corrupt <= 1.0:
+        raise ValueError("p_corrupt must lie in [0, 1]")
+
+
+def check_http_settings(temperature: float, timeout_s: float, retries: int) -> None:
+    if not math.isfinite(temperature) or temperature < 0:
+        raise ValueError(f"temperature must be finite and nonnegative, got {temperature!r}")
+    if not math.isfinite(timeout_s) or timeout_s <= 0:
+        raise ValueError(f"timeout_s must be finite and positive, got {timeout_s!r}")
+    if retries < 0:
+        raise ValueError(f"retries must be nonnegative, got {retries!r}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +155,7 @@ class PlannerCall:
     plan: LearningPlan
 
     def __post_init__(self):
-        _check_latency(self.latency_s)
+        check_latency(self.latency_s)
 
 
 class Planner(Protocol):
@@ -214,9 +231,8 @@ class MockPlanner:
         latency_s: float = DEFAULT_MOCK_LATENCY_S,
         p_corrupt: float = DEFAULT_P_CORRUPT,
     ):
-        _check_latency(latency_s)
-        if not 0.0 <= p_corrupt <= 1.0:
-            raise ValueError("p_corrupt must lie in [0, 1]")
+        check_latency(latency_s)
+        check_p_corrupt(p_corrupt)
         self.seed = seed
         self.latency_s = latency_s
         self.p_corrupt = p_corrupt
@@ -325,12 +341,7 @@ class HttpPlanner:
             raise ValueError("endpoint must be non-empty")
         if not model:
             raise ValueError("model must be non-empty")
-        if not math.isfinite(temperature) or temperature < 0:
-            raise ValueError(f"temperature must be finite and nonnegative, got {temperature!r}")
-        if not math.isfinite(timeout_s) or timeout_s <= 0:
-            raise ValueError(f"timeout_s must be finite and positive, got {timeout_s!r}")
-        if retries < 0:
-            raise ValueError(f"retries must be nonnegative, got {retries!r}")
+        check_http_settings(temperature, timeout_s, retries)
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
@@ -430,19 +441,10 @@ class HttpPlanner:
                 "observations": list(task.observations),
                 "max_steps": task.constraints.max_steps,
             },
-            "history": {
-                "recent_tasks": history.recent_tasks if history else [],
-                "recent_methods": history.recent_methods if history else [],
-            },
+            "history": to_doc(history or PlannerHistory()),
         }
         if feedback is not None:
-            payload["feedback"] = {
-                "episode_outcomes": [
-                    {"success": o.success, "failed_step": o.failed_step}
-                    for o in feedback.episode_outcomes
-                ],
-                "notes": feedback.notes,
-            }
+            payload["feedback"] = to_doc(feedback)
         return (
             "You are the learning organizer for a robot that consolidates task "
             "solutions into a local method library. Produce a learning plan as a "

@@ -39,6 +39,9 @@ _VERBS = ("pick", "stack", "fetch", "sort", "insert", "flip", "pack", "wipe")
 _COLORS = ("red", "blue", "green", "yellow", "black", "white")
 _OBJECTS = ("cube", "ball", "peg", "tray", "bottle", "gear", "plate", "ring")
 
+# Distinct tasks a corpus can hold: one per verb, colour and object.
+MAX_TASKS = len(_VERBS) * len(_COLORS) * len(_OBJECTS)
+
 _TOKEN_RE = re.compile(r"[^a-z0-9]+")
 
 
@@ -129,7 +132,7 @@ class TaskEvent:
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
         if (self.kind == OBSERVED_EVENT) != (self.observed is not None):
-            raise ValueError("observed payload present iff kind is observed_event")
+            raise ValueError("an observed payload is required iff kind is observed_event")
 
 
 def signature_of(task: TaskDescriptor) -> str:
@@ -148,6 +151,14 @@ def signature_of(task: TaskDescriptor) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def check_corpus_size(n_tasks: int, n_repeats: int) -> None:
+    """Reject a corpus size ``generate_corpus`` cannot build."""
+    if not 1 <= n_tasks <= MAX_TASKS:
+        raise ValueError(f"n_tasks must lie in [1, {MAX_TASKS}]")
+    if n_repeats < 1:
+        raise ValueError("n_repeats must be >= 1")
+
+
 def generate_corpus(
     seed: int,
     n_tasks: int,
@@ -164,17 +175,11 @@ def generate_corpus(
     The stream is a pure function of the arguments: identical inputs yield a
     byte-identical corpus.
     """
-    if n_tasks < 1:
-        raise ValueError("n_tasks must be >= 1")
-    if n_repeats < 1:
-        raise ValueError("n_repeats must be >= 1")
+    check_corpus_size(n_tasks, n_repeats)
     if mode not in CORPUS_MODES:
         raise ValueError(f"unknown corpus mode {mode!r}")
 
     combos = list(itertools.product(_VERBS, _COLORS, _OBJECTS))
-    if n_tasks > len(combos):
-        raise ValueError(f"n_tasks must be <= {len(combos)}")
-
     rng = random.Random(seed)
     rng.shuffle(combos)
 

@@ -307,11 +307,28 @@ class TestBenchReport:
 
 
 class TestLibraryInspect:
+    @staticmethod
+    def _rows(methods, tmp_path, capsys) -> list[str]:
+        """``library inspect``'s table rows for a library of ``methods``."""
+        path = tmp_path / "library.json"
+        MethodLibrary(methods).save(path)
+        assert main(["library", "inspect", "--path", str(path)]) == 0
+        return capsys.readouterr().out.splitlines()[3:]
+
     def test_empty_library(self, tmp_path, capsys):
         path = tmp_path / "library.json"
         MethodLibrary().save(path)
         assert main(["library", "inspect", "--path", str(path)]) == 0
-        assert "0 methods" in capsys.readouterr().out
+        assert capsys.readouterr().out == "0 methods\n"
+
+    def test_ratio_printed_to_four_decimals(self, tmp_path, capsys):
+        (row,) = self._rows([make_method("m-a", successes=1, attempts=7)], tmp_path, capsys)
+        assert row.split()[2] == "0.1429"
+
+    def test_rows_ordered_by_id(self, tmp_path, capsys):
+        methods = [make_method(method_id) for method_id in ("m-c", "m-a", "m-b")]
+        rows = self._rows(methods, tmp_path, capsys)
+        assert [row.split()[0] for row in rows] == ["m-a", "m-b", "m-c"]
 
     def test_two_method_table(self, tmp_path, capsys):
         path = tmp_path / "library.json"

@@ -7,7 +7,8 @@ key, add an unknown key, give a field (or a list item or mapping value) the
 wrong JSON type, put ``null`` in a non-nullable field, put a non-finite
 number in a float field, and repeat an entry of a set-typed list. The sites
 are found by walking the document against the dataclass annotations,
-independently of the reader.
+independently of the reader. A table test then checks that each loader
+names a value its dataclass rejects at that value's field.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from reuseloop.tasks import (
     generate_corpus,
 )
 from reuseloop.trigger import TriggerThresholds
+
+from conftest import make_method
 
 _DROP = object()
 _WRONG = {str: 3, int: "1", float: "1.5", bool: 1, dict: [], list: {}}
@@ -274,3 +277,39 @@ class TestMutations:
     @given(st.builds(CostProfile, *[_floats()] * 7), st.data())
     def test_cost_profile(self, profile, data):
         _check(CostProfile, to_doc(profile), profile_from_dict, data)
+
+
+def _with(doc: dict, keys: tuple, value) -> dict:
+    """A copy of ``doc`` with the entry at ``keys`` set to ``value``."""
+    return _mutated(doc, (None, keys[:-1], keys[-1], value))
+
+
+_LIBRARY_DOC = to_doc(_LibraryDoc(1, (make_method("m-a", successes=1, attempts=1),)))
+_CORPUS_DOC = corpus_to_doc(generate_corpus(seed=1, n_tasks=1, n_repeats=1))
+
+
+_NAMED_AT_FIELD = [
+    (config_from_dict, {"executor": {"base_s": -1}}, "executor.base_s"),
+    (config_from_dict, {"thresholds": {"tau_r": 2}}, "thresholds.tau_r"),
+    (config_from_dict, {"planner": {"timeout_s": 0}}, "planner.timeout_s"),
+    (config_from_dict, {"n_tasks": 1000}, "n_tasks"),
+    (config_from_dict, {"mode": "yolo"}, "mode"),
+    (profile_from_dict, {"c_train": -1}, "c_train"),
+    (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "reliability", "successes"), 2),
+     "methods[0].reliability.successes"),
+    (corpus_from_doc, _with(_CORPUS_DOC, ("events", 0, "task", "target_sequence"), []),
+     "events[0].task.target_sequence"),
+    (plan_from_dict,
+     {"candidate_models": [{"family": "sequence"}], "update_criteria": {"validation_threshold": 2}},
+     "update_criteria.validation_threshold"),
+]
+
+
+@pytest.mark.parametrize("read, doc, field", [pytest.param(*case, id=case[2]) for case in _NAMED_AT_FIELD])
+def test_value_errors_named_at_field(read, doc, field):
+    """A value its dataclass rejects is named at its field, and the message
+    no longer repeats the field name."""
+    with pytest.raises(SchemaError) as err:
+        read(doc)
+    assert err.value.field == field
+    assert err.value.message.startswith("must ")

@@ -207,8 +207,8 @@ class TestCorpusPersistence:
         doc["events"][0]["task"]["target_sequence"] = []
         with pytest.raises(SchemaError) as err:
             corpus_from_doc(doc)
-        assert err.value.field == "events[0].task"
-        assert "target_sequence must be non-empty" in str(err.value)
+        assert err.value.field == "events[0].task.target_sequence"
+        assert err.value.message == "must be non-empty"
 
     def test_string_sequences_rejected(self):
         events = generate_corpus(seed=1, n_tasks=1, n_repeats=1, mode=OBSERVATION_FIRST)
