@@ -20,7 +20,7 @@ from reuseloop.config import (
 )
 from reuseloop.engine import ALWAYS_LLM, OBSERVATION_ONLY, PROPOSED, PROPOSED_OBSERVATION
 from reuseloop.errors import SchemaError
-from reuseloop.library import MethodLibrary
+from reuseloop.library import LIBRARY_VERSION, MethodLibrary
 from reuseloop.planner import HttpPlanner, MockPlanner
 
 from conftest import make_method
@@ -318,6 +318,12 @@ class TestLibraryInspect:
     def test_empty_library(self, tmp_path, capsys):
         path = tmp_path / "library.json"
         MethodLibrary().save(path)
+        assert main(["library", "inspect", "--path", str(path)]) == 0
+        assert capsys.readouterr().out == "0 methods\n"
+
+    def test_hand_written_empty_document(self, tmp_path, capsys):
+        path = tmp_path / "library.json"
+        path.write_text(json.dumps({"version": LIBRARY_VERSION, "methods": []}))
         assert main(["library", "inspect", "--path", str(path)]) == 0
         assert capsys.readouterr().out == "0 methods\n"
 
