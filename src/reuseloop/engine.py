@@ -40,12 +40,13 @@ from __future__ import annotations
 import json
 import marshal
 import math
-from collections.abc import Sequence
+import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, get_type_hints
+from typing import get_type_hints
 
 from . import learner
 from .errors import PlannerError, RecordStreamError, SchemaError, read_dataclass
@@ -89,6 +90,19 @@ class ExecutorConfig:
         return self.base_s + self.per_step_s * n_steps
 
 
+def _left_to_right_sum(values: Iterable[float]) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+# Times and means add floats left to right, so that a run's outputs are the
+# same bits on every Python version. Before 3.12, sum() is that loop in C;
+# from 3.12 on it compensates for rounding and can end in another last bit.
+float_sum = sum if sys.version_info < (3, 12) else _left_to_right_sum
+
+
 class VirtualClock:
     """Per-episode simulated time, bucketed by phase."""
 
@@ -104,7 +118,7 @@ class VirtualClock:
 
     @property
     def now_s(self) -> float:
-        return sum(self.phases.values())
+        return float_sum(self.phases.values())
 
 
 class SequenceExecutor(learner.Replayer):
@@ -176,6 +190,9 @@ class RunRecord:
     learned: bool
 
     def __post_init__(self):
+        if self.policy not in POLICY_MODES:
+            modes = ", ".join(POLICY_MODES)
+            raise ValueError(f"policy must be one of {modes}, not {self.policy!r}")
         phases = _phase_times(self)
         if min(phases) < 0 or self.llm_time_s < 0 or self.llm_calls < 0:
             name = next(name for name in _NONNEGATIVE_FIELDS if getattr(self, name) < 0)
@@ -394,15 +411,6 @@ def run_loop(
 RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
-def record_from_dict(doc: Any) -> RunRecord:
-    """Read one record against ``RunRecord``, which checks the values; the
-    policy must also be a known mode."""
-    record = read_dataclass(RunRecord, doc)
-    if record.policy not in POLICY_MODES:
-        raise SchemaError("policy", f"expected one of {', '.join(POLICY_MODES)}")
-    return record
-
-
 # A record line is a head, the four fields that name the episode, then a
 # block of the other twelve. The virtual clock charges fixed phase costs, so
 # blocks repeat from one record to the next, and write_records formats each
@@ -493,7 +501,7 @@ def read_records(path: str | Path) -> list[RunRecord]:
             if not line.strip():
                 continue
             try:
-                records.append(record_from_dict(json.loads(line)))
+                records.append(read_dataclass(RunRecord, json.loads(line)))
             except (SchemaError, ValueError) as exc:
                 raise RecordStreamError(line_no, str(exc)) from exc
     return records

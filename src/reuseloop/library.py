@@ -5,18 +5,18 @@ A method packages an executable procedure together with its provenance
 Retrieval finds the best match for a task and reports whether it clears the
 caller's reuse threshold. Three indexes, kept by ``insert``, narrow each
 lookup to the methods that can win: signature -> methods, exact goal-token
-set -> methods and token -> method ids. A partial match is scored from the
-count of goal tokens each method shares with the task, and only while that
-count can still reach the best score found so far. The result, tie-breaks
-included, equals that of scoring every stored method.
+set -> methods and token -> bitmask. Each method holds one bit, its insertion
+position, and a token's mask is the ``int`` whose set bits are the methods
+that carry the token. A partial match is scored from the count of goal tokens
+each method shares with the task, read off those masks level by level, and
+only while that count can still reach the best score found so far. The
+result, tie-breaks included, equals that of scoring every stored method.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _str_text
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -25,6 +25,7 @@ from .errors import LibraryError, SchemaError, number_text, parse_json, read_ver
 from .tasks import TaskDescriptor
 
 LIBRARY_VERSION = 1
+_PROFILE_COUNTS = ("n_self_samples", "n_obs_samples", "episodes")
 
 
 @dataclass
@@ -37,7 +38,8 @@ class DataProfile:
 
     def __post_init__(self):
         if min(self.n_self_samples, self.n_obs_samples, self.episodes) < 0:
-            raise ValueError("data profile counts must be nonnegative")
+            name = next(name for name in _PROFILE_COUNTS if getattr(self, name) < 0)
+            raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass
@@ -70,7 +72,8 @@ class Reliability:
 
     def __post_init__(self):
         if self.successes < 0 or self.attempts < 0:
-            raise ValueError("reliability counters must be nonnegative")
+            name = "successes" if self.successes < 0 else "attempts"
+            raise ValueError(f"{name} must be nonnegative")
         if self.successes > self.attempts:
             raise ValueError("successes must not exceed attempts")
 
@@ -151,7 +154,9 @@ class MethodLibrary:
         # Retrieval indexes, kept by insert; each bucket is in insertion order.
         self._by_signature: dict[str, list[Method]] = {}
         self._by_token_set: dict[frozenset[str], list[Method]] = {}
-        self._ids_by_token: dict[str, list[str]] = {}
+        # Bit i of a token's mask stands for _slots[i], the i-th method inserted.
+        self._mask_by_token: dict[str, int] = {}
+        self._slots: list[Method] = []
         for m in methods:
             self.insert(m)
 
@@ -179,8 +184,11 @@ class MethodLibrary:
         for signature in appl.signatures:
             self._by_signature.setdefault(signature, []).append(method)
         self._by_token_set.setdefault(appl.goal_tokens, []).append(method)
+        bit = 1 << len(self._slots)
+        self._slots.append(method)
+        masks = self._mask_by_token
         for token in appl.goal_tokens:
-            self._ids_by_token.setdefault(token, []).append(method.id)
+            masks[token] = masks.get(token, 0) | bit
 
     def update_reliability(self, method_id: str, success: bool, cycle: int) -> None:
         rel = self.get(method_id).reliability
@@ -203,16 +211,18 @@ class MethodLibrary:
            set bucket cut to the methods whose procedure fits the task's step
            budget. These are exactly the methods that score 1.0.
         2. Failing that, the token pool: the methods that share a goal token
-           with the task; every other method scores 0. The token index counts
-           how many of the task's ``q`` tokens each one shares. A method
-           sharing ``o`` of them, with ``b`` tokens of its own, scores
-           ``o / (q + b - o)``: the two ints ``jaccard`` divides, so the same
-           float. Methods are visited by descending ``o``, and the visit stops
-           once ``o / q`` falls below the best score found: as ``b >= o``, no
-           method with that overlap or less can reach or tie it, and division
-           rounds monotonically, so the stop is exact. The bound is the
-           running best, never ``tau_r``, so the score reported below
-           ``tau_r`` is still the true best.
+           with the task; every other method scores 0. From the masks of
+           the task's ``q`` tokens, one pass of ANDs and ORs builds
+           ``at_least[k]``, the methods sharing at least ``k`` of them, so
+           ``at_least[o] ^ at_least[o + 1]`` are those sharing exactly
+           ``o``. A method sharing ``o``, with ``b`` tokens of its own,
+           scores ``o / (q + b - o)``: the two ints ``jaccard`` divides, so
+           the same float. Levels are visited by descending ``o``, and the
+           visit stops once ``o / q`` falls below the best score found: as
+           ``b >= o``, no method with that overlap or less can reach or tie
+           it, and division rounds monotonically, so the stop is exact. The
+           bound is the running best, never ``tau_r``, so the score reported
+           below ``tau_r`` is still the true best.
         3. If that pool is empty or scores 0 throughout, every method scores
            0, and the tie-break alone picks over the whole library.
         """
@@ -232,20 +242,32 @@ class MethodLibrary:
             score = -key[0]
             return RetrievalResult(method=best, score=score, covered=score >= tau_r)
         q = len(task.goal_tokens)
-        ids_by_token = self._ids_by_token
-        overlaps = Counter(chain.from_iterable(ids_by_token.get(t, ()) for t in task.goal_tokens))
+        masks = [mask for t in task.goal_tokens if (mask := self._mask_by_token.get(t))]
+        # Fold in one mask at a time, from the highest level down so that
+        # at_least[k - 1] still excludes the mask being added.
+        at_least = [0] * (len(masks) + 2)
+        for n, mask in enumerate(masks, 1):
+            for k in range(n, 1, -1):
+                at_least[k] |= at_least[k - 1] & mask
+            at_least[1] |= mask
+        slots = self._slots
         score, tied = 0.0, []
-        for method_id, o in overlaps.most_common():
+        for o in range(len(masks), 0, -1):
             if o / q < score:
                 break
-            m = self._methods[method_id]
-            if max_steps < len(m.procedure):
-                continue
-            s = o / (q + len(m.applicability.goal_tokens) - o)
-            if s > score:
-                score, tied = s, [m]
-            elif s == score:
-                tied.append(m)
+            # bits[i] == "1" when slot i shares exactly o tokens.
+            bits = bin(at_least[o] ^ at_least[o + 1])[:1:-1]
+            i = bits.find("1")
+            while i >= 0:
+                m = slots[i]
+                i = bits.find("1", i + 1)
+                if max_steps < len(m.procedure):
+                    continue
+                s = o / (q + len(m.applicability.goal_tokens) - o)
+                if s > score:
+                    score, tied = s, [m]
+                elif s == score:
+                    tied.append(m)
         # With no method tied at a positive score, every method scores 0.
         best = min(tied or self._methods.values(), key=_tie_key)
         return RetrievalResult(method=best, score=score, covered=score >= tau_r)

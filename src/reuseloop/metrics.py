@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .engine import RunRecord
+from .engine import RunRecord, float_sum
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ _REPORT_NOTES = (
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
+    return float_sum(values) / len(values)
 
 
 def aggregate(records: list[RunRecord]) -> MetricsReport:
@@ -77,8 +77,8 @@ def aggregate(records: list[RunRecord]) -> MetricsReport:
             )
             for idx, group in sorted(per_repeat.items())
         }
-        total_time = sum(r.total_s for r in rows)
-        total_llm_time = sum(r.llm_time_s for r in rows)
+        total_time = float_sum(r.total_s for r in rows)
+        total_llm_time = float_sum(r.llm_time_s for r in rows)
         policies[policy] = PolicyMetrics(
             n_runs=len(rows),
             avg_total_s=_mean([r.total_s for r in rows]),

@@ -46,7 +46,8 @@ class CandidateModel:
 
     def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}")
+            families = ", ".join(MODEL_FAMILIES)
+            raise ValueError(f"family must be one of {families}, not {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class StrategyStep:
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {', '.join(STRATEGY_KINDS)}, not {self.kind!r}")
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ class TaskEvent:
         if self.cycle < 0:
             raise ValueError("cycle must be nonnegative")
         if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {', '.join(EVENT_KINDS)}, not {self.kind!r}")
         if (self.kind == OBSERVED_EVENT) != (self.observed is not None):
             raise ValueError("an observed payload is required iff kind is observed_event")
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from decimal import Decimal
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,7 @@ from reuseloop.engine import (
     RunRecord,
     SequenceExecutor,
     VirtualClock,
+    float_sum,
     read_records,
     run_episode,
     run_loop,
@@ -656,6 +659,18 @@ class TestClockAndExecutor:
         clock.add("retrieve", 0.25)
         clock.add("execute", 1.5)
         assert clock.now_s == pytest.approx(1.75)
+
+    def test_now_adds_phases_left_to_right(self):
+        # From Python 3.12 on, sum() of these gives 0.6; the pinned outputs
+        # hold the left-to-right 0.6000000000000001 on every version.
+        clock = VirtualClock()
+        for phase, seconds in zip(PHASES, (0.1, 0.2, 0.3)):
+            clock.add(phase, seconds)
+        assert clock.now_s == 0.1 + 0.2 + 0.3 == 0.6000000000000001
+
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=20))
+    def test_float_sum_adds_left_to_right(self, values):
+        assert float_sum(values) == reduce(add, values, 0.0)
 
     def test_executor_collect_labels_steps(self, task):
         executor = SequenceExecutor(task, CFG)

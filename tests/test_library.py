@@ -131,21 +131,25 @@ class TestRetrieveBest:
 
 
 _TOKENS = ("pick", "up", "red", "cube", "door", "blue", "tray")
+_WIDE_TOKENS = (*_TOKENS, "open", "left", "slow")
 
 
 @st.composite
-def retrieval_cases(draw):
+def retrieval_cases(draw, task_tokens=_TOKENS[:4], min_goal=1, tokens=_TOKENS):
     """A task, a library grown by random inserts and reliability updates, and a tau_r.
 
-    Seven tokens, method token sets of up to six of them, step budgets and
-    procedures of 1-6 steps, and reliability counters of 0-2 make equal token
-    sets with other lengths, overlaps with more or fewer method tokens than
-    the task has, signature matches without shared tokens, all-zero
+    The task's goal is ``min_goal`` or more of ``task_tokens``, and each
+    method's token set is any proper subset of ``tokens``. With the defaults
+    (goals of 1-4 tokens, method sets of up to six of seven), step budgets
+    and procedures of 1-6 steps, and reliability counters of 0-2 make equal
+    token sets with other lengths, overlaps with more or fewer method tokens
+    than the task has, signature matches without shared tokens, all-zero
     libraries and full ties common.
     """
     max_steps = draw(st.integers(1, 6))
     task = make_task(
-        goal=draw(st.lists(st.sampled_from(_TOKENS[:4]), min_size=1, max_size=4, unique=True)),
+        goal=draw(st.lists(st.sampled_from(task_tokens), min_size=min_goal,
+                           max_size=len(task_tokens), unique=True)),
         target=("move",) * draw(st.integers(1, max_steps)),
         max_steps=max_steps,
     )
@@ -162,7 +166,8 @@ def retrieval_cases(draw):
                 method_id=f"m-{draw(st.sampled_from('zxa'))}{step:02d}",
                 procedure=("move",) * draw(st.integers(1, 6)),
                 signatures=draw(st.sampled_from([{f"sig-{step}"}] * 3 + [{task.signature}])),
-                goal_tokens=draw(st.lists(st.sampled_from(_TOKENS), max_size=6, unique=True)),
+                goal_tokens=draw(st.lists(st.sampled_from(tokens), max_size=len(tokens) - 1,
+                                          unique=True)),
                 successes=draw(st.integers(0, attempts)),
                 attempts=attempts,
                 last_used_cycle=draw(st.integers(0, 2)),
@@ -183,6 +188,8 @@ def _assert_matches_oracle(library, task, tau_r):
 
 _NAMED_TASK = make_task(max_steps=4)
 _PICK_UP_TASK = make_task(goal=("pick", "up"), max_steps=4)
+_SIX_TOKENS = ("pick", "up", "red", "cube", "door", "blue")
+_SIX_TOKEN_TASK = make_task(goal=_SIX_TOKENS, max_steps=4)
 
 
 def _synthetic_library(n=2000):
@@ -211,6 +218,34 @@ class TestIndexedRetrieval:
     def test_matches_linear_scan_oracle_property(self, case):
         task, library, tau_r = case
         _assert_matches_oracle(library, task, tau_r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(retrieval_cases(task_tokens=_WIDE_TOKENS[:8], min_goal=5, tokens=_WIDE_TOKENS))
+    def test_long_goals_match_the_oracle_property(self, case):
+        """Goals of 5-8 tokens against method sets of up to nine of ten, so
+        overlaps reach every level from 1 to 8."""
+        task, library, tau_r = case
+        _assert_matches_oracle(library, task, tau_r)
+
+    def test_long_goals_reach_the_high_overlap_levels(self):
+        rng = random.Random(5)
+        top_overlaps = set()
+        for trial in range(200):
+            goal = rng.sample(_WIDE_TOKENS, rng.randint(5, 8))
+            task = make_task(goal=goal, target=("move",), max_steps=rng.randint(1, 6))
+            library = MethodLibrary(
+                make_method(
+                    method_id=f"m-{trial}-{i:02d}",
+                    procedure=("move",) * rng.randint(1, 6),
+                    goal_tokens=rng.sample(_WIDE_TOKENS, rng.randint(1, 9)),
+                    successes=rng.randint(0, 1),
+                    attempts=1,
+                )
+                for i in range(rng.randint(1, 12))
+            )
+            got = _assert_matches_oracle(library, task, rng.choice([0.0, 0.5, 1.0]))
+            top_overlaps.add(len(got.method.applicability.goal_tokens & task.goal_tokens))
+        assert set(range(5, 9)) <= top_overlaps
 
     @pytest.mark.parametrize("tau_r", [0.0, 1.0])
     @pytest.mark.parametrize(
@@ -261,9 +296,25 @@ class TestIndexedRetrieval:
               dict(method_id="m-longer", goal_tokens=("pick", "up", "red"),
                    procedure=("move",) * 7, successes=2, attempts=2),
               dict(method_id="m-short", goal_tokens=("up", "door"))]),
+            # six task tokens: every method at overlap 6 and one at 5 are over
+            # budget, the one left at 5 has too many tokens of its own, so the
+            # visit goes down to overlap 4, whose best wins; overlap 3 cannot
+            # reach it
+            (_SIX_TOKEN_TASK,
+             [dict(method_id="m-six", goal_tokens=_SIX_TOKENS, procedure=("move",) * 5,
+                   successes=2, attempts=2),
+              dict(method_id="m-seven", goal_tokens=(*_SIX_TOKENS, "tray"),
+                   procedure=("move",) * 6),
+              dict(method_id="m-five", goal_tokens=_SIX_TOKENS[:5], procedure=("move",) * 9),
+              dict(method_id="m-five-wide",
+                   goal_tokens=(*_SIX_TOKENS[:5], "tray", "open", "left", "slow", "fast")),
+              dict(method_id="m-four-wide", goal_tokens=(*_SIX_TOKENS[:4], "tray")),
+              dict(method_id="m-four", goal_tokens=_SIX_TOKENS[:4]),
+              dict(method_id="m-three", goal_tokens=_SIX_TOKENS[:3], successes=1, attempts=1)]),
         ],
         ids=["over-budget-twin", "other-max-steps", "disjoint-signature", "all-zero", "ties",
-             "smaller-overlap-wins", "cross-overlap-tie", "top-overlap-over-budget"],
+             "smaller-overlap-wins", "cross-overlap-tie", "top-overlap-over-budget",
+             "top-levels-over-budget"],
     )
     def test_named_cases_match_the_oracle(self, task, methods, tau_r):
         library = MethodLibrary(make_method(**spec) for spec in methods)
@@ -302,6 +353,23 @@ class TestIndexedRetrieval:
         # Partial matches are scored from overlap counts, not matching_score.
         assert calls == []
         assert 0 < len(sharing) < len(library) // 10
+
+    def test_loaded_library_answers_as_the_inserted_one(self, tmp_path):
+        built = _synthetic_library()
+        built.save(tmp_path / "library.json")
+        loaded = MethodLibrary.load(tmp_path / "library.json")
+        rng = random.Random(5)
+        words = [f"w{k}" for k in range(200)]
+        for _ in range(40):
+            task = make_task(
+                goal=rng.sample(words, rng.randint(1, 8)), target=("move",),
+                max_steps=rng.randint(1, 6),
+            )
+            tau_r = rng.choice([0.0, 0.3, 0.8])
+            want = built.retrieve_best(task, tau_r)
+            got = _assert_matches_oracle(loaded, task, tau_r)
+            assert (got.method.id, got.score, got.covered) == (
+                want.method.id, want.score, want.covered)
 
     def test_disjoint_task_scores_nothing(self, monkeypatch):
         library = _synthetic_library()

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from reuseloop.engine import PROPOSED, RunRecord
+from reuseloop.engine import ALWAYS_LLM, PROPOSED, RunRecord
 from reuseloop.metrics import (
     CSV_COLUMNS,
     aggregate,
@@ -72,6 +72,12 @@ def reference_records():
 
 
 class TestAggregate:
+    def test_means_add_left_to_right(self):
+        # From Python 3.12 on, sum() of these gives 0.6, and the mean would
+        # read 0.19999999999999998 there.
+        rows = [record(total_s=t, cycle=i) for i, t in enumerate((0.1, 0.2, 0.3))]
+        assert aggregate(rows).policies[PROPOSED].avg_total_s == (0.1 + 0.2 + 0.3) / 3
+
     def test_reference_repeat_curve(self):
         report = aggregate(reference_records())
         pm = report.policies[PROPOSED]
@@ -117,7 +123,7 @@ class TestAggregate:
             hit = rng.random() < 0.4
             rows.append(
                 record(
-                    policy=rng.choice(["a", "b"]),
+                    policy=rng.choice([ALWAYS_LLM, PROPOSED]),
                     repeat_index=rng.randint(1, 5),
                     total_s=total,
                     llm_calls=1 if llm_time else 0,
@@ -200,11 +206,11 @@ class TestSerialization:
         assert float(overall[3]) == 6.7779
 
     def test_table_lists_each_policy(self):
-        rows = [record(policy="a"), record(policy="b")]
+        rows = [record(policy=ALWAYS_LLM), record(policy=PROPOSED)]
         table = format_report_table(aggregate(rows))
-        assert "a" in table and "b" in table and "avg_total_s" in table
+        assert ALWAYS_LLM in table and PROPOSED in table and "avg_total_s" in table
 
     def test_report_dict_sorted_policies(self):
-        rows = [record(policy="zeta"), record(policy="alpha")]
+        rows = [record(policy=PROPOSED), record(policy=ALWAYS_LLM)]
         doc = report_to_dict(aggregate(rows))
-        assert list(doc["policies"]) == ["alpha", "zeta"]
+        assert list(doc["policies"]) == [ALWAYS_LLM, PROPOSED]

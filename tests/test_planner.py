@@ -260,8 +260,8 @@ class TestParsePlan:
     def test_unknown_family_rejected(self):
         with pytest.raises(SchemaError) as err:
             parse_plan('{"candidate_models": [{"family": "quantum"}]}')
-        assert "family" in str(err.value)
-        assert err.value.field == "candidate_models[0]"
+        assert "quantum" in str(err.value)
+        assert err.value.field == "candidate_models[0].family"
         # Misspelled keys are unknown fields too, named by dotted path.
         cases = [
             ({"direct_soluton": ["move"]}, "direct_soluton"),

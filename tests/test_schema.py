@@ -18,6 +18,7 @@ import dataclasses
 import json
 import typing
 from collections.abc import Mapping
+from functools import partial
 from types import NoneType, UnionType
 
 import pytest
@@ -26,8 +27,8 @@ from hypothesis import strategies as st
 
 from reuseloop.config import PlannerSettings, RunConfig, config_from_dict
 from reuseloop.costs import CostProfile, profile_from_dict
-from reuseloop.engine import POLICY_MODES, ExecutorConfig, RunRecord, record_from_dict
-from reuseloop.errors import SchemaError, to_doc
+from reuseloop.engine import POLICY_MODES, ExecutorConfig, RunRecord
+from reuseloop.errors import SchemaError, read_dataclass, to_doc
 from reuseloop.library import (
     Applicability,
     DataProfile,
@@ -256,7 +257,7 @@ class TestMutations:
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(_run_records(), st.data())
     def test_run_record_lines(self, record, data):
-        _check(RunRecord, to_doc(record), record_from_dict, data)
+        _check(RunRecord, to_doc(record), partial(read_dataclass, RunRecord), data)
 
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(_configs, st.data())
@@ -286,6 +287,10 @@ def _with(doc: dict, keys: tuple, value) -> dict:
 
 _LIBRARY_DOC = to_doc(_LibraryDoc(1, (make_method("m-a", successes=1, attempts=1),)))
 _CORPUS_DOC = corpus_to_doc(generate_corpus(seed=1, n_tasks=1, n_repeats=1))
+_RECORD_DOC = to_doc(RunRecord(
+    POLICY_MODES[0], "t-0", 1, 0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0, total_s=5.0, llm_calls=0,
+    llm_time_s=0.0, success=True, hit=False, learned=False,
+))
 
 
 _NAMED_AT_FIELD = [
@@ -297,11 +302,20 @@ _NAMED_AT_FIELD = [
     (profile_from_dict, {"c_train": -1}, "c_train"),
     (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "reliability", "successes"), 2),
      "methods[0].reliability.successes"),
+    (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "reliability", "attempts"), -1),
+     "methods[0].reliability.attempts"),
+    (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "data_profile", "episodes"), -1),
+     "methods[0].data_profile.episodes"),
     (corpus_from_doc, _with(_CORPUS_DOC, ("events", 0, "task", "target_sequence"), []),
      "events[0].task.target_sequence"),
+    (corpus_from_doc, _with(_CORPUS_DOC, ("events", 0, "kind"), "dream"), "events[0].kind"),
     (plan_from_dict,
      {"candidate_models": [{"family": "sequence"}], "update_criteria": {"validation_threshold": 2}},
      "update_criteria.validation_threshold"),
+    (plan_from_dict, {"candidate_models": [{"family": "quantum"}]}, "candidate_models[0].family"),
+    (plan_from_dict, {"candidate_models": [{"family": "sequence"}], "strategy": [{"kind": "nap"}]},
+     "strategy[0].kind"),
+    (partial(read_dataclass, RunRecord), {**_RECORD_DOC, "policy": "bogus"}, "policy"),
 ]
 
 
