@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import marshal
 import math
-import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -90,17 +89,14 @@ class ExecutorConfig:
         return self.base_s + self.per_step_s * n_steps
 
 
-def _left_to_right_sum(values: Iterable[float]) -> float:
+# Times and means add floats left to right, so that a run's outputs are the
+# same bits on every Python version: from 3.12 on, sum() compensates for
+# rounding and can end in another last bit.
+def float_sum(values: Iterable[float]) -> float:
     total = 0.0
     for value in values:
         total += value
     return total
-
-
-# Times and means add floats left to right, so that a run's outputs are the
-# same bits on every Python version. Before 3.12, sum() is that loop in C;
-# from 3.12 on it compensates for rounding and can end in another last bit.
-float_sum = sum if sys.version_info < (3, 12) else _left_to_right_sum
 
 
 class VirtualClock:
