@@ -40,12 +40,12 @@ from __future__ import annotations
 import json
 import marshal
 import math
+import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
-from typing import get_type_hints
 
 from . import learner
 from .errors import PlannerError, RecordStreamError, SchemaError, read_dataclass
@@ -409,85 +409,60 @@ RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 # A record line is a head, the four fields that name the episode, then a
 # block of the other twelve. The virtual clock charges fixed phase costs, so
-# blocks repeat from one record to the next, and write_records formats each
-# distinct block once.
+# blocks repeat from one record to the next, and write_records checks and
+# formats each distinct policy and block once.
 _HEAD_FIELDS = RECORD_FIELDS[:4]
 _BLOCK_FIELDS = RECORD_FIELDS[4:]
-_RECORD_HINTS = get_type_hints(RunRecord)
-_BLOCK_TYPES = tuple(_RECORD_HINTS[name] for name in _BLOCK_FIELDS)
-# The exact types a field may hold. A float field also takes an int, which
-# json.dumps writes as an int and the reader widens. For any other type,
-# a subclass included, json.dumps writes a line that the reader rejects or
-# reads back as another value.
-_ACCEPTED = {str: (str,), int: (int,), float: (float, int), bool: (bool,)}
 _head = attrgetter(*_HEAD_FIELDS)
 _block = attrgetter(*_BLOCK_FIELDS)
-# A block holds its numbers first, then its flags; for a number of an
-# accepted type and finite, repr is json.dumps' text.
-_N_NUMBERS = _BLOCK_TYPES.index(bool)
-_BLOCK_LINE = "".join(
-    f", {encode_basestring_ascii(name)}: {'%s' if kind is bool else '%r'}"
-    for name, kind in zip(_BLOCK_FIELDS, _BLOCK_TYPES)
-) + "}\n"
-_FLOAT_FIELDS = tuple(name for name in _BLOCK_FIELDS if _RECORD_HINTS[name] is float)
-_block_floats = itemgetter(*(_BLOCK_FIELDS.index(name) for name in _FLOAT_FIELDS))
-_flag_text = {True: "true", False: "false"}.__getitem__
-
-
-def _check_types(names: tuple[str, ...], values: tuple) -> None:
-    """Raise ``TypeError`` for the first field whose value's type it may not hold."""
-    for name, value in zip(names, values):
-        accepted = _ACCEPTED[_RECORD_HINTS[name]]
-        if type(value) not in accepted:
-            expected = " or ".join(t.__name__ for t in accepted)
-            raise TypeError(f"{name} must be {expected}, not {type(value).__name__}")
-
-
-def _block_text(values: tuple) -> str:
-    """A block's JSON text, after checking its types and that its times are finite."""
-    if tuple(map(type, values)) != _BLOCK_TYPES:
-        _check_types(_BLOCK_FIELDS, values)  # an int in a float field passes
-    floats = _block_floats(values)
-    if not math.isfinite(sum(floats)):  # a NaN or an infinity, or finite times that overflow
-        for name, value in zip(_FLOAT_FIELDS, floats):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-    return _BLOCK_LINE % (*values[:_N_NUMBERS], *map(_flag_text, values[_N_NUMBERS:]))
 
 
 def write_records(records: list[RunRecord], path: str | Path) -> None:
-    """Write one line per record: the compact ``json.dumps`` form, fields in
-    ``RECORD_FIELDS`` order, streamed line by line.
+    """Write one line per record, ``json.dumps``' compact form with fields in
+    ``RECORD_FIELDS`` order, atomically.
 
-    A value whose type its field may not hold raises ``TypeError``. A NaN or
-    infinite time, which only a record changed after it was built can hold,
-    raises ``ValueError``. Each distinct block is checked and formatted once
-    per call. Its memo key is the block's marshal bytes: marshal writes each
-    value with a type code, and a float as its eight IEEE bytes. So values
-    that compare equal but print apart (``0.0`` and ``-0.0``, ``5`` and
-    ``5.0``, ``1`` and ``True``) never share a text.
+    Each record passes ``read_dataclass``, the check ``read_records`` makes,
+    so a record changed after it was built into one that ``read_records``
+    would refuse raises the same ``SchemaError``, named at the same field.
+    The check, and the ``json.dumps`` text of the block, run once per
+    distinct policy and block per call. Their memo key is marshal bytes:
+    marshal writes each value with a type code, and a float as its eight
+    IEEE bytes. So values that compare equal but print apart (``0.0`` and
+    ``-0.0``, ``5`` and ``5.0``, ``1`` and ``True``) never share a check or
+    a text, and marshal refuses every subclass. A record whose policy and
+    block were checked has only the rest of its head checked, for the exact
+    types and ranges the reader asks of them.
+
+    The lines go to a temporary file beside ``path`` that then replaces it,
+    so a refused or interrupted write leaves the previous file intact.
     """
-    blocks: dict[bytes, str] = {}
-    with Path(path).open("w", encoding="utf-8") as fh:
-        write = fh.write
-        for record in records:
-            policy, task_id, repeat_index, cycle = head = _head(record)
-            if not (type(policy) is str and type(task_id) is str
-                    and type(repeat_index) is int and type(cycle) is int):
-                _check_types(_HEAD_FIELDS, head)
-            values = _block(record)
-            try:
-                key = marshal.dumps(values, 2)  # version 2: no back-references
-            except ValueError:  # marshal refuses only values no field accepts
-                _check_types(_BLOCK_FIELDS, values)
-                raise
-            if (block := blocks.get(key)) is None:
-                block = blocks[key] = _block_text(values)
-            write(
-                f'{{"policy": {encode_basestring_ascii(policy)}, '
-                f'"task_id": {encode_basestring_ascii(task_id)}, '
-                f'"repeat_index": {repeat_index}, "cycle": {cycle}{block}'
-            )
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    blocks: dict[bytes | None, str] = {}
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            write = fh.write
+            for record in records:
+                policy, task_id, repeat_index, cycle = head = _head(record)
+                values = _block(record)
+                try:
+                    key = marshal.dumps((policy, values), 2)  # version 2: no back-references
+                except ValueError:  # a value no field accepts; never looked up
+                    key = None
+                if (key is None or (block := blocks.get(key)) is None
+                        or not (type(task_id) is str and type(repeat_index) is int
+                                and type(cycle) is int and repeat_index >= 1 and cycle >= 0)):
+                    read_dataclass(RunRecord, dict(zip(RECORD_FIELDS, (*head, *values))))
+                    block = blocks[key] = ", " + json.dumps(dict(zip(_BLOCK_FIELDS, values)))[1:] + "\n"
+                write(
+                    f'{{"policy": {encode_basestring_ascii(policy)}, '
+                    f'"task_id": {encode_basestring_ascii(task_id)}, '
+                    f'"repeat_index": {repeat_index}, "cycle": {cycle}{block}'
+                )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_records(path: str | Path) -> list[RunRecord]:

@@ -1,6 +1,10 @@
-"""Exception types, the one dataclass reader every loader uses
-(``read_dataclass``, with ``read_versioned`` built on it), ``to_doc``,
-``number_text`` and ``parse_json``."""
+"""Exception types, the one dataclass reader (``read_dataclass``, with
+``read_versioned`` built on it), ``to_doc``, ``number_text`` and
+``parse_json``.
+
+Every loader reads its document through ``read_dataclass``, and
+``engine.write_records`` checks each record with it before writing, so the
+run-record writer refuses exactly what its reader refuses."""
 
 from __future__ import annotations
 

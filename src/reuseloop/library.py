@@ -15,13 +15,15 @@ result, tie-breaks included, equals that of scoring every stored method.
 
 from __future__ import annotations
 
+import json
+import marshal
 import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str_text
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
-from .errors import LibraryError, SchemaError, number_text, parse_json, read_versioned
+from .errors import LibraryError, SchemaError, parse_json, read_versioned
 from .tasks import TaskDescriptor
 
 LIBRARY_VERSION = 1
@@ -280,10 +282,14 @@ class MethodLibrary:
 
         The bytes are exactly ``json.dumps(doc, indent=2)`` plus a newline,
         with keys in file order and signatures and goal tokens sorted. They
-        are written directly, one method at a time, because CPython's
-        ``json`` falls back to its pure-Python encoder whenever ``indent`` is
-        set. The text goes to a temporary file beside ``path`` that then
-        replaces it, so an interrupted save leaves the previous file intact.
+        are written one method at a time, the fixed-shape fields formatted
+        directly. ``params`` and ``step_params`` are ``json.dumps(value,
+        indent=2)``, re-indented, once per distinct value per save, memoised
+        on the value's marshal bytes, because CPython's ``json`` falls back
+        to its pure-Python encoder whenever ``indent`` is set. A value that
+        ``json.dumps`` refuses raises its ``TypeError``. The text goes to a
+        temporary file beside ``path`` that then replaces it, so a refused or
+        interrupted save leaves the previous file intact.
         """
         path = Path(path)
         tmp = path.with_name(f".{path.name}.tmp")
@@ -303,9 +309,21 @@ class MethodLibrary:
         if not self._methods:
             yield head + "[]\n}\n"
             return
+        texts: dict[bytes | None, str] = {}
+
+        def value_text(value: Any) -> str:
+            """``value`` as ``json.dumps(doc, indent=2)`` writes it six spaces in."""
+            try:
+                key = marshal.dumps(value, 2)  # version 2: no back-references
+            except ValueError:  # not memoised; json.dumps judges it
+                key = None
+            if key is None or (text := texts.get(key)) is None:
+                text = texts[key] = json.dumps(value, indent=2).replace("\n", "\n      ")
+            return text
+
         sep = head + "[\n"
         for m in self._methods.values():
-            yield sep + _method_text(m)
+            yield sep + _method_text(m, value_text)
             sep = ",\n"
         yield "\n  ]\n}\n"
 
@@ -332,14 +350,14 @@ class _LibraryDoc:
     methods: tuple[Method, ...]
 
 
-def _method_text(m: Method) -> str:
+def _method_text(m: Method, value_text: Callable[[Any], str]) -> str:
     """One entry of ``methods`` as ``json.dumps(doc, indent=2)`` writes it."""
     prof, appl, rel = m.data_profile, m.applicability, m.reliability
     return (
         f'    {{\n      "id": {_str_text(m.id)},\n'
         f'      "procedure": {_str_list_text(m.procedure, "      ")},\n'
-        f'      "step_params": {_json_text(m.step_params, "      ")},\n'
-        f'      "params": {_json_text(m.params, "      ")},\n'
+        f'      "step_params": {value_text(m.step_params)},\n'
+        f'      "params": {value_text(m.params)},\n'
         f'      "data_profile": {{\n'
         f'        "n_self_samples": {prof.n_self_samples!r},\n'
         f'        "n_obs_samples": {prof.n_obs_samples!r},\n'
@@ -362,47 +380,3 @@ def _str_list_text(items: Iterable[str], pad: str) -> str:
     inner = f",\n{pad}  "
     text = inner.join(map(_str_text, items))
     return f"[\n{pad}  {text}\n{pad}]" if text else "[]"
-
-
-def _json_text(o: Any, pad: str) -> str:
-    """Any JSON value, indent-2, whose line starts with ``pad``.
-
-    Matches ``json.dumps(o, indent=2)``: lists and tuples are arrays, keys
-    may be str, int, float, bool or None, and any other type raises
-    ``TypeError``.
-    """
-    if isinstance(o, str):
-        return _str_text(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return number_text(float(o))
-    inner = pad + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        opener, closer = "[", "]"
-        items = (_json_text(v, inner) for v in o)
-    elif isinstance(o, dict):
-        if not o:
-            return "{}"
-        opener, closer = "{", "}"
-        items = (f"{_key_text(k)}: {_json_text(v, inner)}" for k, v in o.items())
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-    return f"{opener}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closer}"
-
-
-def _key_text(k: Any) -> str:
-    """A dict key as ``json.dumps`` writes it: a non-string key becomes its JSON text."""
-    if not isinstance(k, str):
-        if k is not None and not isinstance(k, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-        k = _json_text(k, "")
-    return _str_text(k)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reuseloop import engine
 from reuseloop.engine import (
     ALWAYS_LLM,
     LIBRARY_ONLY,
@@ -29,7 +30,7 @@ from reuseloop.engine import (
     run_loop,
     write_records,
 )
-from reuseloop.errors import PlanningFailedError, RecordStreamError
+from reuseloop.errors import PlanningFailedError, RecordStreamError, SchemaError
 from reuseloop.library import MethodLibrary
 from reuseloop.planner import EpisodeOutcome, MockPlanner
 from reuseloop.tasks import (
@@ -517,6 +518,56 @@ _TYPED_RECORD = RunRecord(
 )
 
 
+class _Count(int):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+# Values a field may be changed to after its record is built: wrong types,
+# bools, Decimals, subclasses, non-finite and signed-zero floats, ints for
+# floats, out-of-range ints, a bogus policy and in-range values that break
+# a rule across fields.
+_field_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(), max_size=2),
+    st.integers(min_value=-3, max_value=12) | st.sampled_from([2**70, 10**400]),
+    st.floats() | st.sampled_from([-0.0, 0.0, NAN, INF, -INF, 5e-324, 1e308]),
+    st.builds(Decimal, st.integers(min_value=-3, max_value=3)),
+    st.floats(min_value=0.0, max_value=10.0).map(_Seconds),
+    st.integers(min_value=0, max_value=3).map(_Count),
+    st.sampled_from(["bogus", "", "t-a", *POLICY_MODES]),
+    st.text(max_size=3).map(_Name),
+)
+
+
+# (record, field, value): a drawn record and one field to change.
+_changed_records = st.tuples(_run_records(), st.sampled_from(RECORD_FIELDS), _field_values)
+
+
+def _reader_refusal(record, name, path):
+    """The field ``bench report`` names when it reads ``record`` as
+    ``json.dumps`` writes it, None if it reads it back; ``name`` when
+    ``json.dumps`` refuses the changed value or writes it as a value of
+    another type (a subclass as its base type)."""
+    value = getattr(record, name)
+    try:
+        line = json.dumps(dataclasses.asdict(record))
+    except TypeError:
+        return name
+    if type(json.loads(json.dumps(value))) is not type(value):
+        return name
+    path.write_text(line + "\n", encoding="utf-8")
+    try:
+        read_records(path)
+    except RecordStreamError as exc:
+        return exc.__cause__.field
+    return None
+
+
 class TestRecordStreams:
     def _records(self):
         events = generate_corpus(seed=4, n_tasks=4, n_repeats=2)
@@ -541,11 +592,11 @@ class TestRecordStreams:
         assert read_records(path) == records
 
     @pytest.mark.parametrize("changes, field", [
-        ({"llm_calls": True}, "llm_calls"),  # written as True: not JSON
+        ({"llm_calls": True}, "llm_calls"),  # written as true: not a number
         ({"repeat_index": 1.0}, "repeat_index"),  # a line the reader rejects
-        ({"success": 1}, "success"),  # written as true, not json.dumps' 1
-        ({"retrieve_s": True}, "retrieve_s"),  # written as True: not JSON
-        ({"train_s": _Seconds(0.0)}, "train_s"),  # its repr is not json.dumps' text
+        ({"success": 1}, "success"),  # written as 1: not a boolean
+        ({"retrieve_s": True}, "retrieve_s"),  # written as true: not a number
+        ({"train_s": _Seconds(0.0)}, "train_s"),  # would read back as a float
         ({"llm_time_s": Decimal(0)}, "llm_time_s"),  # not a JSON number
         ({"cycle": 0.0, "success": 1}, "cycle"),  # the first field is named
     ])
@@ -554,8 +605,9 @@ class TestRecordStreams:
         # is checked and its block is a memo miss.
         bad = dataclasses.replace(_TYPED_RECORD, **changes)
         for records in ([bad], [_TYPED_RECORD, bad]):
-            with pytest.raises(TypeError, match=f"^{field} must be "):
+            with pytest.raises(SchemaError) as err:
                 write_records(records, tmp_path / "runs.jsonl")
+            assert err.value.field == field
 
     @pytest.mark.parametrize("field, value", [
         ("llm_time_s", NAN), ("total_s", INF), ("execute_s", -INF),
@@ -564,8 +616,68 @@ class TestRecordStreams:
         # RunRecord refuses one when built; only a later change can set it.
         record = dataclasses.replace(_TYPED_RECORD)
         setattr(record, field, value)
-        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        with pytest.raises(SchemaError) as err:
             write_records([_TYPED_RECORD, record], tmp_path / "runs.jsonl")
+        assert err.value.field == field
+        assert err.value.message.startswith("expected a finite number")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_changed_records)
+    @example((dataclasses.replace(_TYPED_RECORD, hit=True), "learned", True))
+    @example((_TYPED_RECORD, "policy", "bogus"))
+    @example((_TYPED_RECORD, "repeat_index", 0))
+    @example((_TYPED_RECORD, "cycle", -1))
+    @example((_TYPED_RECORD, "llm_calls", -2))
+    @example((_TYPED_RECORD, "total_s", 4.0))
+    @example((_TYPED_RECORD, "retrieve_s", -0.0))
+    @example((_TYPED_RECORD, "execute_s", 2))
+    def test_writer_refuses_what_the_reader_refuses_property(self, tmp_path_factory, case):
+        # The record is written after a copy of the one it was changed from,
+        # so a change to the head alone meets a block already checked.
+        original, name, value = case
+        record = dataclasses.replace(original)
+        setattr(record, name, value)
+        path = tmp_path_factory.getbasetemp() / "differential-runs.jsonl"
+        field = _reader_refusal(record, name, path)
+        if field is None:
+            write_records([original, record], path)
+            expected = "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in (original, record))
+            assert path.read_text(encoding="utf-8") == expected
+        else:
+            with pytest.raises(SchemaError) as err:
+                write_records([original, record], path)
+            assert err.value.field == field
+
+    def test_refused_write_keeps_previous_file(self, tmp_path):
+        records = self._records()
+        path = tmp_path / "runs.jsonl"
+        write_records(records[:3], path)
+        before = path.read_bytes()
+        bad = dataclasses.replace(records[1])
+        bad.cycle = -1
+        with pytest.raises(SchemaError):
+            write_records([records[0], bad], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
+
+    def test_reader_runs_once_per_distinct_block(self, monkeypatch, tmp_path):
+        events = generate_corpus(seed=4, n_tasks=6, n_repeats=3)
+        records = [
+            record
+            for mode in (PROPOSED, ALWAYS_LLM)
+            for record in run_loop(events, mode, MethodLibrary(), planner(), THRESHOLDS, CFG)
+        ]
+        distinct = {(r.policy, *dataclasses.astuple(r)[4:]) for r in records}
+        calls = []
+        real_read = engine.read_dataclass
+
+        def counting_read(cls, doc):
+            calls.append(doc["policy"])
+            return real_read(cls, doc)
+
+        monkeypatch.setattr(engine, "read_dataclass", counting_read)
+        write_records(records, tmp_path / "runs.jsonl")
+        assert len(calls) == len(distinct) < len(records)
 
     def test_fields_follow_the_clock_phases(self):
         # run_episode builds each record positionally from the clock's phases.

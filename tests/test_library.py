@@ -679,22 +679,31 @@ class TestPersistence:
                 unserializable.save(tmp_path / "bad.json")
             assert not (tmp_path / "bad.json").exists()
 
-    def test_save_avoids_the_pure_python_encoder(self, tmp_path, monkeypatch):
-        # CPython's json falls back to _make_iterencode whenever indent is set.
-        method = dataclasses.replace(
-            make_method("m-a"),
-            params={"model_family": "sequence", "nested": {"gains": [0.5, 1, None, True]}},
-            step_params=({"speed": 0.5}, {}, {"grip": {"force": 2.0}}),
-        )
-        library = MethodLibrary([method])
+    def test_save_encodes_each_distinct_value_once(self, tmp_path, monkeypatch):
+        # CPython's json runs its pure-Python _make_iterencode once per
+        # json.dumps call with indent set.
+        methods = [
+            dataclasses.replace(
+                m,
+                params=[{"model_family": "sequence"}, {"nested": {"gains": [0.5, 1, None, True]}}][i % 2],
+                step_params=({"speed": 0.5},) * len(m.procedure) if i % 3 == 0 else None,
+            )
+            for i, m in enumerate(_synthetic_library().methods())
+        ]
+        library = MethodLibrary(methods)
+        distinct = {repr(value) for m in methods for value in (m.params, m.step_params)}
         expected = _oracle_text(library)
+        calls = []
+        real_make_iterencode = json.encoder._make_iterencode
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("pure-Python JSON encoder used")
+        def counting_make_iterencode(*args, **kwargs):
+            calls.append(args)
+            return real_make_iterencode(*args, **kwargs)
 
-        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        monkeypatch.setattr(json.encoder, "_make_iterencode", counting_make_iterencode)
         library.save(tmp_path / "lib.json")
         assert (tmp_path / "lib.json").read_text(encoding="utf-8") == expected
+        assert len(calls) <= len(distinct) < 2 * len(methods)
 
     def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "lib.json"
