@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import marshal
 import math
-import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -48,7 +47,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import learner
-from .errors import PlannerError, RecordStreamError, SchemaError, read_dataclass
+from .errors import PlannerError, RecordStreamError, SchemaError, read_dataclass, replacing
 from .experience import EpisodeDataset, ExperienceSample, SOURCE_SELF
 from .library import Method, MethodLibrary
 from .planner import EpisodeOutcome, Planner, PlannerFeedback, PlannerHistory
@@ -433,36 +432,29 @@ def write_records(records: list[RunRecord], path: str | Path) -> None:
     block were checked has only the rest of its head checked, for the exact
     types and ranges the reader asks of them.
 
-    The lines go to a temporary file beside ``path`` that then replaces it,
-    so a refused or interrupted write leaves the previous file intact.
+    The lines are written through ``errors.replacing``, so a refused or
+    interrupted write leaves the previous file intact.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
     blocks: dict[bytes | None, str] = {}
-    try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            write = fh.write
-            for record in records:
-                policy, task_id, repeat_index, cycle = head = _head(record)
-                values = _block(record)
-                try:
-                    key = marshal.dumps((policy, values), 2)  # version 2: no back-references
-                except ValueError:  # a value no field accepts; never looked up
-                    key = None
-                if (key is None or (block := blocks.get(key)) is None
-                        or not (type(task_id) is str and type(repeat_index) is int
-                                and type(cycle) is int and repeat_index >= 1 and cycle >= 0)):
-                    read_dataclass(RunRecord, dict(zip(RECORD_FIELDS, (*head, *values))))
-                    block = blocks[key] = ", " + json.dumps(dict(zip(_BLOCK_FIELDS, values)))[1:] + "\n"
-                write(
-                    f'{{"policy": {encode_basestring_ascii(policy)}, '
-                    f'"task_id": {encode_basestring_ascii(task_id)}, '
-                    f'"repeat_index": {repeat_index}, "cycle": {cycle}{block}'
-                )
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as fh:
+        write = fh.write
+        for record in records:
+            policy, task_id, repeat_index, cycle = head = _head(record)
+            values = _block(record)
+            try:
+                key = marshal.dumps((policy, values), 2)  # version 2: no back-references
+            except ValueError:  # a value no field accepts; never looked up
+                key = None
+            if (key is None or (block := blocks.get(key)) is None
+                    or not (type(task_id) is str and type(repeat_index) is int
+                            and type(cycle) is int and repeat_index >= 1 and cycle >= 0)):
+                read_dataclass(RunRecord, dict(zip(RECORD_FIELDS, (*head, *values))))
+                block = blocks[key] = ", " + json.dumps(dict(zip(_BLOCK_FIELDS, values)))[1:] + "\n"
+            write(
+                f'{{"policy": {encode_basestring_ascii(policy)}, '
+                f'"task_id": {encode_basestring_ascii(task_id)}, '
+                f'"repeat_index": {repeat_index}, "cycle": {cycle}{block}'
+            )
 
 
 def read_records(path: str | Path) -> list[RunRecord]:

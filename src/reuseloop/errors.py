@@ -1,20 +1,24 @@
 """Exception types, the one dataclass reader (``read_dataclass``, with
-``read_versioned`` built on it), ``to_doc``, ``number_text`` and
-``parse_json``.
+``read_versioned`` built on it), ``to_doc``, ``number_text``, ``parse_json``
+and the one file writer, ``replacing``.
 
 Every loader reads its document through ``read_dataclass``, and
 ``engine.write_records`` checks each record with it before writing, so the
-run-record writer refuses exactly what its reader refuses."""
+run-record writer refuses exactly what its reader refuses. Every file the
+package writes is written through ``replacing``."""
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+import os
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache, partial
 from math import isfinite
+from pathlib import Path
 from types import NoneType, UnionType
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, TextIO, get_args, get_origin, get_type_hints
 
 
 class ReuseLoopError(Exception):
@@ -256,6 +260,31 @@ def parse_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("<root>", f"not valid JSON: {exc}") from exc
+
+
+@contextmanager
+def replacing(path: str | Path, fsync: bool = False) -> Iterator[TextIO]:
+    """A UTF-8 text file, opened with ``newline=""``, whose contents replace
+    ``path`` when the block ends.
+
+    The text goes to a temporary file beside ``path``, ``.<name>.tmp``,
+    which ``os.replace`` renames over ``path`` once the block completes, so
+    a refused or interrupted write leaves the previous file intact. On any
+    exception the temporary file is deleted. With ``fsync`` its bytes reach
+    the disk before the rename.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class LibraryError(ReuseLoopError):

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import marshal
-import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str_text
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import LibraryError, SchemaError, parse_json, read_versioned
+from .errors import LibraryError, SchemaError, parse_json, read_versioned, replacing
 from .tasks import TaskDescriptor
 
 LIBRARY_VERSION = 1
@@ -287,21 +286,12 @@ class MethodLibrary:
         indent=2)``, re-indented, once per distinct value per save, memoised
         on the value's marshal bytes, because CPython's ``json`` falls back
         to its pure-Python encoder whenever ``indent`` is set. A value that
-        ``json.dumps`` refuses raises its ``TypeError``. The text goes to a
-        temporary file beside ``path`` that then replaces it, so a refused or
-        interrupted save leaves the previous file intact.
+        ``json.dumps`` refuses raises its ``TypeError``. The text is written
+        through ``errors.replacing``, fsynced before the rename, so a refused
+        or interrupted save leaves the previous file intact.
         """
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.tmp")
-        try:
-            with tmp.open("w", encoding="utf-8") as fh:
-                fh.writelines(self._json_chunks())
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with replacing(path, fsync=True) as fh:
+            fh.writelines(self._json_chunks())
 
     def _json_chunks(self) -> Iterator[str]:
         """``library.json``'s text in pieces: a head, one piece per method, a tail."""

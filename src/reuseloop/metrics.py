@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .engine import RunRecord, float_sum
+from .errors import replacing
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,13 @@ def report_to_dict(report: MetricsReport) -> dict:
 
 
 def write_report_json(report: MetricsReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2) + "\n", encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(json.dumps(report_to_dict(report), indent=2) + "\n")
 
 
 def write_report_csv(report: MetricsReport, path: str | Path) -> None:
     """One row per (policy, scope); repeat rows leave ratio columns empty."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for policy, doc in report_to_dict(report)["policies"].items():

@@ -17,7 +17,6 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
-from pathlib import Path
 from typing import Any, Protocol
 
 from .errors import PlannerError, PlanningFailedError, SchemaError, parse_json, read_dataclass, to_doc
@@ -42,7 +41,6 @@ HISTORY_MAX_ENTRIES = 50
 @dataclass(frozen=True)
 class CandidateModel:
     family: str
-    rationale: str = ""
 
     def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
@@ -63,7 +61,6 @@ class DataRequirement:
 @dataclass(frozen=True)
 class StrategyStep:
     kind: str
-    detail: str = ""
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -176,10 +173,10 @@ class Planner(Protocol):
 # ---------------------------------------------------------------------------
 
 PLAN_SCHEMA_DOC = {
-    "candidate_models": [{"family": "sequence|visual|multimodal|hybrid", "rationale": "str"}],
+    "candidate_models": [{"family": "sequence|visual|multimodal|hybrid"}],
     "subproblems": ["str"],
     "data_requirements": [{"channel": "str", "min_samples": "int >= 0"}],
-    "strategy": [{"kind": "execute|observe", "detail": "str"}],
+    "strategy": [{"kind": "execute|observe"}],
     "update_criteria": {"validation_threshold": "float in [0,1]", "max_episodes": "int >= 1"},
     "direct_solution": ["action-id"],
 }
@@ -201,12 +198,10 @@ def parse_plan(text: str) -> LearningPlan:
 
 
 # Immutable parts every mock plan shares, beside LearningPlan's default UpdateCriteria.
-_MOCK_MODELS = (
-    CandidateModel("sequence", "goal decomposes into an ordered action chain"),
-    CandidateModel("hybrid", "fallback when pure sequence features underfit"),
-)
+_MOCK_MODELS = (CandidateModel("sequence"), CandidateModel("hybrid"))
 _MOCK_SUBPROBLEMS = ("order primitives into an executable chain", "define a per-step success check")
-_execute_step = cache(partial(StrategyStep, "execute"))
+_EXECUTE = StrategyStep("execute")
+_OBSERVE = StrategyStep("observe")
 _requirement = cache(partial(DataRequirement, min_samples=1))
 
 
@@ -291,7 +286,7 @@ class MockPlanner:
                 *_MOCK_SUBPROBLEMS,
             ),
             data_requirements=tuple(map(_requirement, task.observations)),
-            strategy=tuple(map(_execute_step, solution)),
+            strategy=(_EXECUTE,) * len(solution),
             direct_solution=solution,
         )
 
@@ -303,8 +298,7 @@ class MockPlanner:
         strategy: list[StrategyStep] = []
         for step_no, directive in enumerate(plan.strategy, start=1):
             if step_no in failed:
-                note = f"inspect preconditions before step {step_no}"
-                strategy.append(StrategyStep("observe", note))
+                strategy.append(_OBSERVE)
             strategy.append(directive)
         return replace(plan, strategy=tuple(strategy))
 
@@ -325,8 +319,7 @@ class HttpPlanner:
     ``PlanningFailedError``.
 
     Authentication: if ``REUSELOOP_API_KEY`` is set in the environment, its
-    value is sent as a bearer token. The value itself is never logged or
-    written to transcripts.
+    value is sent as a bearer token. The value itself is never logged.
     """
 
     def __init__(
@@ -336,7 +329,6 @@ class HttpPlanner:
         temperature: float = 0.0,
         timeout_s: float = 30.0,
         retries: int = 2,
-        transcript_path: str | Path | None = None,
     ):
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
@@ -348,7 +340,6 @@ class HttpPlanner:
         self.temperature = temperature
         self.timeout_s = timeout_s
         self.retries = retries
-        self.transcript_path = Path(transcript_path) if transcript_path else None
         # Calls that exhausted their retry budget; callers that swallow
         # PlanningFailedError per episode can still see failures happened.
         self.failed_calls = 0
@@ -402,11 +393,9 @@ class HttpPlanner:
                     exc.close()  # the error carries the open response
                 last_error = exc
                 logger.warning("planner request failed (attempt %d): %s", attempt + 1, exc)
-                self._transcribe(attempt, messages, error=str(exc))
                 continue
 
             latency += time.monotonic() - started
-            self._transcribe(attempt, messages, response_text=text)
             try:
                 plan = parse_plan(text)
             except SchemaError as exc:
@@ -451,23 +440,3 @@ class HttpPlanner:
             "solutions into a local method library. Produce a learning plan as a "
             "single JSON document matching plan_schema.\n" + json.dumps(payload, indent=2)
         )
-
-    def _transcribe(
-        self,
-        attempt: int,
-        messages: list[dict],
-        response_text: str | None = None,
-        error: str | None = None,
-    ) -> None:
-        if self.transcript_path is None:
-            return
-        entry = {
-            "attempt": attempt,
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "messages": messages,
-            "response": response_text,
-            "error": error,
-        }
-        with self.transcript_path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry) + "\n")

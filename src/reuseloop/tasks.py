@@ -16,10 +16,11 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .errors import SchemaError, parse_json, read_versioned, to_doc
+from .errors import SchemaError, parse_json, read_versioned, replacing, to_doc
 
 # Executable action identifiers shared by tasks, methods, and the planner.
 DEFAULT_ACTIONS: tuple[str, ...] = (
@@ -63,8 +64,8 @@ class TaskConstraints:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be a positive integer")
-        if self.deadline_s is not None and self.deadline_s < 0:
-            raise ValueError("deadline_s must be nonnegative when present")
+        if self.deadline_s is not None and not (isfinite(self.deadline_s) and self.deadline_s >= 0):
+            raise ValueError("deadline_s must be finite and nonnegative when present")
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,8 @@ def corpus_from_doc(doc: Any) -> list[TaskEvent]:
 
 
 def save_corpus(events: Iterable[TaskEvent], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(corpus_to_doc(events), indent=2) + "\n", encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(json.dumps(corpus_to_doc(events), indent=2) + "\n")
 
 
 def load_corpus(path: str | Path) -> list[TaskEvent]:

@@ -705,30 +705,6 @@ class TestPersistence:
         assert (tmp_path / "lib.json").read_text(encoding="utf-8") == expected
         assert len(calls) <= len(distinct) < 2 * len(methods)
 
-    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "lib.json"
-        MethodLibrary([make_method("m-a")]).save(path)
-        before = path.read_bytes()
-        real_open = Path.open
-
-        def half_writing_open(self, *args, **kwargs):
-            fh = real_open(self, *args, **kwargs)
-            real_write = fh.write
-
-            def write(text):
-                real_write(text[: len(text) // 2])
-                raise OSError("disk full")
-
-            fh.write = write
-            return fh
-
-        monkeypatch.setattr(Path, "open", half_writing_open)
-        with pytest.raises(OSError):
-            MethodLibrary([make_method("m-a"), make_method("m-b")]).save(path)
-        monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["lib.json"]
-
     def test_not_json(self, tmp_path):
         path = tmp_path / "lib.json"
         path.write_text("{nope")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import random
 import threading
 import types
@@ -75,7 +76,7 @@ class TestMockDeterminism:
         call = planner.plan(task)
         assert call.plan.direct_solution == task.target_sequence
         assert call.plan.candidate_models[0].family == "sequence"
-        assert [s.detail for s in call.plan.strategy] == list(task.target_sequence)
+        assert [s.kind for s in call.plan.strategy] == ["execute"] * len(task.target_sequence)
 
     def test_corruption_frequency_within_binomial_band(self):
         # 10,000 seeded calls; corrupted fraction should sit inside the
@@ -102,12 +103,10 @@ class TestMockReplan:
         planner = MockPlanner(seed=1, p_corrupt=0.0)
         feedback = PlannerFeedback(episode_outcomes=[EpisodeOutcome(False, failed_step=2)])
         call = planner.replan(task, None, feedback)
-        strategy = call.plan.strategy
         # one observe inserted immediately before the second execute step
-        assert strategy[1].kind == "observe"
-        assert "step 2" in strategy[1].detail
-        executes = [s.detail for s in strategy if s.kind == "execute"]
-        assert executes == list(task.target_sequence)
+        kinds = ["execute"] * len(task.target_sequence)
+        kinds.insert(1, "observe")
+        assert [s.kind for s in call.plan.strategy] == kinds
 
     def test_empty_feedback_rejected(self, task):
         planner = MockPlanner(seed=1)
@@ -148,17 +147,12 @@ def reference_plan(seed, p_corrupt, task, call_index, feedback=None):
     if feedback is not None:
         failed = {o.failed_step for o in feedback.episode_outcomes if not o.success}
     strategy = []
-    for step_no, action in enumerate(solution, start=1):
+    for step_no in range(1, len(solution) + 1):
         if step_no in failed:
-            strategy.append(
-                {"kind": "observe", "detail": f"inspect preconditions before step {step_no}"}
-            )
-        strategy.append({"kind": "execute", "detail": action})
+            strategy.append({"kind": "observe"})
+        strategy.append({"kind": "execute"})
     return {
-        "candidate_models": [
-            {"family": "sequence", "rationale": "goal decomposes into an ordered action chain"},
-            {"family": "hybrid", "rationale": "fallback when pure sequence features underfit"},
-        ],
+        "candidate_models": [{"family": "sequence"}, {"family": "hybrid"}],
         "subproblems": [
             f"ground goal '{' '.join(task.goal)}' to actuator primitives",
             "order primitives into an executable chain",
@@ -180,7 +174,7 @@ class TestMockCache:
             task = SAME_SIGNATURE_TASKS[i]
             plan = planner.plan(task).plan
             assert plan.direct_solution == task.target_sequence
-            assert [s.detail for s in plan.strategy] == list(task.target_sequence)
+            assert [s.kind for s in plan.strategy] == ["execute"] * len(task.target_sequence)
             assert [r.channel for r in plan.data_requirements] == list(task.observations)
             goal = " ".join(task.goal)
             assert plan.subproblems[0] == f"ground goal '{goal}' to actuator primitives"
@@ -241,7 +235,7 @@ class TestParsePlan:
         steps = parse_plan(
             '{"candidate_models": [{"family": "sequence"}], "strategy": [{"kind": "observe"}]}'
         ).strategy
-        assert steps == (StrategyStep("observe", ""),)
+        assert steps == (StrategyStep("observe"),)
 
     def test_missing_candidate_models_named(self):
         with pytest.raises(SchemaError) as err:
@@ -365,7 +359,7 @@ def scripted_server(script):
 
 VALID_PLAN_TEXT = json.dumps(
     {
-        "candidate_models": [{"family": "sequence", "rationale": "ordered actions"}],
+        "candidate_models": [{"family": "sequence"}],
         "direct_solution": ["move", "grasp", "lift"],
     }
 )
@@ -416,19 +410,19 @@ class TestHttpPlanner:
     @pytest.mark.parametrize(
         "content", [None, 7, {"direct_solution": ["move"]}], ids=["null", "number", "object"]
     )
-    def test_non_string_content_exhausts_retries(self, task, tmp_path, content):
-        transcript = tmp_path / "transcript.jsonl"
+    def test_non_string_content_exhausts_retries(self, task, caplog, content):
         with scripted_server([(200, content)] * 3) as (server, url):
-            planner = HttpPlanner(
-                endpoint=url, model="test-model", retries=2, transcript_path=transcript
-            )
+            planner = HttpPlanner(endpoint=url, model="test-model", retries=2)
             with pytest.raises(PlanningFailedError, match="not a string"):
                 planner.plan(task)
         assert len(server.requests) == 3
         assert planner.failed_calls == 1
-        entries = [json.loads(line) for line in transcript.read_text().splitlines()]
-        assert [e["attempt"] for e in entries] == [0, 1, 2]
-        assert all("not a string" in e["error"] for e in entries)
+        warnings = [r for r in caplog.records if r.name == "reuseloop.planner"]
+        assert [r.levelname for r in warnings] == ["WARNING"] * 3
+        for attempt, record in enumerate(warnings, start=1):
+            message = record.getMessage()
+            assert message.startswith(f"planner request failed (attempt {attempt}): ")
+            assert message.endswith("not a string")
 
     def test_http_error_retried(self, task):
         script = [(500, "oops"), (200, VALID_PLAN_TEXT)]
@@ -492,13 +486,15 @@ class TestHttpPlanner:
         assert notes_only == none
         assert '"feedback"' not in none[0]["content"]
 
-    def test_transcript_written_without_credential_leak(self, task, tmp_path, monkeypatch):
+    def test_credential_never_logged(self, task, caplog, monkeypatch):
+        # A failed request and an invalid plan each log a warning; the
+        # bearer token reaches the server and no log record.
         monkeypatch.setenv("REUSELOOP_API_KEY", "secret-token")
-        transcript = tmp_path / "transcript.jsonl"
-        with scripted_server([(200, VALID_PLAN_TEXT)]) as (server, url):
-            HttpPlanner(
-                endpoint=url, model="test-model", transcript_path=transcript
-            ).plan(task)
-        text = transcript.read_text()
-        assert "secret-token" not in text
-        assert json.loads(text.splitlines()[0])["response"] == VALID_PLAN_TEXT
+        caplog.set_level(logging.DEBUG)
+        script = [(500, "oops"), (200, "junk"), (200, VALID_PLAN_TEXT)]
+        with scripted_server(script) as (server, url):
+            HttpPlanner(endpoint=url, model="test-model", retries=2).plan(task)
+        assert server.requests[0]["authorization"] == "Bearer secret-token"
+        messages = [record.getMessage() for record in caplog.records]
+        assert len(messages) >= 2
+        assert not any("secret-token" in message for message in messages)

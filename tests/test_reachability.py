@@ -15,6 +15,12 @@ attribute or an import; a method only by an attribute. An imported name
 must be read in the module that imports it. Matching ignores scope, so two
 definitions that share an identifier keep each other alive: the check errs
 toward passing.
+
+Every dataclass field is read too. A field counts as read when ``src/`` or
+``perfbench/*.py`` loads its name as an attribute, when its name appears in
+backticks in README's "File formats" section (a field written by name into
+an output), or when it is in ``ALLOWED_FIELDS``. A field built and written
+but never read fails, named ``module.Class.field``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,17 @@ ALLOWED = {
     "costs.delay_comparison": "the paper's analytic model; README 'Cost model', demo 05",
     "tasks.load_corpus": "the events.json reader; README 'File formats'",
     "trigger.TriggerDecision.z": "the paper's learning indicator, which demo 02 prints",
+}
+
+# Dataclass fields unread on purpose, each for the reason given.
+ALLOWED_FIELDS = {
+    "costs.DelayComparison.delayed_total": "the paper's cost model; README 'Cost model', demo 05",
+    "costs.DelayComparison.quasi_total": "the paper's cost model; README 'Cost model', demo 05",
+    "planner.LearningPlan.subproblems": "the paper's task analysis; ROADMAP item 4 reads it",
+    "planner.LearningPlan.data_requirements":
+        "the paper's data collection planning; ROADMAP item 4 reads it",
+    "planner.DataRequirement.channel":
+        "the paper's data collection planning; ROADMAP item 4 reads it",
 }
 
 
@@ -137,6 +154,51 @@ def src_modules() -> dict[str, str]:
     }
 
 
+def _is_dataclass(stmt: ast.stmt) -> bool:
+    if not isinstance(stmt, ast.ClassDef):
+        return False
+    for decorator in stmt.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(modules: dict[str, str], read: set[str]) -> list[str]:
+    """The dataclass fields in ``modules`` (module name -> source), as
+    ``module.Class.field``, whose name no module loads as an attribute and
+    ``read`` does not hold. ``ClassVar`` annotations are not fields."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    loaded = set(read)
+    for tree in trees.values():
+        loaded.update(_reads(tree)[1])
+    found = []
+    for module, tree in trees.items():
+        for stmt in filter(_is_dataclass, tree.body):
+            for item in stmt.body:
+                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(item.annotation)
+                        and item.target.id not in loaded):
+                    found.append(f"{module}.{stmt.name}.{item.target.id}")
+    return sorted(found)
+
+
+def field_readers() -> set[str]:
+    """What reads a field beyond ``src/``: attribute loads in
+    ``perfbench/*.py``, and every identifier in backticks in README's "File
+    formats" section."""
+    read = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        read.update(_reads(ast.parse(path.read_text(encoding="utf-8")))[1])
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"\n## File formats\n(.*?)\n## ", text, re.S)
+    assert match, "README lost its File formats section"
+    for span in re.findall(r"`([^`]*)`", match.group(1)):
+        read.update(re.findall(r"\w+", span))
+    return read
+
+
 def test_every_name_is_read():
     found = unread(src_modules(), outside_readers())
     assert [name for name in found if name not in ALLOWED] == []
@@ -168,3 +230,47 @@ def test_flags_unread_functions_methods_and_imports():
     }
     assert unread(modules, (Counter(), Counter())) == ["a.C.gone", "a.dead", "a.os"]
     assert unread(modules, (Counter(["dead"]), Counter(["gone"]))) == ["a.os"]
+
+
+def test_every_field_is_read():
+    found = unread_fields(src_modules(), field_readers())
+    assert [name for name in found if name not in ALLOWED_FIELDS] == []
+
+
+def test_every_allowed_field_exists_and_is_unread():
+    # A field that is now read, or gone, leaves the list; each keeps a reason.
+    found = unread_fields(src_modules(), field_readers())
+    assert [name for name in ALLOWED_FIELDS if name not in found] == []
+    assert all(reason.strip() for reason in ALLOWED_FIELDS.values())
+
+
+def test_write_only_field_on_method_is_named():
+    modules = src_modules()
+    field = "    reliability: Reliability\n"
+    assert modules["library"].count(field) == 1
+    modules["library"] = modules["library"].replace(field, field + '    note: str = ""\n')
+    found = unread_fields(modules, field_readers())
+    assert [name for name in found if name not in ALLOWED_FIELDS] == ["library.Method.note"]
+
+
+def test_flags_unread_dataclass_fields():
+    modules = {
+        "a": (
+            "import dataclasses\n"
+            "from dataclasses import dataclass\n"
+            "from typing import ClassVar\n"
+            "@dataclass(frozen=True)\n"
+            "class A:\n"
+            "    read: int\n"
+            "    written: int = 0\n"
+            "    LIMIT: ClassVar[int] = 3\n"
+            "@dataclasses.dataclass\n"
+            "class B:\n"
+            "    documented: str\n"
+            "class Plain:\n"
+            "    hint: int\n"
+        ),
+        "b": "def f(a): return a.read\n",
+    }
+    assert unread_fields(modules, set()) == ["a.A.written", "a.B.documented"]
+    assert unread_fields(modules, {"documented"}) == ["a.A.written"]

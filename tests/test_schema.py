@@ -214,11 +214,11 @@ _configs = st.builds(
 _plans = st.builds(
     LearningPlan,
     candidate_models=st.lists(
-        st.builds(CandidateModel, st.sampled_from(MODEL_FAMILIES), _text), min_size=1, max_size=2
+        st.builds(CandidateModel, st.sampled_from(MODEL_FAMILIES)), min_size=1, max_size=2
     ).map(tuple),
     subproblems=st.lists(_text, max_size=2).map(tuple),
     data_requirements=st.lists(st.builds(DataRequirement, _names, _counts), max_size=2).map(tuple),
-    strategy=st.lists(st.builds(StrategyStep, st.sampled_from(STRATEGY_KINDS), _text), max_size=2).map(tuple),
+    strategy=st.lists(st.builds(StrategyStep, st.sampled_from(STRATEGY_KINDS)), max_size=2).map(tuple),
     update_criteria=st.builds(UpdateCriteria, _floats(0.0, 1.0), st.integers(1, 9)),
     direct_solution=st.none()
     | st.lists(st.sampled_from(DEFAULT_ACTIONS), min_size=1, max_size=3).map(tuple),

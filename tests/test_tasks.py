@@ -98,8 +98,10 @@ class TestDescriptorInvariants:
             make_task(target=("move",) * 9, max_steps=8)
 
     def test_deadline_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            TaskConstraints(max_steps=4, deadline_s=-1.0)
+        for deadline in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^deadline_s must be finite and nonnegative"):
+                TaskConstraints(max_steps=4, deadline_s=deadline)
+        assert TaskConstraints(max_steps=4, deadline_s=0.0).deadline_s == 0.0
 
 
 class TestGenerateCorpus:

@@ -10,7 +10,7 @@ from reuseloop.engine import ExecutorConfig, SequenceExecutor
 from reuseloop.experience import EpisodeDataset
 from reuseloop.library import MethodLibrary, RetrievalResult, matching_score
 from reuseloop.planner import MockPlanner
-from reuseloop.tasks import ObservedEvent
+from reuseloop.tasks import MAX_TASKS, ObservedEvent, generate_corpus
 from reuseloop.trigger import (
     LEARN_LOW_CONFIDENCE,
     LEARN_OBSERVATION,
@@ -156,6 +156,24 @@ class TestExhaustiveTable:
         assert first == second
 
 
+def _stored_method(task):
+    """The method ``build_method`` stores after learning ``task``, at 1/1."""
+    plan = MockPlanner(seed=1).plan(task).plan
+    dataset = EpisodeDataset()
+    candidate = learner.train_episode(learner.initialize(plan, dataset), dataset)
+    learner.validate(candidate, SequenceExecutor(task, ExecutorConfig()), plan.update_criteria)
+    return learner.build_method(candidate, task, dataset, cycle=0)
+
+
+def _neighbours():
+    """The first two bundled-corpus tasks whose goals share verb and object."""
+    tasks = [event.task for event in generate_corpus(seed=7, n_tasks=MAX_TASKS, n_repeats=1)]
+    return next(
+        (a, b) for a, b in itertools.combinations(tasks, 2)
+        if a.goal[0] == b.goal[0] and a.goal[2] == b.goal[2]
+    )
+
+
 class TestThresholdBoundaries:
     def test_fresh_method_trusted_exactly_at_boundary(self, task):
         # confidence 0.5 is not strictly below tau_q = 0.5
@@ -166,15 +184,29 @@ class TestThresholdBoundaries:
     def test_stored_method_trusted_exactly_at_two_thirds(self, task):
         # build_method stores a method at 1/1, so on an exact match its
         # confidence is (1 + 1) / (1 + 2) = 2/3.
-        plan = MockPlanner(seed=1).plan(task).plan
-        dataset = EpisodeDataset()
-        candidate = learner.train_episode(learner.initialize(plan, dataset), dataset)
-        learner.validate(candidate, SequenceExecutor(task, ExecutorConfig()), plan.update_criteria)
-        library = MethodLibrary([learner.build_method(candidate, task, dataset, cycle=0)])
+        library = MethodLibrary([_stored_method(task)])
         found = library.retrieve_best(task, THRESHOLDS.tau_r)
         assert confidence(found.method, found.score) == 2 / 3
         assert decide(found, TriggerThresholds(tau_q=2 / 3)).branch == REUSE
         assert decide(found, TriggerThresholds(tau_q=2 / 3 + 1e-9)).branch == LEARN_LOW_CONFIDENCE
+
+    def test_neighbour_covered_exactly_at_one_half(self):
+        # Corpus goals are verb, colour, object: sharing two of three tokens
+        # gives Jaccard 2/4.
+        learned, task = _neighbours()
+        library = MethodLibrary([_stored_method(learned)])
+        found = library.retrieve_best(task, 0.5)
+        assert found.score == 0.5 and found.covered
+        assert not library.retrieve_best(task, 0.5 + 1e-9).covered
+
+    def test_stored_neighbour_trusted_exactly_at_one_third(self):
+        # A fresh method at score 1/2: 2/3 * 1/2, which is 1/3 in floats too.
+        learned, task = _neighbours()
+        found = MethodLibrary([_stored_method(learned)]).retrieve_best(task, 0.5)
+        assert confidence(found.method, found.score) == 1 / 3
+        assert decide(found, TriggerThresholds(tau_r=0.5, tau_q=1 / 3)).branch == REUSE
+        stricter = TriggerThresholds(tau_r=0.5, tau_q=1 / 3 + 1e-9)
+        assert decide(found, stricter).branch == LEARN_LOW_CONFIDENCE
 
     def test_score_at_tau_r_is_covered(self, task):
         # pick/up/blue/cube against pick/up/red/cube: Jaccard 3/5 = 0.6.
