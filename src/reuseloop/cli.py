@@ -20,34 +20,44 @@ from pathlib import Path
 from typing import Any
 
 from . import costs, metrics
-from .config import build_corpus, build_planner, load_config, resolve_executor
+from .config import RunConfig, build_corpus, build_planner, resolve_executor
 from .engine import read_records, run_loop, write_records
-from .errors import RecordStreamError, ReuseLoopError, SchemaError
+from .errors import RecordStreamError, ReuseLoopError, SchemaError, parse_json, read_dataclass
 from .library import MethodLibrary
 from .tasks import save_corpus
 
 
-def _parse_overrides(leftovers: list[str]) -> dict[str, Any]:
-    """Turn ``--dotted.key value`` pairs into an override mapping."""
+def _read_config(path: str, leftovers: list[str]) -> RunConfig:
+    """The run config at ``path``, with the ``--dotted.key value`` pairs in
+    ``leftovers`` applied to it.
+
+    A value is read as JSON if it parses and as a string otherwise. A key
+    given twice takes its last value, applied where the key first appears.
+    """
     overrides: dict[str, Any] = {}
-    i = 0
-    while i < len(leftovers):
+    for i in range(0, len(leftovers), 2):
         flag = leftovers[i]
-        if not flag.startswith("--") or i + 1 >= len(leftovers):
+        if not flag.startswith("--") or i + 1 == len(leftovers):
             raise SchemaError("<args>", f"expected '--key value' override pairs, got {flag!r}")
-        raw = leftovers[i + 1]
         try:
-            value = json.loads(raw)
+            overrides[flag[2:]] = json.loads(leftovers[i + 1])
         except json.JSONDecodeError:
-            value = raw
-        overrides[flag[2:]] = value
-        i += 2
-    return overrides
+            overrides[flag[2:]] = leftovers[i + 1]
+    doc = parse_json(Path(path).read_text(encoding="utf-8"))
+    if isinstance(doc, dict):  # any other root is named by read_dataclass
+        for dotted, value in overrides.items():
+            *parents, last = dotted.split(".")
+            node = doc
+            for part in parents:
+                node = node.setdefault(part, {})
+                if not isinstance(node, dict):
+                    raise SchemaError(dotted, "override path crosses a non-object value")
+            node[last] = value
+    return read_dataclass(RunConfig, doc)
 
 
 def cmd_bench_run(args: argparse.Namespace, leftovers: list[str]) -> int:
-    overrides = _parse_overrides(leftovers)
-    config = load_config(args.config, overrides)
+    config = _read_config(args.config, leftovers)
 
     events = build_corpus(config)
     executor = resolve_executor(config, events)
@@ -107,7 +117,8 @@ def cmd_library_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_cost_analyze(args: argparse.Namespace) -> int:
-    profile = costs.load_profile(args.profile)
+    text = Path(args.profile).read_text(encoding="utf-8")
+    profile = read_dataclass(costs.CostProfile, parse_json(text))
     result = costs.reuse_benefit(profile, args.rho, args.k)
     holds = costs.benefit_condition_holds(profile, args.rho, args.k)
     print(f"delta_c     {result.delta_c:.4f}")

@@ -1,4 +1,4 @@
-"""Run configuration: defaults, JSON loading, overrides, reference profiles.
+"""Run configuration: defaults and reference profiles.
 
 A config document needs only the fields the caller wants to pin; everything
 else has a documented default. When no executor profile is given, the run
@@ -10,11 +10,8 @@ the same way.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import cache
-from pathlib import Path
-from typing import Any
 
 from .engine import (
     ALWAYS_LLM,
@@ -24,7 +21,6 @@ from .engine import (
     PROPOSED_OBSERVATION,
     ExecutorConfig,
 )
-from .errors import SchemaError, parse_json, read_dataclass
 from .planner import (
     DEFAULT_MOCK_LATENCY_S,
     DEFAULT_P_CORRUPT,
@@ -185,35 +181,6 @@ class RunConfig:
         if self.mode not in POLICY_MODES:
             raise ValueError(f"mode must be one of {', '.join(POLICY_MODES)}")
         check_corpus_size(self.n_tasks, self.n_repeats)
-
-
-def config_from_dict(doc: dict) -> RunConfig:
-    """Build a ``RunConfig``; every field, nested ones included, is optional
-    and typed, and a bad value is named at its field."""
-    return read_dataclass(RunConfig, doc)
-
-
-def apply_overrides(doc: dict, overrides: dict[str, Any]) -> dict:
-    """Apply ``--dotted.path value`` overrides onto a raw config document."""
-    if not isinstance(doc, dict):
-        raise SchemaError("<root>", "expected a JSON object")
-    out = json.loads(json.dumps(doc))  # deep copy, JSON types only
-    for dotted, value in overrides.items():
-        parts = dotted.split(".")
-        node = out
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise SchemaError(dotted, "override path crosses a non-object value")
-        node[parts[-1]] = value
-    return out
-
-
-def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> RunConfig:
-    raw = parse_json(Path(path).read_text(encoding="utf-8"))
-    if overrides:
-        raw = apply_overrides(raw, overrides)
-    return config_from_dict(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import Any
-
-from .errors import parse_json, read_dataclass
 
 
 @dataclass(frozen=True)
@@ -115,12 +111,3 @@ def delay_comparison(profile: CostProfile, c_delay_quasi: float) -> DelayCompari
         delayed_total=common + profile.c_delay,
         quasi_total=common + c_delay_quasi,
     )
-
-
-def profile_from_dict(doc: Any) -> CostProfile:
-    """Read a cost profile; a negative cost is named at its field."""
-    return read_dataclass(CostProfile, doc)
-
-
-def load_profile(path: str | Path) -> CostProfile:
-    return profile_from_dict(parse_json(Path(path).read_text(encoding="utf-8")))

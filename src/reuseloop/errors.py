@@ -1,6 +1,6 @@
 """Exception types, the one dataclass reader (``read_dataclass``, with
-``read_versioned`` built on it), ``to_doc``, ``number_text``, ``parse_json``
-and the one file writer, ``replacing``.
+``read_versioned`` built on it), ``to_doc``, ``parse_json`` and the one file
+writer, ``replacing``.
 
 Every loader reads its document through ``read_dataclass``, and
 ``engine.write_records`` checks each record with it before writing, so the
@@ -160,7 +160,7 @@ def _read(schema, build, doc: Any):
                     raise _mismatch(kind, value)
                 value = _widen(value)
             elif kind is float and not isfinite(value):
-                raise _Violation("", f"expected a finite number, got {number_text(value)}")
+                raise _Violation("", f"expected a finite number, got {json.dumps(value)}")
             kwargs[name] = value if convert is None else convert(value)
     except _Violation as exc:
         exc.path = f".{name}{exc.path}"
@@ -242,16 +242,6 @@ def to_doc(value: Any) -> Any:
     if isinstance(value, Mapping):
         return {key: to_doc(entry) for key, entry in value.items()}
     return value
-
-
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def number_text(x: float) -> str:
-    """A float or int as ``json.dumps`` writes it: its repr, with ``NaN``,
-    ``Infinity`` and ``-Infinity`` for the non-finite floats."""
-    text = repr(x)
-    return _NONFINITE.get(text, text)
 
 
 def parse_json(text: str) -> Any:

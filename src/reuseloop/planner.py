@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
-from typing import Any, Protocol
+from typing import Protocol
 
 from .errors import PlannerError, PlanningFailedError, SchemaError, parse_json, read_dataclass, to_doc
 from .tasks import DEFAULT_ACTIONS, TaskDescriptor
@@ -180,16 +180,6 @@ PLAN_SCHEMA_DOC = {
     "update_criteria": {"validation_threshold": "float in [0,1]", "max_episodes": "int >= 1"},
     "direct_solution": ["action-id"],
 }
-
-
-def plan_from_dict(doc: Any) -> LearningPlan:
-    """Read a plan document against ``LearningPlan``; optional parts take its defaults."""
-    return read_dataclass(LearningPlan, doc)
-
-
-def parse_plan(text: str) -> LearningPlan:
-    """Parse and validate plan text (a JSON document)."""
-    return plan_from_dict(parse_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +387,7 @@ class HttpPlanner:
 
             latency += time.monotonic() - started
             try:
-                plan = parse_plan(text)
+                plan = read_dataclass(LearningPlan, parse_json(text))
             except SchemaError as exc:
                 last_error = exc
                 logger.warning("planner returned invalid plan (attempt %d): %s", attempt + 1, exc)

@@ -4,22 +4,19 @@ import json
 
 import pytest
 
-from reuseloop.cli import main
+from reuseloop.cli import _read_config, main
 from reuseloop.config import (
     RunConfig,
-    apply_overrides,
     build_corpus,
     build_planner,
-    config_from_dict,
     default_p_corrupt,
     family_for_mode,
-    load_config,
     reference_executor,
     reference_latency,
     resolve_executor,
 )
 from reuseloop.engine import ALWAYS_LLM, OBSERVATION_ONLY, PROPOSED, PROPOSED_OBSERVATION
-from reuseloop.errors import SchemaError
+from reuseloop.errors import SchemaError, read_dataclass
 from reuseloop.library import LIBRARY_VERSION, MethodLibrary
 from reuseloop.planner import HttpPlanner, MockPlanner
 
@@ -28,7 +25,7 @@ from conftest import make_method
 
 class TestConfigDocuments:
     def test_two_line_config_fills_defaults(self):
-        config = config_from_dict({"seed": 3, "mode": "proposed"})
+        config = read_dataclass(RunConfig, {"seed": 3, "mode": "proposed"})
         assert config.seed == 3
         assert config.n_tasks == 20 and config.n_repeats == 5
         assert config.thresholds.tau_r == 0.8
@@ -37,46 +34,47 @@ class TestConfigDocuments:
 
     def test_unknown_field_named(self):
         with pytest.raises(SchemaError) as err:
-            config_from_dict({"speed": 3})
+            read_dataclass(RunConfig, {"speed": 3})
         assert "speed" in str(err.value)
 
     def test_bad_mode_named(self):
         with pytest.raises(SchemaError) as err:
-            config_from_dict({"mode": "yolo"})
+            read_dataclass(RunConfig, {"mode": "yolo"})
         assert "mode" in str(err.value)
 
     def test_http_requires_endpoint_and_model(self):
         with pytest.raises(SchemaError) as err:
-            config_from_dict({"planner": {"kind": "http"}})
+            read_dataclass(RunConfig, {"planner": {"kind": "http"}})
         assert "planner" in str(err.value)
 
     def test_threshold_range_checked(self):
         for value in (2.0, "0.5", True):
             with pytest.raises(SchemaError) as err:
-                config_from_dict({"thresholds": {"tau_r": value}})
+                read_dataclass(RunConfig, {"thresholds": {"tau_r": value}})
             assert "thresholds" in str(err.value)
 
     def test_executor_fields_must_be_numbers(self):
         for value in ("1.0", True):
             with pytest.raises(SchemaError) as err:
-                config_from_dict({"executor": {"base_s": value}})
+                read_dataclass(RunConfig, {"executor": {"base_s": value}})
             assert err.value.field == "executor.base_s"
 
     def test_p_corrupt_range_checked(self):
         with pytest.raises(SchemaError) as err:
-            config_from_dict({"planner": {"p_corrupt": 1.5}})
+            read_dataclass(RunConfig, {"planner": {"p_corrupt": 1.5}})
         assert "p_corrupt" in str(err.value)
 
     def test_http_planner_settings_range_checked(self):
         cases = [("timeout_s", 0.0), ("timeout_s", -1.0), ("temperature", -3.0), ("retries", -1)]
         for name, value in cases:
             with pytest.raises(SchemaError) as err:
-                config_from_dict({"planner": {name: value}})
+                read_dataclass(RunConfig, {"planner": {name: value}})
             assert err.value.field == f"planner.{name}"
 
-    def test_overrides_follow_dotted_paths(self):
-        doc = apply_overrides({"seed": 1}, {"planner.p_corrupt": 0.5, "n_tasks": 3})
-        config = config_from_dict(doc)
+    def test_overrides_follow_dotted_paths(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 1}))
+        config = _read_config(str(path), ["--planner.p_corrupt", "0.5", "--n_tasks", "3"])
         assert config.planner.p_corrupt == 0.5
         assert config.n_tasks == 3
 
@@ -88,14 +86,15 @@ class TestConfigDocuments:
         ]
         for doc, field in cases:
             with pytest.raises(SchemaError) as err:
-                config_from_dict(doc)
+                read_dataclass(RunConfig, doc)
             assert err.value.field == field
 
     def test_empty_config_is_all_defaults(self):
-        assert config_from_dict({}) == RunConfig()
+        assert read_dataclass(RunConfig, {}) == RunConfig()
 
     def test_integers_widened_in_float_fields(self):
-        config = config_from_dict({"executor": {"base_s": 1}, "planner": {"latency_s": 1}})
+        doc = {"executor": {"base_s": 1}, "planner": {"latency_s": 1}}
+        config = read_dataclass(RunConfig, doc)
         assert type(config.executor.base_s) is float
         assert type(config.planner.latency_s) is float
 
@@ -154,7 +153,7 @@ class TestReferenceProfiles:
         assert isinstance(mock, MockPlanner)
         assert mock.latency_s == pytest.approx(1.4565)
         assert mock.p_corrupt == 0.0
-        http_config = config_from_dict(
+        http_config = read_dataclass(RunConfig, 
             {"planner": {"kind": "http", "endpoint": "http://x/v1", "model": "m"}}
         )
         assert isinstance(build_planner(http_config), HttpPlanner)
@@ -399,10 +398,10 @@ class TestCostAnalyze:
         assert main(["cost", "analyze", "--profile", str(profile_file), "--rho", "2", "--k", "4"]) == 2
 
 
-def test_load_config_with_overrides(tmp_path):
+def test_config_file_with_overrides(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 1}))
-    config = load_config(path, {"planner.latency_s": 0.9})
+    config = _read_config(str(path), ["--planner.latency_s", "0.9"])
     assert config.planner.latency_s == 0.9
 
 

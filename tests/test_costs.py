@@ -13,12 +13,10 @@ from reuseloop.costs import (
     delay_comparison,
     expected_task_cost,
     learning_overhead,
-    load_profile,
-    profile_from_dict,
     reuse_benefit,
     single_task_cost,
 )
-from reuseloop.errors import SchemaError
+from reuseloop.errors import SchemaError, parse_json, read_dataclass
 
 WORKED = CostProfile(
     c_retrieve=0.01, c_exec=6.0, c_plan=1.5, c_collect=0.5, c_train=0.3, c_store=0.05
@@ -150,20 +148,20 @@ class TestDelayComparison:
 
 class TestProfileDocuments:
     def test_round_trip(self):
-        assert profile_from_dict(asdict(WORKED)) == WORKED
+        assert read_dataclass(CostProfile, asdict(WORKED)) == WORKED
 
     def test_missing_fields_default_to_zero(self):
-        profile = profile_from_dict({"c_exec": 3.0})
+        profile = read_dataclass(CostProfile, {"c_exec": 3.0})
         assert profile.c_exec == 3.0
         assert profile.c_plan == 0.0
 
     def test_negative_named(self):
         for doc, field in [({"c_train": -1}, "c_train"), ({"c_plann": 3.0}, "c_plann")]:
             with pytest.raises(SchemaError) as err:
-                profile_from_dict(doc)
+                read_dataclass(CostProfile, doc)
             assert err.value.field == field
 
     def test_load(self, tmp_path):
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(asdict(WORKED)))
-        assert load_profile(path) == WORKED
+        assert read_dataclass(CostProfile, parse_json(path.read_text(encoding="utf-8"))) == WORKED

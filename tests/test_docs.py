@@ -13,11 +13,11 @@ import pytest
 from reuseloop.config import (
     RunConfig,
     build_corpus,
-    config_from_dict,
     default_p_corrupt,
     reference_latency,
     resolve_executor,
 )
+from reuseloop.errors import read_dataclass
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -27,7 +27,7 @@ def test_readme_full_schema_loads():
     text = README.read_text(encoding="utf-8")
     match = re.search(r"Full schema with defaults:\n\n```json\n(.*?)\n```", text, re.S)
     assert match, "README lost its 'Full schema with defaults' block"
-    config = config_from_dict(json.loads(match.group(1)))
+    config = read_dataclass(RunConfig, json.loads(match.group(1)))
 
     # The executor, latency and p_corrupt shown are the values a proposed run
     # resolves to at seed 7; every other value is its dataclass default.

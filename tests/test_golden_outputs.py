@@ -8,18 +8,29 @@ any change to a record, a stored method, a report value or the corpus
 writer. Two learning modes and both baseline modes are pinned again at
 ``planner.p_corrupt`` 0.3, and the two learning modes at 384 tasks x 3
 repeats.
+
+perfbench's baseline-384 and scale-library workloads are pinned at their
+full size too, run through ``perfbench.workloads.run_pass`` at seed 7; the
+scale-library run also checks every lookup against the linear-scan oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from reuseloop.cli import main
+from reuseloop.library import MethodLibrary
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from conftest import linear_scan_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 DIGESTS = {
     "self_always_llm": {
@@ -142,3 +153,77 @@ def test_corrupted_plan_outputs_are_pinned(name, tmp_path, capsys):
 def test_benchmark_size_outputs_are_pinned(name, tmp_path, capsys):
     got = _run_digests(name, tmp_path, capsys, size=(384, 3))
     assert got == BENCHMARK_SIZE_DIGESTS[name]
+
+
+def _load_workloads():
+    """``perfbench.workloads``, imported from its files without writing
+    bytecode next to them."""
+    package = ROOT / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "perfbench", package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        sys.modules["perfbench"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["perfbench"])
+        return importlib.import_module("perfbench.workloads")
+    finally:
+        sys.dont_write_bytecode = dont_write
+
+
+WORKLOADS = _load_workloads()
+
+# perfbench's full-size pins at seed 7, the same digests as
+# perfbench/checks.py::PINNED_DIGESTS. Its reuse-384 pins are
+# BENCHMARK_SIZE_DIGESTS above.
+FULL_SIZE_DIGESTS = {
+    "baseline-384": {
+        "always_llm": {
+            "runs.jsonl": "6fcebe8249dbd3c0a0e10dc63f17bc91519f23a8156c2f8e9d0e8b7a478321b9",
+            "library.json": "ee7a5764d6a13012c564d085a91fd34ad1025149b24d13a620cc3cb190a379e3",
+        },
+        "observation_only": {
+            "runs.jsonl": "48e4118fc733e209c818539e952ce21d9b5ca1c389b9a71d57240ca4322edf3a",
+            "library.json": "ee7a5764d6a13012c564d085a91fd34ad1025149b24d13a620cc3cb190a379e3",
+        },
+    },
+    "scale-library": {
+        "proposed": {
+            "runs.jsonl": "3307c80242ae222b38638bb1ec891bf6e68f692c6264546f60b6e4f2b8bfaa0e",
+            "library.json": "35a5784bde611f725134c6e7aa013fdaa1f59f60909907d9558dbc1c850fd341",
+        },
+    },
+}
+
+
+def _workload_digests(name, tmp_path):
+    workload = WORKLOADS.WORKLOADS[name]
+    result = WORKLOADS.run_pass(workload, 7, workload.prepare(7, tmp_path), tmp_path / "out")
+    return {
+        job.mode: {output: job.digests[output] for output in ("runs.jsonl", "library.json")}
+        for job in result.jobs
+    }
+
+
+def test_baseline_384_outputs_are_pinned(tmp_path):
+    assert _workload_digests("baseline-384", tmp_path) == FULL_SIZE_DIGESTS["baseline-384"]
+
+
+def test_scale_library_outputs_are_pinned_and_every_lookup_matches_the_oracle(
+    tmp_path, monkeypatch
+):
+    retrieve_best = MethodLibrary.retrieve_best
+    lookups = []
+
+    def checked(library, task, tau_r):
+        got = retrieve_best(library, task, tau_r)
+        want_method, want_score, want_covered = linear_scan_oracle(library, task, tau_r)
+        assert got.method is want_method
+        assert (got.score, got.covered) == (want_score, want_covered)
+        lookups.append(got.covered)
+        return got
+
+    monkeypatch.setattr(MethodLibrary, "retrieve_best", checked)
+    assert _workload_digests("scale-library", tmp_path) == FULL_SIZE_DIGESTS["scale-library"]
+    # Stored repeats hit and novel tasks miss, then hit once learned.
+    assert len(lookups) == 120 and any(lookups) and not all(lookups)

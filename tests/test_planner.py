@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reuseloop.errors import PlannerError, PlanningFailedError, SchemaError, to_doc
+from reuseloop.errors import (
+    PlannerError,
+    PlanningFailedError,
+    SchemaError,
+    parse_json,
+    read_dataclass,
+    to_doc,
+)
 from reuseloop.planner import (
     DEFAULT_MOCK_LATENCY_S,
     HISTORY_MAX_ENTRIES,
@@ -27,7 +34,6 @@ from reuseloop.planner import (
     PlannerFeedback,
     PlannerHistory,
     StrategyStep,
-    parse_plan,
 )
 from reuseloop.tasks import DEFAULT_ACTIONS, generate_corpus
 
@@ -226,20 +232,21 @@ class TestMockCache:
 
 class TestParsePlan:
     def test_minimal_document_fills_defaults(self):
-        plan = parse_plan('{"candidate_models": [{"family": "sequence"}]}')
+        text = '{"candidate_models": [{"family": "sequence"}]}'
+        plan = read_dataclass(LearningPlan, parse_json(text))
         assert plan.candidate_models[0].family == "sequence"
         assert plan.subproblems == ()
         assert plan.update_criteria.validation_threshold == 0.5
         assert plan.update_criteria.max_episodes >= 1
         assert plan.direct_solution is None
-        steps = parse_plan(
+        steps = read_dataclass(LearningPlan, parse_json(
             '{"candidate_models": [{"family": "sequence"}], "strategy": [{"kind": "observe"}]}'
-        ).strategy
+        )).strategy
         assert steps == (StrategyStep("observe"),)
 
     def test_missing_candidate_models_named(self):
         with pytest.raises(SchemaError) as err:
-            parse_plan('{"subproblems": []}')
+            read_dataclass(LearningPlan, parse_json('{"subproblems": []}'))
         assert "candidate_models" in str(err.value)
 
     def test_zero_max_episodes_rejected(self):
@@ -248,12 +255,12 @@ class TestParsePlan:
             "update_criteria": {"max_episodes": 0},
         }
         with pytest.raises(SchemaError) as err:
-            parse_plan(json.dumps(doc))
+            read_dataclass(LearningPlan, parse_json(json.dumps(doc)))
         assert "update_criteria" in str(err.value)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(SchemaError) as err:
-            parse_plan('{"candidate_models": [{"family": "quantum"}]}')
+            read_dataclass(LearningPlan, parse_json('{"candidate_models": [{"family": "quantum"}]}'))
         assert "quantum" in str(err.value)
         assert err.value.field == "candidate_models[0].family"
         # Misspelled keys are unknown fields too, named by dotted path.
@@ -266,16 +273,16 @@ class TestParsePlan:
         for extra, field in cases:
             doc = {"candidate_models": [{"family": "sequence"}], **extra}
             with pytest.raises(SchemaError) as err:
-                parse_plan(json.dumps(doc))
+                read_dataclass(LearningPlan, parse_json(json.dumps(doc)))
             assert err.value.field == field
 
     def test_not_json(self):
         with pytest.raises(SchemaError):
-            parse_plan("produce a plan: step 1 ...")
+            read_dataclass(LearningPlan, parse_json("produce a plan: step 1 ..."))
 
     def test_round_trip_identity(self, task):
         plan = MockPlanner(seed=3, p_corrupt=0.0).plan(task).plan
-        assert parse_plan(json.dumps(to_doc(plan))) == plan
+        assert read_dataclass(LearningPlan, parse_json(json.dumps(to_doc(plan)))) == plan
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -291,7 +298,7 @@ class TestParsePlan:
         planner = MockPlanner(seed=seed, p_corrupt=p_corrupt)
         for feedback in (None, PlannerFeedback(episode_outcomes=outcomes)):
             plan = planner.plan(task, None, feedback).plan
-            assert parse_plan(json.dumps(to_doc(plan))) == plan
+            assert read_dataclass(LearningPlan, parse_json(json.dumps(to_doc(plan)))) == plan
 
     def test_schema_doc_names_every_field(self):
         # The prompt's schema must name exactly the keys the reader accepts,
@@ -311,10 +318,10 @@ class TestParsePlan:
         check(PLAN_SCHEMA_DOC, LearningPlan)
 
     def test_round_trip_without_solution(self):
-        plan = LearningPlan(candidate_models=(parse_plan(
+        plan = LearningPlan(candidate_models=(read_dataclass(LearningPlan, parse_json(
             '{"candidate_models": [{"family": "hybrid"}]}'
-        ).candidate_models[0],))
-        assert parse_plan(json.dumps(to_doc(plan))) == plan
+        )).candidate_models[0],))
+        assert read_dataclass(LearningPlan, parse_json(json.dumps(to_doc(plan)))) == plan
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +355,9 @@ def scripted_server(script):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     server.script = script
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll lets shutdown() return at once rather than after the
+    # default half-second poll.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield server, f"http://127.0.0.1:{server.server_port}/v1/chat/completions"

@@ -25,8 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reuseloop.config import PlannerSettings, RunConfig, config_from_dict
-from reuseloop.costs import CostProfile, profile_from_dict
+from reuseloop.config import PlannerSettings, RunConfig
+from reuseloop.costs import CostProfile
 from reuseloop.engine import POLICY_MODES, ExecutorConfig, RunRecord
 from reuseloop.errors import SchemaError, read_dataclass, to_doc
 from reuseloop.library import (
@@ -45,7 +45,6 @@ from reuseloop.planner import (
     LearningPlan,
     StrategyStep,
     UpdateCriteria,
-    plan_from_dict,
 )
 from reuseloop.tasks import (
     CORPUS_MODES,
@@ -262,12 +261,12 @@ class TestMutations:
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(_configs, st.data())
     def test_run_config(self, config, data):
-        _check(RunConfig, to_doc(config), config_from_dict, data)
+        _check(RunConfig, to_doc(config), partial(read_dataclass, RunConfig), data)
 
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(_plans, st.data())
     def test_learning_plan(self, plan, data):
-        _check(LearningPlan, to_doc(plan), plan_from_dict, data)
+        _check(LearningPlan, to_doc(plan), partial(read_dataclass, LearningPlan), data)
 
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(_corpus_docs(), st.data())
@@ -277,7 +276,7 @@ class TestMutations:
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(st.builds(CostProfile, *[_floats()] * 7), st.data())
     def test_cost_profile(self, profile, data):
-        _check(CostProfile, to_doc(profile), profile_from_dict, data)
+        _check(CostProfile, to_doc(profile), partial(read_dataclass, CostProfile), data)
 
 
 def _with(doc: dict, keys: tuple, value) -> dict:
@@ -294,12 +293,12 @@ _RECORD_DOC = to_doc(RunRecord(
 
 
 _NAMED_AT_FIELD = [
-    (config_from_dict, {"executor": {"base_s": -1}}, "executor.base_s"),
-    (config_from_dict, {"thresholds": {"tau_r": 2}}, "thresholds.tau_r"),
-    (config_from_dict, {"planner": {"timeout_s": 0}}, "planner.timeout_s"),
-    (config_from_dict, {"n_tasks": 1000}, "n_tasks"),
-    (config_from_dict, {"mode": "yolo"}, "mode"),
-    (profile_from_dict, {"c_train": -1}, "c_train"),
+    (partial(read_dataclass, RunConfig), {"executor": {"base_s": -1}}, "executor.base_s"),
+    (partial(read_dataclass, RunConfig), {"thresholds": {"tau_r": 2}}, "thresholds.tau_r"),
+    (partial(read_dataclass, RunConfig), {"planner": {"timeout_s": 0}}, "planner.timeout_s"),
+    (partial(read_dataclass, RunConfig), {"n_tasks": 1000}, "n_tasks"),
+    (partial(read_dataclass, RunConfig), {"mode": "yolo"}, "mode"),
+    (partial(read_dataclass, CostProfile), {"c_train": -1}, "c_train"),
     (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "reliability", "successes"), 2),
      "methods[0].reliability.successes"),
     (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "reliability", "attempts"), -1),
@@ -309,12 +308,13 @@ _NAMED_AT_FIELD = [
     (corpus_from_doc, _with(_CORPUS_DOC, ("events", 0, "task", "target_sequence"), []),
      "events[0].task.target_sequence"),
     (corpus_from_doc, _with(_CORPUS_DOC, ("events", 0, "kind"), "dream"), "events[0].kind"),
-    (plan_from_dict,
+    (partial(read_dataclass, LearningPlan),
      {"candidate_models": [{"family": "sequence"}], "update_criteria": {"validation_threshold": 2}},
      "update_criteria.validation_threshold"),
-    (plan_from_dict, {"candidate_models": [{"family": "quantum"}]}, "candidate_models[0].family"),
-    (plan_from_dict, {"candidate_models": [{"family": "sequence"}], "strategy": [{"kind": "nap"}]},
-     "strategy[0].kind"),
+    (partial(read_dataclass, LearningPlan), {"candidate_models": [{"family": "quantum"}]},
+     "candidate_models[0].family"),
+    (partial(read_dataclass, LearningPlan),
+     {"candidate_models": [{"family": "sequence"}], "strategy": [{"kind": "nap"}]}, "strategy[0].kind"),
     (partial(read_dataclass, RunRecord), {**_RECORD_DOC, "policy": "bogus"}, "policy"),
 ]
 

@@ -6,11 +6,11 @@ from dataclasses import fields
 import pytest
 
 from reuseloop import learner
-from reuseloop.engine import ExecutorConfig, SequenceExecutor
+from reuseloop.engine import PROPOSED, ExecutorConfig, SequenceExecutor, run_episode
 from reuseloop.experience import EpisodeDataset
 from reuseloop.library import MethodLibrary, RetrievalResult, matching_score
 from reuseloop.planner import MockPlanner
-from reuseloop.tasks import MAX_TASKS, ObservedEvent, generate_corpus
+from reuseloop.tasks import MAX_TASKS, SELF_TASK, ObservedEvent, TaskEvent, generate_corpus
 from reuseloop.trigger import (
     LEARN_LOW_CONFIDENCE,
     LEARN_OBSERVATION,
@@ -216,6 +216,22 @@ class TestThresholdBoundaries:
         assert found.score == 0.6 and found.covered
         assert decide(found, TriggerThresholds(tau_r=0.6)).branch == REUSE
         assert not library.retrieve_best(task, 0.6 + 1e-9).covered
+
+    @pytest.mark.parametrize("tau_u, refined", [(1 / 2, False), (1 / 2 + 1e-9, True)])
+    def test_failed_reuse_refined_just_above_one_half(self, task, tau_u, refined):
+        # A stored 1/1 method whose procedure misses the target fails its
+        # reuse and drops to 1/2. The refinement check runs after that
+        # update, at idle 0, so its utility is exactly 1/2, and it refines
+        # only when tau_u is above 1/2. ROADMAP item 6 moves the check before
+        # the update on purpose, which moves this edge.
+        library = MethodLibrary([method_for_task(task, procedure=("rotate",) * 3)])
+        record = run_episode(TaskEvent(cycle=3, kind=SELF_TASK, task=task), PROPOSED, library,
+                             MockPlanner(p_corrupt=0.0), TriggerThresholds(tau_u=tau_u),
+                             ExecutorConfig())
+        assert library.get("m-task").reliability.success_ratio == 1 / 2
+        assert not record.success
+        assert record.llm_calls == int(refined)
+        assert (record.learned, record.hit) == (refined, not refined)
 
     def test_threshold_range_validated(self):
         with pytest.raises(ValueError):
