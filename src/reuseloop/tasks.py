@@ -15,7 +15,6 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from math import isfinite
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -44,6 +43,7 @@ _OBJECTS = ("cube", "ball", "peg", "tray", "bottle", "gear", "plate", "ring")
 MAX_TASKS = len(_VERBS) * len(_COLORS) * len(_OBJECTS)
 
 _TOKEN_RE = re.compile(r"[^a-z0-9]+")
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def normalize_token(token: str) -> str:
@@ -74,8 +74,8 @@ class TaskDescriptor:
 
     ``target_sequence`` is the ground-truth action chain used by the
     simulated environment to judge executions; policies must not read it.
-    ``signature`` and ``goal_tokens`` are its retrieval key, computed on
-    first use and kept; they are not fields, so equality ignores them.
+    ``signature`` and ``goal_tokens`` are its retrieval key, computed once,
+    at construction; they are not fields, so equality ignores them.
     """
 
     id: str
@@ -89,22 +89,15 @@ class TaskDescriptor:
     def __post_init__(self):
         if not self.goal:
             raise ValueError("goal must be non-empty")
-        if not self.goal_tokens:
+        tokens = normalize_goal(self.goal)
+        if not tokens:
             raise ValueError("goal must contain at least one non-empty token")
         if not self.target_sequence:
             raise ValueError("target_sequence must be non-empty")
         if len(self.target_sequence) > self.constraints.max_steps:
             raise ValueError("target_sequence longer than constraints.max_steps")
-
-    @cached_property
-    def signature(self) -> str:
-        """Content signature, as ``signature_of(self)``."""
-        return signature_of(self)
-
-    @cached_property
-    def goal_tokens(self) -> frozenset[str]:
-        """Normalized goal tokens as a set, for Jaccard matching."""
-        return frozenset(normalize_goal(self.goal))
+        object.__setattr__(self, "goal_tokens", frozenset(tokens))
+        object.__setattr__(self, "signature", _signature(tokens, self.constraints))
 
 
 @dataclass(frozen=True)
@@ -143,13 +136,19 @@ def signature_of(task: TaskDescriptor) -> str:
     collide on purpose: structurally identical tasks should retrieve the
     same methods.
     """
+    return _signature(normalize_goal(task.goal), task.constraints)
+
+
+def _signature(tokens: tuple[str, ...], constraints: TaskConstraints) -> str:
+    """``signature_of`` from the normalized goal; equal constraints sign alike
+    (``deadline_s`` as a float, ``-0.0`` as ``0.0``, ``max_steps`` as an int)."""
+    deadline = constraints.deadline_s
     payload = {
-        "goal": list(normalize_goal(task.goal)),
-        "max_steps": task.constraints.max_steps,
-        "deadline_s": task.constraints.deadline_s,
+        "goal": list(tokens),
+        "max_steps": int(constraints.max_steps),
+        "deadline_s": None if deadline is None else float(deadline) + 0.0,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(_encode(payload).encode("utf-8")).hexdigest()[:16]
 
 
 def check_corpus_size(n_tasks: int, n_repeats: int) -> None:
@@ -184,6 +183,7 @@ def generate_corpus(
     rng = random.Random(seed)
     rng.shuffle(combos)
 
+    constraints = TaskConstraints(max_steps=8)
     tasks = []
     for i, (verb, color, obj) in enumerate(combos[:n_tasks]):
         length = rng.randint(3, 6)
@@ -195,29 +195,26 @@ def generate_corpus(
                 goal=(verb, color, obj),
                 environment={"workspace": "bench-1", "object": obj, "color": color},
                 observations=("vision", "proprioception"),
-                constraints=TaskConstraints(max_steps=8),
+                constraints=constraints,
                 target_sequence=target,
             )
         )
 
-    events: list[TaskEvent] = []
-    cycle = 0
-    for repeat in range(1, n_repeats + 1):
-        for task in tasks:
-            if mode == OBSERVATION_FIRST and repeat == 1:
-                observed = ObservedEvent(task.target_sequence, True)
-                events.append(TaskEvent(cycle, OBSERVED_EVENT, task, observed))
-            else:
-                events.append(TaskEvent(cycle, SELF_TASK, task))
-            cycle += 1
-    return events
+    observed = n_tasks if mode == OBSERVATION_FIRST else 0  # the first round's cycles
+    return [
+        TaskEvent(cycle, OBSERVED_EVENT, task, ObservedEvent(task.target_sequence, True))
+        if cycle < observed
+        else TaskEvent(cycle, SELF_TASK, task)
+        for cycle, task in enumerate(tasks * n_repeats)
+    ]
 
 
 def mean_target_length(events: Iterable[TaskEvent]) -> float:
-    """Mean hidden-target length over the distinct tasks in a stream."""
+    """Mean hidden-target length per distinct signature, the first task wins."""
+    tasks = {id(ev.task): ev.task for ev in events}  # each task object once, in stream order
     by_sig: dict[str, int] = {}
-    for ev in events:
-        by_sig.setdefault(ev.task.signature, len(ev.task.target_sequence))
+    for task in tasks.values():
+        by_sig.setdefault(task.signature, len(task.target_sequence))
     if not by_sig:
         raise ValueError("empty event stream")
     return sum(by_sig.values()) / len(by_sig)

@@ -16,6 +16,7 @@ from reuseloop.tasks import (
     OBSERVED_EVENT,
     SELF_TASK,
     TaskConstraints,
+    TaskEvent,
     corpus_from_doc,
     corpus_to_doc,
     generate_corpus,
@@ -73,15 +74,75 @@ class TestSignature:
             assert task.signature == signature_of(task)
             assert task.goal_tokens == set(normalize_goal(task.goal))
         assert replaced.signature != fresh.signature
-        # ``fresh`` holds its key; ``cold`` has not computed it yet.
+        # A task holds its key from construction on, and equality ignores it.
         cold = make_task(goal=fresh.goal)
-        assert "signature" not in vars(cold)
+        assert vars(cold)["signature"] == signature_of(cold)
         assert cold == fresh and fresh == cold
 
     def test_constraints_participate(self):
         a = make_task(max_steps=8)
         b = make_task(max_steps=6)
         assert signature_of(a) != signature_of(b)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (TaskConstraints(8, 0.0), TaskConstraints(8, -0.0)),
+            (TaskConstraints(8, 5), TaskConstraints(8, 5.0)),
+            (TaskConstraints(True), TaskConstraints(1)),
+        ],
+        ids=["signed-zero", "int-deadline", "bool-max-steps"],
+    )
+    def test_equal_constraints_sign_alike(self, left, right):
+        assert left == right
+        a = dataclasses.replace(make_task(target=("move",)), constraints=left)
+        b = dataclasses.replace(make_task(target=("move",)), constraints=right)
+        assert a == b
+        assert a.signature == b.signature == signature_of(a) == signature_of(b)
+
+    def test_int_deadline_keeps_its_signature_through_a_file(self, tmp_path):
+        task = dataclasses.replace(make_task(), constraints=TaskConstraints(8, 5))
+        save_corpus([TaskEvent(0, SELF_TASK, task)], tmp_path / "corpus.json")
+        (loaded,) = load_corpus(tmp_path / "corpus.json")
+        assert loaded.task.constraints.deadline_s == 5.0
+        assert type(loaded.task.constraints.deadline_s) is float
+        assert loaded.task == task
+        assert loaded.task.signature == task.signature
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        goal=st.lists(
+            st.one_of(
+                st.text(alphabet="aZ9éß ,.!-_\t", min_size=0, max_size=6),
+                st.sampled_from(["Pick", "UP!", "  ", "--", "Ünïcode", "x"]),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        max_steps=st.integers(1, 12),
+        deadline=st.one_of(st.none(), st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)),
+        other_goal=st.lists(st.sampled_from(["stack", "Blue", "ring!"]), min_size=1, max_size=3),
+    )
+    def test_key_is_built_at_construction_property(self, goal, max_steps, deadline, other_goal):
+        base = make_task(target=("move",))
+        constraints = TaskConstraints(max_steps, deadline)
+        if not normalize_goal(goal):
+            with pytest.raises(ValueError, match="^goal must contain at least one non-empty token$"):
+                dataclasses.replace(base, goal=tuple(goal), constraints=constraints)
+            return
+        task = dataclasses.replace(base, goal=tuple(goal), constraints=constraints)
+        assert vars(task)["signature"] == signature_of(task)
+        assert vars(task)["goal_tokens"] == frozenset(normalize_goal(task.goal))
+        # Equality ignores the key: a copy with a different stored key is equal.
+        twin = dataclasses.replace(task)
+        object.__setattr__(twin, "signature", "0" * 16)
+        object.__setattr__(twin, "goal_tokens", frozenset())
+        assert twin == task
+        # ``replace`` builds a new task, and with it a new key.
+        moved = dataclasses.replace(task, goal=tuple(other_goal))
+        assert moved.signature == signature_of(moved)
+        assert moved.goal_tokens == frozenset(normalize_goal(other_goal))
+        assert (moved.signature == task.signature) == (normalize_goal(other_goal) == normalize_goal(goal))
 
 
 class TestDescriptorInvariants:
@@ -171,6 +232,20 @@ class TestGenerateCorpus:
         events = generate_corpus(seed=7, n_tasks=20, n_repeats=5)
         lengths = {signature_of(e.task): len(e.task.target_sequence) for e in events}
         assert mean_target_length(events) == pytest.approx(sum(lengths.values()) / 20)
+
+    def test_mean_target_length_counts_each_signature_once_at_its_first_task(self):
+        # ``a`` repeats as one object; ``a_copy`` is a distinct object with
+        # ``a``'s signature and a longer target; ``b`` has its own signature.
+        a = make_task(goal=("pick", "red", "cube"), target=("move",) * 2)
+        a_copy = make_task(goal=("Pick", "RED", "cube!"), target=("move",) * 6, task_id="task-009")
+        b = make_task(goal=("stack", "blue", "ring"), target=("move",) * 5)
+        assert a is not a_copy and a.signature == a_copy.signature != b.signature
+        stream = [a, a, a_copy, b, a_copy, a]
+        events = [TaskEvent(cycle, SELF_TASK, task) for cycle, task in enumerate(stream)]
+        assert mean_target_length(events) == (2 + 5) / 2
+        # The first task to carry a signature sets its length, whichever object it is.
+        assert mean_target_length(events[2:]) == (6 + 5) / 2
+        assert mean_target_length(iter(events)) == (2 + 5) / 2
 
 
 class TestCorpusPersistence:
@@ -266,6 +341,4 @@ def test_event_kind_and_payload_consistency():
     task = make_task()
     with pytest.raises(ValueError):
         # observed payload missing for an observed_event
-        from reuseloop.tasks import TaskEvent
-
         TaskEvent(cycle=0, kind=OBSERVED_EVENT, task=task, observed=None)
