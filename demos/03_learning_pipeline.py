@@ -16,7 +16,6 @@ from reuseloop import (
     MethodLibrary,
     MockPlanner,
     SequenceExecutor,
-    VirtualClock,
     build_method,
     generate_corpus,
     initialize,
@@ -38,7 +37,7 @@ plan = planner.plan(task).plan
 print(f"\nplanner proposed: {list(plan.direct_solution)}")
 
 dataset = EpisodeDataset()
-executor.collect(list(plan.direct_solution), dataset, VirtualClock())
+executor.collect(list(plan.direct_solution), dataset, {"collect": 0.0})
 candidate = initialize(plan, dataset)
 for sample in dataset.self_samples:
     if not sample.success:

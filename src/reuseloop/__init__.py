@@ -28,7 +28,6 @@ from .engine import (
     PROPOSED_OBSERVATION,
     ExecutorConfig,
     SequenceExecutor,
-    VirtualClock,
     read_records,
     run_loop,
     write_records,

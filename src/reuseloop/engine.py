@@ -1,11 +1,12 @@
-"""Closed-loop episode engine over a virtual clock.
+"""Closed-loop episode engine over virtual time.
 
 ``run_episode`` handles one task event under a policy mode: its
 ``_Episode.run`` makes the episode's one decision, as the table below
 says. ``run_loop`` folds it over an event stream, threading the method
-library so that what one episode learns the next can reuse. All durations
-come from the virtual clock: configured phase costs plus the planner's
-reported latency, which makes benchmark runs exactly reproducible. Only
+library so that what one episode learns the next can reuse. Every
+duration is virtual: an episode adds configured phase costs and the
+planner's reported latency into its phase dict, which makes benchmark runs
+exactly reproducible; ``RunRecord`` checks the result. Only
 ``SequenceExecutor``, the simulated environment, reads a task's hidden
 target.
 
@@ -66,7 +67,7 @@ PHASES = ("retrieve", "plan_llm", "execute", "collect", "train", "store")
 
 @dataclass(frozen=True)
 class ExecutorConfig:
-    """Virtual-clock durations for each episode phase, in seconds."""
+    """Virtual durations for each episode phase, in seconds."""
 
     base_s: float = 4.8
     per_step_s: float = 0.35
@@ -98,33 +99,16 @@ def float_sum(values: Iterable[float]) -> float:
     return total
 
 
-class VirtualClock:
-    """Per-episode simulated time, bucketed by phase."""
-
-    def __init__(self):
-        self.phases: dict[str, float] = dict.fromkeys(PHASES, 0.0)
-
-    def add(self, phase: str, seconds: float) -> None:
-        if phase not in self.phases:
-            raise ValueError(f"unknown phase {phase!r}")
-        if not 0.0 <= seconds < math.inf:
-            raise ValueError(f"durations must be finite and nonnegative, got {seconds!r}")
-        self.phases[phase] += seconds
-
-    @property
-    def now_s(self) -> float:
-        return float_sum(self.phases.values())
-
-
 class SequenceExecutor(learner.Replayer):
     """Simulated environment for one task, and the only engine code that
     reads the task's hidden target.
 
     Execution succeeds when the attempted sequence equals the target.
     ``replay`` makes that check for validation, at no cost; ``execute``
-    charges the clock and makes it. ``collect`` records one experience
-    sample per step, successful when the step matches the expected action,
-    and ``first_failed_step`` names the first step that does not.
+    adds the execution time to the episode's phase dict and makes it.
+    ``collect`` adds the collection time and records one experience sample
+    per step, successful when the step matches the expected action, and
+    ``first_failed_step`` names the first step that does not.
     """
 
     def __init__(self, task: TaskDescriptor, config: ExecutorConfig):
@@ -134,14 +118,14 @@ class SequenceExecutor(learner.Replayer):
     def replay(self, sequence: Sequence[str]) -> bool:
         return tuple(sequence) == self.task.target_sequence
 
-    def execute(self, sequence: Sequence[str], clock: VirtualClock) -> bool:
-        clock.add("execute", self.config.execute_time(len(sequence)))
+    def execute(self, sequence: Sequence[str], phases: dict[str, float]) -> bool:
+        phases["execute"] += self.config.execute_time(len(sequence))
         return self.replay(sequence)
 
     def collect(
-        self, sequence: Sequence[str], dataset: EpisodeDataset, clock: VirtualClock
+        self, sequence: Sequence[str], dataset: EpisodeDataset, phases: dict[str, float]
     ) -> None:
-        clock.add("collect", self.config.collect_s)
+        phases["collect"] += self.config.collect_s
         target = self.task.target_sequence
         for i, action in enumerate(sequence, start=1):
             ok = i <= len(target) and action == target[i - 1]
@@ -228,7 +212,7 @@ class _Episode:
         self.planner = planner
         self.thresholds = thresholds
         self.config = config
-        self.clock = VirtualClock()
+        self.phases = dict.fromkeys(PHASES, 0.0)
         self.history = history
         self.executor = SequenceExecutor(event.task, config)
         self.llm_calls = 0
@@ -240,9 +224,9 @@ class _Episode:
         """Handle the event as README's "Policy modes" table says."""
         observed = self.event.observed
         if observed is not None:
-            self.clock.add("collect", self.config.observe_s)
+            self.phases["collect"] += self.config.observe_s
             if self.mode == PROPOSED_OBSERVATION:
-                self.clock.add("retrieve", self.config.retrieve_s)
+                self.phases["retrieve"] += self.config.retrieve_s
                 found = self.library.retrieve_best(self.task, self.thresholds.tau_o)
                 if decide(found, self.thresholds, observed).branch == LEARN_OBSERVATION:
                     self.learn()
@@ -257,14 +241,14 @@ class _Episode:
             except PlannerError:
                 return
             if solution is not None:
-                self.success = self.executor.execute(solution, self.clock)
+                self.success = self.executor.execute(solution, self.phases)
             return
 
-        self.clock.add("retrieve", self.config.retrieve_s)
+        self.phases["retrieve"] += self.config.retrieve_s
         found = self.library.retrieve_best(self.task, self.thresholds.tau_r)
         if self.mode == LIBRARY_ONLY:
             if found.covered:
-                self.success = self.executor.execute(found.method.procedure, self.clock)
+                self.success = self.executor.execute(found.method.procedure, self.phases)
                 self.library.update_reliability(found.method.id, self.success, self.event.cycle)
                 self.hit = True
             return
@@ -278,7 +262,7 @@ class _Episode:
 
     def _plan(self, feedback: PlannerFeedback | None = None):
         call = self.planner.plan(self.task, self.history, feedback)
-        self.clock.add("plan_llm", call.latency_s)
+        self.phases["plan_llm"] += call.latency_s
         self.llm_calls += 1
         return call
 
@@ -288,7 +272,7 @@ class _Episode:
         """Execute a stored method. If its utility then falls below ``tau_u``,
         re-enter learning once: replan from the execution feedback, with no
         second execution charge."""
-        ok = self.executor.execute(method.procedure, self.clock)
+        ok = self.executor.execute(method.procedure, self.phases)
         self.library.update_reliability(method.id, ok, self.event.cycle)
         self.success = ok
         self.hit = True
@@ -319,22 +303,22 @@ class _Episode:
         if observed is not None:
             dataset.ingest_observation(observed)
         elif plan.direct_solution is not None:
-            self.executor.collect(plan.direct_solution, dataset, self.clock)
+            self.executor.collect(plan.direct_solution, dataset, self.phases)
         try:
             candidate = learner.initialize(plan, dataset)
         except ValueError:
             return
-        self.clock.add("train", self.config.train_s)
+        self.phases["train"] += self.config.train_s
         candidate = learner.train_episode(candidate, dataset)
         if learner.validate(candidate, self.executor, plan.update_criteria).passed:
             method = learner.build_method(candidate, self.task, dataset, self.event.cycle)
             self.library.insert(method)
-            self.clock.add("store", self.config.store_s)
+            self.phases["store"] += self.config.store_s
             self.learned = True
         if observed is not None:
             self.success = self.learned
         elif feedback is None:
-            self.success = self.executor.execute(candidate.sequence, self.clock)
+            self.success = self.executor.execute(candidate.sequence, self.phases)
 
 
 def run_episode(
@@ -358,10 +342,10 @@ def run_episode(
     ep.run()
     # Positional: the phases come in PHASES order, which RunRecord's fields
     # follow. All LLM time is the planner latency charged to plan_llm.
-    phases = ep.clock.phases
+    phases = ep.phases
     return RunRecord(
         mode, event.task.id, repeat_index, event.cycle, *phases.values(),
-        ep.clock.now_s, ep.llm_calls, phases["plan_llm"], ep.success, ep.hit, ep.learned,
+        float_sum(phases.values()), ep.llm_calls, phases["plan_llm"], ep.success, ep.hit, ep.learned,
     )
 
 
@@ -407,7 +391,7 @@ RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 # A record line is a head, the four fields that name the episode, then a
-# block of the other twelve. The virtual clock charges fixed phase costs, so
+# block of the other twelve. Episodes add fixed phase costs, so
 # blocks repeat from one record to the next, and write_records checks and
 # formats each distinct policy and block once.
 _HEAD_FIELDS = RECORD_FIELDS[:4]

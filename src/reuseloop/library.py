@@ -73,8 +73,9 @@ class Reliability:
     last_used_cycle: int = 0
 
     def __post_init__(self):
-        if self.successes < 0 or self.attempts < 0:
-            name = "successes" if self.successes < 0 else "attempts"
+        if min(self.successes, self.attempts, self.created_cycle, self.last_used_cycle) < 0:
+            name = next(name for name in ("successes", "attempts", "created_cycle",
+                                          "last_used_cycle") if getattr(self, name) < 0)
             raise ValueError(f"{name} must be nonnegative")
         if self.successes > self.attempts:
             raise ValueError("successes must not exceed attempts")

@@ -23,7 +23,6 @@ from reuseloop.engine import (
     ExecutorConfig,
     RunRecord,
     SequenceExecutor,
-    VirtualClock,
     float_sum,
     read_records,
     run_episode,
@@ -680,7 +679,7 @@ class TestRecordStreams:
         assert len(calls) == len(distinct) < len(records)
 
     def test_fields_follow_the_clock_phases(self):
-        # run_episode builds each record positionally from the clock's phases.
+        # run_episode builds each record positionally from the episode's phases.
         assert RECORD_FIELDS[:4] == ("policy", "task_id", "repeat_index", "cycle")
         assert RECORD_FIELDS[4:11] == (*_PHASE_FIELDS, "total_s")
         assert RECORD_FIELDS[4:10] == tuple(f"{phase}_s" for phase in PHASES)
@@ -759,26 +758,17 @@ class TestRecordStreams:
 
 
 class TestClockAndExecutor:
-    def test_unknown_phase_rejected(self):
-        clock = VirtualClock()
-        with pytest.raises(ValueError):
-            clock.add("nap", 1.0)
-        with pytest.raises(ValueError):
-            clock.add("train", -0.1)
-
-    def test_now_is_phase_sum(self):
-        clock = VirtualClock()
-        clock.add("retrieve", 0.25)
-        clock.add("execute", 1.5)
-        assert clock.now_s == pytest.approx(1.75)
-
-    def test_now_adds_phases_left_to_right(self):
-        # From Python 3.12 on, sum() of these gives 0.6; the pinned outputs
-        # hold the left-to-right 0.6000000000000001 on every version.
-        clock = VirtualClock()
-        for phase, seconds in zip(PHASES, (0.1, 0.2, 0.3)):
-            clock.add(phase, seconds)
-        assert clock.now_s == 0.1 + 0.2 + 0.3 == 0.6000000000000001
+    def test_now_adds_phases_left_to_right(self, task):
+        # A proposed episode on an empty library charges retrieve 0.1, then
+        # plan_llm 0.2, then execute 0.3. From Python 3.12 on, sum() of these
+        # gives 0.6; the pinned outputs hold the left-to-right
+        # 0.6000000000000001 on every version.
+        config = ExecutorConfig(base_s=0.3, per_step_s=0.0, retrieve_s=0.1, collect_s=0.0,
+                                train_s=0.0, store_s=0.0)
+        [record] = run_loop([self_event(task, 0)], PROPOSED, MethodLibrary(),
+                            MockPlanner(latency_s=0.2, p_corrupt=0.0), THRESHOLDS, config)
+        assert (record.retrieve_s, record.plan_llm_s, record.execute_s) == (0.1, 0.2, 0.3)
+        assert record.total_s == 0.1 + 0.2 + 0.3 == 0.6000000000000001
 
     @given(st.lists(st.floats(-1e300, 1e300), max_size=20))
     def test_float_sum_adds_left_to_right(self, values):
@@ -786,17 +776,17 @@ class TestClockAndExecutor:
 
     def test_executor_collect_labels_steps(self, task):
         executor = SequenceExecutor(task, CFG)
-        clock = VirtualClock()
+        phases = dict.fromkeys(PHASES, 0.0)
         from reuseloop.experience import EpisodeDataset
 
         ds = EpisodeDataset()
         wrong = list(task.target_sequence)
         wrong[1] = "rotate" if wrong[1] != "rotate" else "push"
-        executor.collect(wrong, ds, clock)
+        executor.collect(wrong, ds, phases)
         assert [s.success for s in ds.self_samples] == [
             a == b for a, b in zip(wrong, task.target_sequence)
         ]
-        assert clock.phases["collect"] == CFG.collect_s
+        assert phases == {**dict.fromkeys(PHASES, 0.0), "collect": CFG.collect_s}
 
     def test_first_failed_step(self, task):
         executor = SequenceExecutor(task, CFG)
@@ -806,12 +796,12 @@ class TestClockAndExecutor:
         assert executor.first_failed_step(["rotate", *target[1:]]) == 1
         assert executor.first_failed_step([*target, "move"]) == len(target) + 1
 
-    @pytest.mark.parametrize("value", [INF, NAN, -INF])
-    def test_non_finite_duration_rejected(self, value):
-        clock = VirtualClock()
-        with pytest.raises(ValueError, match="^durations must be finite and nonnegative"):
-            clock.add("execute", value)
-        assert clock.now_s == 0.0
+    def test_overflowing_execute_time_rejected(self, task):
+        # Each duration is finite, but base_s + per_step_s * n_steps is not.
+        config = ExecutorConfig(base_s=1e308, per_step_s=1e308)
+        with pytest.raises(ValueError, match="^execute_s must be finite$"):
+            run_loop([self_event(task, 0)], PROPOSED, MethodLibrary(), planner(), THRESHOLDS,
+                     config)
 
     def test_record_invariants(self):
         with pytest.raises(ValueError):

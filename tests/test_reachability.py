@@ -21,6 +21,10 @@ Every dataclass field is read too. A field counts as read when ``src/`` or
 backticks in README's "File formats" section (a field written by name into
 an output), or when it is in ``ALLOWED_FIELDS``. A field built and written
 but never read fails, named ``module.Class.field``.
+
+The package root re-exports only what its own readers import from it: the
+README quick start, ``demos/*.py`` and ``perfbench/*.py``. A root export
+that none of them names in a ``from reuseloop import ...`` fails.
 """
 
 from __future__ import annotations
@@ -197,6 +201,37 @@ def field_readers() -> set[str]:
     for span in re.findall(r"`([^`]*)`", match.group(1)):
         read.update(re.findall(r"\w+", span))
     return read
+
+
+def root_exports() -> set[str]:
+    """The names ``__init__.py`` imports from its submodules."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for stmt in tree.body if isinstance(stmt, ast.ImportFrom)
+        for alias in stmt.names
+    }
+
+
+def root_imports() -> set[str]:
+    """The names the quick start, the demos and perfbench import from the
+    package root."""
+    sources = [quick_start()] + [
+        path.read_text(encoding="utf-8")
+        for folder in ("demos", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    return {
+        alias.name
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "reuseloop" and not node.level
+        for alias in node.names
+    }
+
+
+def test_every_root_export_is_imported():
+    assert sorted(root_exports() - root_imports()) == []
 
 
 def test_every_name_is_read():

@@ -303,6 +303,12 @@ _NAMED_AT_FIELD = [
      "methods[0].reliability.successes"),
     (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "reliability", "attempts"), -1),
      "methods[0].reliability.attempts"),
+    (MethodLibrary.from_doc,
+     _with(_LIBRARY_DOC, ("methods", 0, "reliability", "created_cycle"), -3),
+     "methods[0].reliability.created_cycle"),
+    (MethodLibrary.from_doc,
+     _with(_LIBRARY_DOC, ("methods", 0, "reliability", "last_used_cycle"), -9),
+     "methods[0].reliability.last_used_cycle"),
     (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "data_profile", "episodes"), -1),
      "methods[0].data_profile.episodes"),
     (corpus_from_doc, _with(_CORPUS_DOC, ("events", 0, "task", "target_sequence"), []),

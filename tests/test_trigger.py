@@ -1,16 +1,30 @@
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import fields
 
 import pytest
 
 from reuseloop import learner
-from reuseloop.engine import PROPOSED, ExecutorConfig, SequenceExecutor, run_episode
+from reuseloop.engine import (
+    PROPOSED,
+    PROPOSED_OBSERVATION,
+    ExecutorConfig,
+    SequenceExecutor,
+    run_episode,
+)
 from reuseloop.experience import EpisodeDataset
 from reuseloop.library import MethodLibrary, RetrievalResult, matching_score
 from reuseloop.planner import MockPlanner
-from reuseloop.tasks import MAX_TASKS, SELF_TASK, ObservedEvent, TaskEvent, generate_corpus
+from reuseloop.tasks import (
+    MAX_TASKS,
+    OBSERVED_EVENT,
+    SELF_TASK,
+    ObservedEvent,
+    TaskEvent,
+    generate_corpus,
+)
 from reuseloop.trigger import (
     LEARN_LOW_CONFIDENCE,
     LEARN_OBSERVATION,
@@ -216,6 +230,25 @@ class TestThresholdBoundaries:
         assert found.score == 0.6 and found.covered
         assert decide(found, TriggerThresholds(tau_r=0.6)).branch == REUSE
         assert not library.retrieve_best(task, 0.6 + 1e-9).covered
+
+    @pytest.mark.parametrize("tau_o, learned", [(1 / 2, False), (1 / 2 + 1e-9, True)])
+    def test_observed_neighbour_covered_exactly_at_one_half(self, tau_o, learned):
+        # A successful observation of a task whose stored neighbour scores
+        # 1/2 is covered at tau_o = 1/2, so proposed_observation leaves the
+        # library alone; just above, it learns the observed behaviour.
+        stored, task = _neighbours()
+        library = MethodLibrary([_stored_method(stored)])
+        before = copy.deepcopy(library.methods())
+        assert matching_score(task, before[0]) == 0.5
+        event = TaskEvent(cycle=1, kind=OBSERVED_EVENT, task=task,
+                          observed=ObservedEvent(task.target_sequence, success=True))
+        record = run_episode(event, PROPOSED_OBSERVATION, library, MockPlanner(p_corrupt=0.0),
+                             TriggerThresholds(tau_o=tau_o), ExecutorConfig())
+        assert record.llm_calls == int(learned)
+        assert record.learned == learned and record.success
+        assert len(library) == 1 + int(learned)
+        if not learned:
+            assert library.methods() == before
 
     @pytest.mark.parametrize("tau_u, refined", [(1 / 2, False), (1 / 2 + 1e-9, True)])
     def test_failed_reuse_refined_just_above_one_half(self, task, tau_u, refined):
