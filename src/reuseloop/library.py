@@ -323,9 +323,10 @@ class MethodLibrary:
         """Read a ``library.json`` document; a repeated id is named at ``methods[i].id``."""
         lib = cls()
         for i, method in enumerate(read_versioned(_LibraryDoc, doc, LIBRARY_VERSION).methods):
-            if method.id in lib:
-                raise SchemaError(f"methods[{i}].id", f"duplicate method id {method.id!r}")
-            lib.insert(method)
+            try:
+                lib.insert(method)
+            except LibraryError as exc:
+                raise SchemaError(f"methods[{i}].id", str(exc)) from None
         return lib
 
     @classmethod

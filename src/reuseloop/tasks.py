@@ -15,6 +15,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _str_text
 from math import isfinite
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -43,17 +44,24 @@ _OBJECTS = ("cube", "ball", "peg", "tray", "bottle", "gear", "plate", "ring")
 MAX_TASKS = len(_VERBS) * len(_COLORS) * len(_OBJECTS)
 
 _TOKEN_RE = re.compile(r"[^a-z0-9]+")
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def normalize_token(token: str) -> str:
-    """Lowercase a goal token and drop punctuation/whitespace."""
-    return _TOKEN_RE.sub("", token.lower())
+    """Lowercase a goal token and drop every character outside ``[a-z0-9]``.
+
+    A lowercased token that is ASCII and alphanumeric holds only ``[a-z0-9]``,
+    so the regex would match nothing in it and it is returned as it is; every
+    other token goes through the regex.
+    """
+    low = token.lower()
+    if low.isascii() and low.isalnum():
+        return low
+    return _TOKEN_RE.sub("", low)
 
 
 def normalize_goal(goal: Iterable[str]) -> tuple[str, ...]:
     """Canonical ordered goal tokens: normalized, empties dropped."""
-    return tuple(t for t in (normalize_token(tok) for tok in goal) if t)
+    return tuple([t for t in map(normalize_token, goal) if t])
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,7 @@ class TaskConstraints:
     deadline_s: float | None = None
 
     def __post_init__(self):
-        if self.max_steps < 1:
+        if not isinstance(self.max_steps, int) or self.max_steps < 1:
             raise ValueError("max_steps must be a positive integer")
         if self.deadline_s is not None and not (isfinite(self.deadline_s) and self.deadline_s >= 0):
             raise ValueError("deadline_s must be finite and nonnegative when present")
@@ -141,14 +149,21 @@ def signature_of(task: TaskDescriptor) -> str:
 
 def _signature(tokens: tuple[str, ...], constraints: TaskConstraints) -> str:
     """``signature_of`` from the normalized goal; equal constraints sign alike
-    (``deadline_s`` as a float, ``-0.0`` as ``0.0``, ``max_steps`` as an int)."""
+    (``deadline_s`` as a float, ``-0.0`` as ``0.0``, ``max_steps`` as an int).
+
+    The hashed text is the bytes of ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))``, written directly: keys in sorted order, each
+    token quoted by the encoder's own ``encode_basestring_ascii``, a finite
+    float as its ``repr`` and an int as its decimal digits, as ``json`` writes
+    them.
+    """
     deadline = constraints.deadline_s
-    payload = {
-        "goal": list(tokens),
-        "max_steps": int(constraints.max_steps),
-        "deadline_s": None if deadline is None else float(deadline) + 0.0,
-    }
-    return hashlib.sha256(_encode(payload).encode("utf-8")).hexdigest()[:16]
+    deadline_text = "null" if deadline is None else repr(float(deadline) + 0.0)
+    text = (
+        f'{{"deadline_s":{deadline_text},"goal":[{",".join(map(_str_text, tokens))}],'
+        f'"max_steps":{int(constraints.max_steps)}}}'
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def check_corpus_size(n_tasks: int, n_repeats: int) -> None:

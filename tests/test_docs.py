@@ -3,6 +3,7 @@ and its Layout block names every module."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -18,6 +19,9 @@ from reuseloop.config import (
     resolve_executor,
 )
 from reuseloop.errors import read_dataclass
+from reuseloop.tasks import signature_of
+
+from conftest import make_task
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -47,3 +51,16 @@ def test_readme_layout_names_every_module():
     listed = set(re.findall(r"\w+", match.group(1)))
     modules = {p.stem for p in (ROOT / "src" / "reuseloop").glob("*.py")} - {"__init__"}
     assert modules <= listed, sorted(modules - listed)
+
+
+def test_readme_signature_example_is_signature_of():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"The key exactly:.*?```text\n(\{.*?\}) -> ([0-9a-f]{16})\n```", text, re.S)
+    assert match, "README lost its worked signature example"
+    key_text, digest = match.groups()
+    doc = json.loads(key_text)
+    assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == key_text
+    assert hashlib.sha256(key_text.encode()).hexdigest()[:16] == digest
+    assert doc["deadline_s"] is None
+    for goal in (doc["goal"], ("Pick", "RED!", "cube.")):
+        assert signature_of(make_task(goal=goal, max_steps=doc["max_steps"])) == digest

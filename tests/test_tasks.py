@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +26,23 @@ from reuseloop.tasks import (
     load_corpus,
     mean_target_length,
     normalize_goal,
+    normalize_token,
     save_corpus,
     signature_of,
 )
 
 from conftest import make_task
+
+# Goal tokens mixing plain ASCII with characters whose lowercase or digit
+# class differs from ASCII: superscript two, a fullwidth digit, the Kelvin
+# sign, a dotted capital I and sharp s.
+_TOKENS = st.lists(
+    st.one_of(
+        st.sampled_from(["x²", "１", "\u212a", "İ", "ß", "Pick", "UP!", "9", " ", "-"]),
+        st.text(max_size=3),
+    ),
+    max_size=4,
+).map("".join)
 
 
 class TestSignature:
@@ -109,6 +124,40 @@ class TestSignature:
         assert loaded.task == task
         assert loaded.task.signature == task.signature
 
+    def test_pinned_signatures(self):
+        # Fixed digests: any change to the key text or its hash moves them.
+        assert signature_of(make_task(goal=("pick", "red", "cube"), max_steps=8)) == "14d4cb9f79706850"
+        task = dataclasses.replace(make_task(goal=("Pick", "RED!", "cube.")), constraints=TaskConstraints(8, 5))
+        assert signature_of(task) == "ce20cf6fe8295a1c"
+
+    @settings(max_examples=400, deadline=None)
+    @given(token=_TOKENS)
+    def test_normalize_token_is_the_regex_property(self, token):
+        assert normalize_token(token) == re.sub(r"[^a-z0-9]+", "", token.lower())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        goal=st.lists(_TOKENS, min_size=1, max_size=4),
+        max_steps=st.one_of(st.integers(1, 12), st.just(True)),
+        deadline=st.sampled_from([None, 5, -0.0, 1e-7, 1e16, 5e-324, sys.float_info.max]),
+    )
+    def test_signature_is_the_json_dumps_digest_property(self, goal, max_steps, deadline):
+        tokens = [t for t in (re.sub(r"[^a-z0-9]+", "", tok.lower()) for tok in goal) if t]
+        constraints = TaskConstraints(max_steps, deadline)
+        base = make_task(target=("move",))
+        if not tokens:
+            with pytest.raises(ValueError, match="^goal must contain at least one non-empty token$"):
+                dataclasses.replace(base, goal=tuple(goal), constraints=constraints)
+            return
+        task = dataclasses.replace(base, goal=tuple(goal), constraints=constraints)
+        payload = {
+            "goal": tokens,
+            "max_steps": int(max_steps),
+            "deadline_s": None if deadline is None else float(deadline) + 0.0,
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert signature_of(task) == task.signature == hashlib.sha256(text.encode()).hexdigest()[:16]
+
     @settings(max_examples=150, deadline=None)
     @given(
         goal=st.lists(
@@ -163,6 +212,11 @@ class TestDescriptorInvariants:
             with pytest.raises(ValueError, match="^deadline_s must be finite and nonnegative"):
                 TaskConstraints(max_steps=4, deadline_s=deadline)
         assert TaskConstraints(max_steps=4, deadline_s=0.0).deadline_s == 0.0
+
+    @pytest.mark.parametrize("max_steps", [8.5, 8.0, float("nan"), float("inf")])
+    def test_max_steps_must_be_an_integer(self, max_steps):
+        with pytest.raises(ValueError, match="^max_steps must be a positive integer$"):
+            TaskConstraints(max_steps)
 
 
 class TestGenerateCorpus:
