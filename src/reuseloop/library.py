@@ -7,10 +7,13 @@ caller's reuse threshold. Three indexes, kept by ``insert``, narrow each
 lookup to the methods that can win: signature -> methods, exact goal-token
 set -> methods and token -> bitmask. Each method holds one bit, its insertion
 position, and a token's mask is the ``int`` whose set bits are the methods
-that carry the token. A partial match is scored from the count of goal tokens
-each method shares with the task, read off those masks level by level, and
-only while that count can still reach the best score found so far. The
-result, tie-breaks included, equals that of scoring every stored method.
+that carry the token. An exact hit is returned directly when its signature
+bucket holds one method and its goal-token set bucket holds no other. A
+partial match is scored from the count of goal tokens each method shares
+with the task, read off those masks level by level, and only while that
+count can still reach the best score found so far. One tie-break,
+``_tie_winner``, picks among equal scores on every path. The result,
+tie-breaks included, equals that of scoring every stored method.
 """
 
 from __future__ import annotations
@@ -144,9 +147,15 @@ def jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float
     return len(a & b) / len(union)
 
 
-def _tie_key(m: Method) -> tuple[float, int, str]:
-    """Retrieval's tie-break among equal scores, smallest first."""
-    return (-m.reliability.success_ratio, -m.reliability.last_used_cycle, m.id)
+def _tie_winner(methods: Iterable[Method]) -> Method:
+    """Retrieval's tie-break among equal scores: the higher success ratio, then
+    the more recent use, then the smallest id. One comprehension builds the
+    keys, ``success_ratio`` inlined, so no call runs per method; ids are
+    unique, so ``min`` never compares two methods."""
+    return min([
+        (-(rel.successes / rel.attempts) if rel.attempts else 0.0, -rel.last_used_cycle, m.id, m)
+        for m in methods for rel in (m.reliability,)
+    ])[3]
 
 
 class MethodLibrary:
@@ -203,16 +212,19 @@ class MethodLibrary:
     def retrieve_best(self, task: TaskDescriptor, tau_r: float) -> RetrievalResult:
         """Best-scoring method for ``task`` and whether it clears ``tau_r``.
 
-        Ties break toward the higher success ratio, then the more recently
-        used method, then the lexicographically smallest id. An empty library
-        yields score 0 and no method.
+        Ties break as ``_tie_winner`` says: toward the higher success ratio,
+        then the more recently used method, then the lexicographically
+        smallest id. An empty library yields score 0 and no method.
 
         The result equals that of scoring every stored method, but only the
         methods that can win are scored, each at most once:
 
         1. The exact pool: the task's signature bucket, plus its goal-token
            set bucket cut to the methods whose procedure fits the task's step
-           budget. These are exactly the methods that score 1.0.
+           budget. These are exactly the methods that score 1.0. When the
+           signature bucket holds one method and the token-set bucket holds
+           no other, that method is scored and returned directly; otherwise
+           the pool's best wins.
         2. Failing that, the token pool: the methods that share a goal token
            with the task; every other method scores 0. From the masks of
            the task's ``q`` tokens, one pass of ANDs and ORs builds
@@ -220,12 +232,14 @@ class MethodLibrary:
            ``at_least[o] ^ at_least[o + 1]`` are those sharing exactly
            ``o``. A method sharing ``o``, with ``b`` tokens of its own,
            scores ``o / (q + b - o)``: the two ints ``jaccard`` divides, so
-           the same float. Levels are visited by descending ``o``, and the
-           visit stops once ``o / q`` falls below the best score found: as
-           ``b >= o``, no method with that overlap or less can reach or tie
-           it, and division rounds monotonically, so the stop is exact. The
-           bound is the running best, never ``tau_r``, so the score reported
-           below ``tau_r`` is still the true best.
+           the same float. Levels are visited by descending ``o``, an empty
+           level is skipped, and the visit stops once ``o / q`` falls below
+           the best score found: as ``b >= o``, no method with that overlap
+           or less can reach or tie it, and division rounds monotonically,
+           so the stop is exact. The bound is the running best, never
+           ``tau_r``, so the score reported below ``tau_r`` is still the
+           true best. The methods tied at the best score, across levels,
+           go to the tie-break once the visit ends.
         3. If that pool is empty or scores 0 throughout, every method scores
            0, and the tie-break alone picks over the whole library.
         """
@@ -233,16 +247,24 @@ class MethodLibrary:
             raise ValueError("tau_r must lie in [0, 1]")
         if not self._methods:
             return RetrievalResult(method=None, score=0.0, covered=False)
+        by_signature = self._by_signature.get(task.signature, ())
+        by_token_set = self._by_token_set.get(task.goal_tokens, ())
+        if len(by_signature) == 1 and (
+            not by_token_set or len(by_token_set) == 1 and by_token_set[0] is by_signature[0]
+        ):
+            best = by_signature[0]
+            score = matching_score(task, best)
+            return RetrievalResult(method=best, score=score, covered=score >= tau_r)
         # The pool is keyed by id, so a method in both buckets is scored once.
-        pool = {m.id: m for m in self._by_signature.get(task.signature, ())}
+        pool = {m.id: m for m in by_signature}
         max_steps = task.constraints.max_steps
-        for m in self._by_token_set.get(task.goal_tokens, ()):
+        for m in by_token_set:
             if max_steps >= len(m.procedure):
                 pool[m.id] = m
         if pool:
-            # Ids are unique, so two keys never tie and min never compares methods.
-            key, best = min(((-matching_score(task, m), _tie_key(m)), m) for m in pool.values())
-            score = -key[0]
+            scores = [matching_score(task, m) for m in pool.values()]
+            score = max(scores)
+            best = _tie_winner([m for m, s in zip(pool.values(), scores) if s == score])
             return RetrievalResult(method=best, score=score, covered=score >= tau_r)
         q = len(task.goal_tokens)
         masks = [mask for t in task.goal_tokens if (mask := self._mask_by_token.get(t))]
@@ -258,8 +280,11 @@ class MethodLibrary:
         for o in range(len(masks), 0, -1):
             if o / q < score:
                 break
+            level = at_least[o] ^ at_least[o + 1]
+            if not level:
+                continue
             # bits[i] == "1" when slot i shares exactly o tokens.
-            bits = bin(at_least[o] ^ at_least[o + 1])[:1:-1]
+            bits = bin(level)[:1:-1]
             i = bits.find("1")
             while i >= 0:
                 m = slots[i]
@@ -272,7 +297,7 @@ class MethodLibrary:
                 elif s == score:
                     tied.append(m)
         # With no method tied at a positive score, every method scores 0.
-        best = min(tied or self._methods.values(), key=_tie_key)
+        best = _tie_winner(tied or self._methods.values())
         return RetrievalResult(method=best, score=score, covered=score >= tau_r)
 
     # -- persistence --------------------------------------------------------

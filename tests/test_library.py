@@ -311,10 +311,41 @@ class TestIndexedRetrieval:
               dict(method_id="m-four-wide", goal_tokens=(*_SIX_TOKENS[:4], "tray")),
               dict(method_id="m-four", goal_tokens=_SIX_TOKENS[:4]),
               dict(method_id="m-three", goal_tokens=_SIX_TOKENS[:3], successes=1, attempts=1)]),
+            # two methods in the signature bucket, neither in the token-set
+            # bucket: the later-inserted one wins on its success ratio
+            (_NAMED_TASK,
+             [dict(method_id="m-a", signatures={_NAMED_TASK.signature}, goal_tokens=("pick",),
+                   successes=1, attempts=2, last_used_cycle=5),
+              dict(method_id="m-b", signatures={_NAMED_TASK.signature}, goal_tokens=("door",),
+                   successes=1, attempts=1)]),
+            # the one signature method is over budget, which a signature match
+            # ignores; its token-set twin fits and wins on its record
+            (_NAMED_TASK,
+             [dict(method_id="m-sig", signatures={_NAMED_TASK.signature}, goal_tokens=("pick",),
+                   procedure=("move",) * 5, successes=0, attempts=1),
+              dict(method_id="m-twin", max_steps=6, successes=1, attempts=1)]),
+            # no signature match: the exact hit is in the token-set bucket only,
+            # beside an over-budget twin and a partial match with better records
+            (_NAMED_TASK,
+             [dict(method_id="m-long", procedure=("move",) * 5, successes=2, attempts=2),
+              dict(method_id="m-part", goal_tokens=("pick", "up"), successes=3, attempts=3),
+              dict(method_id="m-twin", max_steps=6, successes=0, attempts=1)]),
+            # cross-overlap-tie mirrored: both score 1/2, equal ratios, and the
+            # higher overlap, visited first, wins on recency over a smaller id
+            (_PICK_UP_TASK,
+             [dict(method_id="m-one", goal_tokens=("pick",), successes=1, attempts=1),
+              dict(method_id="m-two", goal_tokens=("pick", "up", "red", "cube"),
+                   successes=1, attempts=1, last_used_cycle=3)]),
+            # both score 1/2 with equal records: the smaller id, visited last, wins
+            (_PICK_UP_TASK,
+             [dict(method_id="m-a", goal_tokens=("up",), successes=1, attempts=2),
+              dict(method_id="m-b", goal_tokens=("pick", "up", "red", "cube"),
+                   successes=1, attempts=2)]),
         ],
         ids=["over-budget-twin", "other-max-steps", "disjoint-signature", "all-zero", "ties",
              "smaller-overlap-wins", "cross-overlap-tie", "top-overlap-over-budget",
-             "top-levels-over-budget"],
+             "top-levels-over-budget", "two-signature-methods", "over-budget-sole-signature",
+             "token-set-bucket-only", "cross-overlap-tie-on-recency", "cross-overlap-tie-on-id"],
     )
     def test_named_cases_match_the_oracle(self, task, methods, tau_r):
         library = MethodLibrary(make_method(**spec) for spec in methods)
@@ -341,6 +372,15 @@ class TestIndexedRetrieval:
         result = _assert_matches_oracle(library, task, 0.8)
         assert result.method.id == "m-twin" and result.score == 1.0
         assert sorted(calls) == ["m-exact", "m-twin"]
+
+    def test_sole_exact_hit_is_scored_once(self, task, monkeypatch):
+        library = _synthetic_library()
+        library.insert(method_for_task(task, method_id="m-exact"))
+        library.insert(make_method("m-part", goal_tokens=("pick", "w1"), successes=1, attempts=1))
+        calls = self._count_calls(monkeypatch)
+        result = _assert_matches_oracle(library, task, 0.8)
+        assert result.method.id == "m-exact" and result.score == 1.0
+        assert calls == ["m-exact"]
 
     def test_partial_match_scores_only_methods_sharing_a_token(self, monkeypatch):
         library = _synthetic_library()
