@@ -311,7 +311,7 @@ class _Episode:
         self.phases["train"] += self.config.train_s
         candidate = learner.train_episode(candidate, dataset)
         if learner.validate(candidate, self.executor, plan.update_criteria).passed:
-            method = learner.build_method(candidate, self.task, dataset, self.event.cycle)
+            method = learner.build_method(candidate, self.task, dataset, self.event.cycle, self.library)
             self.library.insert(method)
             self.phases["store"] += self.config.store_s
             self.learned = True

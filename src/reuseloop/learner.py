@@ -16,8 +16,9 @@ analytically.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
+from itertools import count
 
 from .experience import EpisodeDataset, ExperienceSample
 from .library import Applicability, DataProfile, Method, Reliability
@@ -177,16 +178,22 @@ def build_method(
     task: TaskDescriptor,
     dataset: EpisodeDataset,
     cycle: int,
+    taken: Container[str] = (),
 ) -> Method:
     """Package a validated candidate as a new method.
 
+    Its id is ``m-<signature[:12]>-c<cycle:04d>``, plus the first free
+    ``-N`` (from 1) if ``taken``, the library it joins, already holds that.
     Reliability starts at 1/1: the validation replay counts as the first
     successful attempt.
     """
     if candidate.validation is None or not candidate.validation.passed:
         raise ValueError("method construction requires a passing validation report")
+    method_id = f"m-{task.signature[:12]}-c{cycle:04d}"
+    if method_id in taken:
+        method_id = next(f"{method_id}-{n}" for n in count(1) if f"{method_id}-{n}" not in taken)
     return Method(
-        id=f"m-{task.signature[:12]}-c{cycle:04d}",
+        id=method_id,
         procedure=tuple(candidate.sequence),
         params={"model_family": candidate.model_family},
         data_profile=DataProfile(

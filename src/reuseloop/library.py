@@ -7,13 +7,15 @@ caller's reuse threshold. Three indexes, kept by ``insert``, narrow each
 lookup to the methods that can win: signature -> methods, exact goal-token
 set -> methods and token -> bitmask. Each method holds one bit, its insertion
 position, and a token's mask is the ``int`` whose set bits are the methods
-that carry the token. An exact hit is returned directly when its signature
-bucket holds one method and its goal-token set bucket holds no other. A
-partial match is scored from the count of goal tokens each method shares
-with the task, read off those masks level by level, and only while that
-count can still reach the best score found so far. One tie-break,
-``_tie_winner``, picks among equal scores on every path. The result,
-tie-breaks included, equals that of scoring every stored method.
+that carry the token. A lookup takes one of two paths. An exact hit is
+returned directly when its signature bucket holds one method and its
+goal-token set bucket holds no other. Otherwise the signature bucket seeds
+the best score at 1.0, and the methods sharing goal tokens with the task are
+scored from the count they share, read off those masks level by level, and
+only while that count can still reach the best score found so far. Every
+score is read off the indexes; ``matching_score`` is the definition they
+reproduce. One tie-break, ``_tie_winner``, picks among equal scores. The
+result, tie-breaks included, equals that of scoring every stored method.
 """
 
 from __future__ import annotations
@@ -150,8 +152,11 @@ def jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float
 def _tie_winner(methods: Iterable[Method]) -> Method:
     """Retrieval's tie-break among equal scores: the higher success ratio, then
     the more recent use, then the smallest id. One comprehension builds the
-    keys, ``success_ratio`` inlined, so no call runs per method; ids are
-    unique, so ``min`` never compares two methods."""
+    keys, ``success_ratio`` inlined, so no call runs per method. Ids are
+    unique, so two methods are ordered by their keys before the method
+    itself is reached. A method listed twice needs no dedupe: its two keys
+    are equal item by item, the method compared to itself by identity, so
+    ``min`` never orders two methods."""
     return min([
         (-(rel.successes / rel.attempts) if rel.attempts else 0.0, -rel.last_used_cycle, m.id, m)
         for m in methods for rel in (m.reliability,)
@@ -216,17 +221,19 @@ class MethodLibrary:
         then the more recently used method, then the lexicographically
         smallest id. An empty library yields score 0 and no method.
 
-        The result equals that of scoring every stored method, but only the
-        methods that can win are scored, each at most once:
+        The result equals that of scoring every stored method with
+        ``matching_score``, which is never called: each score is read off the
+        indexes, on one of two paths.
 
-        1. The exact pool: the task's signature bucket, plus its goal-token
-           set bucket cut to the methods whose procedure fits the task's step
-           budget. These are exactly the methods that score 1.0. When the
-           signature bucket holds one method and the token-set bucket holds
-           no other, that method is scored and returned directly; otherwise
-           the pool's best wins.
-        2. Failing that, the token pool: the methods that share a goal token
-           with the task; every other method scores 0. From the masks of
+        1. The shortcut. A method in the task's signature bucket scores 1.0,
+           and so does one in its goal-token set bucket whose procedure fits
+           the task's step budget; no other method does. When the signature
+           bucket holds one method and the token-set bucket holds no other,
+           that method is returned at 1.0, covered, as ``tau_r`` never
+           exceeds 1. Guarding this is the token-set index's one job.
+        2. The overlap scan, seeded with the signature bucket at 1.0, or with
+           nothing at 0. The methods that share a goal token with the task
+           are visited; every other method scores 0. From the masks of
            the task's ``q`` tokens, one pass of ANDs and ORs builds
            ``at_least[k]``, the methods sharing at least ``k`` of them, so
            ``at_least[o] ^ at_least[o + 1]`` are those sharing exactly
@@ -236,12 +243,13 @@ class MethodLibrary:
            level is skipped, and the visit stops once ``o / q`` falls below
            the best score found: as ``b >= o``, no method with that overlap
            or less can reach or tie it, and division rounds monotonically,
-           so the stop is exact. The bound is the running best, never
-           ``tau_r``, so the score reported below ``tau_r`` is still the
-           true best. The methods tied at the best score, across levels,
-           go to the tie-break once the visit ends.
-        3. If that pool is empty or scores 0 throughout, every method scores
-           0, and the tie-break alone picks over the whole library.
+           so the stop is exact. With a seed, level ``q`` adds the fitting
+           token-set twins and the visit ends there. The bound is the
+           running best, never ``tau_r``, so the score reported below
+           ``tau_r`` is still the true best. The seed and the methods tied
+           at the best score, across levels, go to the tie-break once the
+           visit ends. If none scores above 0, every method scores 0, and
+           the tie-break alone picks over the whole library.
         """
         if not 0.0 <= tau_r <= 1.0:
             raise ValueError("tau_r must lie in [0, 1]")
@@ -252,20 +260,7 @@ class MethodLibrary:
         if len(by_signature) == 1 and (
             not by_token_set or len(by_token_set) == 1 and by_token_set[0] is by_signature[0]
         ):
-            best = by_signature[0]
-            score = matching_score(task, best)
-            return RetrievalResult(method=best, score=score, covered=score >= tau_r)
-        # The pool is keyed by id, so a method in both buckets is scored once.
-        pool = {m.id: m for m in by_signature}
-        max_steps = task.constraints.max_steps
-        for m in by_token_set:
-            if max_steps >= len(m.procedure):
-                pool[m.id] = m
-        if pool:
-            scores = [matching_score(task, m) for m in pool.values()]
-            score = max(scores)
-            best = _tie_winner([m for m, s in zip(pool.values(), scores) if s == score])
-            return RetrievalResult(method=best, score=score, covered=score >= tau_r)
+            return RetrievalResult(by_signature[0], 1.0, True)
         q = len(task.goal_tokens)
         masks = [mask for t in task.goal_tokens if (mask := self._mask_by_token.get(t))]
         # Fold in one mask at a time, from the highest level down so that
@@ -276,7 +271,9 @@ class MethodLibrary:
                 at_least[k] |= at_least[k - 1] & mask
             at_least[1] |= mask
         slots = self._slots
-        score, tied = 0.0, []
+        max_steps = task.constraints.max_steps
+        # The signature bucket scores 1.0; level q adds its token-set twins.
+        score, tied = (1.0, list(by_signature)) if by_signature else (0.0, [])
         for o in range(len(masks), 0, -1):
             if o / q < score:
                 break

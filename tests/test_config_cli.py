@@ -78,6 +78,27 @@ class TestConfigDocuments:
         assert config.planner.p_corrupt == 0.5
         assert config.n_tasks == 3
 
+    def test_trailing_key_without_value_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 1}))
+        with pytest.raises(SchemaError) as err:
+            _read_config(str(path), ["--seed", "3", "--n_tasks"])
+        assert err.value.field == "<args>"
+        assert "'--n_tasks'" in str(err.value)
+
+    def test_non_json_override_read_as_string(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 1}))
+        assert _read_config(str(path), ["--mode", "always_llm"]).mode == "always_llm"
+
+    def test_override_crossing_a_non_object_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 1}))
+        with pytest.raises(SchemaError) as err:
+            _read_config(str(path), ["--seed.value", "3"])
+        assert err.value.field == "seed.value"
+        assert "crosses a non-object" in str(err.value)
+
     def test_unknown_nested_field_named(self):
         cases = [
             ({"planner": {"p_corupt": 0.9}}, "planner.p_corupt"),
@@ -262,6 +283,18 @@ class TestBenchRun:
         grown = json.loads((tmp_path / "o3" / "library.json").read_text())
         assert len(grown["methods"]) == 2
 
+
+    def test_warm_started_rerun_renames_a_taken_id(self, config_file, tmp_path):
+        # At tau_q 0.7 a 1/1 method's confidence (2/3) is too low, so every
+        # event relearns, at the cycles the loaded library already used.
+        args = ["bench", "run", "--config", str(config_file), "--thresholds.tau_q", "0.7"]
+        assert main([*args, "--out", str(tmp_path / "w1")]) == 0
+        first = MethodLibrary.load(tmp_path / "w1" / "library.json")
+        assert main([*args, "--out", str(tmp_path / "w2"),
+                     "--library_path", str(tmp_path / "w1" / "library.json")]) == 0
+        second = MethodLibrary.load(tmp_path / "w2" / "library.json")
+        old = [m.id for m in first.methods()]
+        assert [m.id for m in second.methods()] == old + [f"{i}-1" for i in old]
 
 class TestBenchReport:
     def test_round_trip_matches_run_report(self, config_file, tmp_path, capsys):

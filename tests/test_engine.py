@@ -84,6 +84,14 @@ class _PlanOnlyPlanner:
         return self.mock.plan(task, history, feedback)
 
 
+class _NoSolutionPlanner:
+    """A mock whose plans carry no ``direct_solution``."""
+
+    def plan(self, task, history=None, feedback=None):
+        call = planner().plan(task, history, feedback)
+        return dataclasses.replace(call, plan=dataclasses.replace(call.plan, direct_solution=None))
+
+
 class TestProposedMode:
     def test_first_encounter_learns(self, task, library):
         record = run_episode(self_event(task), PROPOSED, library, planner(), THRESHOLDS, CFG)
@@ -124,6 +132,19 @@ class TestProposedMode:
         assert not record.success
         assert record.llm_calls == 0
         assert record.total_s == pytest.approx(CFG.retrieve_s)
+
+    def test_plan_without_a_solution_learns_nothing(self, task, library):
+        # Nothing to collect, so initialize refuses the empty dataset: the
+        # plan is charged, training and storing are not.
+        record = run_episode(
+            self_event(task), PROPOSED, library, _NoSolutionPlanner(), THRESHOLDS, CFG
+        )
+        assert record.llm_calls == 1
+        assert record.plan_llm_s == LATENCY
+        assert (record.collect_s, record.train_s, record.store_s, record.execute_s) == (0.0,) * 4
+        assert not (record.success or record.learned or record.hit)
+        assert len(library) == 0
+        assert record.total_s == pytest.approx(CFG.retrieve_s + LATENCY)
 
     def test_refinement_reentry_replaces_failing_method(self, task, library):
         # A fresh (0/0) exact-match method is trusted at the confidence
@@ -169,6 +190,13 @@ class TestBaselineModes:
         )
         assert not record.success
         assert record.total_s == pytest.approx(LATENCY + exec_time(task))
+
+    @pytest.mark.parametrize("mode", [ALWAYS_LLM, OBSERVATION_ONLY])
+    def test_planner_failure_charges_nothing(self, mode, task, library):
+        record = run_episode(self_event(task), mode, library, _FailingPlanner(), THRESHOLDS, CFG)
+        assert not record.success
+        assert record.llm_calls == 0
+        assert (record.plan_llm_s, record.execute_s, record.total_s) == (0.0, 0.0, 0.0)
 
     def test_library_only_uncovered_fails_without_planning(self, task, library):
         mock = _PlanOnlyPlanner()
@@ -388,6 +416,11 @@ class TestRunLoop:
         assert all(r.repeat_index == 1 for r in learned)
         assert all(r.hit for r in records if r.repeat_index > 1)
         assert all(r.success for r in records)
+
+    def test_unknown_mode_rejected(self, task, library):
+        with pytest.raises(ValueError, match="^unknown policy mode 'greedy'$"):
+            run_episode(self_event(task), "greedy", library, planner(), THRESHOLDS, CFG)
+        assert len(library) == 0
 
     def test_empty_stream(self, library):
         assert run_loop([], PROPOSED, library, planner(), THRESHOLDS, CFG) == []
@@ -809,6 +842,14 @@ class TestClockAndExecutor:
                 policy=PROPOSED, task_id="t", repeat_index=1, cycle=0,
                 retrieve_s=0, plan_llm_s=0, execute_s=0, collect_s=0, train_s=0, store_s=0,
                 total_s=0, llm_calls=0, llm_time_s=0, success=True, hit=True, learned=True,
+            )
+
+    def test_llm_time_cannot_exceed_total(self):
+        with pytest.raises(ValueError, match="^llm_time_s cannot exceed total_s$"):
+            RunRecord(
+                policy=PROPOSED, task_id="t", repeat_index=1, cycle=0,
+                retrieve_s=0, plan_llm_s=0.5, execute_s=0, collect_s=0, train_s=0, store_s=0,
+                total_s=0.5, llm_calls=1, llm_time_s=0.6, success=True, hit=False, learned=False,
             )
 
     def test_negative_executor_config_rejected(self):

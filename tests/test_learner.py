@@ -283,6 +283,14 @@ class TestBuildMethod:
             0, len(task.target_sequence), 1,
         )
 
+    def test_taken_id_gets_the_first_free_suffix(self, task):
+        candidate, ds = self._validated_candidate(task)
+        base = build_method(candidate, task, ds, cycle=4).id
+        taken = {base, f"{base}-1", f"{base}-3"}
+        assert build_method(candidate, task, ds, cycle=4, taken=taken).id == f"{base}-2"
+        # A free id is kept as it is.
+        assert build_method(candidate, task, ds, cycle=5, taken=taken).id == base[:-1] + "5"
+
     def test_unvalidated_candidate_rejected(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reuseloop import library as library_module
-from reuseloop.errors import LibraryError, SchemaError, read_dataclass, to_doc
+from reuseloop.config import RunConfig, build_corpus, build_planner, resolve_executor
+from reuseloop.engine import run_loop
+from reuseloop.errors import LibraryError, SchemaError, parse_json, read_dataclass, to_doc
 from reuseloop.library import (
     Applicability,
     DataProfile,
@@ -23,6 +25,8 @@ from reuseloop.library import (
 from reuseloop.tasks import signature_of
 
 from conftest import linear_scan_oracle, make_method, make_task, method_for_task
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestMatchingScore:
@@ -371,7 +375,8 @@ class TestIndexedRetrieval:
         calls = self._count_calls(monkeypatch)
         result = _assert_matches_oracle(library, task, 0.8)
         assert result.method.id == "m-twin" and result.score == 1.0
-        assert sorted(calls) == ["m-exact", "m-twin"]
+        # The scan, seeded with the signature bucket, finds the twin at level q.
+        assert calls == []
 
     def test_sole_exact_hit_is_scored_once(self, task, monkeypatch):
         library = _synthetic_library()
@@ -380,7 +385,8 @@ class TestIndexedRetrieval:
         calls = self._count_calls(monkeypatch)
         result = _assert_matches_oracle(library, task, 0.8)
         assert result.method.id == "m-exact" and result.score == 1.0
-        assert calls == ["m-exact"]
+        # The shortcut returns it at 1.0 without scoring it.
+        assert calls == []
 
     def test_partial_match_scores_only_methods_sharing_a_token(self, monkeypatch):
         library = _synthetic_library()
@@ -426,6 +432,38 @@ class TestIndexedRetrieval:
             assert result.covered == (tau_r == 0.0)
         assert calls == []
 
+
+
+@pytest.mark.parametrize("name", ["self_proposed", "proposed_observation"])
+def test_bundled_exact_hits_all_take_the_shortcut(name, monkeypatch):
+    """In the bundled 20 x 5 learning runs at seed 7, ``_tie_winner`` runs
+    only for lookups with no signature match: every exact hit is returned
+    by the shortcut, whose only reason is that traffic."""
+    config = read_dataclass(RunConfig, parse_json((CONFIGS / f"{name}.json").read_text()))
+    assert (config.seed, config.n_tasks, config.n_repeats) == (7, 20, 5)
+    retrieve_best, tie_winner = MethodLibrary.retrieve_best, library_module._tie_winner
+    tie_breaks = []
+    lookups = []  # (signature matched, tie-breaks run, score)
+
+    def counting_tie_winner(methods):
+        tie_breaks.append(methods)
+        return tie_winner(methods)
+
+    def recording_retrieve_best(self, task, tau_r):
+        matched = any(task.signature in m.applicability.signatures for m in self.methods())
+        before = len(tie_breaks)
+        found = retrieve_best(self, task, tau_r)
+        lookups.append((matched, len(tie_breaks) - before, found.score))
+        return found
+
+    monkeypatch.setattr(library_module, "_tie_winner", counting_tie_winner)
+    monkeypatch.setattr(MethodLibrary, "retrieve_best", recording_retrieve_best)
+    events = build_corpus(config)
+    run_loop(events, config.mode, MethodLibrary(), build_planner(config), config.thresholds,
+             resolve_executor(config, events))
+    exact = [(runs, score) for matched, runs, score in lookups if matched]
+    assert exact and set(exact) == {(0, 1.0)}
+    assert any(runs for matched, runs, _ in lookups if not matched)
 
 class TestInsertAndReliability:
     def test_insert_grows_by_one(self, library):

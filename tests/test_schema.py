@@ -333,3 +333,11 @@ def test_value_errors_named_at_field(read, doc, field):
         read(doc)
     assert err.value.field == field
     assert err.value.message.startswith("must ")
+
+
+@pytest.mark.parametrize("read", [MethodLibrary.from_doc, corpus_from_doc])
+@pytest.mark.parametrize("doc", [[], "library", None, 1])
+def test_versioned_root_must_be_an_object(read, doc):
+    with pytest.raises(SchemaError) as err:
+        read(doc)
+    assert (err.value.field, err.value.message) == ("<root>", "expected a JSON object")
