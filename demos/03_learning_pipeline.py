@@ -45,10 +45,10 @@ for sample in dataset.self_samples:
         quasi_adjust(candidate, sample)
 
 candidate = train_episode(candidate, dataset)
-report = validate(candidate, executor, plan.update_criteria)
+validate(candidate, executor, plan.update_criteria)
 print(f"refined: {candidate.sequence}")
 print(f"confidence floor: {min(candidate.per_step_confidence):.2f}")
-print(f"validation passed: {report.passed} (replay {report.replay_success})")
+print(f"validation passed: {candidate.passed} (replay {executor.replay(candidate.sequence)})")
 print("nothing stored: a single bad attempt cannot outvote itself")
 
 # --- 2. the same planner, plus one successful observation ------------------
@@ -58,9 +58,9 @@ dataset.ingest_observation(observation)
 
 plan = MockPlanner(seed=2, p_corrupt=1.0).plan(task).plan
 candidate = train_episode(initialize(plan, dataset), dataset)
-report = validate(candidate, executor, plan.update_criteria)
+validate(candidate, executor, plan.update_criteria)
 print(f"\nwith an observed success, refined: {candidate.sequence}")
-print(f"validation passed: {report.passed}")
+print(f"validation passed: {candidate.passed}")
 
 method = build_method(candidate, task, dataset, cycle=0)
 library.insert(method)

@@ -108,7 +108,7 @@ class SequenceExecutor(learner.Replayer):
     adds the execution time to the episode's phase dict and makes it.
     ``collect`` adds the collection time and records one experience sample
     per step, successful when the step matches the expected action, and
-    ``first_failed_step`` names the first step that does not.
+    ``first_failed_step`` names the first step that does not, or is missing.
     """
 
     def __init__(self, task: TaskDescriptor, config: ExecutorConfig):
@@ -132,12 +132,16 @@ class SequenceExecutor(learner.Replayer):
             dataset.record_step(ExperienceSample(i, action, ok, SOURCE_SELF))
 
     def first_failed_step(self, sequence: Sequence[str]) -> int | None:
-        """1-based index of the first action off the target, None if there is none."""
+        """1-based index of the first action off the target, None if there is none.
+
+        A sequence that stops short of the target, a strict prefix of it,
+        fails at the step after its last: ``len(sequence) + 1``.
+        """
         target = self.task.target_sequence
         return next(
             (i for i, action in enumerate(sequence, start=1)
              if i > len(target) or action != target[i - 1]),
-            None,
+            None if len(sequence) == len(target) else len(sequence) + 1,
         )
 
 

@@ -2,10 +2,12 @@
 
 A candidate solution moves from ``initial`` (seeded from the plan's direct
 solution or from observed data) to ``refined`` (post-episode consolidation
-by per-index majority over successful samples). A refined candidate that
-replays correctly and clears the plan's validation threshold is packaged as
-a new library method. This module only consolidates: when to learn, and
-when a stored method needs refinement, is ``trigger``'s to say.
+by per-index majority over successful samples). ``validate`` replays a
+refined candidate once and sets its ``passed`` flag: true when the replay
+succeeds and no step's confidence is below the plan's validation
+threshold. Only a candidate that passed is packaged as a new library
+method. This module only consolidates: when to learn, and when a stored
+method needs refinement, is ``trigger``'s to say.
 
 ``quasi_adjust`` (the ``adjusted`` stage) is a library primitive the engine
 no longer calls: ``train_episode``'s per-index recount subsumes it in this
@@ -31,23 +33,13 @@ STAGE_REFINED = "refined"
 STAGES = (STAGE_INITIAL, STAGE_ADJUSTED, STAGE_REFINED)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    replay_success: bool
-
-    def __post_init__(self):
-        if self.passed and not self.replay_success:
-            raise ValueError("a candidate cannot pass validation without a successful replay")
-
-
 @dataclass
 class CandidateSolution:
     stage: str
     sequence: list[str]
     per_step_confidence: list[float]
     model_family: str
-    validation: ValidationReport | None = None
+    passed: bool | None = None
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -151,26 +143,18 @@ def train_episode(candidate: CandidateSolution, dataset: EpisodeDataset) -> Cand
     return candidate
 
 
-def validate(
-    candidate: CandidateSolution,
-    executor: Replayer,
-    update_criteria,
-) -> ValidationReport:
+def validate(candidate: CandidateSolution, executor: Replayer, update_criteria) -> CandidateSolution:
     """Replay the refined sequence once and check the confidence floor.
 
-    The report is also stamped onto the candidate so ``build_method`` can
-    verify the candidate was validated.
+    Sets ``candidate.passed``, which ``build_method`` requires, and returns
+    the candidate.
     """
     if candidate.stage != STAGE_REFINED:
         raise ValueError("only refined candidates can be validated")
-    replay_success = bool(executor.replay(candidate.sequence))
     floor = min(candidate.per_step_confidence) if candidate.per_step_confidence else 0.0
-    report = ValidationReport(
-        passed=replay_success and floor >= update_criteria.validation_threshold,
-        replay_success=replay_success,
-    )
-    candidate.validation = report
-    return report
+    replayed = bool(executor.replay(candidate.sequence))
+    candidate.passed = replayed and floor >= update_criteria.validation_threshold
+    return candidate
 
 
 def build_method(
@@ -180,15 +164,15 @@ def build_method(
     cycle: int,
     taken: Container[str] = (),
 ) -> Method:
-    """Package a validated candidate as a new method.
+    """Package a candidate that passed ``validate`` as a new method.
 
     Its id is ``m-<signature[:12]>-c<cycle:04d>``, plus the first free
     ``-N`` (from 1) if ``taken``, the library it joins, already holds that.
     Reliability starts at 1/1: the validation replay counts as the first
     successful attempt.
     """
-    if candidate.validation is None or not candidate.validation.passed:
-        raise ValueError("method construction requires a passing validation report")
+    if not candidate.passed:
+        raise ValueError("method construction requires a candidate that passed validation")
     method_id = f"m-{task.signature[:12]}-c{cycle:04d}"
     if method_id in taken:
         method_id = next(f"{method_id}-{n}" for n in count(1) if f"{method_id}-{n}" not in taken)

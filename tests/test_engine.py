@@ -610,6 +610,10 @@ class TestRecordStreams:
         path = tmp_path / "runs.jsonl"
         write_records(records, path)
         assert read_records(path) == records
+        # The reader skips blank lines.
+        lines = path.read_text().splitlines()
+        path.write_text("\n" + "\n \n".join(lines) + "\n\n")
+        assert read_records(path) == records
 
     @settings(max_examples=200, deadline=None)
     @given(_record_streams())
@@ -825,9 +829,13 @@ class TestClockAndExecutor:
         executor = SequenceExecutor(task, CFG)
         target = list(task.target_sequence)
         assert executor.first_failed_step(target) is None
-        assert executor.first_failed_step(target[:-1]) is None
         assert executor.first_failed_step(["rotate", *target[1:]]) == 1
         assert executor.first_failed_step([*target, "move"]) == len(target) + 1
+        # A sequence that stops short of the target fails replay, so it
+        # fails at a step too: the first one it leaves out.
+        for n in range(len(target)):
+            assert not executor.replay(target[:n])
+            assert executor.first_failed_step(target[:n]) == n + 1
 
     def test_overflowing_execute_time_rejected(self, task):
         # Each duration is finite, but base_s + per_step_s * n_steps is not.

@@ -12,7 +12,6 @@ from reuseloop.learner import (
     STAGE_INITIAL,
     STAGE_REFINED,
     CandidateSolution,
-    ValidationReport,
     build_method,
     initialize,
     quasi_adjust,
@@ -232,31 +231,35 @@ class TestValidate:
     def test_correct_sequence_passes(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
-        report = validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
-        assert report.passed and report.replay_success
+        assert validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria()) is candidate
+        assert candidate.passed is True
 
     def test_corrupted_sequence_fails_replay(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         candidate.sequence[0] = "rotate"
-        report = validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
-        assert not report.replay_success and not report.passed
+        validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
+        assert candidate.passed is False
 
     def test_low_confidence_fails_despite_replay(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         candidate.per_step_confidence[0] = 0.25
-        report = validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
-        assert report.replay_success and not report.passed
+        replayer = _FixedReplayer(task.target_sequence)
+        validate(candidate, replayer, UpdateCriteria())
+        assert replayer.replay(candidate.sequence) and candidate.passed is False
+
+    def test_floor_at_threshold_passes(self, task):
+        ds = EpisodeDataset()
+        candidate = train_episode(initialize(plan_for(task), ds), ds)
+        candidate.per_step_confidence[0] = UpdateCriteria().validation_threshold
+        validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
+        assert candidate.passed is True
 
     def test_only_refined_candidates_validate(self, task):
         candidate = initialize(plan_for(task), EpisodeDataset())
         with pytest.raises(ValueError):
             validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
-
-    def test_report_invariant(self):
-        with pytest.raises(ValueError):
-            ValidationReport(passed=True, replay_success=False)
 
 
 class TestBuildMethod:

@@ -74,9 +74,9 @@ def _run(name: str, p_corrupt: float | None) -> Counter:
         return refine
 
     def counting_validate(candidate, executor, update_criteria):
-        report = validate(candidate, executor, update_criteria)
-        counts["validation_failure"] += not report.passed
-        return report
+        candidate = validate(candidate, executor, update_criteria)
+        counts["validation_failure"] += not candidate.passed
+        return candidate
 
     def counting_plan(self, feedback=None):
         counts["plan_with_feedback"] += feedback is not None

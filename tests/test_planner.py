@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reuseloop.cli import main
+from reuseloop.engine import read_records
 from reuseloop.errors import (
     PlannerError,
     PlanningFailedError,
@@ -464,10 +466,26 @@ class TestHttpPlanner:
     @pytest.mark.parametrize("name, value", [
         ("retries", -1), ("timeout_s", 0.0), ("timeout_s", -1.0), ("timeout_s", float("inf")),
         ("timeout_s", float("nan")), ("temperature", -3.0), ("temperature", float("nan")),
+        ("endpoint", ""), ("model", ""),
     ])
     def test_bad_settings_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            HttpPlanner(endpoint="http://127.0.0.1:1/x", model="m", **{name: value})
+            HttpPlanner(**{"endpoint": "http://127.0.0.1:1/x", "model": "m", name: value})
+
+    def test_cli_exits_1_when_every_call_fails(self, tmp_path, capsys):
+        # A 500 to every request exhausts each call's budget; the run still
+        # writes its records, every one unsuccessful, and exits 1.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "proposed", "n_tasks": 2, "n_repeats": 1}))
+        with scripted_server([(500, "oops")]) as (server, url):
+            code = main(["bench", "run", "--config", str(config), "--out", str(tmp_path / "o"),
+                         "--planner.kind", "http", "--planner.model", "m",
+                         "--planner.retries", "0", "--planner.endpoint", url])
+        assert code == 1
+        assert len(server.requests) == 2
+        assert "error: planner failed 2 call(s) after retries" in capsys.readouterr().err
+        records = read_records(tmp_path / "o" / "runs.jsonl")
+        assert len(records) == 2 and not any(r.success for r in records)
 
     def test_feedback_goes_through_plan(self, task):
         failed = PlannerFeedback(episode_outcomes=[EpisodeOutcome(False, failed_step=2)])

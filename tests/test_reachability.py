@@ -19,8 +19,10 @@ toward passing.
 Every dataclass field is read too. A field counts as read when ``src/`` or
 ``perfbench/*.py`` loads its name as an attribute, when its name appears in
 backticks in README's "File formats" section (a field written by name into
-an output), or when it is in ``ALLOWED_FIELDS``. A field built and written
-but never read fails, named ``module.Class.field``.
+an output), or when it is in ``ALLOWED_FIELDS``. An attribute load in the
+dataclass's own ``__post_init__`` is not a read: a field that only its own
+check looks at is still unread. A field built and written but never read
+fails, named ``module.Class.field``.
 
 The package root re-exports only what its own readers import from it: the
 README quick start, ``demos/*.py`` and ``perfbench/*.py``. A root export
@@ -56,6 +58,10 @@ ALLOWED_FIELDS = {
         "the paper's data collection planning; ROADMAP item 4 reads it",
     "planner.DataRequirement.channel":
         "the paper's data collection planning; ROADMAP item 4 reads it",
+    "planner.DataRequirement.min_samples":
+        "the paper's data collection planning; ROADMAP item 4 reads it",
+    "planner.UpdateCriteria.max_episodes":
+        "the plan's episode budget; ROADMAP item 3's retry loop reads it",
 }
 
 
@@ -172,18 +178,23 @@ def _is_dataclass(stmt: ast.stmt) -> bool:
 def unread_fields(modules: dict[str, str], read: set[str]) -> list[str]:
     """The dataclass fields in ``modules`` (module name -> source), as
     ``module.Class.field``, whose name no module loads as an attribute and
-    ``read`` does not hold. ``ClassVar`` annotations are not fields."""
+    ``read`` does not hold. A load in the class's own ``__post_init__`` is
+    its check, not a read. ``ClassVar`` annotations are not fields."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    loaded = set(read)
+    loaded = Counter()
     for tree in trees.values():
-        loaded.update(_reads(tree)[1])
+        loaded += _reads(tree)[1]
     found = []
     for module, tree in trees.items():
         for stmt in filter(_is_dataclass, tree.body):
+            checks = sum((_reads(item)[1] for item in stmt.body
+                          if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"),
+                         Counter())
             for item in stmt.body:
                 if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                         and "ClassVar" not in ast.unparse(item.annotation)
-                        and item.target.id not in loaded):
+                        and item.target.id not in read
+                        and loaded[item.target.id] == checks[item.target.id]):
                     found.append(f"{module}.{stmt.name}.{item.target.id}")
     return sorted(found)
 
@@ -298,7 +309,10 @@ def test_flags_unread_dataclass_fields():
             "class A:\n"
             "    read: int\n"
             "    written: int = 0\n"
+            "    checked: int = 0\n"
             "    LIMIT: ClassVar[int] = 3\n"
+            "    def __post_init__(self):\n"
+            "        assert self.checked >= 0 and self.read >= 0\n"
             "@dataclasses.dataclass\n"
             "class B:\n"
             "    documented: str\n"
@@ -307,5 +321,5 @@ def test_flags_unread_dataclass_fields():
         ),
         "b": "def f(a): return a.read\n",
     }
-    assert unread_fields(modules, set()) == ["a.A.written", "a.B.documented"]
-    assert unread_fields(modules, {"documented"}) == ["a.A.written"]
+    assert unread_fields(modules, set()) == ["a.A.checked", "a.A.written", "a.B.documented"]
+    assert unread_fields(modules, {"documented"}) == ["a.A.checked", "a.A.written"]

@@ -298,6 +298,8 @@ _NAMED_AT_FIELD = [
     (partial(read_dataclass, RunConfig), {"planner": {"timeout_s": 0}}, "planner.timeout_s"),
     (partial(read_dataclass, RunConfig), {"n_tasks": 1000}, "n_tasks"),
     (partial(read_dataclass, RunConfig), {"mode": "yolo"}, "mode"),
+    (partial(read_dataclass, RunConfig), {"planner": {"kind": "grpc"}}, "planner.kind"),
+    (partial(read_dataclass, RunConfig), {"planner": {"latency_s": -1}}, "planner.latency_s"),
     (partial(read_dataclass, CostProfile), {"c_train": -1}, "c_train"),
     (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "reliability", "successes"), 2),
      "methods[0].reliability.successes"),
@@ -311,9 +313,15 @@ _NAMED_AT_FIELD = [
      "methods[0].reliability.last_used_cycle"),
     (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "data_profile", "episodes"), -1),
      "methods[0].data_profile.episodes"),
+    (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "applicability", "max_steps"), 0),
+     "methods[0].applicability.max_steps"),
+    (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "id"), ""), "methods[0].id"),
+    (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "step_params"), [{}]),
+     "methods[0].step_params"),
     (corpus_from_doc, _with(_CORPUS_DOC, ("events", 0, "task", "target_sequence"), []),
      "events[0].task.target_sequence"),
     (corpus_from_doc, _with(_CORPUS_DOC, ("events", 0, "kind"), "dream"), "events[0].kind"),
+    (corpus_from_doc, _with(_CORPUS_DOC, ("events", 0, "cycle"), -1), "events[0].cycle"),
     (partial(read_dataclass, LearningPlan),
      {"candidate_models": [{"family": "sequence"}], "update_criteria": {"validation_threshold": 2}},
      "update_criteria.validation_threshold"),
@@ -321,6 +329,13 @@ _NAMED_AT_FIELD = [
      "candidate_models[0].family"),
     (partial(read_dataclass, LearningPlan),
      {"candidate_models": [{"family": "sequence"}], "strategy": [{"kind": "nap"}]}, "strategy[0].kind"),
+    (partial(read_dataclass, LearningPlan), {"candidate_models": []}, "candidate_models"),
+    (partial(read_dataclass, LearningPlan),
+     {"candidate_models": [{"family": "sequence"}], "direct_solution": []}, "direct_solution"),
+    (partial(read_dataclass, LearningPlan),
+     {"candidate_models": [{"family": "sequence"}],
+      "data_requirements": [{"channel": "vision", "min_samples": -1}]},
+     "data_requirements[0].min_samples"),
     (partial(read_dataclass, RunRecord), {**_RECORD_DOC, "policy": "bogus"}, "policy"),
 ]
 
@@ -333,6 +348,19 @@ def test_value_errors_named_at_field(read, doc, field):
         read(doc)
     assert err.value.field == field
     assert err.value.message.startswith("must ")
+
+
+def test_successful_observation_without_actions_named_at_its_object():
+    # The check spans two fields, so it names the object that holds them.
+    doc = _with(_CORPUS_DOC, ("events", 0, "kind"), "observed_event")
+    doc = _with(doc, ("events", 0, "observed"), {"action_sequence": [], "success": True})
+    with pytest.raises(SchemaError) as err:
+        corpus_from_doc(doc)
+    assert err.value.field == "events[0].observed"
+    assert "non-empty action_sequence" in err.value.message
+    # A failed observation may carry no actions.
+    doc["events"][0]["observed"]["success"] = False
+    assert corpus_from_doc(doc)[0].observed.action_sequence == ()
 
 
 @pytest.mark.parametrize("read", [MethodLibrary.from_doc, corpus_from_doc])
