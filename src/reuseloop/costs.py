@@ -76,7 +76,7 @@ def reuse_benefit(profile: CostProfile, rho: float, k: int) -> ReuseBenefit:
     if k < 0:
         raise ValueError("k must be nonnegative")
     delta_c = profile.c_plan + profile.c_collect + profile.c_train
-    investment = delta_c + profile.c_store
+    investment = learning_overhead(profile)
     b_reuse = rho * k * delta_c
     return ReuseBenefit(
         delta_c=delta_c,

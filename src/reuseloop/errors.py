@@ -50,7 +50,8 @@ _EXPECTED = {
 
 class _Violation(Exception):
     """A schema violation at ``path`` below the value being read: ``""`` for
-    the value itself, else ``.key`` and ``[index]`` steps."""
+    the value itself, else ``.key`` and ``[index]`` steps. An unknown key
+    that is not an identifier is a ``["key"]`` step, in its JSON text."""
 
     def __init__(self, path: str, message: str):
         self.path = path
@@ -142,7 +143,8 @@ def _read(schema, build, doc: Any):
     names, entries = schema
     if not names.issuperset(doc):
         unknown = next(key for key in doc if key not in names)
-        raise _Violation(f".{unknown}", "unknown field")
+        step = f".{unknown}" if unknown.isidentifier() else f"[{json.dumps(unknown)}]"
+        raise _Violation(step, "unknown field")
     kwargs = {}
     try:
         for name, kind, convert, nullable, required in entries:
@@ -196,11 +198,13 @@ def read_dataclass(cls, doc: Any):
 
     A violation raises ``SchemaError`` naming its dotted path from the root,
     e.g. ``events[2].task.constraints.max_steps``: a non-object, an unknown
-    key, a missing or mistyped field, a repeated set entry, or a
-    ``ValueError`` from a dataclass. Such an error whose message starts with
-    one of the dataclass's field names is named at that field, with the rest
-    of the message (``executor.base_s: must be nonnegative``); any other is
-    named at the object it builds (``<root>`` at the root). So a bad value,
+    key (named in brackets as JSON text when it is not an identifier,
+    ``planner[""]`` or ``["a.b"]``), a missing or mistyped field, a repeated
+    set entry, or a ``ValueError`` from a dataclass. Such an error whose
+    message starts with one of the dataclass's field names is named at that
+    field, with the rest of the message (``executor.base_s: must be
+    nonnegative``); any other is named at the object it builds (``<root>`` at
+    the root). So a bad value,
     worded ``"<field> must ..."``, is named at its field, and a check that
     spans fields, worded otherwise (the http planner's endpoint/model
     pairing), at its object. Paths are built only when raising.

@@ -2,12 +2,14 @@
 
 A candidate solution moves from ``initial`` (seeded from the plan's direct
 solution or from observed data) to ``refined`` (post-episode consolidation
-by per-index majority over successful samples). ``validate`` replays a
-refined candidate once and sets its ``passed`` flag: true when the replay
-succeeds and no step's confidence is below the plan's validation
-threshold. Only a candidate that passed is packaged as a new library
-method. This module only consolidates: when to learn, and when a stored
-method needs refinement, is ``trigger``'s to say.
+by per-index majority over successful samples). Both stages pick an
+index's action by one vote rule, ``_vote``: the most successes wins, a tie
+keeps the candidate's own action and otherwise takes the smallest name.
+``validate`` replays a refined candidate once and sets its ``passed`` flag:
+true when the replay succeeds and no step's confidence is below the plan's
+validation threshold. Only a candidate that passed is packaged as a new
+library method. This module only consolidates: when to learn, and when a
+stored method needs refinement, is ``trigger``'s to say.
 
 ``quasi_adjust`` (the ``adjusted`` stage) is a library primitive the engine
 no longer calls: ``train_episode``'s per-index recount subsumes it in this
@@ -17,7 +19,6 @@ analytically.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from itertools import count
@@ -59,8 +60,9 @@ def initialize(plan: LearningPlan, dataset: EpisodeDataset) -> CandidateSolution
     """Seed a candidate from the plan, falling back to recorded experience.
 
     Without a direct solution the candidate is the longest successful prefix
-    of the dataset: walk step indices from 1 and keep, per index, the most
-    frequent successful action until an index has no successful sample.
+    of the dataset: walk step indices from 1 and keep, per index, the
+    action ``_vote`` picks with no candidate action, until an index has no
+    successful sample.
     """
     if plan.direct_solution is not None:
         sequence = list(plan.direct_solution)
@@ -76,17 +78,34 @@ def initialize(plan: LearningPlan, dataset: EpisodeDataset) -> CandidateSolution
     )
 
 
-def _successful_prefix(dataset: EpisodeDataset) -> list[str]:
-    by_index: dict[int, Counter] = {}
+def _tally(dataset: EpisodeDataset) -> tuple[dict[int, int], dict[int, dict[str, int]]]:
+    """One pass over the dataset: per step index, the number of samples and
+    the successes by action (empty when every sample there failed)."""
+    samples_at: dict[int, int] = {}
+    wins_at: dict[int, dict[str, int]] = {}
     for sample in dataset.all_samples():
+        samples_at[sample.t] = samples_at.get(sample.t, 0) + 1
+        wins = wins_at.setdefault(sample.t, {})
         if sample.success:
-            by_index.setdefault(sample.t, Counter())[sample.action] += 1
+            wins[sample.action] = wins.get(sample.action, 0) + 1
+    return samples_at, wins_at
+
+
+def _vote(wins: dict[str, int], current: str | None = None) -> str:
+    """The vote rule at one step index: the action with the most successes
+    in ``wins`` (non-empty); on a tie ``current``, if it is tied, and
+    otherwise the smallest name."""
+    top = max(wins.values())
+    if wins.get(current) == top:
+        return current
+    return min(a for a, c in wins.items() if c == top)
+
+
+def _successful_prefix(dataset: EpisodeDataset) -> list[str]:
+    wins_at = _tally(dataset)[1]
     sequence = []
-    t = 1
-    while t in by_index:
-        action, _ = min(by_index[t].most_common(), key=lambda kv: (-kv[1], kv[0]))
-        sequence.append(action)
-        t += 1
+    while wins := wins_at.get(len(sequence) + 1):
+        sequence.append(_vote(wins))
     return sequence
 
 
@@ -112,31 +131,21 @@ def quasi_adjust(candidate: CandidateSolution, new_sample: ExperienceSample) -> 
 def train_episode(candidate: CandidateSolution, dataset: EpisodeDataset) -> CandidateSolution:
     """Post-episode consolidation (refined stage).
 
-    For each step index of the candidate, pick the action with the most
-    successful occurrences across self and observed samples; the candidate's
-    own action wins ties, and remaining ties resolve lexicographically.
-    Per-step confidence becomes the empirical success frequency at that
-    index; indices with no samples keep their current action and confidence.
+    For each step index of the candidate, ``_vote`` picks over the
+    successful occurrences across self and observed samples, with the
+    candidate's own action as the one that wins ties. Per-step confidence
+    becomes the empirical success frequency at that index. An index with no
+    samples keeps its current action and confidence; one whose samples all
+    failed keeps its action at confidence 0.
     """
     if candidate.stage == STAGE_REFINED:
         raise ValueError("refined candidates are immutable")
-    # One pass: per step index, the number of samples and the successes by action.
-    samples_at: dict[int, int] = {}
-    wins_at: dict[int, dict[str, int]] = {}
-    for sample in dataset.all_samples():
-        samples_at[sample.t] = samples_at.get(sample.t, 0) + 1
-        wins = wins_at.setdefault(sample.t, {})
-        if sample.success:
-            wins[sample.action] = wins.get(sample.action, 0) + 1
-
+    samples_at, wins_at = _tally(dataset)
     for i, current in enumerate(candidate.sequence):
         wins = wins_at.get(i + 1)
         if wins is None:
             continue
-        if wins:
-            top = max(wins.values())
-            if wins.get(current) != top:
-                candidate.sequence[i] = min(a for a, c in wins.items() if c == top)
+        candidate.sequence[i] = _vote(wins, current) if wins else current
         candidate.per_step_confidence[i] = sum(wins.values()) / samples_at[i + 1]
 
     candidate.stage = STAGE_REFINED

@@ -25,7 +25,7 @@ import marshal
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str_text
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import LibraryError, SchemaError, parse_json, read_versioned, replacing
 from .tasks import TaskDescriptor
@@ -117,15 +117,13 @@ class Method:
             raise ValueError("step_params must align with procedure")
 
 
-@dataclass(frozen=True)
-class RetrievalResult:
+class RetrievalResult(NamedTuple):
+    """One lookup's answer, built only by ``retrieve_best``: a covered result
+    always carries a method."""
+
     method: Method | None
     score: float
     covered: bool
-
-    def __post_init__(self):
-        if self.covered and self.method is None:
-            raise ValueError("covered result must carry a method")
 
 
 def matching_score(task: TaskDescriptor, method: Method) -> float:

@@ -173,10 +173,10 @@ class Planner(Protocol):
 # ---------------------------------------------------------------------------
 
 PLAN_SCHEMA_DOC = {
-    "candidate_models": [{"family": "sequence|visual|multimodal|hybrid"}],
+    "candidate_models": [{"family": "|".join(MODEL_FAMILIES)}],
     "subproblems": ["str"],
     "data_requirements": [{"channel": "str", "min_samples": "int >= 0"}],
-    "strategy": [{"kind": "execute|observe"}],
+    "strategy": [{"kind": "|".join(STRATEGY_KINDS)}],
     "update_criteria": {"validation_threshold": "float in [0,1]", "max_episodes": "int >= 1"},
     "direct_solution": ["action-id"],
 }

@@ -84,6 +84,15 @@ class TaskDescriptor:
     simulated environment to judge executions; policies must not read it.
     ``signature`` and ``goal_tokens`` are its retrieval key, computed once,
     at construction; they are not fields, so equality ignores them.
+
+    ``signature`` is the first 16 hex digits of the SHA-256 of the bytes of
+    ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` over the
+    normalized goal and the constraints, written directly: keys in sorted
+    order, each token quoted by the encoder's own
+    ``encode_basestring_ascii``, ``deadline_s`` as the ``repr`` of a float
+    (``-0.0`` as ``0.0``) or ``null``, and ``max_steps`` as the decimal
+    digits of an int, as ``json`` writes them. So equal constraints sign
+    alike.
     """
 
     id: str
@@ -104,8 +113,14 @@ class TaskDescriptor:
             raise ValueError("target_sequence must be non-empty")
         if len(self.target_sequence) > self.constraints.max_steps:
             raise ValueError("target_sequence longer than constraints.max_steps")
+        deadline = self.constraints.deadline_s
+        deadline_text = "null" if deadline is None else repr(float(deadline) + 0.0)
+        text = (
+            f'{{"deadline_s":{deadline_text},"goal":[{",".join(map(_str_text, tokens))}],'
+            f'"max_steps":{int(self.constraints.max_steps)}}}'
+        )
         object.__setattr__(self, "goal_tokens", frozenset(tokens))
-        object.__setattr__(self, "signature", _signature(tokens, self.constraints))
+        object.__setattr__(self, "signature", hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
 @dataclass(frozen=True)
@@ -138,32 +153,14 @@ class TaskEvent:
 
 
 def signature_of(task: TaskDescriptor) -> str:
-    """Content signature over the normalized goal and constraints.
+    """Content signature over the normalized goal and constraints: the key
+    ``task`` built at construction.
 
     Descriptors that differ only in id, instruction, environment, or target
     collide on purpose: structurally identical tasks should retrieve the
     same methods.
     """
-    return _signature(normalize_goal(task.goal), task.constraints)
-
-
-def _signature(tokens: tuple[str, ...], constraints: TaskConstraints) -> str:
-    """``signature_of`` from the normalized goal; equal constraints sign alike
-    (``deadline_s`` as a float, ``-0.0`` as ``0.0``, ``max_steps`` as an int).
-
-    The hashed text is the bytes of ``json.dumps(payload, sort_keys=True,
-    separators=(",", ":"))``, written directly: keys in sorted order, each
-    token quoted by the encoder's own ``encode_basestring_ascii``, a finite
-    float as its ``repr`` and an int as its decimal digits, as ``json`` writes
-    them.
-    """
-    deadline = constraints.deadline_s
-    deadline_text = "null" if deadline is None else repr(float(deadline) + 0.0)
-    text = (
-        f'{{"deadline_s":{deadline_text},"goal":[{",".join(map(_str_text, tokens))}],'
-        f'"max_steps":{int(constraints.max_steps)}}}'
-    )
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return task.signature
 
 
 def check_corpus_size(n_tasks: int, n_repeats: int) -> None:

@@ -17,6 +17,7 @@ below ``tau_u``, so that the episode learns once more.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .library import Method, RetrievalResult
 from .tasks import ObservedEvent
@@ -44,13 +45,10 @@ class TriggerThresholds:
                 raise ValueError(f"{f.name} must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class TriggerDecision:
-    branch: str
+class TriggerDecision(NamedTuple):
+    """One event's branch, built only by ``decide``, from ``BRANCHES``."""
 
-    def __post_init__(self):
-        if self.branch not in BRANCHES:
-            raise ValueError(f"unknown branch {self.branch!r}")
+    branch: str
 
     @property
     def z(self) -> bool:

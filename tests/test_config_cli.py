@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,8 @@ from reuseloop.library import LIBRARY_VERSION, MethodLibrary
 from reuseloop.planner import HttpPlanner, MockPlanner
 
 from conftest import make_method
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConfigDocuments:
@@ -110,6 +116,24 @@ class TestConfigDocuments:
                 read_dataclass(RunConfig, doc)
             assert err.value.field == field
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"": 1}, '[""]'),
+            ({"planner": {"": 1}}, 'planner[""]'),
+            ({"a.b": 1}, '["a.b"]'),
+            ({"thresholds": {"tau r": 0.5}}, 'thresholds["tau r"]'),
+            ({"version": LIBRARY_VERSION, "methods": [{"": 1}]}, 'methods[0][""]'),
+        ],
+        ids=["root", "nested", "dotted", "spaced", "library-method"],
+    )
+    def test_unknown_key_that_is_not_a_name_is_bracketed(self, doc, field):
+        # Named by its JSON text, so neither the root nor a nested path is blamed.
+        read = MethodLibrary.from_doc if "methods" in doc else lambda d: read_dataclass(RunConfig, d)
+        with pytest.raises(SchemaError) as err:
+            read(doc)
+        assert (err.value.field, err.value.message) == (field, "unknown field")
+
     def test_empty_config_is_all_defaults(self):
         assert read_dataclass(RunConfig, {}) == RunConfig()
 
@@ -143,6 +167,12 @@ class TestReferenceProfiles:
             ) / 5
             assert always == pytest.approx(7.7772)
             assert proposed == pytest.approx(6.7779)
+
+    @pytest.mark.parametrize("family", ["self", "observation"])
+    def test_mean_length_past_the_profile_rejected(self, family):
+        # base_s would go negative: the cut-off is ~18 steps (self), ~17.4 (observation).
+        with pytest.raises(ValueError, match="^mean sequence length too large"):
+            reference_executor(family, 20.0)
 
     def test_observation_profile_identities(self):
         for mean_len in (3.0, 4.25, 6.0):
@@ -249,6 +279,13 @@ class TestBenchRun:
         assert code == 2
         assert "planner.p_corupt" in capsys.readouterr().err
         assert not (tmp_path / "o5").exists()
+
+    def test_override_with_an_empty_key_named(self, config_file, tmp_path, capsys):
+        code = main(["bench", "run", "--config", str(config_file), "--out", str(tmp_path / "o7"),
+                     "--.seed", "5"])
+        assert code == 2
+        assert '[""]: unknown field' in capsys.readouterr().err
+        assert not (tmp_path / "o7").exists()
 
     def test_cli_overrides_reach_the_run(self, config_file, tmp_path):
         code = main(
@@ -429,6 +466,20 @@ class TestCostAnalyze:
 
     def test_rho_out_of_range(self, profile_file, capsys):
         assert main(["cost", "analyze", "--profile", str(profile_file), "--rho", "2", "--k", "4"]) == 2
+
+    @pytest.mark.parametrize("profile, code", [
+        ("configs/cost_profile.json", 0), ("configs/no_such_profile.json", 2),
+    ])
+    def test_module_entry_point_exits_with_mains_code(self, profile, code):
+        # ``python -m reuseloop.cli`` runs the module's ``__main__`` guard.
+        proc = subprocess.run(
+            [sys.executable, "-m", "reuseloop.cli", "cost", "analyze", "--profile", profile,
+             "--rho", "1", "--k", "4"],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True,
+            timeout=60, check=False,
+        )
+        assert proc.returncode == code, proc.stdout + proc.stderr
+        assert ("error: " in proc.stderr) == (code == 2)
 
 
 def test_config_file_with_overrides(tmp_path):

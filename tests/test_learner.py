@@ -72,9 +72,31 @@ class TestInitialize:
         candidate = initialize(plan_without_solution(task), ds)
         assert candidate.sequence == ["move"]
 
+    def test_prefix_votes_most_successes_then_smallest_name(self, task):
+        # Step 1 ties move and grasp; at step 2 only lift succeeded; step 3 only failed.
+        ds = EpisodeDataset()
+        for t, action, success, source in [
+            (1, "move", True, SOURCE_SELF), (2, "lift", True, SOURCE_SELF),
+            (3, "place", False, SOURCE_SELF), (1, "grasp", True, SOURCE_OBSERVED),
+            (2, "align", False, SOURCE_OBSERVED),
+        ]:
+            ds.record_step(make_sample(t, action, success, source=source))
+        candidate = initialize(plan_without_solution(task), ds)
+        assert candidate.sequence == ["grasp", "lift"]
+
     def test_empty_everything_is_an_error(self, task):
         with pytest.raises(ValueError):
             initialize(plan_without_solution(task), EpisodeDataset())
+
+
+class TestCandidateSolution:
+    def test_unknown_stage_rejected(self):
+        with pytest.raises(ValueError, match="^unknown stage 'draft'$"):
+            CandidateSolution("draft", ["move"], [1.0], "sequence")
+
+    def test_confidence_must_align_with_sequence(self):
+        with pytest.raises(ValueError, match="^per_step_confidence must align with sequence$"):
+            CandidateSolution(STAGE_INITIAL, ["move", "grasp"], [1.0], "sequence")
 
 
 class TestQuasiAdjust:
@@ -95,6 +117,12 @@ class TestQuasiAdjust:
         candidate.stage = STAGE_REFINED
         with pytest.raises(ValueError):
             quasi_adjust(candidate, make_sample(1, "move", True))
+
+    def test_sample_past_the_candidate_rejected(self):
+        candidate = CandidateSolution(STAGE_INITIAL, ["move", "grasp", "lift"], [1.0] * 3, "sequence")
+        with pytest.raises(ValueError, match="^sample step 4 outside candidate of length 3$"):
+            quasi_adjust(candidate, make_sample(4, "place", True))
+        assert candidate.per_step_confidence == [1.0] * 3 and candidate.stage == STAGE_INITIAL
 
 
 class TestTrainEpisode:

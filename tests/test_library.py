@@ -187,6 +187,8 @@ def _assert_matches_oracle(library, task, tau_r):
     assert got.method is want_method
     assert got.score == want_score
     assert got.covered == want_covered
+    if got.covered:
+        assert got.method is not None
     return got
 
 

@@ -27,7 +27,10 @@ from reuseloop.errors import (
 from reuseloop.planner import (
     DEFAULT_MOCK_LATENCY_S,
     HISTORY_MAX_ENTRIES,
+    MODEL_FAMILIES,
     PLAN_SCHEMA_DOC,
+    STRATEGY_KINDS,
+    CandidateModel,
     EpisodeOutcome,
     HttpPlanner,
     LearningPlan,
@@ -318,6 +321,16 @@ class TestParsePlan:
                     check(entry, kind)
 
         check(PLAN_SCHEMA_DOC, LearningPlan)
+
+    def test_schema_doc_alternatives_are_the_vocabularies(self):
+        # The prompt lists exactly the values the checks accept, in order.
+        family = PLAN_SCHEMA_DOC["candidate_models"][0]["family"]
+        kind = PLAN_SCHEMA_DOC["strategy"][0]["kind"]
+        assert family == "|".join(MODEL_FAMILIES) == "sequence|visual|multimodal|hybrid"
+        assert kind == "|".join(STRATEGY_KINDS) == "execute|observe"
+        for cls, name, text in ((CandidateModel, "family", family), (StrategyStep, "kind", kind)):
+            for value in text.split("|"):
+                assert getattr(read_dataclass(cls, {name: value}), name) == value
 
     def test_round_trip_without_solution(self):
         plan = LearningPlan(candidate_models=(read_dataclass(LearningPlan, parse_json(

@@ -16,13 +16,14 @@ must be read in the module that imports it. Matching ignores scope, so two
 definitions that share an identifier keep each other alive: the check errs
 toward passing.
 
-Every dataclass field is read too. A field counts as read when ``src/`` or
-``perfbench/*.py`` loads its name as an attribute, when its name appears in
-backticks in README's "File formats" section (a field written by name into
-an output), or when it is in ``ALLOWED_FIELDS``. An attribute load in the
-dataclass's own ``__post_init__`` is not a read: a field that only its own
-check looks at is still unread. A field built and written but never read
-fails, named ``module.Class.field``.
+Every field of a dataclass or a ``NamedTuple`` is read too. A field counts
+as read when ``src/`` or ``perfbench/*.py`` loads its name as an
+attribute, when its name appears in backticks in README's "File formats"
+section (a field written by name into an output), or when it is in
+``ALLOWED_FIELDS``. An attribute load in the dataclass's own
+``__post_init__`` is not a read: a field that only its own check looks at
+is still unread. A field built and written but never read fails, named
+``module.Class.field``.
 
 The package root re-exports only what its own readers import from it: the
 README quick start, ``demos/*.py`` and ``perfbench/*.py``. A root export
@@ -165,8 +166,12 @@ def src_modules() -> dict[str, str]:
 
 
 def _is_dataclass(stmt: ast.stmt) -> bool:
+    """A class decorated with ``dataclass``, or one whose bases include
+    ``NamedTuple``: both declare their fields as annotations."""
     if not isinstance(stmt, ast.ClassDef):
         return False
+    if any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple" for base in stmt.bases):
+        return True
     for decorator in stmt.decorator_list:
         if isinstance(decorator, ast.Call):
             decorator = decorator.func
@@ -176,10 +181,11 @@ def _is_dataclass(stmt: ast.stmt) -> bool:
 
 
 def unread_fields(modules: dict[str, str], read: set[str]) -> list[str]:
-    """The dataclass fields in ``modules`` (module name -> source), as
-    ``module.Class.field``, whose name no module loads as an attribute and
-    ``read`` does not hold. A load in the class's own ``__post_init__`` is
-    its check, not a read. ``ClassVar`` annotations are not fields."""
+    """The dataclass and ``NamedTuple`` fields in ``modules`` (module name ->
+    source), as ``module.Class.field``, whose name no module loads as an
+    attribute and ``read`` does not hold. A load in the class's own
+    ``__post_init__`` is its check, not a read. ``ClassVar`` annotations are
+    not fields."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     loaded = Counter()
     for tree in trees.values():
@@ -303,6 +309,7 @@ def test_flags_unread_dataclass_fields():
     modules = {
         "a": (
             "import dataclasses\n"
+            "import typing\n"
             "from dataclasses import dataclass\n"
             "from typing import ClassVar\n"
             "@dataclass(frozen=True)\n"
@@ -318,8 +325,13 @@ def test_flags_unread_dataclass_fields():
             "    documented: str\n"
             "class Plain:\n"
             "    hint: int\n"
+            "class N(typing.NamedTuple):\n"
+            "    read: int\n"
+            "    dropped: str\n"
         ),
         "b": "def f(a): return a.read\n",
     }
-    assert unread_fields(modules, set()) == ["a.A.checked", "a.A.written", "a.B.documented"]
-    assert unread_fields(modules, {"documented"}) == ["a.A.checked", "a.A.written"]
+    assert unread_fields(modules, set()) == [
+        "a.A.checked", "a.A.written", "a.B.documented", "a.N.dropped",
+    ]
+    assert unread_fields(modules, {"documented"}) == ["a.A.checked", "a.A.written", "a.N.dropped"]

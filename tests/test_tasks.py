@@ -45,6 +45,23 @@ _TOKENS = st.lists(
 ).map("".join)
 
 
+def _json_dumps_digest(goal, constraints):
+    """The signature's independent oracle: the first 16 hex digits of the
+    SHA-256 of ``json.dumps`` over the regex-normalized goal and the
+    constraints, or None when no goal token survives normalization."""
+    tokens = [t for t in (re.sub(r"[^a-z0-9]+", "", tok.lower()) for tok in goal) if t]
+    if not tokens:
+        return None
+    deadline = constraints.deadline_s
+    payload = {
+        "goal": tokens,
+        "max_steps": int(constraints.max_steps),
+        "deadline_s": None if deadline is None else float(deadline) + 0.0,
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 class TestSignature:
     def test_identical_tasks_share_a_signature(self):
         a = make_task(goal=("pick", "up", "red", "cube"))
@@ -79,19 +96,19 @@ class TestSignature:
 
     def test_descriptor_key_matches_free_functions(self, tmp_path):
         fresh = make_task(goal=("Pick", "UP!", "red", "cube"))
-        assert fresh.signature == signature_of(fresh)
+        assert signature_of(fresh) == _json_dumps_digest(fresh.goal, fresh.constraints)
         replaced = dataclasses.replace(fresh, goal=("stack", "blue", "ring"))
         events = generate_corpus(seed=3, n_tasks=4, n_repeats=1)
         save_corpus(events, tmp_path / "corpus.json")
         loaded = [event.task for event in load_corpus(tmp_path / "corpus.json")]
         assert [task.signature for task in loaded] == [event.task.signature for event in events]
         for task in [fresh, replaced, *loaded]:
-            assert task.signature == signature_of(task)
+            assert signature_of(task) == _json_dumps_digest(task.goal, task.constraints)
             assert task.goal_tokens == set(normalize_goal(task.goal))
         assert replaced.signature != fresh.signature
         # A task holds its key from construction on, and equality ignores it.
         cold = make_task(goal=fresh.goal)
-        assert vars(cold)["signature"] == signature_of(cold)
+        assert vars(cold)["signature"] == _json_dumps_digest(cold.goal, cold.constraints)
         assert cold == fresh and fresh == cold
 
     def test_constraints_participate(self):
@@ -142,21 +159,15 @@ class TestSignature:
         deadline=st.sampled_from([None, 5, -0.0, 1e-7, 1e16, 5e-324, sys.float_info.max]),
     )
     def test_signature_is_the_json_dumps_digest_property(self, goal, max_steps, deadline):
-        tokens = [t for t in (re.sub(r"[^a-z0-9]+", "", tok.lower()) for tok in goal) if t]
         constraints = TaskConstraints(max_steps, deadline)
+        want = _json_dumps_digest(goal, constraints)
         base = make_task(target=("move",))
-        if not tokens:
+        if want is None:
             with pytest.raises(ValueError, match="^goal must contain at least one non-empty token$"):
                 dataclasses.replace(base, goal=tuple(goal), constraints=constraints)
             return
         task = dataclasses.replace(base, goal=tuple(goal), constraints=constraints)
-        payload = {
-            "goal": tokens,
-            "max_steps": int(max_steps),
-            "deadline_s": None if deadline is None else float(deadline) + 0.0,
-        }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        assert signature_of(task) == task.signature == hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert signature_of(task) == task.signature == want
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -180,7 +191,7 @@ class TestSignature:
                 dataclasses.replace(base, goal=tuple(goal), constraints=constraints)
             return
         task = dataclasses.replace(base, goal=tuple(goal), constraints=constraints)
-        assert vars(task)["signature"] == signature_of(task)
+        assert vars(task)["signature"] == _json_dumps_digest(goal, constraints)
         assert vars(task)["goal_tokens"] == frozenset(normalize_goal(task.goal))
         # Equality ignores the key: a copy with a different stored key is equal.
         twin = dataclasses.replace(task)
@@ -189,7 +200,7 @@ class TestSignature:
         assert twin == task
         # ``replace`` builds a new task, and with it a new key.
         moved = dataclasses.replace(task, goal=tuple(other_goal))
-        assert moved.signature == signature_of(moved)
+        assert moved.signature == _json_dumps_digest(other_goal, constraints)
         assert moved.goal_tokens == frozenset(normalize_goal(other_goal))
         assert (moved.signature == task.signature) == (normalize_goal(other_goal) == normalize_goal(goal))
 
@@ -260,6 +271,10 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError):
             generate_corpus(seed=7, n_tasks=5, n_repeats=0)
 
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="^unknown corpus mode 'bogus'$"):
+            generate_corpus(7, 2, 1, mode="bogus")
+
     def test_referentially_transparent(self):
         a = generate_corpus(seed=42, n_tasks=10, n_repeats=3)
         b = generate_corpus(seed=42, n_tasks=10, n_repeats=3)
@@ -300,6 +315,10 @@ class TestGenerateCorpus:
         # The first task to carry a signature sets its length, whichever object it is.
         assert mean_target_length(events[2:]) == (6 + 5) / 2
         assert mean_target_length(iter(events)) == (2 + 5) / 2
+
+    def test_mean_target_length_of_no_events_rejected(self):
+        with pytest.raises(ValueError, match="^empty event stream$"):
+            mean_target_length([])
 
 
 class TestCorpusPersistence:
