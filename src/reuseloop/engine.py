@@ -127,9 +127,11 @@ class SequenceExecutor(learner.Replayer):
     ) -> None:
         phases["collect"] += self.config.collect_s
         target = self.task.target_sequence
+        n_target = len(target)
+        record_step = dataset.record_step
         for i, action in enumerate(sequence, start=1):
-            ok = i <= len(target) and action == target[i - 1]
-            dataset.record_step(ExperienceSample(i, action, ok, SOURCE_SELF))
+            ok = i <= n_target and action == target[i - 1]
+            record_step(ExperienceSample(i, action, ok, SOURCE_SELF))
 
     def first_failed_step(self, sequence: Sequence[str]) -> int | None:
         """1-based index of the first action off the target, None if there is none.
@@ -373,17 +375,18 @@ def run_loop(
         last_cycle = ev.cycle
 
     history = PlannerHistory()
+    record_task = history.record_task
     seen: dict[str, int] = {}
     records = []
+    append = records.append
     for event in events:
         sig = event.task.signature
-        seen[sig] = seen.get(sig, 0) + 1
-        record = run_episode(
+        seen[sig] = repeat_index = seen.get(sig, 0) + 1
+        append(run_episode(
             event, mode, library, planner, thresholds, executor_config,
-            repeat_index=seen[sig], history=history,
-        )
-        history.record_task(sig)
-        records.append(record)
+            repeat_index=repeat_index, history=history,
+        ))
+        record_task(sig)
     return records
 
 

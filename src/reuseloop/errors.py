@@ -50,12 +50,16 @@ _EXPECTED = {
 
 class _Violation(Exception):
     """A schema violation at ``path`` below the value being read: ``""`` for
-    the value itself, else ``.key`` and ``[index]`` steps. An unknown key
-    that is not an identifier is a ``["key"]`` step, in its JSON text."""
+    the value itself, else ``.key`` and ``[index]`` steps. A key that is not
+    an identifier is a ``["key"]`` step, in its JSON text (``_key_step``)."""
 
     def __init__(self, path: str, message: str):
         self.path = path
         self.message = message
+
+
+def _key_step(key: str) -> str:
+    return f".{key}" if key.isidentifier() else f"[{json.dumps(key)}]"
 
 
 def _mismatch(kind: type, value: Any, path: str = "") -> _Violation:
@@ -92,7 +96,7 @@ def _check_values(item: type, value: dict) -> dict:
     """A copy of ``value`` once every value in it is exactly an ``item``."""
     for key, entry in value.items():
         if type(entry) is not item:
-            raise _mismatch(item, entry, f".{key}")
+            raise _mismatch(item, entry, _key_step(key))
     return dict(value)
 
 
@@ -143,8 +147,7 @@ def _read(schema, build, doc: Any):
     names, entries = schema
     if not names.issuperset(doc):
         unknown = next(key for key in doc if key not in names)
-        step = f".{unknown}" if unknown.isidentifier() else f"[{json.dumps(unknown)}]"
-        raise _Violation(step, "unknown field")
+        raise _Violation(_key_step(unknown), "unknown field")
     kwargs = {}
     try:
         for name, kind, convert, nullable, required in entries:

@@ -63,6 +63,3 @@ class EpisodeDataset:
         for offset, action in enumerate(event.action_sequence, start=1):
             self.obs_samples.append(ExperienceSample(start + offset, action, True, SOURCE_OBSERVED))
         return self
-
-    def all_samples(self) -> list[ExperienceSample]:
-        return self.self_samples + self.obs_samples

@@ -79,15 +79,22 @@ def initialize(plan: LearningPlan, dataset: EpisodeDataset) -> CandidateSolution
 
 
 def _tally(dataset: EpisodeDataset) -> tuple[dict[int, int], dict[int, dict[str, int]]]:
-    """One pass over the dataset: per step index, the number of samples and
-    the successes by action (empty when every sample there failed)."""
+    """One pass over the self samples, then the observed ones: per step
+    index, the number of samples and the successes by action (empty when
+    every sample there failed)."""
     samples_at: dict[int, int] = {}
     wins_at: dict[int, dict[str, int]] = {}
-    for sample in dataset.all_samples():
-        samples_at[sample.t] = samples_at.get(sample.t, 0) + 1
-        wins = wins_at.setdefault(sample.t, {})
-        if sample.success:
-            wins[sample.action] = wins.get(sample.action, 0) + 1
+    for samples in (dataset.self_samples, dataset.obs_samples):
+        for sample in samples:
+            t = sample.t
+            if t in samples_at:
+                samples_at[t] += 1
+                wins = wins_at[t]
+            else:
+                samples_at[t] = 1
+                wins = wins_at[t] = {}
+            if sample.success:
+                wins[sample.action] = wins.get(sample.action, 0) + 1
     return samples_at, wins_at
 
 
@@ -136,7 +143,8 @@ def train_episode(candidate: CandidateSolution, dataset: EpisodeDataset) -> Cand
     candidate's own action as the one that wins ties. Per-step confidence
     becomes the empirical success frequency at that index. An index with no
     samples keeps its current action and confidence; one whose samples all
-    failed keeps its action at confidence 0.
+    failed keeps its action at confidence 0. An index whose successes all
+    share one action takes it without a vote: it has the most.
     """
     if candidate.stage == STAGE_REFINED:
         raise ValueError("refined candidates are immutable")
@@ -145,8 +153,12 @@ def train_episode(candidate: CandidateSolution, dataset: EpisodeDataset) -> Cand
         wins = wins_at.get(i + 1)
         if wins is None:
             continue
-        candidate.sequence[i] = _vote(wins, current) if wins else current
-        candidate.per_step_confidence[i] = sum(wins.values()) / samples_at[i + 1]
+        if len(wins) == 1:
+            (candidate.sequence[i], good), = wins.items()
+        else:
+            candidate.sequence[i] = _vote(wins, current) if wins else current
+            good = sum(wins.values())
+        candidate.per_step_confidence[i] = good / samples_at[i + 1]
 
     candidate.stage = STAGE_REFINED
     return candidate
@@ -185,22 +197,10 @@ def build_method(
     method_id = f"m-{task.signature[:12]}-c{cycle:04d}"
     if method_id in taken:
         method_id = next(f"{method_id}-{n}" for n in count(1) if f"{method_id}-{n}" not in taken)
+    # Positional, in each class's field order: keyword arguments cost more per build.
     return Method(
-        id=method_id,
-        procedure=tuple(candidate.sequence),
-        params={"model_family": candidate.model_family},
-        data_profile=DataProfile(
-            n_self_samples=len(dataset.self_samples),
-            n_obs_samples=len(dataset.obs_samples),
-            episodes=1,
-        ),
-        applicability=Applicability(
-            signatures=frozenset((task.signature,)),
-            goal_tokens=task.goal_tokens,
-            max_steps=task.constraints.max_steps,
-        ),
-        reliability=Reliability(
-            successes=1, attempts=1, created_cycle=cycle, last_used_cycle=cycle
-        ),
+        method_id, tuple(candidate.sequence), {"model_family": candidate.model_family},
+        DataProfile(len(dataset.self_samples), len(dataset.obs_samples), 1),
+        Applicability(frozenset((task.signature,)), task.goal_tokens, task.constraints.max_steps),
+        Reliability(1, 1, cycle, cycle),
     )
-

@@ -29,7 +29,6 @@ LEARN_OBSERVATION = "learn_observation"
 NO_ACTION = "no_action"
 
 LEARN_BRANCHES = frozenset({LEARN_UNCOVERED, LEARN_LOW_CONFIDENCE, LEARN_OBSERVATION})
-BRANCHES = (REUSE, LEARN_UNCOVERED, LEARN_LOW_CONFIDENCE, LEARN_OBSERVATION, NO_ACTION)
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,8 @@ class TriggerThresholds:
 
 
 class TriggerDecision(NamedTuple):
-    """One event's branch, built only by ``decide``, from ``BRANCHES``."""
+    """One event's branch, built only by ``decide``, from the five branch
+    constants above."""
 
     branch: str
 

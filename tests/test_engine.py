@@ -825,6 +825,15 @@ class TestClockAndExecutor:
         ]
         assert phases == {**dict.fromkeys(PHASES, 0.0), "collect": CFG.collect_s}
 
+    def test_executor_collect_past_the_target_fails_the_extra_steps(self, task):
+        from reuseloop.experience import EpisodeDataset
+
+        ds = EpisodeDataset()
+        target = list(task.target_sequence)
+        SequenceExecutor(task, CFG).collect([*target, "move", "move"], ds, dict.fromkeys(PHASES, 0.0))
+        assert [s.t for s in ds.self_samples] == list(range(1, len(target) + 3))
+        assert [s.success for s in ds.self_samples] == [True] * len(target) + [False, False]
+
     def test_first_failed_step(self, task):
         executor = SequenceExecutor(task, CFG)
         target = list(task.target_sequence)

@@ -5,9 +5,15 @@ import random
 import pytest
 
 from reuseloop.experience import EpisodeDataset, ExperienceSample, SOURCE_OBSERVED, SOURCE_SELF
+from reuseloop.learner import _tally
 from reuseloop.tasks import ObservedEvent
 
 from conftest import make_sample
+
+
+def merged_size(ds: EpisodeDataset) -> int:
+    """The samples the learner's tally counts, over both sources."""
+    return sum(_tally(ds)[0].values())
 
 
 class TestRecordStep:
@@ -57,7 +63,7 @@ class TestIngestObservation:
         ds = EpisodeDataset()
         with pytest.raises(ValueError):
             ds.ingest_observation(ObservedEvent(("move",), False))
-        assert len(ds.all_samples()) == 0
+        assert merged_size(ds) == 0
 
     def test_never_touches_self_samples(self):
         ds = EpisodeDataset()
@@ -68,20 +74,20 @@ class TestIngestObservation:
 
 class TestMergedSize:
     def test_empty(self):
-        assert len(EpisodeDataset().all_samples()) == 0
+        assert merged_size(EpisodeDataset()) == 0
 
     def test_self_only(self):
         ds = EpisodeDataset()
         for t in range(1, 4):
             ds.record_step(make_sample(t))
-        assert len(ds.all_samples()) == 3
+        assert merged_size(ds) == 3
 
     def test_mixed(self):
         ds = EpisodeDataset()
         for t in range(1, 4):
             ds.record_step(make_sample(t))
         ds.ingest_observation(ObservedEvent(("move",) * 4, True))
-        assert len(ds.all_samples()) == 7
+        assert merged_size(ds) == 7
 
     def test_merged_never_below_self_on_random_datasets(self):
         rng = random.Random(21)
@@ -93,7 +99,8 @@ class TestMergedSize:
                 ds.ingest_observation(
                     ObservedEvent(("move",) * rng.randint(1, 5), True)
                 )
-            assert len(ds.all_samples()) >= len(ds.self_samples)
+            assert merged_size(ds) == len(ds.self_samples) + len(ds.obs_samples)
+            assert merged_size(ds) >= len(ds.self_samples)
 
 
 def test_sample_validation():
@@ -104,6 +111,7 @@ def test_sample_validation():
 
 
 def test_dataset_takes_no_arguments():
-    assert len(EpisodeDataset().all_samples()) == 0
+    ds = EpisodeDataset()
+    assert ds.self_samples == ds.obs_samples == []
     with pytest.raises(TypeError):
         EpisodeDataset("sig")

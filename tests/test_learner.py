@@ -205,7 +205,7 @@ class TestTrainEpisode:
 
             # independent reccount
             for i in range(length):
-                here = [s for s in ds.all_samples() if s.t == i + 1]
+                here = [s for s in (*ds.self_samples, *ds.obs_samples) if s.t == i + 1]
                 if not here:
                     assert refined.sequence[i] == start[i]
                     continue
@@ -239,11 +239,47 @@ class TestTrainEpisode:
             ["drop", "place"], [(1, "drop", False, SOURCE_SELF), (1, "place", True, SOURCE_OBSERVED)],
             ["place", "place"], [0.5, 0.75], id="self_and_observed_at_one_index",
         ),
+        pytest.param(
+            ["drop", "place"],
+            [(1, "drop", False, SOURCE_SELF), (1, "lift", True, SOURCE_OBSERVED),
+             (1, "lift", True, SOURCE_OBSERVED)],
+            ["lift", "place"], [2 / 3, 0.75], id="only_winner_differs_from_candidate",
+        ),
+        pytest.param(
+            ["move", "place"],
+            [(1, "move", True, SOURCE_SELF), (1, "grasp", True, SOURCE_OBSERVED),
+             (1, "grasp", True, SOURCE_OBSERVED), (1, "move", True, SOURCE_OBSERVED),
+             (1, "rotate", False, SOURCE_OBSERVED)],
+            ["move", "place"], [0.8, 0.75], id="two_way_tie_keeps_candidate",
+        ),
+        pytest.param(
+            ["rotate", "place"],
+            [(1, "move", True, SOURCE_SELF), (1, "grasp", True, SOURCE_OBSERVED),
+             (1, "move", True, SOURCE_OBSERVED), (1, "grasp", True, SOURCE_OBSERVED),
+             (1, "rotate", False, SOURCE_OBSERVED)],
+            ["grasp", "place"], [0.8, 0.75], id="two_way_tie_without_candidate_takes_smallest",
+        ),
+        pytest.param(
+            ["lift", "place"],
+            [(1, "move", False, SOURCE_SELF), (1, "grasp", False, SOURCE_OBSERVED),
+             (2, "drop", True, SOURCE_SELF)],
+            ["lift", "drop"], [0.0, 1.0], id="all_failed_keeps_action_at_zero",
+        ),
+        pytest.param(
+            ["drop", "place"],
+            [(1, "grasp", True, SOURCE_SELF), (2, "place", False, SOURCE_SELF),
+             (1, "grasp", True, SOURCE_OBSERVED), (2, "lift", True, SOURCE_OBSERVED)],
+            ["grasp", "lift"], [1.0, 0.5], id="self_and_observed_share_indices",
+        ),
     ])
     def test_named_cases(self, start, samples, sequence, confidence):
+        # Samples are appended directly, so that one source can hold several
+        # at one index (record_step takes each index once per source); the
+        # tally counts them all. Index 2 is sampled only where a case says so.
         ds = EpisodeDataset()
         for t, action, success, source in samples:
-            ds.record_step(make_sample(t, action, success, source=source))
+            (ds.self_samples if source == SOURCE_SELF else ds.obs_samples).append(
+                make_sample(t, action, success, source=source))
         candidate = CandidateSolution(
             stage=STAGE_INITIAL,
             sequence=list(start),

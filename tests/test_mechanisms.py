@@ -33,7 +33,9 @@ from reuseloop.config import RunConfig, build_corpus, build_planner, resolve_exe
 from reuseloop.engine import run_loop
 from reuseloop.errors import parse_json, read_dataclass
 from reuseloop.library import MethodLibrary
-from reuseloop.trigger import BRANCHES
+from reuseloop.trigger import (
+    LEARN_LOW_CONFIDENCE, LEARN_OBSERVATION, LEARN_UNCOVERED, NO_ACTION, REUSE,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RUN_CONFIGS = ("self_always_llm", "self_library_only", "self_proposed", "observation_only",
@@ -104,7 +106,8 @@ def counts() -> dict[tuple[str, float | None], Counter]:
 
 def test_the_lists_name_every_branch_once():
     assert not MECHANISMS.keys() & UNREACHED.keys()
-    assert set(BRANCHES) <= MECHANISMS.keys() | UNREACHED.keys()
+    branches = {REUSE, LEARN_UNCOVERED, LEARN_LOW_CONFIDENCE, LEARN_OBSERVATION, NO_ACTION}
+    assert branches <= MECHANISMS.keys() | UNREACHED.keys()
     assert all(scenario in {(n, p) for n in RUN_CONFIGS for p in P_CORRUPTS}
                for scenario in MECHANISMS.values())
     assert all(reason.strip() for reason in UNREACHED.values())

@@ -67,6 +67,18 @@ class TestMockDeterminism:
         assert history.recent_tasks[0] == "sig-5"
         assert history.recent_methods[-1]["id"] == f"m-{HISTORY_MAX_ENTRIES + 4}"
 
+    def test_history_built_over_its_bound_is_cut_on_the_next_record(self):
+        over = HISTORY_MAX_ENTRIES + 10
+        history = PlannerHistory(
+            recent_tasks=[f"sig-{i}" for i in range(over)],
+            recent_methods=[{"id": f"m-{i}", "success_ratio": 1.0} for i in range(over)],
+        )
+        history.record_task(f"sig-{over}")
+        history.record_method(f"m-{over}", 0.5)
+        assert history.recent_tasks == [f"sig-{i}" for i in range(11, over + 1)]
+        assert [m["id"] for m in history.recent_methods] == [f"m-{i}" for i in range(11, over + 1)]
+        assert history.recent_methods[-1]["success_ratio"] == 0.5
+
     def test_latency_default_and_override(self, task):
         assert MockPlanner(seed=1).plan(task).latency_s == DEFAULT_MOCK_LATENCY_S
         assert MockPlanner(seed=1, latency_s=0.25).plan(task).latency_s == 0.25

@@ -381,6 +381,20 @@ class TestCorpusPersistence:
                 corpus_from_doc(doc)
             assert err.value.field == "events[0]." + ".".join(path)
 
+    @pytest.mark.parametrize("environment, field", [
+        ({"workspace": 1}, "environment.workspace"),
+        ({"a b": 1}, 'environment["a b"]'),
+        ({"": 1}, 'environment[""]'),
+    ], ids=["identifier", "spaced", "empty"])
+    def test_bad_environment_value_named_by_its_key(self, environment, field):
+        # The rule unknown keys follow: a key that is not a name is bracketed.
+        doc = corpus_to_doc(generate_corpus(seed=7, n_tasks=1, n_repeats=1))
+        doc["events"][0]["task"]["environment"] = environment
+        with pytest.raises(SchemaError) as err:
+            corpus_from_doc(doc)
+        assert err.value.field == f"events[0].task.{field}"
+        assert err.value.message == "expected a string, got int"
+
     def test_observed_object_is_action_sequence_and_success(self):
         events = generate_corpus(seed=1, n_tasks=1, n_repeats=1, mode=OBSERVATION_FIRST)
         observed = corpus_to_doc(events)["events"][0]["observed"]
