@@ -7,8 +7,7 @@ Commands::
     reuseloop library inspect --path LIBRARY.json
     reuseloop cost analyze --profile PROFILE.json --rho R --k K
 
-Exit codes: 0 on success, 1 when the HTTP planner failed during a run,
-2 on configuration, schema, or usage errors.
+Exit codes: 0 on success, 2 on configuration, schema, or usage errors.
 """
 
 from __future__ import annotations
@@ -78,13 +77,6 @@ def cmd_bench_run(args: argparse.Namespace, leftovers: list[str]) -> int:
 
     print(metrics.format_report_table(report))
     print(f"outputs written to {out_dir}")
-
-    if getattr(planner, "failed_calls", 0):
-        print(
-            f"error: planner failed {planner.failed_calls} call(s) after retries",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

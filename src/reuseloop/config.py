@@ -24,10 +24,8 @@ from .engine import (
 from .planner import (
     DEFAULT_MOCK_LATENCY_S,
     DEFAULT_P_CORRUPT,
-    HttpPlanner,
     MockPlanner,
     Planner,
-    check_http_settings,
     check_latency,
     check_p_corrupt,
 )
@@ -138,31 +136,16 @@ def default_p_corrupt(mode: str) -> float:
 # Config documents
 # ---------------------------------------------------------------------------
 
-MOCK = "mock"
-HTTP = "http"
-
-
 @dataclass
 class PlannerSettings:
-    kind: str = MOCK
     latency_s: float | None = None  # None: reference latency for the mode family
     p_corrupt: float | None = None  # None: reference default for the mode
-    endpoint: str | None = None
-    model: str | None = None
-    temperature: float = 0.0
-    timeout_s: float = 30.0
-    retries: int = 2
 
     def __post_init__(self):
-        if self.kind not in (MOCK, HTTP):
-            raise ValueError(f"kind must be '{MOCK}' or '{HTTP}'")
         if self.latency_s is not None:
             check_latency(self.latency_s)
         if self.p_corrupt is not None:
             check_p_corrupt(self.p_corrupt)
-        check_http_settings(self.temperature, self.timeout_s, self.retries)
-        if self.kind == HTTP and not (self.endpoint and self.model):
-            raise ValueError("http planner requires endpoint and model")
 
 
 @dataclass
@@ -205,14 +188,6 @@ def resolve_executor(config: RunConfig, events: list[TaskEvent]) -> ExecutorConf
 
 def build_planner(config: RunConfig) -> Planner:
     settings = config.planner
-    if settings.kind == HTTP:
-        return HttpPlanner(
-            endpoint=settings.endpoint,
-            model=settings.model,
-            temperature=settings.temperature,
-            timeout_s=settings.timeout_s,
-            retries=settings.retries,
-        )
     latency = settings.latency_s
     if latency is None:
         latency = reference_latency(family_for_mode(config.mode))

@@ -48,10 +48,10 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import learner
-from .errors import PlannerError, RecordStreamError, SchemaError, read_dataclass, replacing
+from .errors import RecordStreamError, SchemaError, read_dataclass, replacing
 from .experience import EpisodeDataset, ExperienceSample, SOURCE_SELF
 from .library import Method, MethodLibrary
-from .planner import EpisodeOutcome, Planner, PlannerFeedback, PlannerHistory
+from .planner import EpisodeOutcome, Planner, PlannerFeedback
 from .tasks import TaskDescriptor, TaskEvent
 from .trigger import LEARN_OBSERVATION, REUSE, TriggerThresholds, decide, needs_refinement
 
@@ -209,7 +209,6 @@ class _Episode:
         planner: Planner,
         thresholds: TriggerThresholds,
         config: ExecutorConfig,
-        history: PlannerHistory | None,
     ):
         self.event = event
         self.task = event.task
@@ -219,7 +218,6 @@ class _Episode:
         self.thresholds = thresholds
         self.config = config
         self.phases = dict.fromkeys(PHASES, 0.0)
-        self.history = history
         self.executor = SequenceExecutor(event.task, config)
         self.llm_calls = 0
         self.success = False
@@ -242,10 +240,7 @@ class _Episode:
 
         if self.mode in (ALWAYS_LLM, OBSERVATION_ONLY):
             # Plan every time and execute; no retrieval cost, no consolidation.
-            try:
-                solution = self._plan().plan.direct_solution
-            except PlannerError:
-                return
+            solution = self._plan().plan.direct_solution
             if solution is not None:
                 self.success = self.executor.execute(solution, self.phases)
             return
@@ -267,7 +262,7 @@ class _Episode:
     # -- planner access -----------------------------------------------------
 
     def _plan(self, feedback: PlannerFeedback | None = None):
-        call = self.planner.plan(self.task, self.history, feedback)
+        call = self.planner.plan(self.task, feedback)
         self.phases["plan_llm"] += call.latency_s
         self.llm_calls += 1
         return call
@@ -282,15 +277,10 @@ class _Episode:
         self.library.update_reliability(method.id, ok, self.event.cycle)
         self.success = ok
         self.hit = True
-        if self.history is not None:
-            self.history.record_method(method.id, method.reliability.success_ratio)
         # After update_reliability, so idle is 0; checking first moves the reuse-384 pins.
         if needs_refinement(method, self.event.cycle, self.thresholds.tau_u):
             failed_step = self.executor.first_failed_step(method.procedure)
-            self.learn(PlannerFeedback(
-                episode_outcomes=[EpisodeOutcome(success=ok, failed_step=failed_step)],
-                notes="stored method utility fell below the refinement threshold",
-            ))
+            self.learn(PlannerFeedback([EpisodeOutcome(success=ok, failed_step=failed_step)]))
             if self.learned:
                 self.hit = False
 
@@ -300,10 +290,7 @@ class _Episode:
         An observed event succeeds iff a method was stored. A self event then
         executes the candidate, except on refinement (``feedback`` given).
         """
-        try:
-            plan = self._plan(feedback).plan
-        except PlannerError:
-            return
+        plan = self._plan(feedback).plan
         observed = self.event.observed
         dataset = EpisodeDataset()
         if observed is not None:
@@ -336,15 +323,11 @@ def run_episode(
     executor_config: ExecutorConfig,
     *,
     repeat_index: int = 1,
-    history: PlannerHistory | None = None,
 ) -> RunRecord:
-    """Run one task event under ``mode`` and return its run record.
-
-    Planner failures are not raised; they mark the episode unsuccessful.
-    """
+    """Run one task event under ``mode`` and return its run record."""
     if mode not in POLICY_MODES:
         raise ValueError(f"unknown policy mode {mode!r}")
-    ep = _Episode(event, mode, library, planner, thresholds, executor_config, history)
+    ep = _Episode(event, mode, library, planner, thresholds, executor_config)
     ep.run()
     # Positional: the phases come in PHASES order, which RunRecord's fields
     # follow. All LLM time is the planner latency charged to plan_llm.
@@ -374,8 +357,6 @@ def run_loop(
             raise ValueError("events must be ordered by strictly increasing cycle")
         last_cycle = ev.cycle
 
-    history = PlannerHistory()
-    record_task = history.record_task
     seen: dict[str, int] = {}
     records = []
     append = records.append
@@ -383,10 +364,8 @@ def run_loop(
         sig = event.task.signature
         seen[sig] = repeat_index = seen.get(sig, 0) + 1
         append(run_episode(
-            event, mode, library, planner, thresholds, executor_config,
-            repeat_index=repeat_index, history=history,
+            event, mode, library, planner, thresholds, executor_config, repeat_index=repeat_index,
         ))
-        record_task(sig)
     return records
 
 

@@ -209,8 +209,9 @@ def read_dataclass(cls, doc: Any):
     nonnegative``); any other is named at the object it builds (``<root>`` at
     the root). So a bad value,
     worded ``"<field> must ..."``, is named at its field, and a check that
-    spans fields, worded otherwise (the http planner's endpoint/model
-    pairing), at its object. Paths are built only when raising.
+    spans fields, worded otherwise (a successful observation without
+    actions, at ``events[0].observed``), at its object. Paths are built
+    only when raising.
     """
     try:
         return _read(_schema(cls), cls, doc)
@@ -289,11 +290,7 @@ class LibraryError(ReuseLoopError):
 
 
 class PlannerError(ReuseLoopError):
-    """Base class for planning failures."""
-
-
-class PlanningFailedError(PlannerError):
-    """The planner could not produce a schema-valid plan within its retry budget."""
+    """A planning call refused: ``MockPlanner.replan`` without an episode outcome."""
 
 
 class RecordStreamError(ReuseLoopError):

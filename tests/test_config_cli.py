@@ -22,7 +22,7 @@ from reuseloop.config import (
 from reuseloop.engine import ALWAYS_LLM, OBSERVATION_ONLY, PROPOSED, PROPOSED_OBSERVATION
 from reuseloop.errors import SchemaError, read_dataclass
 from reuseloop.library import LIBRARY_VERSION, MethodLibrary
-from reuseloop.planner import HttpPlanner, MockPlanner
+from reuseloop.planner import MockPlanner
 
 from conftest import make_method
 
@@ -36,7 +36,7 @@ class TestConfigDocuments:
         assert config.n_tasks == 20 and config.n_repeats == 5
         assert config.thresholds.tau_r == 0.8
         assert config.executor is None
-        assert config.planner.kind == "mock"
+        assert (config.planner.latency_s, config.planner.p_corrupt) == (None, None)
 
     def test_unknown_field_named(self):
         with pytest.raises(SchemaError) as err:
@@ -47,11 +47,6 @@ class TestConfigDocuments:
         with pytest.raises(SchemaError) as err:
             read_dataclass(RunConfig, {"mode": "yolo"})
         assert "mode" in str(err.value)
-
-    def test_http_requires_endpoint_and_model(self):
-        with pytest.raises(SchemaError) as err:
-            read_dataclass(RunConfig, {"planner": {"kind": "http"}})
-        assert "planner" in str(err.value)
 
     def test_threshold_range_checked(self):
         for value in (2.0, "0.5", True):
@@ -69,13 +64,6 @@ class TestConfigDocuments:
         with pytest.raises(SchemaError) as err:
             read_dataclass(RunConfig, {"planner": {"p_corrupt": 1.5}})
         assert "p_corrupt" in str(err.value)
-
-    def test_http_planner_settings_range_checked(self):
-        cases = [("timeout_s", 0.0), ("timeout_s", -1.0), ("temperature", -3.0), ("retries", -1)]
-        for name, value in cases:
-            with pytest.raises(SchemaError) as err:
-                read_dataclass(RunConfig, {"planner": {name: value}})
-            assert err.value.field == f"planner.{name}"
 
     def test_overrides_follow_dotted_paths(self, tmp_path):
         path = tmp_path / "config.json"
@@ -200,14 +188,14 @@ class TestReferenceProfiles:
         assert resolve_executor(config, build_corpus(config)) is custom
 
     def test_build_planner_kinds(self):
+        # One kind: every config builds the mock, and no config names a kind.
         mock = build_planner(RunConfig())
         assert isinstance(mock, MockPlanner)
         assert mock.latency_s == pytest.approx(1.4565)
         assert mock.p_corrupt == 0.0
-        http_config = read_dataclass(RunConfig, 
-            {"planner": {"kind": "http", "endpoint": "http://x/v1", "model": "m"}}
-        )
-        assert isinstance(build_planner(http_config), HttpPlanner)
+        with pytest.raises(SchemaError) as err:
+            read_dataclass(RunConfig, {"planner": {"kind": "mock"}})
+        assert (err.value.field, err.value.message) == ("planner.kind", "unknown field")
 
 
 @pytest.fixture
@@ -279,6 +267,37 @@ class TestBenchRun:
         assert code == 2
         assert "planner.p_corupt" in capsys.readouterr().err
         assert not (tmp_path / "o5").exists()
+
+    def test_http_planner_config_refused(self, tmp_path, capsys):
+        # A config written for the deleted HTTP planner stops with its first
+        # field named; it never runs the mock in its place.
+        config = tmp_path / "http.json"
+        config.write_text(json.dumps(
+            {"planner": {"kind": "http", "endpoint": "http://x/v1", "model": "m"}}
+        ))
+        code = main(["bench", "run", "--config", str(config), "--out", str(tmp_path / "o8")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "planner.kind: unknown field" in err
+        assert out == ""
+        assert not (tmp_path / "o8").exists()
+
+    def test_run_is_offline_by_construction(self, tmp_path):
+        # A shipped run imports no network module at all; pathlib brings in
+        # only urllib.parse.
+        script = (
+            "import sys\n"
+            "from reuseloop.cli import main\n"
+            f"assert main(['bench', 'run', '--config', 'configs/self_proposed.json', "
+            f"'--out', {str(tmp_path / 'o9')!r}]) == 0\n"
+            "print(sorted({'socket', 'ssl', 'http.client', 'urllib.request'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_override_with_an_empty_key_named(self, config_file, tmp_path, capsys):
         code = main(["bench", "run", "--config", str(config_file), "--out", str(tmp_path / "o7"),

@@ -29,7 +29,7 @@ from reuseloop.engine import (
     run_loop,
     write_records,
 )
-from reuseloop.errors import PlanningFailedError, RecordStreamError, SchemaError
+from reuseloop.errors import PlannerError, RecordStreamError, SchemaError
 from reuseloop.library import MethodLibrary
 from reuseloop.planner import EpisodeOutcome, MockPlanner
 from reuseloop.tasks import (
@@ -66,11 +66,6 @@ def exec_time(task):
     return CFG.base_s + CFG.per_step_s * len(task.target_sequence)
 
 
-class _FailingPlanner:
-    def plan(self, task, history=None, feedback=None):
-        raise PlanningFailedError("endpoint unreachable")
-
-
 class _PlanOnlyPlanner:
     """A mock behind ``plan`` alone, keeping the feedback of each call, so
     ``len(feedback)`` counts the calls."""
@@ -79,16 +74,16 @@ class _PlanOnlyPlanner:
         self.mock = planner()
         self.feedback = []
 
-    def plan(self, task, history=None, feedback=None):
+    def plan(self, task, feedback=None):
         self.feedback.append(feedback)
-        return self.mock.plan(task, history, feedback)
+        return self.mock.plan(task, feedback)
 
 
 class _NoSolutionPlanner:
     """A mock whose plans carry no ``direct_solution``."""
 
-    def plan(self, task, history=None, feedback=None):
-        call = planner().plan(task, history, feedback)
+    def plan(self, task, feedback=None):
+        call = planner().plan(task, feedback)
         return dataclasses.replace(call, plan=dataclasses.replace(call.plan, direct_solution=None))
 
 
@@ -126,12 +121,6 @@ class TestProposedMode:
         # store phase never charged on a failed consolidation
         assert record.store_s == 0.0
         assert record.train_s == CFG.train_s
-
-    def test_planner_failure_marks_episode_failed(self, task, library):
-        record = run_episode(self_event(task), PROPOSED, library, _FailingPlanner(), THRESHOLDS, CFG)
-        assert not record.success
-        assert record.llm_calls == 0
-        assert record.total_s == pytest.approx(CFG.retrieve_s)
 
     def test_plan_without_a_solution_learns_nothing(self, task, library):
         # Nothing to collect, so initialize refuses the empty dataset: the
@@ -172,6 +161,17 @@ class TestProposedMode:
         assert record.llm_calls == 0
         assert len(library) == 1
 
+    @pytest.mark.parametrize("mode", [PROPOSED, ALWAYS_LLM])
+    def test_planner_error_stops_the_run(self, mode, task, library):
+        # No episode swallows a planning failure: it reaches the caller, and
+        # the CLI exits 2 on it, as on any ReuseLoopError.
+        class Refusing:
+            def plan(self, task, feedback=None):
+                raise PlannerError("no plan")
+
+        with pytest.raises(PlannerError, match="no plan"):
+            run_episode(self_event(task), mode, library, Refusing(), THRESHOLDS, CFG)
+
 
 class TestBaselineModes:
     def test_always_llm_never_inserts(self, task, library):
@@ -190,13 +190,6 @@ class TestBaselineModes:
         )
         assert not record.success
         assert record.total_s == pytest.approx(LATENCY + exec_time(task))
-
-    @pytest.mark.parametrize("mode", [ALWAYS_LLM, OBSERVATION_ONLY])
-    def test_planner_failure_charges_nothing(self, mode, task, library):
-        record = run_episode(self_event(task), mode, library, _FailingPlanner(), THRESHOLDS, CFG)
-        assert not record.success
-        assert record.llm_calls == 0
-        assert (record.plan_llm_s, record.execute_s, record.total_s) == (0.0, 0.0, 0.0)
 
     def test_library_only_uncovered_fails_without_planning(self, task, library):
         mock = _PlanOnlyPlanner()

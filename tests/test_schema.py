@@ -200,11 +200,6 @@ _configs = st.builds(
         PlannerSettings,
         latency_s=st.none() | _floats(),
         p_corrupt=st.none() | _floats(0.0, 1.0),
-        endpoint=st.none() | _text,
-        model=st.none() | _text,
-        temperature=_floats(),
-        timeout_s=st.floats(0.0, 1e6, exclude_min=True),
-        retries=st.integers(0, 9),
     ),
     library_path=st.none() | _text,
     output_dir=_text,
@@ -295,10 +290,8 @@ _RECORD_DOC = to_doc(RunRecord(
 _NAMED_AT_FIELD = [
     (partial(read_dataclass, RunConfig), {"executor": {"base_s": -1}}, "executor.base_s"),
     (partial(read_dataclass, RunConfig), {"thresholds": {"tau_r": 2}}, "thresholds.tau_r"),
-    (partial(read_dataclass, RunConfig), {"planner": {"timeout_s": 0}}, "planner.timeout_s"),
     (partial(read_dataclass, RunConfig), {"n_tasks": 1000}, "n_tasks"),
     (partial(read_dataclass, RunConfig), {"mode": "yolo"}, "mode"),
-    (partial(read_dataclass, RunConfig), {"planner": {"kind": "grpc"}}, "planner.kind"),
     (partial(read_dataclass, RunConfig), {"planner": {"latency_s": -1}}, "planner.latency_s"),
     (partial(read_dataclass, CostProfile), {"c_train": -1}, "c_train"),
     (MethodLibrary.from_doc, _with(_LIBRARY_DOC, ("methods", 0, "reliability", "successes"), 2),
@@ -348,6 +341,23 @@ def test_value_errors_named_at_field(read, doc, field):
         read(doc)
     assert err.value.field == field
     assert err.value.message.startswith("must ")
+
+
+# The settings of the deleted HTTP planner, with values an old config held.
+_HTTP_SETTINGS = {
+    "kind": "http", "endpoint": "http://x/v1", "model": "m",
+    "temperature": 0.0, "timeout_s": 30.0, "retries": 2,
+}
+
+
+@pytest.mark.parametrize("field", [f"planner.{name}" for name in _HTTP_SETTINGS])
+def test_removed_planner_settings_are_unknown_fields(field):
+    """Each is refused by name, so an old config fails loudly instead of
+    running the mock."""
+    name = field.partition(".")[2]
+    with pytest.raises(SchemaError) as err:
+        read_dataclass(RunConfig, {"planner": {name: _HTTP_SETTINGS[name]}})
+    assert (err.value.field, err.value.message) == (field, "unknown field")
 
 
 def test_successful_observation_without_actions_named_at_its_object():

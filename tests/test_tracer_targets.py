@@ -53,7 +53,7 @@ def test_traced_method_is_defined_on_its_class(cls, name):
 
 
 def test_mock_planner_replan_is_kept_only_for_the_tracer():
-    # The engine asks every plan through plan(task, history, feedback), and
+    # The engine asks every plan through plan(task, feedback), and
     # no planner protocol has replan. MockPlanner.replan stays because the
     # tracer wraps it by name; once the tracer skips a missing name (ROADMAP
     # item 1), this fails as a reminder to delete it (ROADMAP item 3).
