@@ -48,6 +48,13 @@ class TestConfigDocuments:
             read_dataclass(RunConfig, {"mode": "yolo"})
         assert "mode" in str(err.value)
 
+    def test_http_requires_endpoint_and_model(self):
+        # No kind of planner is configurable now, so an HTTP planner config
+        # is refused at its kind, with or without an endpoint and a model.
+        with pytest.raises(SchemaError) as err:
+            read_dataclass(RunConfig, {"planner": {"kind": "http"}})
+        assert (err.value.field, err.value.message) == ("planner.kind", "unknown field")
+
     def test_threshold_range_checked(self):
         for value in (2.0, "0.5", True):
             with pytest.raises(SchemaError) as err:
@@ -64,6 +71,15 @@ class TestConfigDocuments:
         with pytest.raises(SchemaError) as err:
             read_dataclass(RunConfig, {"planner": {"p_corrupt": 1.5}})
         assert "p_corrupt" in str(err.value)
+
+    def test_http_planner_settings_range_checked(self):
+        # The HTTP settings are gone, so any value of one, in range or out,
+        # is refused at that field rather than silently ignored.
+        cases = [("timeout_s", 0.0), ("timeout_s", -1.0), ("temperature", -3.0), ("retries", -1)]
+        for name, value in cases:
+            with pytest.raises(SchemaError) as err:
+                read_dataclass(RunConfig, {"planner": {name: value}})
+            assert (err.value.field, err.value.message) == (f"planner.{name}", "unknown field")
 
     def test_overrides_follow_dotted_paths(self, tmp_path):
         path = tmp_path / "config.json"
