@@ -33,7 +33,7 @@ print(f"task: '{task.instruction}'  hidden target: {list(task.target_sequence)}"
 
 # --- 1. self-execution with a corrupted plan -------------------------------
 planner = MockPlanner(seed=2, p_corrupt=1.0)  # force one wrong step
-plan = planner.plan(task).plan
+plan = planner.plan(task)
 print(f"\nplanner proposed: {list(plan.direct_solution)}")
 
 dataset = EpisodeDataset()
@@ -45,7 +45,7 @@ for sample in dataset.self_samples:
         quasi_adjust(candidate, sample)
 
 candidate = train_episode(candidate, dataset)
-validate(candidate, executor, plan.update_criteria)
+validate(candidate, executor.replay, plan.update_criteria)
 print(f"refined: {candidate.sequence}")
 print(f"confidence floor: {min(candidate.per_step_confidence):.2f}")
 print(f"validation passed: {candidate.passed} (replay {executor.replay(candidate.sequence)})")
@@ -56,9 +56,9 @@ observation = ObservedEvent(task.target_sequence, success=True)
 dataset = EpisodeDataset()
 dataset.ingest_observation(observation)
 
-plan = MockPlanner(seed=2, p_corrupt=1.0).plan(task).plan
+plan = MockPlanner(seed=2, p_corrupt=1.0).plan(task)
 candidate = train_episode(initialize(plan, dataset), dataset)
-validate(candidate, executor, plan.update_criteria)
+validate(candidate, executor.replay, plan.update_criteria)
 print(f"\nwith an observed success, refined: {candidate.sequence}")
 print(f"validation passed: {candidate.passed}")
 

@@ -5,7 +5,7 @@
 says. ``run_loop`` folds it over an event stream, threading the method
 library so that what one episode learns the next can reuse. Every
 duration is virtual: an episode adds configured phase costs and the
-planner's reported latency into its phase dict, which makes benchmark runs
+planner's latency into its phase dict, which makes benchmark runs
 exactly reproducible; ``RunRecord`` checks the result. Only
 ``SequenceExecutor``, the simulated environment, reads a task's hidden
 target.
@@ -49,9 +49,9 @@ from pathlib import Path
 
 from . import learner
 from .errors import RecordStreamError, SchemaError, read_dataclass, replacing
-from .experience import EpisodeDataset, ExperienceSample, SOURCE_SELF
+from .experience import EpisodeDataset, ExperienceSample
 from .library import Method, MethodLibrary
-from .planner import EpisodeOutcome, Planner, PlannerFeedback
+from .planner import EpisodeOutcome, LearningPlan, Planner
 from .tasks import TaskDescriptor, TaskEvent
 from .trigger import LEARN_OBSERVATION, REUSE, TriggerThresholds, decide, needs_refinement
 
@@ -99,7 +99,7 @@ def float_sum(values: Iterable[float]) -> float:
     return total
 
 
-class SequenceExecutor(learner.Replayer):
+class SequenceExecutor:
     """Simulated environment for one task, and the only engine code that
     reads the task's hidden target.
 
@@ -131,7 +131,7 @@ class SequenceExecutor(learner.Replayer):
         record_step = dataset.record_step
         for i, action in enumerate(sequence, start=1):
             ok = i <= n_target and action == target[i - 1]
-            record_step(ExperienceSample(i, action, ok, SOURCE_SELF))
+            record_step(ExperienceSample(i, action, ok))
 
     def first_failed_step(self, sequence: Sequence[str]) -> int | None:
         """1-based index of the first action off the target, None if there is none.
@@ -182,15 +182,19 @@ class RunRecord:
         if min(phases) < 0 or self.llm_time_s < 0 or self.llm_calls < 0:
             name = next(name for name in _NONNEGATIVE_FIELDS if getattr(self, name) < 0)
             raise ValueError(f"{name} must be nonnegative")
-        # A finite total over nonnegative phases makes every phase finite.
-        if not (math.isfinite(self.total_s) and math.isfinite(self.llm_time_s)):
-            name = next(name for name in _FINITE_FIELDS if not math.isfinite(getattr(self, name)))
-            raise ValueError(f"{name} must be finite")
+        # A finite sum makes every phase finite. Finite phases whose sum
+        # overflows fail the total_s check below instead.
+        phase_sum = sum(phases)
+        if not (math.isfinite(phase_sum) and math.isfinite(self.total_s)
+                and math.isfinite(self.llm_time_s)):
+            for name in _FINITE_FIELDS:
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"{name} must be finite")
         if self.repeat_index < 1:
             raise ValueError("repeat_index must be >= 1")
         if self.cycle < 0:
             raise ValueError("cycle must be nonnegative")
-        if not math.isclose(self.total_s, sum(phases), rel_tol=1e-9):
+        if not math.isclose(self.total_s, phase_sum, rel_tol=1e-9):
             raise ValueError("total_s must equal the sum of the phase times")
         if self.hit and self.learned:
             raise ValueError("an episode cannot be both a reuse hit and a learning episode")
@@ -240,7 +244,7 @@ class _Episode:
 
         if self.mode in (ALWAYS_LLM, OBSERVATION_ONLY):
             # Plan every time and execute; no retrieval cost, no consolidation.
-            solution = self._plan().plan.direct_solution
+            solution = self._plan().direct_solution
             if solution is not None:
                 self.success = self.executor.execute(solution, self.phases)
             return
@@ -261,17 +265,17 @@ class _Episode:
 
     # -- planner access -----------------------------------------------------
 
-    def _plan(self, feedback: PlannerFeedback | None = None):
-        call = self.planner.plan(self.task, feedback)
-        self.phases["plan_llm"] += call.latency_s
+    def _plan(self, outcome: EpisodeOutcome | None = None) -> LearningPlan:
+        plan = self.planner.plan(self.task, outcome)
+        self.phases["plan_llm"] += self.planner.latency_s
         self.llm_calls += 1
-        return call
+        return plan
 
     # -- reuse and learning ---------------------------------------------------
 
     def reuse(self, method: Method) -> None:
         """Execute a stored method. If its utility then falls below ``tau_u``,
-        re-enter learning once: replan from the execution feedback, with no
+        re-enter learning once: replan from the execution's outcome, with no
         second execution charge."""
         ok = self.executor.execute(method.procedure, self.phases)
         self.library.update_reliability(method.id, ok, self.event.cycle)
@@ -279,18 +283,17 @@ class _Episode:
         self.hit = True
         # After update_reliability, so idle is 0; checking first moves the reuse-384 pins.
         if needs_refinement(method, self.event.cycle, self.thresholds.tau_u):
-            failed_step = self.executor.first_failed_step(method.procedure)
-            self.learn(PlannerFeedback([EpisodeOutcome(success=ok, failed_step=failed_step)]))
+            self.learn(EpisodeOutcome(ok, self.executor.first_failed_step(method.procedure)))
             if self.learned:
                 self.hit = False
 
-    def learn(self, feedback: PlannerFeedback | None = None) -> None:
+    def learn(self, outcome: EpisodeOutcome | None = None) -> None:
         """Plan, collect experience, consolidate, validate, store, then set the outcome.
 
         An observed event succeeds iff a method was stored. A self event then
-        executes the candidate, except on refinement (``feedback`` given).
+        executes the candidate, except on refinement (``outcome`` given).
         """
-        plan = self._plan(feedback).plan
+        plan = self._plan(outcome)
         observed = self.event.observed
         dataset = EpisodeDataset()
         if observed is not None:
@@ -303,14 +306,14 @@ class _Episode:
             return
         self.phases["train"] += self.config.train_s
         candidate = learner.train_episode(candidate, dataset)
-        if learner.validate(candidate, self.executor, plan.update_criteria).passed:
+        if learner.validate(candidate, self.executor.replay, plan.update_criteria).passed:
             method = learner.build_method(candidate, self.task, dataset, self.event.cycle, self.library)
             self.library.insert(method)
             self.phases["store"] += self.config.store_s
             self.learned = True
         if observed is not None:
             self.success = self.learned
-        elif feedback is None:
+        elif outcome is None:
             self.success = self.executor.execute(candidate.sequence, self.phases)
 
 

@@ -19,7 +19,7 @@ analytically.
 
 from __future__ import annotations
 
-from collections.abc import Container, Sequence
+from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass
 from itertools import count
 
@@ -47,13 +47,6 @@ class CandidateSolution:
             raise ValueError(f"unknown stage {self.stage!r}")
         if len(self.per_step_confidence) != len(self.sequence):
             raise ValueError("per_step_confidence must align with sequence")
-
-
-class Replayer:
-    """Anything that can check a candidate sequence once, without side effects."""
-
-    def replay(self, sequence: Sequence[str]) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
 
 
 def initialize(plan: LearningPlan, dataset: EpisodeDataset) -> CandidateSolution:
@@ -164,16 +157,19 @@ def train_episode(candidate: CandidateSolution, dataset: EpisodeDataset) -> Cand
     return candidate
 
 
-def validate(candidate: CandidateSolution, executor: Replayer, update_criteria) -> CandidateSolution:
+def validate(
+    candidate: CandidateSolution, replay: Callable[[Sequence[str]], bool], update_criteria
+) -> CandidateSolution:
     """Replay the refined sequence once and check the confidence floor.
 
-    Sets ``candidate.passed``, which ``build_method`` requires, and returns
-    the candidate.
+    ``replay`` checks a sequence without side effects. Sets
+    ``candidate.passed``, which ``build_method`` requires, and returns the
+    candidate.
     """
     if candidate.stage != STAGE_REFINED:
         raise ValueError("only refined candidates can be validated")
     floor = min(candidate.per_step_confidence) if candidate.per_step_confidence else 0.0
-    replayed = bool(executor.replay(candidate.sequence))
+    replayed = bool(replay(candidate.sequence))
     candidate.passed = replayed and floor >= update_criteria.validation_threshold
     return candidate
 

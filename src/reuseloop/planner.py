@@ -1,17 +1,18 @@
 """The learning planner: the ``Planner`` protocol and its deterministic mock.
 
-A planner turns a task (and optional feedback) into a learning plan:
-subproblems, ranked candidate model families, data requirements, an
-execute/observe strategy, update criteria, and optionally a direct action
-sequence. The LLM is simulated: ``MockPlanner`` is the one implementation,
-and the ``Planner`` protocol is the seam a real model would plug into.
+A planner turns a task (and, on refinement, an episode outcome) into a
+learning plan: subproblems, ranked candidate model families, data
+requirements, an execute/observe strategy, update criteria, and optionally
+a direct action sequence. The LLM is simulated: ``MockPlanner`` is the one
+implementation, and the ``Planner`` protocol is the seam a real model would
+plug into.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Protocol
 
@@ -90,11 +91,6 @@ class EpisodeOutcome:
     failed_step: int | None = None
 
 
-@dataclass
-class PlannerFeedback:
-    episode_outcomes: list[EpisodeOutcome] = field(default_factory=list)
-
-
 # Setting checks, shared by MockPlanner and config.PlannerSettings.
 
 
@@ -110,21 +106,14 @@ def check_p_corrupt(p_corrupt: float) -> None:
         raise ValueError("p_corrupt must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class PlannerCall:
-    latency_s: float
-    plan: LearningPlan
-
-    def __post_init__(self):
-        check_latency(self.latency_s)
-
-
 class Planner(Protocol):
     """The planning interface, the seam a real model would plug into: one
-    call, which revises the plan from ``feedback`` when it carries an
-    episode outcome."""
+    call, which revises the plan from ``outcome`` when one is given. Each
+    call costs ``latency_s`` virtual seconds."""
 
-    def plan(self, task: TaskDescriptor, feedback: PlannerFeedback | None = None) -> PlannerCall: ...
+    latency_s: float
+
+    def plan(self, task: TaskDescriptor, outcome: EpisodeOutcome | None = None) -> LearningPlan: ...
 
 
 # Immutable parts every mock plan shares, beside LearningPlan's default UpdateCriteria.
@@ -140,15 +129,16 @@ class MockPlanner:
 
     Each call draws from an RNG keyed by (seed, task signature, call index)
     and builds its plan from the task's goal, observations and target; the
-    same seed and call order give identical calls. The direct solution is the
+    same seed and call order give identical plans. The direct solution is the
     hidden target, except that with probability ``p_corrupt`` one step is
-    replaced by a different action from ``DEFAULT_ACTIONS``. Clean,
-    feedback-free calls share one frozen ``PlannerCall`` per task content.
+    replaced by a different action from ``DEFAULT_ACTIONS``. Clean calls
+    without an outcome share one frozen ``LearningPlan`` per task content.
 
-    Feedback with an episode outcome applies a documented transformation:
-    for every failed step it inserts an ``observe`` directive immediately
-    before that step's ``execute`` directive; after an all-success episode
-    the plan is returned unchanged (a fixed point).
+    An episode outcome applies a documented transformation: when it failed
+    at step ``k`` of the plan, it inserts an ``observe`` directive
+    immediately before the ``k``-th ``execute`` directive; after a success,
+    or a failure at no step of the plan, the plan is returned unchanged (a
+    fixed point).
     """
 
     def __init__(
@@ -163,30 +153,29 @@ class MockPlanner:
         self.latency_s = latency_s
         self.p_corrupt = p_corrupt
         self._calls = 0
-        self._clean: dict[tuple, PlannerCall] = {}
+        self._clean: dict[tuple, LearningPlan] = {}
 
-    def plan(self, task: TaskDescriptor, feedback: PlannerFeedback | None = None) -> PlannerCall:
+    def plan(self, task: TaskDescriptor, outcome: EpisodeOutcome | None = None) -> LearningPlan:
         call_index = self._calls
         self._calls += 1
         # random() < 0.0 never holds, so p_corrupt 0 skips the draw.
         solution = self._solution_for(task, call_index) if self.p_corrupt else task.target_sequence
-        if feedback is not None and feedback.episode_outcomes:
-            plan = self._weave_feedback(self._build(task, solution), feedback)
-            return PlannerCall(self.latency_s, plan)
+        if outcome is not None:
+            return self._weave_feedback(self._build(task, solution), outcome)
         if solution != task.target_sequence:
-            return PlannerCall(self.latency_s, self._build(task, solution))
+            return self._build(task, solution)
         key = (task.goal, task.observations, solution)  # not the signature: it ignores these
-        if (call := self._clean.get(key)) is None:
-            call = self._clean[key] = PlannerCall(self.latency_s, self._build(task, solution))
-        return call
+        if (plan := self._clean.get(key)) is None:
+            plan = self._clean[key] = self._build(task, solution)
+        return plan
 
-    def replan(self, task: TaskDescriptor, feedback: PlannerFeedback) -> PlannerCall:
-        """``plan`` with required feedback. Kept only because
+    def replan(self, task: TaskDescriptor, outcome: EpisodeOutcome) -> LearningPlan:
+        """``plan`` with a required outcome. Kept only because
         ``perfbench/tracer.py`` wraps it by name; ROADMAP item 3 deletes it
         once item 1 lets the tracer skip a missing name."""
-        if feedback is None or not feedback.episode_outcomes:
-            raise PlannerError("replan requires feedback with at least one episode outcome")
-        return self.plan(task, feedback)
+        if outcome is None:
+            raise PlannerError("replan requires an episode outcome")
+        return self.plan(task, outcome)
 
     def _solution_for(self, task: TaskDescriptor, call_index: int) -> tuple[str, ...]:
         rng = random.Random(f"{self.seed}:{task.signature}:{call_index}")
@@ -211,13 +200,9 @@ class MockPlanner:
         )
 
     @staticmethod
-    def _weave_feedback(plan: LearningPlan, feedback: PlannerFeedback) -> LearningPlan:
-        failed = {o.failed_step for o in feedback.episode_outcomes if not o.success} - {None}
-        if not failed:
+    def _weave_feedback(plan: LearningPlan, outcome: EpisodeOutcome) -> LearningPlan:
+        k = outcome.failed_step
+        if outcome.success or k is None or not 1 <= k <= len(plan.strategy):
             return plan
-        strategy: list[StrategyStep] = []
-        for step_no, directive in enumerate(plan.strategy, start=1):
-            if step_no in failed:
-                strategy.append(_OBSERVE)
-            strategy.append(directive)
-        return replace(plan, strategy=tuple(strategy))
+        strategy = plan.strategy
+        return replace(plan, strategy=(*strategy[:k - 1], _OBSERVE, *strategy[k - 1:]))

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from reuseloop.experience import SOURCE_SELF, ExperienceSample
+from reuseloop.experience import ExperienceSample
 from reuseloop.library import (
     Applicability,
     DataProfile,
@@ -78,8 +78,8 @@ def method_for_task(task, method_id="m-task", successes=1, attempts=1, procedure
     )
 
 
-def make_sample(t, action="move", success=True, source=SOURCE_SELF):
-    return ExperienceSample(t, action, success, source)
+def make_sample(t, action="move", success=True):
+    return ExperienceSample(t, action, success)
 
 
 def linear_scan_oracle(library, task, tau_r):

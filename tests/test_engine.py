@@ -67,24 +67,27 @@ def exec_time(task):
 
 
 class _PlanOnlyPlanner:
-    """A mock behind ``plan`` alone, keeping the feedback of each call, so
-    ``len(feedback)`` counts the calls."""
+    """A mock behind ``plan`` alone, keeping the outcome of each call, so
+    ``len(outcomes)`` counts the calls."""
+
+    latency_s = LATENCY
 
     def __init__(self):
         self.mock = planner()
-        self.feedback = []
+        self.outcomes = []
 
-    def plan(self, task, feedback=None):
-        self.feedback.append(feedback)
-        return self.mock.plan(task, feedback)
+    def plan(self, task, outcome=None):
+        self.outcomes.append(outcome)
+        return self.mock.plan(task, outcome)
 
 
 class _NoSolutionPlanner:
     """A mock whose plans carry no ``direct_solution``."""
 
-    def plan(self, task, feedback=None):
-        call = planner().plan(task, feedback)
-        return dataclasses.replace(call, plan=dataclasses.replace(call.plan, direct_solution=None))
+    latency_s = LATENCY
+
+    def plan(self, task, outcome=None):
+        return dataclasses.replace(planner().plan(task, outcome), direct_solution=None)
 
 
 class TestProposedMode:
@@ -146,8 +149,8 @@ class TestProposedMode:
         record = run_episode(self_event(task, cycle=5), PROPOSED, library, plan_only, THRESHOLDS, CFG)
         assert not record.success  # the reuse execution itself failed
         assert record.llm_calls == 1
-        (feedback,) = plan_only.feedback  # the re-entry asks plan, with feedback
-        assert feedback.episode_outcomes == [EpisodeOutcome(success=False, failed_step=1)]
+        (outcome,) = plan_only.outcomes  # the re-entry asks plan, with the reuse's outcome
+        assert outcome == EpisodeOutcome(success=False, failed_step=1)
         assert record.learned and not record.hit
         assert len(library) == 2
         assert library.get("m-bad").reliability.attempts == 1
@@ -166,7 +169,9 @@ class TestProposedMode:
         # No episode swallows a planning failure: it reaches the caller, and
         # the CLI exits 2 on it, as on any ReuseLoopError.
         class Refusing:
-            def plan(self, task, feedback=None):
+            latency_s = LATENCY
+
+            def plan(self, task, outcome=None):
                 raise PlannerError("no plan")
 
         with pytest.raises(PlannerError, match="no plan"):
@@ -196,7 +201,7 @@ class TestBaselineModes:
         record = run_episode(self_event(task), LIBRARY_ONLY, library, mock, THRESHOLDS, CFG)
         assert not record.success
         assert record.llm_calls == 0
-        assert len(mock.feedback) == 0
+        assert len(mock.outcomes) == 0
         assert record.total_s == pytest.approx(CFG.retrieve_s)
 
     def test_library_only_covered_executes(self, task, library):
@@ -204,7 +209,7 @@ class TestBaselineModes:
         mock = _PlanOnlyPlanner()
         record = run_episode(self_event(task), LIBRARY_ONLY, library, mock, THRESHOLDS, CFG)
         assert record.success and record.hit
-        assert len(mock.feedback) == 0
+        assert len(mock.outcomes) == 0
         assert record.total_s == pytest.approx(CFG.retrieve_s + exec_time(task))
 
 
@@ -220,7 +225,7 @@ class TestObservationModes:
         record = run_episode(event, OBSERVATION_ONLY, library, mock, THRESHOLDS, CFG)
         assert record.success
         assert record.total_s == pytest.approx(CFG.observe_s)
-        assert len(mock.feedback) == 0
+        assert len(mock.outcomes) == 0
         assert len(library) == 0
 
     def test_observation_only_self_rounds_match_always_llm(self, task, library):
@@ -249,7 +254,7 @@ class TestObservationModes:
         record = run_episode(event, PROPOSED_OBSERVATION, library, mock, THRESHOLDS, CFG)
         assert not record.learned and not record.hit
         assert record.success
-        assert len(mock.feedback) == 0
+        assert len(mock.outcomes) == 0
         assert record.total_s == pytest.approx(CFG.observe_s + CFG.retrieve_s)
         assert len(library) == 1
 
@@ -353,7 +358,7 @@ class TestPolicyTable:
         record = run_episode(event, mode, library, mock, THRESHOLDS, CFG)
         got = {name: getattr(record, name) for name in _PHASE_FIELDS}
         assert got == pytest.approx(_phases_charged(event.task, items))
-        assert (record.llm_calls, len(mock.feedback)) == (llm_calls, llm_calls)
+        assert (record.llm_calls, len(mock.outcomes)) == (llm_calls, llm_calls)
         assert (record.hit, record.learned, record.success) == (hit, learned, success)
         assert len(library) == size
 
@@ -371,7 +376,7 @@ class TestPolicyTable:
         got = {name: getattr(record, name) for name in _PHASE_FIELDS}
         if mode == LIBRARY_ONLY:
             assert got == pytest.approx(_phases_charged(task, _REUSE))
-            assert (record.llm_calls, len(mock.feedback)) == (0, 0)
+            assert (record.llm_calls, len(mock.outcomes)) == (0, 0)
             assert record.hit and not record.learned
             assert len(library) == 1
         else:
@@ -379,7 +384,7 @@ class TestPolicyTable:
             want = _phases_charged(task, _LEARN_SELF)
             want["execute_s"] = bad_exec  # the failed reuse; refinement does not execute
             assert got == pytest.approx(want)
-            assert (record.llm_calls, len(mock.feedback)) == (1, 1)
+            assert (record.llm_calls, len(mock.outcomes)) == (1, 1)
             assert record.learned and not record.hit
             assert len(library) == 2
 
@@ -722,6 +727,7 @@ class TestRecordStreams:
         ({"total_s": INF}, "total_s"),
         ({"llm_time_s": NAN}, "llm_time_s"),
         ({"llm_time_s": INF}, "llm_time_s"),
+        ({"retrieve_s": NAN}, "retrieve_s"),
     ])
     def test_non_finite_record_rejected(self, changes, field):
         # Such a record would be written as NaN or Infinity, which read_records rejects.
@@ -852,6 +858,13 @@ class TestClockAndExecutor:
                 policy=PROPOSED, task_id="t", repeat_index=1, cycle=0,
                 retrieve_s=0, plan_llm_s=0, execute_s=0, collect_s=0, train_s=0, store_s=0,
                 total_s=0, llm_calls=0, llm_time_s=0, success=True, hit=True, learned=True,
+            )
+        # Finite phases whose sum overflows: no finite total equals it.
+        with pytest.raises(ValueError, match="^total_s must equal the sum of the phase times$"):
+            RunRecord(
+                policy=PROPOSED, task_id="t", repeat_index=1, cycle=0,
+                retrieve_s=0, plan_llm_s=0, execute_s=1e308, collect_s=1e308, train_s=0, store_s=0,
+                total_s=1e308, llm_calls=0, llm_time_s=0, success=True, hit=False, learned=False,
             )
 
     def test_llm_time_cannot_exceed_total(self):

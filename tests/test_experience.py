@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from reuseloop.experience import EpisodeDataset, ExperienceSample, SOURCE_OBSERVED, SOURCE_SELF
+from reuseloop.experience import EpisodeDataset, ExperienceSample
 from reuseloop.learner import _tally
 from reuseloop.tasks import ObservedEvent
 
@@ -24,10 +24,13 @@ class TestRecordStep:
         assert not ds.obs_samples
 
     def test_observed_append_keeps_order(self):
+        # Observed samples are appended to obs_samples; an ingested
+        # observation continues after the last of them, in action order.
         ds = EpisodeDataset()
-        ds.record_step(make_sample(1, source=SOURCE_OBSERVED))
-        ds.record_step(make_sample(2, source=SOURCE_OBSERVED))
-        assert [s.t for s in ds.obs_samples] == [1, 2]
+        ds.obs_samples.append(make_sample(2, "move"))
+        ds.ingest_observation(ObservedEvent(("grasp", "lift"), True))
+        assert [(s.t, s.action) for s in ds.obs_samples] == [(2, "move"), (3, "grasp"), (4, "lift")]
+        assert not ds.self_samples
 
     def test_out_of_order_rejected(self):
         ds = EpisodeDataset()
@@ -37,10 +40,13 @@ class TestRecordStep:
 
     def test_sources_are_independent_streams(self):
         ds = EpisodeDataset()
-        ds.record_step(make_sample(5, source=SOURCE_SELF))
+        ds.record_step(make_sample(5))
         # an observed sample with a smaller index is fine, different stream
-        ds.record_step(make_sample(1, source=SOURCE_OBSERVED))
-        assert len(ds.self_samples) == 1 and len(ds.obs_samples) == 1
+        ds.ingest_observation(ObservedEvent(("move",), True))
+        assert [s.t for s in ds.self_samples] == [5] and [s.t for s in ds.obs_samples] == [1]
+        # and a self step's index is checked against self steps only
+        with pytest.raises(ValueError, match="^step index 5 not after last recorded index 5$"):
+            ds.record_step(make_sample(5))
 
 
 class TestIngestObservation:
@@ -106,8 +112,8 @@ class TestMergedSize:
 def test_sample_validation():
     with pytest.raises(ValueError):
         make_sample(0)
-    with pytest.raises(ValueError):
-        ExperienceSample(1, "move", True, "telepathy")
+    with pytest.raises(ValueError, match="^step index t must be >= 1$"):
+        ExperienceSample(-1, "move", True)
 
 
 def test_dataset_takes_no_arguments():

@@ -5,8 +5,7 @@ from collections import Counter
 
 import pytest
 
-from reuseloop import learner
-from reuseloop.experience import SOURCE_OBSERVED, SOURCE_SELF, EpisodeDataset
+from reuseloop.experience import EpisodeDataset
 from reuseloop.learner import (
     STAGE_ADJUSTED,
     STAGE_INITIAL,
@@ -27,7 +26,7 @@ from conftest import make_method, make_sample, make_task
 
 
 def plan_for(task, p_corrupt=0.0, seed=1):
-    return MockPlanner(seed=seed, p_corrupt=p_corrupt).plan(task).plan
+    return MockPlanner(seed=seed, p_corrupt=p_corrupt).plan(task)
 
 
 def plan_without_solution(task):
@@ -42,12 +41,12 @@ def plan_without_solution(task):
     )
 
 
-class _FixedReplayer(learner.Replayer):
-    def __init__(self, target):
-        self.target = tuple(target)
+def _replay(target):
+    """A side-effect-free replay that succeeds on ``target`` alone."""
+    return lambda sequence: tuple(sequence) == tuple(target)
 
-    def replay(self, sequence):
-        return tuple(sequence) == self.target
+
+SELF, OBS = "self", "observed"  # the list a named case's sample goes to
 
 
 class TestInitialize:
@@ -75,12 +74,9 @@ class TestInitialize:
     def test_prefix_votes_most_successes_then_smallest_name(self, task):
         # Step 1 ties move and grasp; at step 2 only lift succeeded; step 3 only failed.
         ds = EpisodeDataset()
-        for t, action, success, source in [
-            (1, "move", True, SOURCE_SELF), (2, "lift", True, SOURCE_SELF),
-            (3, "place", False, SOURCE_SELF), (1, "grasp", True, SOURCE_OBSERVED),
-            (2, "align", False, SOURCE_OBSERVED),
-        ]:
-            ds.record_step(make_sample(t, action, success, source=source))
+        for t, action, success in [(1, "move", True), (2, "lift", True), (3, "place", False)]:
+            ds.record_step(make_sample(t, action, success))
+        ds.obs_samples += [make_sample(1, "grasp", True), make_sample(2, "align", False)]
         candidate = initialize(plan_without_solution(task), ds)
         assert candidate.sequence == ["grasp", "lift"]
 
@@ -135,7 +131,7 @@ class TestTrainEpisode:
         ds.record_step(make_sample(3, "lift", True))
         ds.record_step(make_sample(4, "drop", False))
         ds.ingest_observation(ObservedEvent(("move", "grasp", "lift", "place"), True))
-        ds.obs_samples.append(make_sample(5, "place", True, source=SOURCE_OBSERVED))
+        ds.obs_samples.append(make_sample(5, "place", True))
         # candidate starts from the faulty attempt
         plan = plan_for(make_task(target=("move", "grasp", "lift", "drop")))
         candidate = initialize(plan, ds)
@@ -224,51 +220,51 @@ class TestTrainEpisode:
 
     @pytest.mark.parametrize("start, samples, sequence, confidence", [
         pytest.param(
-            ["rotate", "place"], [(1, "move", True, SOURCE_SELF), (1, "grasp", True, SOURCE_OBSERVED)],
+            ["rotate", "place"], [(1, "move", True, SELF), (1, "grasp", True, OBS)],
             ["grasp", "place"], [1.0, 0.75], id="tie_without_candidate_goes_to_min",
         ),
         pytest.param(
-            ["move", "place"], [(1, "move", True, SOURCE_SELF), (1, "grasp", True, SOURCE_OBSERVED)],
+            ["move", "place"], [(1, "move", True, SELF), (1, "grasp", True, OBS)],
             ["move", "place"], [1.0, 0.75], id="tie_with_candidate_keeps_it",
         ),
         pytest.param(
-            ["lift", "place"], [(1, "move", False, SOURCE_SELF), (2, "drop", False, SOURCE_SELF)],
+            ["lift", "place"], [(1, "move", False, SELF), (2, "drop", False, SELF)],
             ["lift", "place"], [0.0, 0.0], id="only_failed_samples",
         ),
         pytest.param(
-            ["drop", "place"], [(1, "drop", False, SOURCE_SELF), (1, "place", True, SOURCE_OBSERVED)],
+            ["drop", "place"], [(1, "drop", False, SELF), (1, "place", True, OBS)],
             ["place", "place"], [0.5, 0.75], id="self_and_observed_at_one_index",
         ),
         pytest.param(
             ["drop", "place"],
-            [(1, "drop", False, SOURCE_SELF), (1, "lift", True, SOURCE_OBSERVED),
-             (1, "lift", True, SOURCE_OBSERVED)],
+            [(1, "drop", False, SELF), (1, "lift", True, OBS),
+             (1, "lift", True, OBS)],
             ["lift", "place"], [2 / 3, 0.75], id="only_winner_differs_from_candidate",
         ),
         pytest.param(
             ["move", "place"],
-            [(1, "move", True, SOURCE_SELF), (1, "grasp", True, SOURCE_OBSERVED),
-             (1, "grasp", True, SOURCE_OBSERVED), (1, "move", True, SOURCE_OBSERVED),
-             (1, "rotate", False, SOURCE_OBSERVED)],
+            [(1, "move", True, SELF), (1, "grasp", True, OBS),
+             (1, "grasp", True, OBS), (1, "move", True, OBS),
+             (1, "rotate", False, OBS)],
             ["move", "place"], [0.8, 0.75], id="two_way_tie_keeps_candidate",
         ),
         pytest.param(
             ["rotate", "place"],
-            [(1, "move", True, SOURCE_SELF), (1, "grasp", True, SOURCE_OBSERVED),
-             (1, "move", True, SOURCE_OBSERVED), (1, "grasp", True, SOURCE_OBSERVED),
-             (1, "rotate", False, SOURCE_OBSERVED)],
+            [(1, "move", True, SELF), (1, "grasp", True, OBS),
+             (1, "move", True, OBS), (1, "grasp", True, OBS),
+             (1, "rotate", False, OBS)],
             ["grasp", "place"], [0.8, 0.75], id="two_way_tie_without_candidate_takes_smallest",
         ),
         pytest.param(
             ["lift", "place"],
-            [(1, "move", False, SOURCE_SELF), (1, "grasp", False, SOURCE_OBSERVED),
-             (2, "drop", True, SOURCE_SELF)],
+            [(1, "move", False, SELF), (1, "grasp", False, OBS),
+             (2, "drop", True, SELF)],
             ["lift", "drop"], [0.0, 1.0], id="all_failed_keeps_action_at_zero",
         ),
         pytest.param(
             ["drop", "place"],
-            [(1, "grasp", True, SOURCE_SELF), (2, "place", False, SOURCE_SELF),
-             (1, "grasp", True, SOURCE_OBSERVED), (2, "lift", True, SOURCE_OBSERVED)],
+            [(1, "grasp", True, SELF), (2, "place", False, SELF),
+             (1, "grasp", True, OBS), (2, "lift", True, OBS)],
             ["grasp", "lift"], [1.0, 0.5], id="self_and_observed_share_indices",
         ),
     ])
@@ -278,8 +274,8 @@ class TestTrainEpisode:
         # tally counts them all. Index 2 is sampled only where a case says so.
         ds = EpisodeDataset()
         for t, action, success, source in samples:
-            (ds.self_samples if source == SOURCE_SELF else ds.obs_samples).append(
-                make_sample(t, action, success, source=source))
+            (ds.self_samples if source == SELF else ds.obs_samples).append(
+                make_sample(t, action, success))
         candidate = CandidateSolution(
             stage=STAGE_INITIAL,
             sequence=list(start),
@@ -295,42 +291,42 @@ class TestValidate:
     def test_correct_sequence_passes(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
-        assert validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria()) is candidate
+        assert validate(candidate, _replay(task.target_sequence), UpdateCriteria()) is candidate
         assert candidate.passed is True
 
     def test_corrupted_sequence_fails_replay(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         candidate.sequence[0] = "rotate"
-        validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
+        validate(candidate, _replay(task.target_sequence), UpdateCriteria())
         assert candidate.passed is False
 
     def test_low_confidence_fails_despite_replay(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         candidate.per_step_confidence[0] = 0.25
-        replayer = _FixedReplayer(task.target_sequence)
-        validate(candidate, replayer, UpdateCriteria())
-        assert replayer.replay(candidate.sequence) and candidate.passed is False
+        replay = _replay(task.target_sequence)
+        validate(candidate, replay, UpdateCriteria())
+        assert replay(candidate.sequence) and candidate.passed is False
 
     def test_floor_at_threshold_passes(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         candidate.per_step_confidence[0] = UpdateCriteria().validation_threshold
-        validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
+        validate(candidate, _replay(task.target_sequence), UpdateCriteria())
         assert candidate.passed is True
 
     def test_only_refined_candidates_validate(self, task):
         candidate = initialize(plan_for(task), EpisodeDataset())
         with pytest.raises(ValueError):
-            validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
+            validate(candidate, _replay(task.target_sequence), UpdateCriteria())
 
 
 class TestBuildMethod:
     def _validated_candidate(self, task, ds=None):
         ds = ds if ds is not None else EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
-        validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
+        validate(candidate, _replay(task.target_sequence), UpdateCriteria())
         return candidate, ds
 
     def test_method_is_retrievable_for_its_task(self, task):
@@ -367,7 +363,7 @@ class TestBuildMethod:
     def test_failed_validation_rejected(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
-        validate(candidate, _FixedReplayer(("other",)), UpdateCriteria())
+        validate(candidate, _replay(("other",)), UpdateCriteria())
         with pytest.raises(ValueError):
             build_method(candidate, task, ds, cycle=0)
 
@@ -395,7 +391,7 @@ class TestUtility:
     def test_fresh_validated_method_not_refined_under_defaults(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
-        validate(candidate, _FixedReplayer(task.target_sequence), UpdateCriteria())
+        validate(candidate, _replay(task.target_sequence), UpdateCriteria())
         method = build_method(candidate, task, ds, cycle=0)
         assert not needs_refinement(method, current_cycle=0, tau_u=0.3)
 

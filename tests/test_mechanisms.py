@@ -75,14 +75,14 @@ def _run(name: str, p_corrupt: float | None) -> Counter:
         counts["refinement"] += refine
         return refine
 
-    def counting_validate(candidate, executor, update_criteria):
-        candidate = validate(candidate, executor, update_criteria)
+    def counting_validate(candidate, replay, update_criteria):
+        candidate = validate(candidate, replay, update_criteria)
         counts["validation_failure"] += not candidate.passed
         return candidate
 
-    def counting_plan(self, feedback=None):
-        counts["plan_with_feedback"] += feedback is not None
-        return plan(self, feedback)
+    def counting_plan(self, outcome=None):
+        counts["plan_with_feedback"] += outcome is not None
+        return plan(self, outcome)
 
     doc = parse_json((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
     if p_corrupt is not None:

@@ -9,18 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reuseloop.engine import ALWAYS_LLM, ExecutorConfig, run_episode
 from reuseloop.errors import PlannerError, SchemaError, parse_json, read_dataclass, to_doc
+from reuseloop.library import MethodLibrary
 from reuseloop.planner import (
     DEFAULT_MOCK_LATENCY_S,
     EpisodeOutcome,
     LearningPlan,
     MockPlanner,
     Planner,
-    PlannerCall,
-    PlannerFeedback,
     StrategyStep,
 )
-from reuseloop.tasks import DEFAULT_ACTIONS, generate_corpus
+from reuseloop.tasks import DEFAULT_ACTIONS, SELF_TASK, TaskEvent, generate_corpus
+from reuseloop.trigger import TriggerThresholds
 
 from conftest import make_task
 
@@ -29,7 +30,26 @@ def test_mock_plan_has_the_protocol_signature():
     # The protocol is the seam a real model would plug into; its one
     # implementation takes exactly the same arguments.
     assert inspect.signature(MockPlanner.plan) == inspect.signature(Planner.plan)
-    assert list(inspect.signature(Planner.plan).parameters) == ["self", "task", "feedback"]
+    assert list(inspect.signature(Planner.plan).parameters) == ["self", "task", "outcome"]
+    assert Planner.__annotations__ == {"latency_s": "float"}
+
+
+class _FixedPlanner:
+    """The smallest ``Planner``: one plan for every call, at 0.25 s a call."""
+
+    latency_s = 0.25
+
+    def __init__(self, plan):
+        self.fixed = plan
+
+    def plan(self, task, outcome=None):
+        return self.fixed
+
+
+def _run_once(planner, task):
+    """One self event under always_llm: exactly one plan call."""
+    return run_episode(TaskEvent(0, SELF_TASK, task), ALWAYS_LLM, MethodLibrary(), planner,
+                       TriggerThresholds(), ExecutorConfig())
 
 
 class TestMockDeterminism:
@@ -40,8 +60,13 @@ class TestMockDeterminism:
         assert a.plan(task) == b.plan(task)
 
     def test_latency_default_and_override(self, task):
-        assert MockPlanner(seed=1).plan(task).latency_s == DEFAULT_MOCK_LATENCY_S
-        assert MockPlanner(seed=1, latency_s=0.25).plan(task).latency_s == 0.25
+        assert MockPlanner(seed=1).latency_s == DEFAULT_MOCK_LATENCY_S
+        assert MockPlanner(seed=1, latency_s=0.25).latency_s == 0.25
+        # Each call is charged the planner's latency_s, whatever the planner.
+        for planner in (MockPlanner(seed=1, latency_s=0.25), _FixedPlanner(MockPlanner().plan(task))):
+            record = _run_once(planner, task)
+            assert record.llm_calls == 1
+            assert record.plan_llm_s == record.llm_time_s == 0.25
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_latency_rejected(self, value):
@@ -50,16 +75,20 @@ class TestMockDeterminism:
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_call_latency_rejected(self, task, value):
-        plan = MockPlanner(seed=1).plan(task).plan
-        with pytest.raises(ValueError, match="^latency_s must be finite"):
-            PlannerCall(latency_s=value, plan=plan)
+        # A call's charge is the planner's latency_s as it is at the call;
+        # the run record refuses a bad one, named at plan_llm_s.
+        planner = MockPlanner(seed=1)
+        planner.latency_s = value
+        rule = "nonnegative" if value < 0 else "finite"
+        with pytest.raises(ValueError, match=f"^plan_llm_s must be {rule}$"):
+            _run_once(planner, task)
 
     def test_solution_is_target_when_uncorrupted(self, task):
         planner = MockPlanner(seed=1, p_corrupt=0.0)
-        call = planner.plan(task)
-        assert call.plan.direct_solution == task.target_sequence
-        assert call.plan.candidate_models[0].family == "sequence"
-        assert [s.kind for s in call.plan.strategy] == ["execute"] * len(task.target_sequence)
+        plan = planner.plan(task)
+        assert plan.direct_solution == task.target_sequence
+        assert plan.candidate_models[0].family == "sequence"
+        assert [s.kind for s in plan.strategy] == ["execute"] * len(task.target_sequence)
 
     def test_corruption_frequency_within_binomial_band(self):
         # 10,000 seeded calls; corrupted fraction should sit inside the
@@ -68,7 +97,7 @@ class TestMockDeterminism:
         planner = MockPlanner(seed=123, p_corrupt=0.05)
         corrupted = 0
         for _ in range(10_000):
-            solution = planner.plan(task).plan.direct_solution
+            solution = planner.plan(task).direct_solution
             if solution != task.target_sequence:
                 corrupted += 1
                 assert len(solution) == len(task.target_sequence)
@@ -76,33 +105,36 @@ class TestMockDeterminism:
 
     def test_corruption_changes_exactly_one_step(self, task):
         planner = MockPlanner(seed=9, p_corrupt=1.0)
-        solution = planner.plan(task).plan.direct_solution
+        solution = planner.plan(task).direct_solution
         diffs = sum(a != b for a, b in zip(solution, task.target_sequence))
         assert diffs == 1
 
 
 class TestMockReplan:
     def test_failed_step_gets_observe_directive(self, task):
-        planner = MockPlanner(seed=1, p_corrupt=0.0)
-        feedback = PlannerFeedback(episode_outcomes=[EpisodeOutcome(False, failed_step=2)])
-        call = planner.replan(task, feedback)
-        # one observe inserted immediately before the second execute step
-        kinds = ["execute"] * len(task.target_sequence)
-        kinds.insert(1, "observe")
-        assert [s.kind for s in call.plan.strategy] == kinds
+        n = len(task.target_sequence)
+        for k in (1, 2, n):
+            plan = MockPlanner(seed=1, p_corrupt=0.0).replan(task, EpisodeOutcome(False, failed_step=k))
+            # one observe inserted immediately before the k-th execute step
+            kinds = ["execute"] * n
+            kinds.insert(k - 1, "observe")
+            assert [s.kind for s in plan.strategy] == kinds
 
     def test_empty_feedback_rejected(self, task):
         planner = MockPlanner(seed=1)
-        with pytest.raises(PlannerError):
-            planner.replan(task, PlannerFeedback(episode_outcomes=[]))
+        with pytest.raises(PlannerError, match="^replan requires an episode outcome$"):
+            planner.replan(task, None)
 
     def test_replan_after_success_is_a_fixed_point(self, task):
-        a = MockPlanner(seed=1, p_corrupt=0.0)
-        b = MockPlanner(seed=1, p_corrupt=0.0)
-        plain = a.plan(task).plan
-        replanned = b.replan(task, PlannerFeedback(episode_outcomes=[EpisodeOutcome(True)])).plan
-        assert replanned == plain
-        assert replanned.update_criteria == plain.update_criteria
+        # So is a failure at no step of the plan: none named, or one past the
+        # last step, which a procedure longer than the target gets.
+        plain = MockPlanner(seed=1, p_corrupt=0.0).plan(task)
+        n = len(task.target_sequence)
+        for outcome in (EpisodeOutcome(True), EpisodeOutcome(True, 2), EpisodeOutcome(False, None),
+                        EpisodeOutcome(False, n + 1)):
+            replanned = MockPlanner(seed=1, p_corrupt=0.0).replan(task, outcome)
+            assert replanned == plain
+            assert replanned.update_criteria == plain.update_criteria
 
 
 # Four tasks of one signature: the signature ignores the target, the
@@ -117,19 +149,19 @@ SAME_SIGNATURE_TASKS = (
 OTHER_TASK = make_task(goal=("stack", "blue", "block"), target=("move", "place"), task_id="t-1")
 
 
-def reference_plan(seed, p_corrupt, task, call_index, feedback=None):
+def reference_plan(seed, p_corrupt, task, call_index, outcome=None):
     """The documented mock plan, written out independently of the planner."""
     rng = random.Random(f"{seed}:{task.signature}:{call_index}")
     solution = list(task.target_sequence)
     if rng.random() < p_corrupt:
         idx = rng.randrange(len(solution))
         solution[idx] = rng.choice([a for a in DEFAULT_ACTIONS if a != solution[idx]])
-    failed = set()
-    if feedback is not None:
-        failed = {o.failed_step for o in feedback.episode_outcomes if not o.success}
+    failed = None
+    if outcome is not None and not outcome.success:
+        failed = outcome.failed_step
     strategy = []
     for step_no in range(1, len(solution) + 1):
-        if step_no in failed:
+        if step_no == failed:
             strategy.append({"kind": "observe"})
         strategy.append({"kind": "execute"})
     return {
@@ -153,7 +185,7 @@ class TestMockCache:
         planner = MockPlanner(seed=3, p_corrupt=0.0)
         for i in order:
             task = SAME_SIGNATURE_TASKS[i]
-            plan = planner.plan(task).plan
+            plan = planner.plan(task)
             assert plan.direct_solution == task.target_sequence
             assert [s.kind for s in plan.strategy] == ["execute"] * len(task.target_sequence)
             assert [r.channel for r in plan.data_requirements] == list(task.observations)
@@ -167,12 +199,10 @@ class TestMockCache:
         calls=st.lists(
             st.tuples(
                 st.integers(0, len(SAME_SIGNATURE_TASKS)),
-                st.sampled_from(["plan", "plan_with_feedback", "replan"]),
-                st.lists(
-                    st.builds(EpisodeOutcome, st.booleans(), st.none() | st.integers(0, 4)),
-                    min_size=1,
-                    max_size=3,
-                ),
+                st.sampled_from(["plan", "plan_with_outcome", "replan"]),
+                # no step (None or 0), each step, the step past the last
+                # (len(target) + 1) and beyond, for every task here
+                st.builds(EpisodeOutcome, st.booleans(), st.none() | st.integers(0, 5)),
             ),
             max_size=25,
         ),
@@ -181,24 +211,23 @@ class TestMockCache:
         tasks = (*SAME_SIGNATURE_TASKS, OTHER_TASK)
         planner = MockPlanner(seed=seed, p_corrupt=p_corrupt)
         first_clean = {}
-        not_clean = []  # corrupted or feedback calls; kept alive so ids stay unique
-        for call_index, (task_no, how, outcomes) in enumerate(calls):
+        not_clean = []  # corrupted or outcome calls; kept alive so ids stay unique
+        for call_index, (task_no, how, given) in enumerate(calls):
             task = tasks[task_no]
-            feedback = None if how == "plan" else PlannerFeedback(episode_outcomes=outcomes)
+            outcome = None if how == "plan" else given
             if how == "replan":
-                call = planner.replan(task, feedback)
+                plan = planner.replan(task, outcome)
             else:
-                call = planner.plan(task, feedback)
-            assert call.latency_s == DEFAULT_MOCK_LATENCY_S
-            expected = reference_plan(seed, p_corrupt, task, call_index, feedback)
-            assert to_doc(call.plan) == expected
-            clean = feedback is None and tuple(expected["direct_solution"]) == task.target_sequence
+                plan = planner.plan(task, outcome)
+            expected = reference_plan(seed, p_corrupt, task, call_index, outcome)
+            assert to_doc(plan) == expected
+            clean = outcome is None and tuple(expected["direct_solution"]) == task.target_sequence
             if not clean:
-                not_clean.append(call)
+                not_clean.append(plan)
                 continue
-            assert all(call is not other for other in not_clean)
+            assert all(plan is not other for other in not_clean)
             if p_corrupt == 0.0:
-                assert first_clean.setdefault(task_no, call) is call
+                assert first_clean.setdefault(task_no, plan) is plan
 
     def test_clean_call_is_shared_at_zero_corruption(self, task):
         planner = MockPlanner(seed=1, p_corrupt=0.0)
@@ -256,7 +285,7 @@ class TestParsePlan:
             read_dataclass(LearningPlan, parse_json("produce a plan: step 1 ..."))
 
     def test_round_trip_identity(self, task):
-        plan = MockPlanner(seed=3, p_corrupt=0.0).plan(task).plan
+        plan = MockPlanner(seed=3, p_corrupt=0.0).plan(task)
         assert read_dataclass(LearningPlan, parse_json(json.dumps(to_doc(plan)))) == plan
 
     @settings(max_examples=40, deadline=None)
@@ -271,8 +300,8 @@ class TestParsePlan:
     def test_round_trip_property(self, seed, task_seed, p_corrupt, outcomes):
         task = generate_corpus(seed=task_seed, n_tasks=1, n_repeats=1)[0].task
         planner = MockPlanner(seed=seed, p_corrupt=p_corrupt)
-        for feedback in (None, PlannerFeedback(episode_outcomes=outcomes)):
-            plan = planner.plan(task, feedback).plan
+        for outcome in (None, *outcomes):
+            plan = planner.plan(task, outcome)
             assert read_dataclass(LearningPlan, parse_json(json.dumps(to_doc(plan)))) == plan
 
     def test_round_trip_without_solution(self):

@@ -1,20 +1,26 @@
 """Every top-level name and public method in ``src/reuseloop`` is read
 somewhere other than its own definition.
 
-The readers, matched by identifier:
+The readers:
 
-- the ``src/reuseloop`` modules, the CLI included. ``__init__.py`` is not a
-  reader: a re-export alone keeps nothing alive.
-- ``perfbench/*.py``, parsed as text and never imported. Its string
-  constants count too, because its tracer names the functions it wraps as
-  strings.
-- the code block under README's "Quick start (library)".
+- the ``src/reuseloop`` modules, the CLI included, matched by identifier.
+  ``__init__.py`` is not a reader: a re-export alone keeps nothing alive.
+- ``perfbench/*.py``, parsed as text and never imported, and the code block
+  under README's "Quick start (library)". These read a top-level name only
+  where they pin its module: they import it from ``reuseloop`` (a
+  re-export, resolved through ``__init__.py``) or from
+  ``reuseloop.<module>``, load it as ``<module>.<name>`` on a module they
+  imported, or name it as a string right after that module in a tuple, as
+  the tracer's ``(tasks, "signature_of", "count")`` does. So a reader's own
+  constant that shares a name with one in ``src/`` keeps nothing alive.
+  Methods they match by identifier, perfbench's string constants included,
+  since its tracer names the methods it wraps as strings.
 
-Tests and demos are not readers. A top-level name is read by a name, an
-attribute or an import; a method only by an attribute. An imported name
-must be read in the module that imports it. Matching ignores scope, so two
-definitions that share an identifier keep each other alive: the check errs
-toward passing.
+Tests and demos are not readers. Within ``src/``, a top-level name is read
+by a name, an attribute or an import; a method only by an attribute. An
+imported name must be read in the module that imports it. Matching ignores
+scope, so two definitions in ``src/`` that share an identifier keep each
+other alive: the check errs toward passing.
 
 Every field of a dataclass or a ``NamedTuple`` is read too. A field counts
 as read when ``src/`` or ``perfbench/*.py`` loads its name as an
@@ -96,15 +102,15 @@ def _bound(stmt: ast.stmt) -> list[str]:
 
 def unread(modules: dict[str, str], outside: tuple[Counter, Counter]) -> list[str]:
     """The qualified names in ``modules`` (module name -> source) that
-    nothing reads but their own definition; ``outside`` is what the readers
-    beyond ``modules`` read, as ``_reads`` counts it."""
+    nothing reads but their own definition. ``outside`` is what the readers
+    beyond ``modules`` read: top-level names as ``module.name``, and
+    attributes by identifier, as ``outside_readers`` counts them."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     names, attrs = Counter(), Counter()
     for tree in trees.values():
         n, a = _reads(tree)
         names += n
         attrs += a
-    read_outside = outside[0] | outside[1]
     found = []
     for module, tree in trees.items():
         local = {
@@ -125,7 +131,7 @@ def unread(modules: dict[str, str], outside: tuple[Counter, Counter]) -> list[st
                 if name.startswith("__"):
                     continue
                 inside = own_names[name] + own_attrs[name]
-                if names[name] + attrs[name] == inside and name not in read_outside:
+                if names[name] + attrs[name] == inside and f"{module}.{name}" not in outside[0]:
                     found.append(f"{module}.{name}")
             if not isinstance(stmt, ast.ClassDef):
                 continue
@@ -147,14 +153,48 @@ def quick_start() -> str:
     return match.group(1)
 
 
+def pinned_reads(tree: ast.AST, homes: dict[str, str]) -> Counter:
+    """The top-level names an outside reader reads with their module pinned,
+    as ``module.name``; ``homes`` maps each root re-export to its home."""
+    modules = {}  # local name -> the reuseloop module it is bound to
+    read = Counter()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and not node.level
+                and node.module.partition(".")[0] == "reuseloop"):
+            continue
+        home = node.module.partition(".")[2]
+        for alias in node.names:
+            if home:
+                read[f"{home}.{alias.name}"] += 1
+            elif alias.name in homes:
+                read[homes[alias.name]] += 1
+            else:
+                modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            read[f"{modules[node.value.id]}.{node.attr}"] += 1
+        elif isinstance(node, ast.Tuple):
+            for first, then in zip(node.elts, node.elts[1:]):
+                if (isinstance(first, ast.Name) and first.id in modules
+                        and isinstance(then, ast.Constant) and isinstance(then.value, str)):
+                    read[f"{modules[first.id]}.{then.value}"] += 1
+    return read
+
+
 def outside_readers(perfbench: bool = True) -> tuple[Counter, Counter]:
-    names, attrs = _reads(ast.parse(quick_start()))
+    """What the quick start and, with ``perfbench``, ``perfbench/*.py`` read:
+    top-level names as ``pinned_reads`` counts them, and attributes (with
+    perfbench's string constants) by identifier."""
+    homes = root_homes()
+    tree = ast.parse(quick_start())
+    pinned, attrs = pinned_reads(tree, homes), _reads(tree)[1]
     if perfbench:
         for path in sorted((ROOT / "perfbench").glob("*.py")):
-            n, a = _reads(ast.parse(path.read_text(encoding="utf-8")), strings=True)
-            names += n
-            attrs += a
-    return names, attrs
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            pinned += pinned_reads(tree, homes)
+            attrs += _reads(tree, strings=True)[1]
+    return pinned, attrs
 
 
 def src_modules() -> dict[str, str]:
@@ -220,11 +260,12 @@ def field_readers() -> set[str]:
     return read
 
 
-def root_exports() -> set[str]:
-    """The names ``__init__.py`` imports from its submodules."""
+def root_homes() -> dict[str, str]:
+    """The names ``__init__.py`` imports from its submodules, each mapped to
+    its home as ``module.name``."""
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     return {
-        alias.asname or alias.name
+        alias.asname or alias.name: f"{stmt.module}.{alias.name}"
         for stmt in tree.body if isinstance(stmt, ast.ImportFrom)
         for alias in stmt.names
     }
@@ -248,7 +289,7 @@ def root_imports() -> set[str]:
 
 
 def test_every_root_export_is_imported():
-    assert sorted(root_exports() - root_imports()) == []
+    assert sorted(root_homes().keys() - root_imports()) == []
 
 
 def test_every_name_is_read():
@@ -264,7 +305,8 @@ def test_every_allowed_name_exists_and_is_unread():
 
 def test_perfbench_keeps_its_traced_names_alive():
     found = unread(src_modules(), outside_readers(perfbench=False))
-    assert {"learner.quasi_adjust", "planner.MockPlanner.replan"} <= set(found)
+    assert {"learner.quasi_adjust", "library.matching_score", "planner.MockPlanner.replan",
+            "tasks.signature_of"} <= set(found)
 
 
 def test_flags_unread_functions_methods_and_imports():
@@ -281,7 +323,30 @@ def test_flags_unread_functions_methods_and_imports():
         "b": "from .a import C, used\nused()\nC().live()\n",
     }
     assert unread(modules, (Counter(), Counter())) == ["a.C.gone", "a.dead", "a.os"]
-    assert unread(modules, (Counter(["dead"]), Counter(["gone"]))) == ["a.os"]
+    assert unread(modules, (Counter(["a.dead"]), Counter(["gone"]))) == ["a.os"]
+    # An outside top-level read names its module: "b.dead" is another name.
+    found = unread(modules, (Counter(["dead", "b.dead"]), Counter()))
+    assert found == ["a.C.gone", "a.dead", "a.os"]
+
+
+def test_outside_homonym_keeps_no_name_alive():
+    # trigger.BRANCHES was once kept alive only by perfbench's own BRANCHES.
+    modules = {"trigger": "BRANCHES = ('reuse',)\n"}
+    homes = {"BRANCHES": "trigger.BRANCHES"}
+
+    def unread_beside(reader):
+        tree = ast.parse("from reuseloop import trigger\n" + reader)
+        return unread(modules, (pinned_reads(tree, homes), _reads(tree, strings=True)[1]))
+
+    assert unread_beside("BRANCHES = ('reuse', 'learn')\nlen(BRANCHES)\n") == ["trigger.BRANCHES"]
+    assert unread_beside("(engine, 'BRANCHES', 'count')\nengine.BRANCHES\n") == ["trigger.BRANCHES"]
+    for reader in (
+        "from reuseloop import BRANCHES\n",
+        "from reuseloop.trigger import BRANCHES\n",
+        "trigger.BRANCHES\n",
+        "(trigger, 'BRANCHES', 'count')\n",
+    ):
+        assert unread_beside(reader) == [], reader
 
 
 def test_every_field_is_read():

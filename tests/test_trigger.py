@@ -171,10 +171,11 @@ class TestExhaustiveTable:
 
 def _stored_method(task):
     """The method ``build_method`` stores after learning ``task``, at 1/1."""
-    plan = MockPlanner(seed=1).plan(task).plan
+    plan = MockPlanner(seed=1).plan(task)
     dataset = EpisodeDataset()
     candidate = learner.train_episode(learner.initialize(plan, dataset), dataset)
-    learner.validate(candidate, SequenceExecutor(task, ExecutorConfig()), plan.update_criteria)
+    replay = SequenceExecutor(task, ExecutorConfig()).replay
+    learner.validate(candidate, replay, plan.update_criteria)
     return learner.build_method(candidate, task, dataset, cycle=0)
 
 
