@@ -10,22 +10,18 @@ observed action.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .tasks import ObservedEvent
 
 
-@dataclass(frozen=True)
-class ExperienceSample:
+class ExperienceSample(NamedTuple):
     """One recorded step: its 1-based index, the action, and whether it
     succeeded."""
 
     t: int
     action: str
     success: bool
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("step index t must be >= 1")
 
 
 @dataclass

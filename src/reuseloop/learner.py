@@ -31,7 +31,6 @@ from .tasks import TaskDescriptor
 STAGE_INITIAL = "initial"
 STAGE_ADJUSTED = "adjusted"
 STAGE_REFINED = "refined"
-STAGES = (STAGE_INITIAL, STAGE_ADJUSTED, STAGE_REFINED)
 
 
 @dataclass
@@ -41,12 +40,6 @@ class CandidateSolution:
     per_step_confidence: list[float]
     model_family: str
     passed: bool | None = None
-
-    def __post_init__(self):
-        if self.stage not in STAGES:
-            raise ValueError(f"unknown stage {self.stage!r}")
-        if len(self.per_step_confidence) != len(self.sequence):
-            raise ValueError("per_step_confidence must align with sequence")
 
 
 def initialize(plan: LearningPlan, dataset: EpisodeDataset) -> CandidateSolution:
@@ -67,7 +60,7 @@ def initialize(plan: LearningPlan, dataset: EpisodeDataset) -> CandidateSolution
         stage=STAGE_INITIAL,
         sequence=sequence,
         per_step_confidence=[1.0] * len(sequence),
-        model_family=plan.candidate_models[0].family,
+        model_family=plan.candidate_models[0],
     )
 
 

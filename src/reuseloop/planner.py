@@ -19,9 +19,6 @@ from typing import Protocol
 from .errors import PlannerError
 from .tasks import DEFAULT_ACTIONS, TaskDescriptor
 
-MODEL_FAMILIES = ("sequence", "visual", "multimodal", "hybrid")
-STRATEGY_KINDS = ("execute", "observe")
-
 # Default latency of the mock planner; calibrated so simulated planner time
 # matches the reference benchmark profile. Configurable per instance.
 DEFAULT_MOCK_LATENCY_S = 1.4565
@@ -29,32 +26,9 @@ DEFAULT_P_CORRUPT = 0.05
 
 
 @dataclass(frozen=True)
-class CandidateModel:
-    family: str
-
-    def __post_init__(self):
-        if self.family not in MODEL_FAMILIES:
-            families = ", ".join(MODEL_FAMILIES)
-            raise ValueError(f"family must be one of {families}, not {self.family!r}")
-
-
-@dataclass(frozen=True)
 class DataRequirement:
     channel: str
     min_samples: int = 1
-
-    def __post_init__(self):
-        if self.min_samples < 0:
-            raise ValueError("min_samples must be nonnegative")
-
-
-@dataclass(frozen=True)
-class StrategyStep:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"kind must be one of {', '.join(STRATEGY_KINDS)}, not {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -62,27 +36,19 @@ class UpdateCriteria:
     validation_threshold: float = 0.5
     max_episodes: int = 3
 
-    def __post_init__(self):
-        if not 0.0 <= self.validation_threshold <= 1.0:
-            raise ValueError("validation_threshold must lie in [0, 1]")
-        if self.max_episodes < 1:
-            raise ValueError("max_episodes must be >= 1")
-
 
 @dataclass(frozen=True)
 class LearningPlan:
-    candidate_models: tuple[CandidateModel, ...]
+    """A plan only a planner builds, so it checks nothing on construction.
+    ``candidate_models`` ranks model family names; each ``strategy`` entry
+    is ``"execute"`` or ``"observe"``."""
+
+    candidate_models: tuple[str, ...]
     subproblems: tuple[str, ...] = ()
     data_requirements: tuple[DataRequirement, ...] = ()
-    strategy: tuple[StrategyStep, ...] = ()
+    strategy: tuple[str, ...] = ()
     update_criteria: UpdateCriteria = UpdateCriteria()
     direct_solution: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if not self.candidate_models:
-            raise ValueError("candidate_models must be non-empty")
-        if self.direct_solution is not None and not self.direct_solution:
-            raise ValueError("direct_solution must be non-empty when present")
 
 
 @dataclass(frozen=True)
@@ -117,10 +83,8 @@ class Planner(Protocol):
 
 
 # Immutable parts every mock plan shares, beside LearningPlan's default UpdateCriteria.
-_MOCK_MODELS = (CandidateModel("sequence"), CandidateModel("hybrid"))
+_MOCK_MODELS = ("sequence", "hybrid")
 _MOCK_SUBPROBLEMS = ("order primitives into an executable chain", "define a per-step success check")
-_EXECUTE = StrategyStep("execute")
-_OBSERVE = StrategyStep("observe")
 _requirement = cache(partial(DataRequirement, min_samples=1))
 
 
@@ -195,7 +159,7 @@ class MockPlanner:
                 *_MOCK_SUBPROBLEMS,
             ),
             data_requirements=tuple(map(_requirement, task.observations)),
-            strategy=(_EXECUTE,) * len(solution),
+            strategy=("execute",) * len(solution),
             direct_solution=solution,
         )
 
@@ -205,4 +169,4 @@ class MockPlanner:
         if outcome.success or k is None or not 1 <= k <= len(plan.strategy):
             return plan
         strategy = plan.strategy
-        return replace(plan, strategy=(*strategy[:k - 1], _OBSERVE, *strategy[k - 1:]))
+        return replace(plan, strategy=(*strategy[:k - 1], "observe", *strategy[k - 1:]))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from reuseloop.experience import EpisodeDataset, ExperienceSample
+from reuseloop.experience import EpisodeDataset
 from reuseloop.learner import _tally
 from reuseloop.tasks import ObservedEvent
 
@@ -107,13 +107,6 @@ class TestMergedSize:
                 )
             assert merged_size(ds) == len(ds.self_samples) + len(ds.obs_samples)
             assert merged_size(ds) >= len(ds.self_samples)
-
-
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        make_sample(0)
-    with pytest.raises(ValueError, match="^step index t must be >= 1$"):
-        ExperienceSample(-1, "move", True)
 
 
 def test_dataset_takes_no_arguments():

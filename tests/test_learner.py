@@ -62,6 +62,7 @@ class TestInitialize:
         ds.ingest_observation(ObservedEvent(("move", "grasp", "lift", "place"), True))
         candidate = initialize(plan_without_solution(task), ds)
         assert candidate.sequence == ["move", "grasp", "lift", "place"]
+        assert candidate.per_step_confidence == [1.0] * 4
 
     def test_prefix_stops_at_first_unsuccessful_index(self, task):
         ds = EpisodeDataset()
@@ -79,20 +80,11 @@ class TestInitialize:
         ds.obs_samples += [make_sample(1, "grasp", True), make_sample(2, "align", False)]
         candidate = initialize(plan_without_solution(task), ds)
         assert candidate.sequence == ["grasp", "lift"]
+        assert candidate.per_step_confidence == [1.0, 1.0]
 
     def test_empty_everything_is_an_error(self, task):
         with pytest.raises(ValueError):
             initialize(plan_without_solution(task), EpisodeDataset())
-
-
-class TestCandidateSolution:
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError, match="^unknown stage 'draft'$"):
-            CandidateSolution("draft", ["move"], [1.0], "sequence")
-
-    def test_confidence_must_align_with_sequence(self):
-        with pytest.raises(ValueError, match="^per_step_confidence must align with sequence$"):
-            CandidateSolution(STAGE_INITIAL, ["move", "grasp"], [1.0], "sequence")
 
 
 class TestQuasiAdjust:

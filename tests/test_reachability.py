@@ -26,9 +26,10 @@ Every field of a dataclass or a ``NamedTuple`` is read too. A field counts
 as read when ``src/`` or ``perfbench/*.py`` loads its name as an
 attribute, when its name appears in backticks in README's "File formats"
 section (a field written by name into an output), or when it is in
-``ALLOWED_FIELDS``. An attribute load in the dataclass's own
-``__post_init__`` is not a read: a field that only its own check looks at
-is still unread. A field built and written but never read fails, named
+``ALLOWED_FIELDS``. A load in a dataclass's own ``__post_init__`` of one
+of its own field names is a check, not a read, even where another class
+declares a field of that name: a field that only checks look at is still
+unread. A field built and written but never read fails, named
 ``module.Class.field``.
 
 The package root re-exports only what its own readers import from it: the
@@ -220,29 +221,41 @@ def _is_dataclass(stmt: ast.stmt) -> bool:
     return False
 
 
+def _fields(stmt: ast.ClassDef) -> list[str]:
+    """The field names a dataclass or ``NamedTuple`` declares, ``ClassVar``
+    annotations excluded."""
+    return [
+        item.target.id for item in stmt.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and "ClassVar" not in ast.unparse(item.annotation)
+    ]
+
+
 def unread_fields(modules: dict[str, str], read: set[str]) -> list[str]:
     """The dataclass and ``NamedTuple`` fields in ``modules`` (module name ->
     source), as ``module.Class.field``, whose name no module loads as an
-    attribute and ``read`` does not hold. A load in the class's own
-    ``__post_init__`` is its check, not a read. ``ClassVar`` annotations are
-    not fields."""
+    attribute and ``read`` does not hold. A load in a class's own
+    ``__post_init__`` of one of that class's own field names is its check,
+    never a read, whichever class declares a field of that name; a load
+    there of any other name is a read."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     loaded = Counter()
     for tree in trees.values():
         loaded += _reads(tree)[1]
-    found = []
-    for module, tree in trees.items():
-        for stmt in filter(_is_dataclass, tree.body):
-            checks = sum((_reads(item)[1] for item in stmt.body
-                          if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"),
-                         Counter())
-            for item in stmt.body:
-                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                        and "ClassVar" not in ast.unparse(item.annotation)
-                        and item.target.id not in read
-                        and loaded[item.target.id] == checks[item.target.id]):
-                    found.append(f"{module}.{stmt.name}.{item.target.id}")
-    return sorted(found)
+    classes = [
+        (module, stmt, _fields(stmt))
+        for module, tree in trees.items() for stmt in filter(_is_dataclass, tree.body)
+    ]
+    for _, stmt, names in classes:
+        for item in stmt.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                checks = _reads(item)[1]
+                loaded -= Counter({name: checks[name] for name in names})
+    return sorted(
+        f"{module}.{stmt.name}.{name}"
+        for module, stmt, names in classes for name in names
+        if name not in read and not loaded[name]
+    )
 
 
 def field_readers() -> set[str]:
@@ -400,3 +413,27 @@ def test_flags_unread_dataclass_fields():
         "a.A.checked", "a.A.written", "a.B.documented", "a.N.dropped",
     ]
     assert unread_fields(modules, {"documented"}) == ["a.A.checked", "a.A.written", "a.N.dropped"]
+
+    # Two classes share a field name and each checks it only in its own
+    # __post_init__: neither check is a read of the other's field. A load
+    # there of a name the class does not declare still reads it.
+    modules = {
+        "c": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class Limits:\n"
+            "    deadline: float\n"
+            "@dataclass\n"
+            "class Event:\n"
+            "    kind: str\n"
+            "    limits: Limits\n"
+            "    def __post_init__(self):\n"
+            "        assert self.kind and self.limits.deadline >= 0\n"
+            "@dataclass\n"
+            "class Step:\n"
+            "    kind: str\n"
+            "    def __post_init__(self):\n"
+            "        assert self.kind\n"
+        ),
+    }
+    assert unread_fields(modules, set()) == ["c.Event.kind", "c.Event.limits", "c.Step.kind"]

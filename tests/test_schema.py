@@ -37,15 +37,7 @@ from reuseloop.library import (
     Reliability,
     _LibraryDoc,
 )
-from reuseloop.planner import (
-    MODEL_FAMILIES,
-    STRATEGY_KINDS,
-    CandidateModel,
-    DataRequirement,
-    LearningPlan,
-    StrategyStep,
-    UpdateCriteria,
-)
+from reuseloop.planner import DataRequirement, LearningPlan, UpdateCriteria
 from reuseloop.tasks import (
     CORPUS_MODES,
     DEFAULT_ACTIONS,
@@ -207,12 +199,10 @@ _configs = st.builds(
 
 _plans = st.builds(
     LearningPlan,
-    candidate_models=st.lists(
-        st.builds(CandidateModel, st.sampled_from(MODEL_FAMILIES)), min_size=1, max_size=2
-    ).map(tuple),
+    candidate_models=st.lists(st.sampled_from(("sequence", "hybrid")), min_size=1, max_size=2).map(tuple),
     subproblems=st.lists(_text, max_size=2).map(tuple),
     data_requirements=st.lists(st.builds(DataRequirement, _names, _counts), max_size=2).map(tuple),
-    strategy=st.lists(st.builds(StrategyStep, st.sampled_from(STRATEGY_KINDS)), max_size=2).map(tuple),
+    strategy=st.lists(st.sampled_from(("execute", "observe")), max_size=2).map(tuple),
     update_criteria=st.builds(UpdateCriteria, _floats(0.0, 1.0), st.integers(1, 9)),
     direct_solution=st.none()
     | st.lists(st.sampled_from(DEFAULT_ACTIONS), min_size=1, max_size=3).map(tuple),
@@ -315,20 +305,6 @@ _NAMED_AT_FIELD = [
      "events[0].task.target_sequence"),
     (corpus_from_doc, _with(_CORPUS_DOC, ("events", 0, "kind"), "dream"), "events[0].kind"),
     (corpus_from_doc, _with(_CORPUS_DOC, ("events", 0, "cycle"), -1), "events[0].cycle"),
-    (partial(read_dataclass, LearningPlan),
-     {"candidate_models": [{"family": "sequence"}], "update_criteria": {"validation_threshold": 2}},
-     "update_criteria.validation_threshold"),
-    (partial(read_dataclass, LearningPlan), {"candidate_models": [{"family": "quantum"}]},
-     "candidate_models[0].family"),
-    (partial(read_dataclass, LearningPlan),
-     {"candidate_models": [{"family": "sequence"}], "strategy": [{"kind": "nap"}]}, "strategy[0].kind"),
-    (partial(read_dataclass, LearningPlan), {"candidate_models": []}, "candidate_models"),
-    (partial(read_dataclass, LearningPlan),
-     {"candidate_models": [{"family": "sequence"}], "direct_solution": []}, "direct_solution"),
-    (partial(read_dataclass, LearningPlan),
-     {"candidate_models": [{"family": "sequence"}],
-      "data_requirements": [{"channel": "vision", "min_samples": -1}]},
-     "data_requirements[0].min_samples"),
     (partial(read_dataclass, RunRecord), {**_RECORD_DOC, "policy": "bogus"}, "policy"),
 ]
 
