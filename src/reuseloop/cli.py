@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Any
 
 from . import costs, metrics
 from .config import RunConfig, build_corpus, build_planner, resolve_executor
 from .engine import read_records, run_loop, write_records
-from .errors import RecordStreamError, ReuseLoopError, SchemaError, parse_json, read_dataclass
+from .errors import RecordStreamError, ReuseLoopError, SchemaError, load_json, read_dataclass
 from .library import MethodLibrary
 from .tasks import save_corpus
 
@@ -42,17 +43,20 @@ def _read_config(path: str, leftovers: list[str]) -> RunConfig:
             overrides[flag[2:]] = json.loads(leftovers[i + 1])
         except json.JSONDecodeError:
             overrides[flag[2:]] = leftovers[i + 1]
-    doc = parse_json(Path(path).read_text(encoding="utf-8"))
-    if isinstance(doc, dict):  # any other root is named by read_dataclass
-        for dotted, value in overrides.items():
-            *parents, last = dotted.split(".")
-            node = doc
-            for part in parents:
-                node = node.setdefault(part, {})
-                if not isinstance(node, dict):
-                    raise SchemaError(dotted, "override path crosses a non-object value")
-            node[last] = value
-    return read_dataclass(RunConfig, doc)
+
+    def read(doc: Any) -> RunConfig:
+        if isinstance(doc, dict):  # any other root is named by read_dataclass
+            for dotted, value in overrides.items():
+                *parents, last = dotted.split(".")
+                node = doc
+                for part in parents:
+                    node = node.setdefault(part, {})
+                    if not isinstance(node, dict):
+                        raise SchemaError(dotted, "override path crosses a non-object value")
+                node[last] = value
+        return read_dataclass(RunConfig, doc)
+
+    return load_json(path, read)
 
 
 def cmd_bench_run(args: argparse.Namespace, leftovers: list[str]) -> int:
@@ -109,8 +113,7 @@ def cmd_library_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_cost_analyze(args: argparse.Namespace) -> int:
-    text = Path(args.profile).read_text(encoding="utf-8")
-    profile = read_dataclass(costs.CostProfile, parse_json(text))
+    profile = load_json(args.profile, partial(read_dataclass, costs.CostProfile))
     result = costs.reuse_benefit(profile, args.rho, args.k)
     holds = costs.benefit_condition_holds(profile, args.rho, args.k)
     print(f"delta_c     {result.delta_c:.4f}")

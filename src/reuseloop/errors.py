@@ -1,17 +1,19 @@
 """Exception types, the one dataclass reader (``read_dataclass``, with
-``read_versioned`` built on it), ``to_doc``, ``parse_json`` and the one file
-writer, ``replacing``.
+``read_versioned`` built on it), ``to_doc``, ``parse_json``, the one file
+reader, ``load_json``, and the one file writer, ``replacing``.
 
 Every loader reads its document through ``read_dataclass``, and
 ``engine.write_records`` checks each record with it before writing, so the
 run-record writer refuses exactly what its reader refuses. Every file the
-package writes is written through ``replacing``."""
+package reads whole, all but the line-by-line ``runs.jsonl``, is read through
+``load_json``, and every file it writes is written through ``replacing``."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache, partial
@@ -258,6 +260,25 @@ def parse_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("<root>", f"not valid JSON: {exc}") from exc
+
+
+def load_json(path: str | Path, read: Callable[[Any], Any]) -> Any:
+    """``read`` of the JSON document in the UTF-8 file at ``path``, parsed by
+    ``parse_json``, with CPython's cycle collector paused throughout.
+
+    Parsing and building a document makes many short-lived containers and
+    no reference cycles, so the collections they would start free nothing:
+    a young collection per 700 net new containers, ~50 collections on a
+    2,000-method library. The collector's previous state is restored however
+    the read ends, and a collector that was off stays off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return read(parse_json(Path(path).read_text(encoding="utf-8")))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @contextmanager

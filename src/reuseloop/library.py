@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _str_text
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import LibraryError, SchemaError, parse_json, read_versioned, replacing
+from .errors import LibraryError, SchemaError, load_json, read_versioned, replacing
 from .tasks import TaskDescriptor
 
 LIBRARY_VERSION = 1
@@ -42,11 +42,13 @@ class DataProfile:
     episodes: int = 0
 
     def __post_init__(self):
-        # vars() holds just the fields, in order; fields() costs ~1 us more
-        # per call, and a library load builds one profile per method.
-        for name, count in vars(self).items():
-            if count < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        # One min() first, as in Reliability: fields() costs ~1 us more per
+        # call, and vars() would give each profile a __dict__ of its own on
+        # CPython 3.11+, which every loaded method keeps.
+        if min(self.n_self_samples, self.n_obs_samples, self.episodes) < 0:
+            name = next(name for name in ("n_self_samples", "n_obs_samples", "episodes")
+                        if getattr(self, name) < 0)
+            raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass
@@ -351,7 +353,7 @@ class MethodLibrary:
 
     @classmethod
     def load(cls, path: str | Path) -> "MethodLibrary":
-        return cls.from_doc(parse_json(Path(path).read_text(encoding="utf-8")))
+        return load_json(path, cls.from_doc)
 
 
 @dataclass(frozen=True)

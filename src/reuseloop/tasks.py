@@ -20,7 +20,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .errors import SchemaError, parse_json, read_versioned, replacing, to_doc
+from .errors import SchemaError, load_json, read_versioned, replacing, to_doc
 
 # Executable action identifiers shared by tasks, methods, and the planner.
 DEFAULT_ACTIONS: tuple[str, ...] = (
@@ -266,4 +266,4 @@ def save_corpus(events: Iterable[TaskEvent], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[TaskEvent]:
-    return corpus_from_doc(parse_json(Path(path).read_text(encoding="utf-8")))
+    return load_json(path, corpus_from_doc)

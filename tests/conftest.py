@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from reuseloop.experience import ExperienceSample
@@ -110,3 +112,14 @@ def task():
 @pytest.fixture
 def library():
     return MethodLibrary()
+
+
+@pytest.fixture(autouse=True)
+def collector_left_running(request):
+    """Every test must leave CPython's cycle collector running, as
+    ``errors.load_json`` restores it; one that does not errors at teardown,
+    under its own name, and the collector is turned back on for the rest."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail(f"{request.node.nodeid} left the cycle collector disabled")
