@@ -63,6 +63,9 @@ PROPOSED_OBSERVATION = "proposed_observation"
 POLICY_MODES = (ALWAYS_LLM, LIBRARY_ONLY, PROPOSED, OBSERVATION_ONLY, PROPOSED_OBSERVATION)
 
 PHASES = ("retrieve", "plan_llm", "execute", "collect", "train", "store")
+# Each episode's phase times start as a copy of this, cheaper than a new
+# dict.fromkeys per event.
+_ZERO_PHASES = dict.fromkeys(PHASES, 0.0)
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ class _Episode:
         self.planner = planner
         self.thresholds = thresholds
         self.config = config
-        self.phases = dict.fromkeys(PHASES, 0.0)
+        self.phases = _ZERO_PHASES.copy()
         self.executor = SequenceExecutor(event.task, config)
         self.llm_calls = 0
         self.success = False

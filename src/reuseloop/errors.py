@@ -1,6 +1,9 @@
-"""Exception types, the one dataclass reader (``read_dataclass``, with
+"""Exception types, the one record reader (``read_dataclass``, with
 ``read_versioned`` built on it), ``to_doc``, ``parse_json``, the one file
 reader, ``load_json``, and the one file writer, ``replacing``.
+
+A record is a dataclass or a ``NamedTuple`` class; the reader takes both
+alike, by their fields and annotations.
 
 Every loader reads its document through ``read_dataclass``, and
 ``engine.write_records`` checks each record with it before writing, so the
@@ -102,20 +105,27 @@ def _check_values(item: type, value: dict) -> dict:
     return dict(value)
 
 
+def _is_record(cls) -> bool:
+    """Whether ``cls`` is a record: a dataclass or a ``NamedTuple`` class."""
+    return is_dataclass(cls) or (
+        isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+    )
+
+
 def _reader(kind) -> tuple:
     """``(JSON type, converter or None)`` for a field annotation.
 
     The value is first checked to be exactly of the JSON type; the converter,
-    if any, then builds the field from it: a dataclass from an object, a
+    if any, then builds the field from it: a record from an object, a
     tuple, set or frozenset from a list, a dict from an object whose values
     are checked against the annotation's value type unless it is ``Any``.
     """
-    if is_dataclass(kind):
+    if _is_record(kind):
         return dict, partial(_read, _schema(kind), kind)
     origin, args = get_origin(kind), get_args(kind)
     if origin in (tuple, set, frozenset):
         item = args[0]
-        if is_dataclass(item):
+        if _is_record(item):
             return list, partial(_read_items, partial(_read, _schema(item), item), origin)
         return list, partial(_check_items, item, origin)
     if origin in (dict, Mapping):
@@ -125,17 +135,22 @@ def _reader(kind) -> tuple:
 
 @cache
 def _schema(cls) -> tuple[frozenset[str], tuple[tuple, ...]]:
-    """The field names of ``cls``, and per field ``(name, JSON type,
-    converter or None, nullable, required)``."""
+    """The field names of the record ``cls``, and per field ``(name, JSON
+    type, converter or None, nullable, required)``. A field is required when
+    it has no default: for a ``NamedTuple``, when ``_field_defaults`` does
+    not hold it."""
     hints = get_type_hints(cls)
+    if is_dataclass(cls):
+        names = [(f.name, f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)]
+    else:
+        names = [(name, name not in cls._field_defaults) for name in cls._fields]
     entries = []
-    for f in fields(cls):
-        kind = hints[f.name]
+    for name, required in names:
+        kind = hints[name]
         nullable = type(kind) is UnionType and NoneType in kind.__args__
         if nullable:
             (kind,) = (arg for arg in kind.__args__ if arg is not NoneType)
-        required = f.default is MISSING and f.default_factory is MISSING
-        entries.append((f.name, *_reader(kind), nullable, required))
+        entries.append((name, *_reader(kind), nullable, required))
     return frozenset(entry[0] for entry in entries), tuple(entries)
 
 
@@ -189,24 +204,25 @@ def _widen(value: int) -> float:
 
 
 def read_dataclass(cls, doc: Any):
-    """Build the dataclass ``cls`` from the JSON object ``doc``.
+    """Build the record ``cls``, a dataclass or a ``NamedTuple`` class alike,
+    from the JSON object ``doc``, as ``cls(**fields)``.
 
     Each field is read against its annotation, with exact types: ``bool`` is
     never a number and ``str`` never a list. A ``float`` field takes an int,
     widened, and rejects NaN and the infinities; an ``X | None`` field may be
-    ``null``. A nested dataclass is read the same way, alone or as the items
+    ``null``. A nested record is read the same way, alone or as the items
     of a ``tuple[X, ...]``; other tuples and sets are lists of ``X``, and a
     set's list may not repeat an entry. A ``Mapping[str, X]`` or
     ``dict[str, X]`` is an object whose values are ``X``, any JSON value for
-    ``Any``. A missing field takes the dataclass default; one without a
+    ``Any``. A missing field takes the record's default; one without a
     default is required.
 
     A violation raises ``SchemaError`` naming its dotted path from the root,
     e.g. ``events[2].task.constraints.max_steps``: a non-object, an unknown
     key (named in brackets as JSON text when it is not an identifier,
     ``planner[""]`` or ``["a.b"]``), a missing or mistyped field, a repeated
-    set entry, or a ``ValueError`` from a dataclass. Such an error whose
-    message starts with one of the dataclass's field names is named at that
+    set entry, or a ``ValueError`` from a record. Such an error whose
+    message starts with one of the record's field names is named at that
     field, with the rest of the message (``executor.base_s: must be
     nonnegative``); any other is named at the object it builds (``<root>`` at
     the root). So a bad value,
@@ -237,16 +253,17 @@ def read_versioned(cls, doc: Any, version: int):
 def to_doc(value: Any) -> Any:
     """The JSON form of ``value``, as ``read_dataclass`` reads it back.
 
-    A dataclass becomes an object of its fields in declaration order, a
-    tuple or list a list, a set a sorted list and a mapping an object;
-    scalars and anything else are returned as they are.
+    A record, a dataclass or a ``NamedTuple``, becomes an object of its
+    fields in declaration order, another tuple or a list a list, a set a
+    sorted list and a mapping an object; scalars and anything else are
+    returned as they are.
     """
     if value is None or isinstance(value, (str, int, float)):
         return value
+    if _is_record(type(value)):
+        return {name: to_doc(getattr(value, name)) for name, *_ in _schema(type(value))[1]}
     if isinstance(value, (tuple, list)):
         return [to_doc(entry) for entry in value]
-    if is_dataclass(value):
-        return {name: to_doc(getattr(value, name)) for name, *_ in _schema(type(value))[1]}
     if isinstance(value, (set, frozenset)):
         return [to_doc(entry) for entry in sorted(value)]
     if isinstance(value, Mapping):

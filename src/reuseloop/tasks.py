@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str_text
 from math import isfinite
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import SchemaError, load_json, read_versioned, replacing, to_doc
 
@@ -123,33 +123,57 @@ class TaskDescriptor:
         object.__setattr__(self, "signature", hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
-@dataclass(frozen=True)
-class ObservedEvent:
-    """A successful (or failed) external behavior the agent witnessed; the
-    enclosing ``TaskEvent`` names its task."""
-
+class _ObservedEventFields(NamedTuple):
     action_sequence: tuple[str, ...]
     success: bool
 
-    def __post_init__(self):
-        if self.success and not self.action_sequence:
+
+class ObservedEvent(_ObservedEventFields):
+    """A successful (or failed) external behavior the agent witnessed; the
+    enclosing ``TaskEvent`` names its task.
+
+    An immutable ``NamedTuple`` record, checked on every build: ``_make``
+    and ``_replace`` go through ``__new__`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, action_sequence, success):
+        if success and not action_sequence:
             raise ValueError("successful observation must carry a non-empty action_sequence")
+        return tuple.__new__(cls, (action_sequence, success))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ObservedEvent:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TaskEvent:
+class _TaskEventFields(NamedTuple):
     cycle: int
     kind: str
     task: TaskDescriptor
     observed: ObservedEvent | None = None
 
-    def __post_init__(self):
-        if self.cycle < 0:
+
+class TaskEvent(_TaskEventFields):
+    """One event of the stream: a task to run, or, with ``observed``, one to
+    watch. An immutable ``NamedTuple`` record, which builds in about half
+    the time of a frozen dataclass; ``__new__`` checks every build,
+    ``_make`` and ``_replace`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, cycle, kind, task, observed=None):
+        if cycle < 0:
             raise ValueError("cycle must be nonnegative")
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"kind must be one of {', '.join(EVENT_KINDS)}, not {self.kind!r}")
-        if (self.kind == OBSERVED_EVENT) != (self.observed is not None):
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(EVENT_KINDS)}, not {kind!r}")
+        if (kind == OBSERVED_EVENT) != (observed is not None):
             raise ValueError("an observed payload is required iff kind is observed_event")
+        return tuple.__new__(cls, (cycle, kind, task, observed))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> TaskEvent:
+        return cls(*iterable)
 
 
 def signature_of(task: TaskDescriptor) -> str:

@@ -350,7 +350,7 @@ class TestPolicyTable:
             event = self_event(event.task)
         elif kind == FAILED_OBSERVATION:
             failed = ObservedEvent(event.observed.action_sequence, success=False)
-            event = dataclasses.replace(event, observed=failed)
+            event = event._replace(observed=failed)
         if covered:
             library.insert(method_for_task(event.task))
         items, llm_calls, hit, learned, success, size = POLICY_TABLE[mode, kind][covered]

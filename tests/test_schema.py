@@ -59,12 +59,27 @@ def _join(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
+def _is_record(kind) -> bool:
+    """A dataclass or a ``NamedTuple`` class."""
+    return dataclasses.is_dataclass(kind) or hasattr(kind, "_field_defaults")
+
+
+def _record_fields(cls) -> list[tuple[str, bool]]:
+    """``(name, required)`` for each field of the record ``cls``."""
+    if dataclasses.is_dataclass(cls):
+        return [
+            (f.name, f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)
+        ]
+    return [(name, name not in cls._field_defaults) for name in cls._fields]
+
+
 def _json_kind(kind):
     """``(nullable, JSON type, item annotation or None)`` of a field annotation."""
     nullable = type(kind) is UnionType and NoneType in kind.__args__
     if nullable:
         (kind,) = (arg for arg in kind.__args__ if arg is not NoneType)
-    if dataclasses.is_dataclass(kind):
+    if _is_record(kind):
         return nullable, dict, kind
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin in (tuple, set, frozenset):
@@ -79,29 +94,29 @@ def _sites(cls, doc: dict, path: str = "", at: tuple = ()) -> list[tuple]:
     as ``(expected field, keys from the root, key, new value or _DROP)``."""
     sites = [(_join(path, "zz_unknown"), at, "zz_unknown", 1)]
     hints = typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        fpath, value = _join(path, f.name), doc[f.name]
-        nullable, kind, item = _json_kind(hints[f.name])
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            sites.append((fpath, at, f.name, _DROP))
-        sites.append((fpath, at, f.name, _WRONG[kind]))
+    for name, required in _record_fields(cls):
+        fpath, value = _join(path, name), doc[name]
+        nullable, kind, item = _json_kind(hints[name])
+        if required:
+            sites.append((fpath, at, name, _DROP))
+        sites.append((fpath, at, name, _WRONG[kind]))
         if not nullable:
-            sites.append((fpath, at, f.name, None))
+            sites.append((fpath, at, name, None))
         if kind is float:
-            sites.extend((fpath, at, f.name, x) for x in _NON_FINITE)
+            sites.extend((fpath, at, name, x) for x in _NON_FINITE)
         if value is None:
             continue
-        inner = (*at, f.name)
-        if kind is dict and dataclasses.is_dataclass(item):
+        inner = (*at, name)
+        if kind is dict and _is_record(item):
             sites.extend(_sites(item, value, fpath, inner))
-        elif kind is list and dataclasses.is_dataclass(item):
+        elif kind is list and _is_record(item):
             for i, entry in enumerate(value):
                 sites.extend(_sites(item, entry, f"{fpath}[{i}]", (*inner, i)))
         elif kind is list:
             sites.extend((f"{fpath}[{i}]", inner, i, _WRONG[item]) for i in range(len(value)))
-            if value and typing.get_origin(hints[f.name]) in (set, frozenset):
+            if value and typing.get_origin(hints[name]) in (set, frozenset):
                 # The first repeat is the appended copy.
-                sites.append((f"{fpath}[{len(value)}]", at, f.name, [*value, value[0]]))
+                sites.append((f"{fpath}[{len(value)}]", at, name, [*value, value[0]]))
         elif kind is dict and item in _WRONG:
             sites.extend((_join(fpath, key), inner, key, _WRONG[item]) for key in value)
     return sites

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reuseloop.errors import SchemaError
+from reuseloop.errors import SchemaError, to_doc
 from reuseloop.tasks import (
     CORPUS_MODES,
     DEFAULT_ACTIONS,
     OBSERVATION_FIRST,
     OBSERVED_EVENT,
     SELF_TASK,
+    ObservedEvent,
     TaskConstraints,
     TaskEvent,
     corpus_from_doc,
@@ -429,3 +430,69 @@ def test_event_kind_and_payload_consistency():
     with pytest.raises(ValueError):
         # observed payload missing for an observed_event
         TaskEvent(cycle=0, kind=OBSERVED_EVENT, task=task, observed=None)
+
+
+class TestEventRecords:
+    """An event is an immutable ``NamedTuple`` record that no way of
+    building skips the checks of, as a frozen dataclass was."""
+
+    def test_fields_cannot_be_assigned(self):
+        event = generate_corpus(seed=1, n_tasks=1, n_repeats=1, mode=OBSERVATION_FIRST)[0]
+        with pytest.raises(AttributeError):
+            event.cycle = 5
+        with pytest.raises(AttributeError):
+            event.observed.success = False
+        with pytest.raises(AttributeError):
+            event.note = "x"
+
+    def test_replace_and_make_run_the_checks(self):
+        event = TaskEvent(0, SELF_TASK, make_task())
+        kinds = f"kind must be one of {SELF_TASK}, {OBSERVED_EVENT}, not 'bogus'"
+        with pytest.raises(ValueError, match=f"^{kinds}$"):
+            event._replace(kind="bogus")
+        with pytest.raises(ValueError, match="^cycle must be nonnegative$"):
+            TaskEvent._make((-1, SELF_TASK, event.task))
+        with pytest.raises(ValueError, match="^an observed payload is required iff kind is observed_event$"):
+            event._replace(kind=OBSERVED_EVENT)
+        assert event._replace(cycle=3) == TaskEvent(3, SELF_TASK, event.task)
+        assert type(TaskEvent._make(event)) is TaskEvent
+
+        failed = ObservedEvent((), success=False)
+        message = "^successful observation must carry a non-empty action_sequence$"
+        with pytest.raises(ValueError, match=message):
+            failed._replace(success=True)
+        with pytest.raises(ValueError, match=message):
+            ObservedEvent._make(((), True))
+
+    @pytest.mark.parametrize("changes, error", [
+        ({"cycle": -1}, "events[0].cycle: must be nonnegative"),
+        ({"kind": "dream"},
+         f"events[0].kind: must be one of {SELF_TASK}, {OBSERVED_EVENT}, not 'dream'"),
+        ({"kind": OBSERVED_EVENT, "observed": {"action_sequence": [], "success": True}},
+         "events[0].observed: successful observation must carry a non-empty action_sequence"),
+    ], ids=["cycle", "kind", "observed"])
+    def test_reader_names_each_check_at_its_path(self, changes, error):
+        doc = corpus_to_doc(generate_corpus(seed=1, n_tasks=1, n_repeats=1))
+        doc["events"][0].update(changes)
+        with pytest.raises(SchemaError) as err:
+            corpus_from_doc(doc)
+        assert str(err.value) == error
+
+    def test_reader_takes_the_observed_default(self):
+        doc = corpus_to_doc(generate_corpus(seed=1, n_tasks=1, n_repeats=1))
+        del doc["events"][0]["observed"]
+        assert corpus_from_doc(doc)[0].observed is None
+
+    def test_written_as_objects_in_field_order(self):
+        event = generate_corpus(seed=1, n_tasks=1, n_repeats=1, mode=OBSERVATION_FIRST)[0]
+        doc = to_doc(event)
+        assert type(doc) is dict and list(doc) == ["cycle", "kind", "task", "observed"]
+        assert type(doc["observed"]) is dict and list(doc["observed"]) == ["action_sequence", "success"]
+        assert to_doc(TaskEvent(2, SELF_TASK, event.task))["observed"] is None
+
+    def test_load_corpus_returns_event_records(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        save_corpus(generate_corpus(seed=3, n_tasks=2, n_repeats=2, mode=OBSERVATION_FIRST), path)
+        events = load_corpus(path)
+        assert {type(event) for event in events} == {TaskEvent}
+        assert [type(event.observed) for event in events] == [ObservedEvent] * 2 + [type(None)] * 2
