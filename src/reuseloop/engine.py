@@ -1,8 +1,8 @@
 """Closed-loop episode engine over virtual time.
 
-``run_episode`` handles one task event under a policy mode: its
-``_Episode.run`` makes the episode's one decision, as the table below
-says. ``run_loop`` folds it over an event stream, threading the method
+``run_episode`` handles one task event under a policy mode, over local
+state: it makes the episode's one decision, as the table below says.
+``run_loop`` folds it over an event stream, threading the method
 library so that what one episode learns the next can reuse. Every
 duration is virtual: an episode adds configured phase costs and the
 planner's latency into its phase dict, which makes benchmark runs
@@ -31,9 +31,9 @@ proposed_observation
     learning pipeline on the observed behavior (one plan call, no
     execution); self events behave like proposed.
 
-Both event kinds learn through one pipeline, ``_Episode.learn``. It does
-not call ``learner.quasi_adjust``: ``train_episode`` recounts every step
-index the collected samples cover, which subsumes that adjustment here.
+Both event kinds learn through one pipeline, ``learn``. It does not call
+``learner.quasi_adjust``: ``train_episode`` recounts every step index the
+collected samples cover, which subsumes that adjustment here.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from pathlib import Path
 from . import learner
 from .errors import RecordStreamError, SchemaError, read_dataclass, replacing
 from .experience import EpisodeDataset, ExperienceSample
-from .library import Method, MethodLibrary
-from .planner import EpisodeOutcome, LearningPlan, Planner
+from .library import MethodLibrary
+from .planner import EpisodeOutcome, Planner
 from .tasks import TaskDescriptor, TaskEvent
 from .trigger import LEARN_OBSERVATION, REUSE, TriggerThresholds, decide, needs_refinement
 
@@ -113,6 +113,8 @@ class SequenceExecutor:
     per step, successful when the step matches the expected action, and
     ``first_failed_step`` names the first step that does not, or is missing.
     """
+
+    __slots__ = ("task", "config")
 
     def __init__(self, task: TaskDescriptor, config: ExecutorConfig):
         self.task = task
@@ -205,119 +207,51 @@ class RunRecord:
             raise ValueError("llm_time_s cannot exceed total_s")
 
 
-class _Episode:
-    """Mutable state for one run_episode call."""
+def _check_mode(mode: str) -> None:
+    if mode not in POLICY_MODES:
+        raise ValueError(f"unknown policy mode {mode!r}")
 
-    def __init__(
-        self,
-        event: TaskEvent,
-        mode: str,
-        library: MethodLibrary,
-        planner: Planner,
-        thresholds: TriggerThresholds,
-        config: ExecutorConfig,
-    ):
-        self.event = event
-        self.task = event.task
-        self.mode = mode
-        self.library = library
-        self.planner = planner
-        self.thresholds = thresholds
-        self.config = config
-        self.phases = _ZERO_PHASES.copy()
-        self.executor = SequenceExecutor(event.task, config)
-        self.llm_calls = 0
-        self.success = False
-        self.hit = False
-        self.learned = False
 
-    def run(self) -> None:
-        """Handle the event as README's "Policy modes" table says."""
-        observed = self.event.observed
-        if observed is not None:
-            self.phases["collect"] += self.config.observe_s
-            if self.mode == PROPOSED_OBSERVATION:
-                self.phases["retrieve"] += self.config.retrieve_s
-                found = self.library.retrieve_best(self.task, self.thresholds.tau_o)
-                if decide(found, self.thresholds, observed).branch == LEARN_OBSERVATION:
-                    self.learn()
-                    return
-            self.success = observed.success  # watched, or already covered
-            return
+def learn(
+    event: TaskEvent,
+    library: MethodLibrary,
+    planner: Planner,
+    executor: SequenceExecutor,
+    phases: dict[str, float],
+    outcome: EpisodeOutcome | None = None,
+) -> tuple[int, bool, bool]:
+    """Plan, collect experience, consolidate, validate and store, charging
+    ``phases``; return ``(llm_calls, learned, success)``.
 
-        if self.mode in (ALWAYS_LLM, OBSERVATION_ONLY):
-            # Plan every time and execute; no retrieval cost, no consolidation.
-            solution = self._plan().direct_solution
-            if solution is not None:
-                self.success = self.executor.execute(solution, self.phases)
-            return
-
-        self.phases["retrieve"] += self.config.retrieve_s
-        found = self.library.retrieve_best(self.task, self.thresholds.tau_r)
-        if self.mode == LIBRARY_ONLY:
-            if found.covered:
-                self.success = self.executor.execute(found.method.procedure, self.phases)
-                self.library.update_reliability(found.method.id, self.success, self.event.cycle)
-                self.hit = True
-            return
-
-        if decide(found, self.thresholds).branch == REUSE:
-            self.reuse(found.method)
-        else:
-            self.learn()
-
-    # -- planner access -----------------------------------------------------
-
-    def _plan(self, outcome: EpisodeOutcome | None = None) -> LearningPlan:
-        plan = self.planner.plan(self.task, outcome)
-        self.phases["plan_llm"] += self.planner.latency_s
-        self.llm_calls += 1
-        return plan
-
-    # -- reuse and learning ---------------------------------------------------
-
-    def reuse(self, method: Method) -> None:
-        """Execute a stored method. If its utility then falls below ``tau_u``,
-        re-enter learning once: replan from the execution's outcome, with no
-        second execution charge."""
-        ok = self.executor.execute(method.procedure, self.phases)
-        self.library.update_reliability(method.id, ok, self.event.cycle)
-        self.success = ok
-        self.hit = True
-        # After update_reliability, so idle is 0; checking first moves the reuse-384 pins.
-        if needs_refinement(method, self.event.cycle, self.thresholds.tau_u):
-            self.learn(EpisodeOutcome(ok, self.executor.first_failed_step(method.procedure)))
-            if self.learned:
-                self.hit = False
-
-    def learn(self, outcome: EpisodeOutcome | None = None) -> None:
-        """Plan, collect experience, consolidate, validate, store, then set the outcome.
-
-        An observed event succeeds iff a method was stored. A self event then
-        executes the candidate, except on refinement (``outcome`` given).
-        """
-        plan = self._plan(outcome)
-        observed = self.event.observed
-        dataset = EpisodeDataset()
-        if observed is not None:
-            dataset.ingest_observation(observed)
-        elif plan.direct_solution is not None:
-            self.executor.collect(plan.direct_solution, dataset, self.phases)
-        try:
-            candidate = learner.initialize(plan, dataset)
-        except ValueError:
-            return
-        self.phases["train"] += self.config.train_s
-        candidate = learner.train_episode(candidate, dataset)
-        if learner.validate(candidate, self.executor.replay, plan.update_criteria).passed:
-            method = learner.build_method(candidate, self.task, dataset, self.event.cycle, self.library)
-            self.library.insert(method)
-            self.phases["store"] += self.config.store_s
-            self.learned = True
-        if observed is not None:
-            self.success = self.learned
-        elif outcome is None:
-            self.success = self.executor.execute(candidate.sequence, self.phases)
+    An observed event succeeds iff a method was stored. A self event then
+    executes the candidate, except on refinement (``outcome`` given), which
+    keeps the reuse's ``outcome.success``.
+    """
+    plan = planner.plan(executor.task, outcome)
+    phases["plan_llm"] += planner.latency_s
+    observed = event.observed
+    dataset = EpisodeDataset()
+    if observed is not None:
+        dataset.ingest_observation(observed)
+    elif plan.direct_solution is not None:
+        executor.collect(plan.direct_solution, dataset, phases)
+    kept = outcome is not None and outcome.success  # a refinement keeps the reuse's success
+    try:
+        candidate = learner.initialize(plan, dataset)
+    except ValueError:  # no experience to learn from
+        return 1, False, kept
+    phases["train"] += executor.config.train_s
+    candidate = learner.train_episode(candidate, dataset)
+    learned = learner.validate(candidate, executor.replay, plan.update_criteria).passed
+    if learned:
+        method = learner.build_method(candidate, executor.task, dataset, event.cycle, library)
+        library.insert(method)
+        phases["store"] += executor.config.store_s
+    if observed is not None:
+        return 1, learned, learned
+    if outcome is not None:
+        return 1, learned, kept
+    return 1, learned, executor.execute(candidate.sequence, phases)
 
 
 def run_episode(
@@ -327,20 +261,60 @@ def run_episode(
     planner: Planner,
     thresholds: TriggerThresholds,
     executor_config: ExecutorConfig,
-    *,
     repeat_index: int = 1,
 ) -> RunRecord:
-    """Run one task event under ``mode`` and return its run record."""
-    if mode not in POLICY_MODES:
-        raise ValueError(f"unknown policy mode {mode!r}")
-    ep = _Episode(event, mode, library, planner, thresholds, executor_config)
-    ep.run()
+    """Run one task event under ``mode``, as README's "Policy modes" table
+    says, and return its run record."""
+    _check_mode(mode)
+    task = event.task
+    phases = _ZERO_PHASES.copy()
+    llm_calls = 0
+    success = hit = learned = False
+    observed = event.observed
+    if observed is not None:
+        phases["collect"] += executor_config.observe_s
+        success = observed.success  # watched, or already covered
+        if mode == PROPOSED_OBSERVATION:
+            phases["retrieve"] += executor_config.retrieve_s
+            found = library.retrieve_best(task, thresholds.tau_o)
+            if decide(found, thresholds, observed).branch == LEARN_OBSERVATION:
+                executor = SequenceExecutor(task, executor_config)
+                llm_calls, learned, success = learn(event, library, planner, executor, phases)
+    elif mode in (ALWAYS_LLM, OBSERVATION_ONLY):
+        # Plan every time and execute; no retrieval cost, no consolidation.
+        solution = planner.plan(task).direct_solution
+        phases["plan_llm"] += planner.latency_s
+        llm_calls = 1
+        if solution is not None:
+            success = SequenceExecutor(task, executor_config).execute(solution, phases)
+    else:
+        phases["retrieve"] += executor_config.retrieve_s
+        found = library.retrieve_best(task, thresholds.tau_r)
+        adaptive = mode != LIBRARY_ONLY  # library_only never decides, refines or learns
+        reuse = (decide(found, thresholds).branch == REUSE) if adaptive else found.covered
+        executor = SequenceExecutor(task, executor_config)
+        if reuse:
+            method = found.method
+            success = executor.execute(method.procedure, phases)
+            library.update_reliability(method.id, success, event.cycle)
+            hit = True
+            # Utility below tau_u: re-enter learning once, replanning from the
+            # execution's outcome, with no second execution charge. Checked
+            # after update_reliability, so idle is 0; checking first moves
+            # the reuse-384 pins.
+            if adaptive and needs_refinement(method, event.cycle, thresholds.tau_u):
+                outcome = EpisodeOutcome(success, executor.first_failed_step(method.procedure))
+                llm_calls, learned, success = learn(
+                    event, library, planner, executor, phases, outcome
+                )
+                hit = not learned
+        elif adaptive:
+            llm_calls, learned, success = learn(event, library, planner, executor, phases)
     # Positional: the phases come in PHASES order, which RunRecord's fields
     # follow. All LLM time is the planner latency charged to plan_llm.
-    phases = ep.phases
     return RunRecord(
-        mode, event.task.id, repeat_index, event.cycle, *phases.values(),
-        float_sum(phases.values()), ep.llm_calls, phases["plan_llm"], ep.success, ep.hit, ep.learned,
+        mode, task.id, repeat_index, event.cycle, *phases.values(),
+        float_sum(phases.values()), llm_calls, phases["plan_llm"], success, hit, learned,
     )
 
 
@@ -357,6 +331,7 @@ def run_loop(
     The library is threaded through: its size afterward equals its size
     before plus the number of records with ``learned`` set.
     """
+    _check_mode(mode)
     last_cycle = -1
     for ev in events:
         if ev.cycle <= last_cycle:
@@ -370,7 +345,7 @@ def run_loop(
         sig = event.task.signature
         seen[sig] = repeat_index = seen.get(sig, 0) + 1
         append(run_episode(
-            event, mode, library, planner, thresholds, executor_config, repeat_index=repeat_index,
+            event, mode, library, planner, thresholds, executor_config, repeat_index
         ))
     return records
 

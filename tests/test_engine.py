@@ -138,6 +138,34 @@ class TestProposedMode:
         assert len(library) == 0
         assert record.total_s == pytest.approx(CFG.retrieve_s + LATENCY)
 
+    def test_refinement_without_a_solution_keeps_the_reuse_outcome(self, task, library):
+        # The re-entry's plan seeds no candidate, so nothing is learned: the
+        # episode stays the failed reuse, charged one execution and one plan.
+        config = ExecutorConfig()
+        library.insert(method_for_task(task, method_id="m-bad", successes=0, attempts=0,
+                                       procedure=("rotate",) * 3))
+        record = run_episode(
+            self_event(task, cycle=5), PROPOSED, library, _NoSolutionPlanner(), THRESHOLDS, config
+        )
+        assert (record.hit, record.learned, record.success) == (True, False, False)
+        assert record.llm_calls == 1
+        assert record.execute_s == config.execute_time(3) == pytest.approx(5.85)
+        assert (record.collect_s, record.train_s, record.store_s) == (0.0,) * 3
+        assert len(library) == 1
+
+    def test_refinement_without_a_solution_keeps_a_successful_reuse(self, task, library):
+        # A right but often-failed (1/2) method is reused and succeeds; at
+        # tau_u 0.9 its utility, 2/3, still asks for refinement, which learns
+        # nothing, so the reuse's success stands.
+        library.insert(method_for_task(task, successes=1, attempts=2))
+        thresholds = TriggerThresholds(tau_u=0.9)
+        record = run_episode(
+            self_event(task, cycle=5), PROPOSED, library, _NoSolutionPlanner(), thresholds, CFG
+        )
+        assert (record.hit, record.learned, record.success) == (True, False, True)
+        assert record.llm_calls == 1
+        assert len(library) == 1
+
     def test_refinement_reentry_replaces_failing_method(self, task, library):
         # A fresh (0/0) exact-match method is trusted at the confidence
         # boundary, but its procedure is wrong: reuse fails, utility drops to
@@ -419,6 +447,10 @@ class TestRunLoop:
         with pytest.raises(ValueError, match="^unknown policy mode 'greedy'$"):
             run_episode(self_event(task), "greedy", library, planner(), THRESHOLDS, CFG)
         assert len(library) == 0
+
+    def test_unknown_mode_rejected_on_an_empty_stream(self, library):
+        with pytest.raises(ValueError, match="^unknown policy mode 'greedy'$"):
+            run_loop([], "greedy", library, planner(), THRESHOLDS, CFG)
 
     def test_empty_stream(self, library):
         assert run_loop([], PROPOSED, library, planner(), THRESHOLDS, CFG) == []

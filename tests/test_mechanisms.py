@@ -12,7 +12,7 @@ engine calls when it fires:
 - ``idle_decay``, when ``needs_refinement`` is asked about a method whose
   last use is before the current cycle, so that ``utility`` decays it;
 - ``validation_failure``, when ``learner.validate`` does not pass;
-- ``plan_with_feedback``, when ``_Episode._plan`` is given feedback.
+- ``plan_with_feedback``, when the planner's ``plan`` is given feedback.
 
 ``MECHANISMS`` names, for each reached mechanism, one scenario that fires
 it; its count there must be above 0. ``UNREACHED`` names the item that will
@@ -33,6 +33,7 @@ from reuseloop.config import RunConfig, build_corpus, build_planner, resolve_exe
 from reuseloop.engine import run_loop
 from reuseloop.errors import parse_json, read_dataclass
 from reuseloop.library import MethodLibrary
+from reuseloop.planner import MockPlanner
 from reuseloop.trigger import (
     LEARN_LOW_CONFIDENCE, LEARN_OBSERVATION, LEARN_UNCOVERED, NO_ACTION, REUSE,
 )
@@ -62,7 +63,7 @@ def _run(name: str, p_corrupt: float | None) -> Counter:
     """The mechanism counts of one bundled run."""
     counts: Counter = Counter()
     decide, needs_refinement = engine.decide, engine.needs_refinement
-    validate, plan = learner.validate, engine._Episode._plan
+    validate, plan = learner.validate, MockPlanner.plan
 
     def counting_decide(found, thresholds, observed=None):
         decision = decide(found, thresholds, observed)
@@ -80,9 +81,9 @@ def _run(name: str, p_corrupt: float | None) -> Counter:
         counts["validation_failure"] += not candidate.passed
         return candidate
 
-    def counting_plan(self, outcome=None):
+    def counting_plan(self, task, outcome=None):
         counts["plan_with_feedback"] += outcome is not None
-        return plan(self, outcome)
+        return plan(self, task, outcome)
 
     doc = parse_json((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
     if p_corrupt is not None:
@@ -93,7 +94,7 @@ def _run(name: str, p_corrupt: float | None) -> Counter:
         mp.setattr(engine, "decide", counting_decide)
         mp.setattr(engine, "needs_refinement", counting_needs_refinement)
         mp.setattr(learner, "validate", counting_validate)
-        mp.setattr(engine._Episode, "_plan", counting_plan)
+        mp.setattr(MockPlanner, "plan", counting_plan)
         run_loop(events, config.mode, MethodLibrary(), build_planner(config), config.thresholds,
                  resolve_executor(config, events))
     return counts

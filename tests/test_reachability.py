@@ -73,6 +73,16 @@ ALLOWED_FIELDS = {
 }
 
 
+# Field names that more than one class in ``src/`` declares. The field
+# check matches by identifier, so a read of one of these keeps every field
+# of that name alive (ROADMAP item 16). A name new to this set is a homonym
+# to review: give each of its fields a reader of its own, then add it here.
+SHARED_FIELD_NAMES = {
+    "avg_llm_calls", "avg_total_s", "collect_s", "cycle", "hit_rate", "id", "latency_s",
+    "max_steps", "n_runs", "retrieve_s", "store_s", "success", "train_s", "version",
+}
+
+
 def _reads(tree: ast.AST, strings: bool = False) -> tuple[Counter, Counter]:
     """How often ``tree`` reads each identifier as a name (imports included)
     and as an attribute. With ``strings``, a string constant counts as both."""
@@ -372,6 +382,18 @@ def test_every_allowed_field_exists_and_is_unread():
     found = unread_fields(src_modules(), field_readers())
     assert [name for name in ALLOWED_FIELDS if name not in found] == []
     assert all(reason.strip() for reason in ALLOWED_FIELDS.values())
+
+
+def test_shared_field_names_are_reviewed():
+    # Every class counts, not only dataclasses: a Protocol's annotated
+    # attribute (planner.Planner.latency_s) shares the identifier too.
+    declared = Counter(
+        name
+        for source in src_modules().values()
+        for stmt in ast.parse(source).body if isinstance(stmt, ast.ClassDef)
+        for name in set(_fields(stmt))
+    )
+    assert {name for name, n in declared.items() if n > 1} == SHARED_FIELD_NAMES
 
 
 def test_write_only_field_on_method_is_named():
