@@ -60,7 +60,17 @@ def normalize_token(token: str) -> str:
 
 
 def normalize_goal(goal: Iterable[str]) -> tuple[str, ...]:
-    """Canonical ordered goal tokens: normalized, empties dropped."""
+    """Canonical ordered goal tokens: normalized, empties dropped.
+
+    A canonical goal, one whose tokens are all non-empty and whose joined
+    text is ASCII, alphanumeric and lower-case, is returned as it is, as a
+    tuple: each of its tokens holds only ``[a-z0-9]``, so the per-token rule
+    would give it back unchanged. Every other goal goes through that rule.
+    """
+    goal = tuple(goal)
+    text = "".join(goal)
+    if all(goal) and text.isascii() and text.isalnum() and text.islower():
+        return goal
     return tuple([t for t in map(normalize_token, goal) if t])
 
 
@@ -82,8 +92,12 @@ class TaskDescriptor:
 
     ``target_sequence`` is the ground-truth action chain used by the
     simulated environment to judge executions; policies must not read it.
-    ``signature`` and ``goal_tokens`` are its retrieval key, computed once,
-    at construction; they are not fields, so equality ignores them.
+    ``goal``, ``observations`` and ``target_sequence`` are sequences of
+    strings: a ``str`` in their place is refused, not read as a sequence of
+    one-letter tokens. ``signature`` and ``goal_tokens`` are its retrieval
+    key, computed once, at construction; they are not fields, so equality
+    ignores them. A canonical goal (see ``normalize_goal``) is keyed on as it
+    is, which is what the per-token rule gives it.
 
     ``signature`` is the first 16 hex digits of the SHA-256 of the bytes of
     ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` over the
@@ -104,6 +118,9 @@ class TaskDescriptor:
     target_sequence: tuple[str, ...]
 
     def __post_init__(self):
+        for name in ("goal", "observations", "target_sequence"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a sequence of strings, not a str")
         if not self.goal:
             raise ValueError("goal must be non-empty")
         tokens = normalize_goal(self.goal)
@@ -220,21 +237,18 @@ def generate_corpus(
     rng.shuffle(combos)
 
     constraints = TaskConstraints(max_steps=8)
-    tasks = []
-    for i, (verb, color, obj) in enumerate(combos[:n_tasks]):
-        length = rng.randint(3, 6)
-        target = tuple(rng.choice(DEFAULT_ACTIONS) for _ in range(length))
-        tasks.append(
-            TaskDescriptor(
-                id=f"task-{i:03d}",
-                instruction=f"{verb} the {color} {obj}",
-                goal=(verb, color, obj),
-                environment={"workspace": "bench-1", "object": obj, "color": color},
-                observations=("vision", "proprioception"),
-                constraints=constraints,
-                target_sequence=target,
-            )
+    randint, choice = rng.randint, rng.choice
+    # Positional, in field order: keyword arguments cost more per build. Each
+    # target draws its length, then its actions, as the pinned stream expects.
+    tasks = [
+        TaskDescriptor(
+            f"task-{i:03d}", f"{verb} the {color} {obj}", (verb, color, obj),
+            {"workspace": "bench-1", "object": obj, "color": color},
+            ("vision", "proprioception"), constraints,
+            tuple([choice(DEFAULT_ACTIONS) for _ in range(randint(3, 6))]),
         )
+        for i, (verb, color, obj) in enumerate(combos[:n_tasks])
+    ]
 
     observed = n_tasks if mode == OBSERVATION_FIRST else 0  # the first round's cycles
     return [

@@ -8,7 +8,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reuseloop.errors import SchemaError, to_doc
@@ -45,12 +45,28 @@ _TOKENS = st.lists(
     max_size=4,
 ).map("".join)
 
+# Goal tokens for normalize_goal's canonical-goal shortcut: canonical ones,
+# and one case at each edge of its guard: an empty token, upper case, digits
+# only (whose islower() is false), punctuation and whitespace, and non-ASCII
+# letters: the Kelvin sign, whose lower() is ASCII "k", a dotted capital I
+# and sharp s, which is lower-case and alphanumeric.
+_GOAL_TOKENS = st.one_of(
+    st.from_regex(r"[a-z0-9]{1,6}", fullmatch=True),
+    st.sampled_from(["", "Pick", "RED", "42", "up!", "a b", " ", "-", "\u212a", "İ", "ß"]),
+)
+
+
+def _regex_rule(goal):
+    """The per-token rule, written out: lowercase, strip outside ``[a-z0-9]``,
+    drop the empties."""
+    return tuple(t for t in (re.sub(r"[^a-z0-9]+", "", tok.lower()) for tok in goal) if t)
+
 
 def _json_dumps_digest(goal, constraints):
     """The signature's independent oracle: the first 16 hex digits of the
     SHA-256 of ``json.dumps`` over the regex-normalized goal and the
     constraints, or None when no goal token survives normalization."""
-    tokens = [t for t in (re.sub(r"[^a-z0-9]+", "", tok.lower()) for tok in goal) if t]
+    tokens = _regex_rule(goal)
     if not tokens:
         return None
     deadline = constraints.deadline_s
@@ -153,6 +169,21 @@ class TestSignature:
     def test_normalize_token_is_the_regex_property(self, token):
         assert normalize_token(token) == re.sub(r"[^a-z0-9]+", "", token.lower())
 
+    @settings(max_examples=400, deadline=None)
+    @given(goal=st.lists(_GOAL_TOKENS, max_size=4), form=st.sampled_from(["tuple", "list", "generator"]))
+    # One goal at each edge of the guard: dropping any of its terms fails one.
+    @example(goal=["pick", ""], form="tuple")
+    @example(goal=["ß"], form="tuple")
+    @example(goal=["up!"], form="list")
+    @example(goal=["Pick", "red"], form="generator")
+    @example(goal=["42"], form="tuple")
+    @example(goal=["\u212a", "ing"], form="tuple")
+    def test_normalize_goal_is_the_regex_rule_property(self, goal, form):
+        tokens = {"tuple": tuple, "list": list, "generator": lambda g: (t for t in g)}[form](goal)
+        got = normalize_goal(tokens)
+        assert type(got) is tuple
+        assert got == _regex_rule(goal)
+
     @settings(max_examples=200, deadline=None)
     @given(
         goal=st.lists(_TOKENS, min_size=1, max_size=4),
@@ -225,6 +256,16 @@ class TestDescriptorInvariants:
                 TaskConstraints(max_steps=4, deadline_s=deadline)
         assert TaskConstraints(max_steps=4, deadline_s=0.0).deadline_s == 0.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("goal", "pick red cube"), ("observations", "vision"), ("target_sequence", "move")],
+    )
+    def test_string_in_place_of_a_token_sequence_rejected(self, field, value):
+        # Read as a sequence, a str would be one-letter tokens: a goal keyed
+        # on letters, or a target no execution's tuple can equal.
+        with pytest.raises(ValueError, match=f"^{field} must be a sequence of strings, not a str$"):
+            dataclasses.replace(make_task(), **{field: value})
+
     @pytest.mark.parametrize("max_steps", [8.5, 8.0, float("nan"), float("inf")])
     def test_max_steps_must_be_an_integer(self, max_steps):
         with pytest.raises(ValueError, match="^max_steps must be a positive integer$"):
@@ -280,6 +321,14 @@ class TestGenerateCorpus:
         a = generate_corpus(seed=42, n_tasks=10, n_repeats=3)
         b = generate_corpus(seed=42, n_tasks=10, n_repeats=3)
         assert json.dumps(corpus_to_doc(a)) == json.dumps(corpus_to_doc(b))
+
+    def test_tasks_depend_only_on_seed_and_n_tasks(self):
+        # So the 384x3 events.json digests in test_golden_outputs.py also pin
+        # the draws of baseline-384's 384x10 corpora.
+        short = [event.task for event in generate_corpus(7, 384, 3)[:384]]
+        long = [event.task for event in generate_corpus(7, 384, 10, OBSERVATION_FIRST)[:384]]
+        assert short == long
+        assert [task.signature for task in short] == [task.signature for task in long]
 
     def test_different_seeds_differ(self):
         a = generate_corpus(seed=1, n_tasks=10, n_repeats=1)
