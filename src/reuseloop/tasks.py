@@ -47,16 +47,8 @@ _TOKEN_RE = re.compile(r"[^a-z0-9]+")
 
 
 def normalize_token(token: str) -> str:
-    """Lowercase a goal token and drop every character outside ``[a-z0-9]``.
-
-    A lowercased token that is ASCII and alphanumeric holds only ``[a-z0-9]``,
-    so the regex would match nothing in it and it is returned as it is; every
-    other token goes through the regex.
-    """
-    low = token.lower()
-    if low.isascii() and low.isalnum():
-        return low
-    return _TOKEN_RE.sub("", low)
+    """Lowercase a goal token and drop every character outside ``[a-z0-9]``."""
+    return _TOKEN_RE.sub("", token.lower())
 
 
 def normalize_goal(goal: Iterable[str]) -> tuple[str, ...]:
