@@ -45,10 +45,11 @@ for sample in dataset.self_samples:
         quasi_adjust(candidate, sample)
 
 candidate = train_episode(candidate, dataset)
-validate(candidate, executor.replay, plan.update_criteria)
+executed = executor.execute(candidate.sequence, {"execute": 0.0})  # the one paid execution
+validate(candidate, executed, plan.update_criteria)
 print(f"refined: {candidate.sequence}")
 print(f"confidence floor: {min(candidate.per_step_confidence):.2f}")
-print(f"validation passed: {candidate.passed} (replay {executor.replay(candidate.sequence)})")
+print(f"validation passed: {candidate.passed} (execution succeeded: {executed})")
 print("nothing stored: a single bad attempt cannot outvote itself")
 
 # --- 2. the same planner, plus one successful observation ------------------
@@ -58,7 +59,7 @@ dataset.ingest_observation(observation)
 
 plan = MockPlanner(seed=2, p_corrupt=1.0).plan(task)
 candidate = train_episode(initialize(plan, dataset), dataset)
-validate(candidate, executor.replay, plan.update_criteria)
+validate(candidate, True, plan.update_criteria)  # nothing executed: judged on its floor alone
 print(f"\nwith an observed success, refined: {candidate.sequence}")
 print(f"validation passed: {candidate.passed}")
 

@@ -106,12 +106,13 @@ class SequenceExecutor:
     """Simulated environment for one task, and the only engine code that
     reads the task's hidden target.
 
-    Execution succeeds when the attempted sequence equals the target.
-    ``replay`` makes that check for validation, at no cost; ``execute``
-    adds the execution time to the episode's phase dict and makes it.
+    ``execute`` adds the execution time to the episode's phase dict and
+    succeeds when the attempted sequence equals the target. A candidate is
+    validated on that paid outcome: nothing checks one for free.
     ``collect`` adds the collection time and records one experience sample
     per step, successful when the step matches the expected action, and
-    ``first_failed_step`` names the first step that does not, or is missing.
+    ``first_failed_step`` names, for a sequence just executed, the first
+    step that does not, or is missing.
     """
 
     __slots__ = ("task", "config")
@@ -120,12 +121,9 @@ class SequenceExecutor:
         self.task = task
         self.config = config
 
-    def replay(self, sequence: Sequence[str]) -> bool:
-        return tuple(sequence) == self.task.target_sequence
-
     def execute(self, sequence: Sequence[str], phases: dict[str, float]) -> bool:
         phases["execute"] += self.config.execute_time(len(sequence))
-        return self.replay(sequence)
+        return tuple(sequence) == self.task.target_sequence
 
     def collect(
         self, sequence: Sequence[str], dataset: EpisodeDataset, phases: dict[str, float]
@@ -223,9 +221,12 @@ def learn(
     """Plan, collect experience, consolidate, validate and store, charging
     ``phases``; return ``(llm_calls, learned, success)``.
 
-    An observed event succeeds iff a method was stored. A self event then
-    executes the candidate, except on refinement (``outcome`` given), which
-    keeps the reuse's ``outcome.success``.
+    The candidate is validated on the evidence the episode pays for. A
+    fresh self event executes it once, and that outcome is both the
+    validation's and the event's success. An observed event or a
+    refinement (``outcome`` given) executes nothing: it is judged on its
+    confidence floor alone. An observed event succeeds iff a method was
+    stored; a refinement keeps the reuse's ``outcome.success``.
     """
     plan = planner.plan(executor.task, outcome)
     phases["plan_llm"] += planner.latency_s
@@ -235,23 +236,22 @@ def learn(
         dataset.ingest_observation(observed)
     elif plan.direct_solution is not None:
         executor.collect(plan.direct_solution, dataset, phases)
-    kept = outcome is not None and outcome.success  # a refinement keeps the reuse's success
+    success = outcome is not None and outcome.success  # a refinement keeps the reuse's success
     try:
         candidate = learner.initialize(plan, dataset)
     except ValueError:  # no experience to learn from
-        return 1, False, kept
+        return 1, False, success
     phases["train"] += executor.config.train_s
     candidate = learner.train_episode(candidate, dataset)
-    learned = learner.validate(candidate, executor.replay, plan.update_criteria).passed
+    executed = True  # an observed event or a refinement executes nothing
+    if observed is None and outcome is None:
+        executed = success = executor.execute(candidate.sequence, phases)
+    learned = learner.validate(candidate, executed, plan.update_criteria).passed
     if learned:
         method = learner.build_method(candidate, executor.task, dataset, event.cycle, library)
         library.insert(method)
         phases["store"] += executor.config.store_s
-    if observed is not None:
-        return 1, learned, learned
-    if outcome is not None:
-        return 1, learned, kept
-    return 1, learned, executor.execute(candidate.sequence, phases)
+    return 1, learned, learned if observed is not None else success
 
 
 def run_episode(

@@ -5,11 +5,13 @@ solution or from observed data) to ``refined`` (post-episode consolidation
 by per-index majority over successful samples). Both stages pick an
 index's action by one vote rule, ``_vote``: the most successes wins, a tie
 keeps the candidate's own action and otherwise takes the smallest name.
-``validate`` replays a refined candidate once and sets its ``passed`` flag:
-true when the replay succeeds and no step's confidence is below the plan's
-validation threshold. Only a candidate that passed is packaged as a new
-library method. This module only consolidates: when to learn, and when a
-stored method needs refinement, is ``trigger``'s to say.
+``validate`` sets a refined candidate's ``passed`` flag on the evidence
+its episode paid for: true when its execution succeeded (an episode that
+executes nothing passes ``True``) and no step's confidence is below the
+plan's validation threshold. Nothing here reads a task's hidden target.
+Only a candidate that passed is packaged as a new library method. This
+module only consolidates: when to learn, and when a stored method needs
+refinement, is ``trigger``'s to say.
 
 ``quasi_adjust`` (the ``adjusted`` stage) is a library primitive the engine
 no longer calls: ``train_episode``'s per-index recount subsumes it in this
@@ -19,7 +21,7 @@ analytically.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Container, Sequence
+from collections.abc import Container
 from dataclasses import dataclass
 from itertools import count
 
@@ -150,20 +152,18 @@ def train_episode(candidate: CandidateSolution, dataset: EpisodeDataset) -> Cand
     return candidate
 
 
-def validate(
-    candidate: CandidateSolution, replay: Callable[[Sequence[str]], bool], update_criteria
-) -> CandidateSolution:
-    """Replay the refined sequence once and check the confidence floor.
+def validate(candidate: CandidateSolution, executed: bool, update_criteria) -> CandidateSolution:
+    """Check the refined candidate's execution outcome and confidence floor.
 
-    ``replay`` checks a sequence without side effects. Sets
+    ``executed`` is whether the episode's one execution of the candidate
+    succeeded, ``True`` for an episode that executes nothing. Sets
     ``candidate.passed``, which ``build_method`` requires, and returns the
     candidate.
     """
     if candidate.stage != STAGE_REFINED:
         raise ValueError("only refined candidates can be validated")
     floor = min(candidate.per_step_confidence) if candidate.per_step_confidence else 0.0
-    replayed = bool(replay(candidate.sequence))
-    candidate.passed = replayed and floor >= update_criteria.validation_threshold
+    candidate.passed = executed and floor >= update_criteria.validation_threshold
     return candidate
 
 
@@ -178,8 +178,8 @@ def build_method(
 
     Its id is ``m-<signature[:12]>-c<cycle:04d>``, plus the first free
     ``-N`` (from 1) if ``taken``, the library it joins, already holds that.
-    Reliability starts at 1/1: the validation replay counts as the first
-    successful attempt.
+    Reliability starts at 1/1: the episode's paid execution, or the
+    demonstration it learned from, counts as the first successful attempt.
     """
     if not candidate.passed:
         raise ValueError("method construction requires a candidate that passed validation")

@@ -97,6 +97,9 @@ class MockPlanner:
     hidden target, except that with probability ``p_corrupt`` one step is
     replaced by a different action from ``DEFAULT_ACTIONS``. Clean calls
     without an outcome share one frozen ``LearningPlan`` per task content.
+    Reading the target is how the mock stands in for what a model knows of
+    the task; beside it, only ``tasks`` and the engine's
+    ``SequenceExecutor`` read it.
 
     An episode outcome applies a documented transformation: when it failed
     at step ``k`` of the plan, it inserts an ``observe`` directive

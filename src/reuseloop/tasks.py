@@ -142,11 +142,14 @@ class ObservedEvent(_ObservedEventFields):
     enclosing ``TaskEvent`` names its task.
 
     An immutable ``NamedTuple`` record, checked on every build: ``_make``
-    and ``_replace`` go through ``__new__`` too."""
+    and ``_replace`` go through ``__new__`` too. A ``str`` in place of
+    ``action_sequence`` is refused, not read as one-letter actions."""
 
     __slots__ = ()
 
     def __new__(cls, action_sequence, success):
+        if isinstance(action_sequence, str):
+            raise ValueError("action_sequence must be a sequence of strings, not a str")
         if success and not action_sequence:
             raise ValueError("successful observation must carry a non-empty action_sequence")
         return tuple.__new__(cls, (action_sequence, success))

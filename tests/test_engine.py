@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 from decimal import Decimal
 from functools import reduce
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reuseloop import engine
+from reuseloop import engine, learner
 from reuseloop.engine import (
     ALWAYS_LLM,
     LIBRARY_ONLY,
@@ -41,7 +43,7 @@ from reuseloop.tasks import (
     generate_corpus,
     signature_of,
 )
-from reuseloop.trigger import TriggerThresholds
+from reuseloop.trigger import LEARN_LOW_CONFIDENCE, LEARN_OBSERVATION, REUSE, TriggerThresholds
 
 from conftest import method_for_task
 
@@ -124,6 +126,42 @@ class TestProposedMode:
         # store phase never charged on a failed consolidation
         assert record.store_s == 0.0
         assert record.train_s == CFG.train_s
+        # A failed validation still pays exactly one execution.
+        assert record.execute_s == exec_time(task)
+
+    def test_validation_reads_the_one_paid_execution(self, task, library, monkeypatch):
+        # A fresh self episode executes its candidate once and validates on
+        # that outcome; an observed episode and a refinement execute nothing
+        # and pass True, to be judged on the confidence floor alone.
+        calls = []
+        execute, validate = SequenceExecutor.execute, learner.validate
+
+        def spying_execute(self, sequence, phases):
+            calls.append(("execute", ok := execute(self, sequence, phases)))
+            return ok
+
+        def spying_validate(candidate, executed, update_criteria):
+            calls.append(("validate", executed))
+            return validate(candidate, executed, update_criteria)
+
+        monkeypatch.setattr(SequenceExecutor, "execute", spying_execute)
+        monkeypatch.setattr(learner, "validate", spying_validate)
+        for p_corrupt, ok in ((0.0, True), (1.0, False)):
+            calls.clear()
+            run_episode(self_event(task), PROPOSED, MethodLibrary(), planner(p_corrupt),
+                        THRESHOLDS, CFG)
+            assert calls == [("execute", ok), ("validate", ok)]
+
+        calls.clear()
+        run_episode(_observed_event(), PROPOSED_OBSERVATION, library, planner(), THRESHOLDS, CFG)
+        assert calls == [("validate", True)]
+
+        calls.clear()  # a reused 1/2 method that tau_u 0.9 refines
+        library.insert(method_for_task(task, successes=1, attempts=2))
+        record = run_episode(self_event(task, 5), PROPOSED, library, planner(),
+                             TriggerThresholds(tau_u=0.9), CFG)
+        assert record.learned
+        assert calls == [("execute", True), ("validate", True)]  # the reuse, then the refinement
 
     def test_plan_without_a_solution_learns_nothing(self, task, library):
         # Nothing to collect, so initialize refuses the empty dataset: the
@@ -306,6 +344,37 @@ class TestObservationModes:
         )
         assert record.learned and record.success
         assert library.methods()[0].procedure == event.task.target_sequence
+
+    def test_wrong_demonstration_is_stored_then_outlearned(self, library, monkeypatch):
+        # An observed episode executes nothing, so it is judged on its
+        # confidence floor alone: a demonstration with one wrong step, and
+        # full confidence in it, is stored. Its reuses fail until the
+        # method's confidence, (1 + 1) / (3 + 2), falls below tau_q.
+        events = generate_corpus(seed=7, n_tasks=1, n_repeats=6, mode=OBSERVATION_FIRST)
+        target = events[0].task.target_sequence
+        wrong = ("rotate" if target[0] != "rotate" else "push", *target[1:])
+        events[0] = events[0]._replace(observed=ObservedEvent(wrong, True))
+        branches = []
+        decide = engine.decide
+
+        def spying_decide(found, thresholds, observed=None):
+            decision = decide(found, thresholds, observed)
+            branches.append(decision.branch)
+            return decision
+
+        monkeypatch.setattr(engine, "decide", spying_decide)
+        records = run_loop(events, PROPOSED_OBSERVATION, library, planner(), THRESHOLDS, CFG)
+        assert branches == [LEARN_OBSERVATION, REUSE, REUSE, LEARN_LOW_CONFIDENCE, REUSE, REUSE]
+        assert [(r.learned, r.hit, r.success) for r in records] == [
+            (True, False, True), (False, True, False), (False, True, False),
+            (True, False, True), (False, True, True), (False, True, True),
+        ]
+        assert records[0].total_s == pytest.approx(
+            CFG.observe_s + CFG.retrieve_s + LATENCY + CFG.train_s + CFG.store_s
+        )
+        # The wrong method stays beside the one learned at cycle 3.
+        assert [(m.procedure, m.reliability.successes, m.reliability.attempts)
+                for m in library.methods()] == [(wrong, 1, 3), (target, 3, 3)]
 
 
 # README's "Policy modes" table, cell by cell. Each cell runs one event on a
@@ -871,10 +940,10 @@ class TestClockAndExecutor:
         assert executor.first_failed_step(target) is None
         assert executor.first_failed_step(["rotate", *target[1:]]) == 1
         assert executor.first_failed_step([*target, "move"]) == len(target) + 1
-        # A sequence that stops short of the target fails replay, so it
+        # A sequence that stops short of the target fails execution, so it
         # fails at a step too: the first one it leaves out.
         for n in range(len(target)):
-            assert not executor.replay(target[:n])
+            assert not executor.execute(target[:n], dict.fromkeys(PHASES, 0.0))
             assert executor.first_failed_step(target[:n]) == n + 1
 
     def test_overflowing_execute_time_rejected(self, task):
@@ -915,3 +984,27 @@ class TestClockAndExecutor:
     def test_non_finite_executor_config_rejected(self, value):
         with pytest.raises(ValueError, match="^train_s must be finite"):
             ExecutorConfig(train_s=value)
+
+
+# Who reads a task's hidden target, each for the reason given. Policy code
+# must not, as TaskDescriptor says: a method is validated on the evidence
+# its episode pays for, never by comparing it with the target.
+TARGET_READERS = {
+    "tasks.py": "defines the target, checks it, and builds corpora and observations from it",
+    "planner.py": "the simulated LLM: its plans stand in for what a model knows of the task",
+    "engine.py:SequenceExecutor": "the simulated environment, which judges what is executed",
+}
+
+
+def test_only_the_environment_and_the_simulated_llm_read_the_target():
+    readers = set()
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.name}:{stmt.name}" if isinstance(stmt, ast.ClassDef) else path.name
+            for node in ast.walk(stmt):
+                # An attribute load, or the name as a string (getattr, a key).
+                if (isinstance(node, ast.Attribute) and node.attr == "target_sequence"
+                        and isinstance(node.ctx, ast.Load)) or (
+                        isinstance(node, ast.Constant) and node.value == "target_sequence"):
+                    readers.add(owner if owner in TARGET_READERS else path.name)
+    assert readers == set(TARGET_READERS)

@@ -41,11 +41,6 @@ def plan_without_solution(task):
     )
 
 
-def _replay(target):
-    """A side-effect-free replay that succeeds on ``target`` alone."""
-    return lambda sequence: tuple(sequence) == tuple(target)
-
-
 SELF, OBS = "self", "observed"  # the list a named case's sample goes to
 
 
@@ -283,42 +278,41 @@ class TestValidate:
     def test_correct_sequence_passes(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
-        assert validate(candidate, _replay(task.target_sequence), UpdateCriteria()) is candidate
+        assert validate(candidate, True, UpdateCriteria()) is candidate
         assert candidate.passed is True
 
-    def test_corrupted_sequence_fails_replay(self, task):
+    def test_failed_execution_fails_despite_full_confidence(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
-        candidate.sequence[0] = "rotate"
-        validate(candidate, _replay(task.target_sequence), UpdateCriteria())
+        assert min(candidate.per_step_confidence) == 1.0
+        validate(candidate, False, UpdateCriteria())
         assert candidate.passed is False
 
-    def test_low_confidence_fails_despite_replay(self, task):
+    def test_low_confidence_fails_despite_execution(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         candidate.per_step_confidence[0] = 0.25
-        replay = _replay(task.target_sequence)
-        validate(candidate, replay, UpdateCriteria())
-        assert replay(candidate.sequence) and candidate.passed is False
+        validate(candidate, True, UpdateCriteria())
+        assert candidate.passed is False
 
     def test_floor_at_threshold_passes(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
         candidate.per_step_confidence[0] = UpdateCriteria().validation_threshold
-        validate(candidate, _replay(task.target_sequence), UpdateCriteria())
+        validate(candidate, True, UpdateCriteria())
         assert candidate.passed is True
 
     def test_only_refined_candidates_validate(self, task):
         candidate = initialize(plan_for(task), EpisodeDataset())
         with pytest.raises(ValueError):
-            validate(candidate, _replay(task.target_sequence), UpdateCriteria())
+            validate(candidate, True, UpdateCriteria())
 
 
 class TestBuildMethod:
     def _validated_candidate(self, task, ds=None):
         ds = ds if ds is not None else EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
-        validate(candidate, _replay(task.target_sequence), UpdateCriteria())
+        validate(candidate, True, UpdateCriteria())
         return candidate, ds
 
     def test_method_is_retrievable_for_its_task(self, task):
@@ -355,7 +349,7 @@ class TestBuildMethod:
     def test_failed_validation_rejected(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
-        validate(candidate, _replay(("other",)), UpdateCriteria())
+        validate(candidate, False, UpdateCriteria())
         with pytest.raises(ValueError):
             build_method(candidate, task, ds, cycle=0)
 
@@ -383,7 +377,7 @@ class TestUtility:
     def test_fresh_validated_method_not_refined_under_defaults(self, task):
         ds = EpisodeDataset()
         candidate = train_episode(initialize(plan_for(task), ds), ds)
-        validate(candidate, _replay(task.target_sequence), UpdateCriteria())
+        validate(candidate, True, UpdateCriteria())
         method = build_method(candidate, task, ds, cycle=0)
         assert not needs_refinement(method, current_cycle=0, tau_u=0.3)
 

@@ -76,8 +76,8 @@ def _run(name: str, p_corrupt: float | None) -> Counter:
         counts["refinement"] += refine
         return refine
 
-    def counting_validate(candidate, replay, update_criteria):
-        candidate = validate(candidate, replay, update_criteria)
+    def counting_validate(candidate, executed, update_criteria):
+        candidate = validate(candidate, executed, update_criteria)
         counts["validation_failure"] += not candidate.passed
         return candidate
 

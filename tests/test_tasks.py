@@ -513,6 +513,22 @@ class TestEventRecords:
         with pytest.raises(ValueError, match=message):
             ObservedEvent._make(((), True))
 
+    def test_string_in_place_of_an_action_sequence_rejected(self):
+        # Unpacked, "move" would be four one-letter actions m, o, v, e.
+        message = "^action_sequence must be a sequence of strings, not a str$"
+        with pytest.raises(ValueError, match=message):
+            ObservedEvent("move", True)
+        with pytest.raises(ValueError, match=message):
+            ObservedEvent._make(("move", True))
+        with pytest.raises(ValueError, match=message):
+            ObservedEvent(("move",), True)._replace(action_sequence="move")
+        # The corpus reader refuses it by type first, with its own message.
+        doc = corpus_to_doc(generate_corpus(seed=1, n_tasks=1, n_repeats=1, mode=OBSERVATION_FIRST))
+        doc["events"][0]["observed"]["action_sequence"] = "move"
+        with pytest.raises(SchemaError) as err:
+            corpus_from_doc(doc)
+        assert str(err.value) == "events[0].observed.action_sequence: expected a list, got str"
+
     @pytest.mark.parametrize("changes, error", [
         ({"cycle": -1}, "events[0].cycle: must be nonnegative"),
         ({"kind": "dream"},

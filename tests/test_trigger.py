@@ -174,8 +174,9 @@ def _stored_method(task):
     plan = MockPlanner(seed=1).plan(task)
     dataset = EpisodeDataset()
     candidate = learner.train_episode(learner.initialize(plan, dataset), dataset)
-    replay = SequenceExecutor(task, ExecutorConfig()).replay
-    learner.validate(candidate, replay, plan.update_criteria)
+    executor = SequenceExecutor(task, ExecutorConfig())
+    executed = executor.execute(candidate.sequence, {"execute": 0.0})
+    learner.validate(candidate, executed, plan.update_criteria)
     return learner.build_method(candidate, task, dataset, cycle=0)
 
 
