@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .engine import RunRecord, float_sum
+from .engine import RunRecord
 from .errors import replacing
 
 
@@ -51,12 +51,15 @@ _REPORT_NOTES = (
 )
 
 
-def _mean(values: list[float]) -> float:
-    return float_sum(values) / len(values)
-
-
 def aggregate(records: list[RunRecord]) -> MetricsReport:
-    """Aggregate records into per-policy and per-repeat metrics."""
+    """Aggregate records into per-policy and per-repeat metrics.
+
+    Each policy's records are walked once. Every sum starts at 0.0 and adds
+    its records in record order, as ``engine.float_sum`` does, so each mean
+    is the one ``float_sum`` of that statistic's values would give. Counts
+    of hits and successes are ints, exact like the float sums of 1.0 they
+    stand for.
+    """
     if not records:
         raise ValueError("cannot aggregate an empty record list")
 
@@ -66,31 +69,37 @@ def aggregate(records: list[RunRecord]) -> MetricsReport:
 
     policies = {}
     for policy, rows in by_policy.items():
-        per_repeat: dict[int, list[RunRecord]] = {}
+        total_time = llm_calls = llm_time = ratios = 0.0
+        successes = hits = 0
+        per_repeat: dict[int, list] = {}  # repeat index -> [runs, total_s, llm_calls, hits]
         for row in rows:
-            per_repeat.setdefault(row.repeat_index, []).append(row)
-        repeat_metrics = {
-            idx: RepeatMetrics(
-                n_runs=len(group),
-                avg_total_s=_mean([r.total_s for r in group]),
-                avg_llm_calls=_mean([float(r.llm_calls) for r in group]),
-                hit_rate=_mean([1.0 if r.hit else 0.0 for r in group]),
-            )
-            for idx, group in sorted(per_repeat.items())
-        }
-        total_time = float_sum(r.total_s for r in rows)
-        total_llm_time = float_sum(r.llm_time_s for r in rows)
+            total_s, calls, llm_time_s, hit = row.total_s, row.llm_calls, row.llm_time_s, row.hit
+            total_time += total_s
+            llm_calls += calls
+            llm_time += llm_time_s
+            ratios += (llm_time_s / total_s) if total_s > 0 else 0.0
+            successes += row.success
+            hits += hit
+            sums = per_repeat.get(row.repeat_index)
+            if sums is None:
+                sums = per_repeat[row.repeat_index] = [0, 0.0, 0.0, 0]
+            sums[0] += 1
+            sums[1] += total_s
+            sums[2] += calls
+            sums[3] += hit
+        n = len(rows)
         policies[policy] = PolicyMetrics(
-            n_runs=len(rows),
-            avg_total_s=_mean([r.total_s for r in rows]),
-            avg_llm_calls=_mean([float(r.llm_calls) for r in rows]),
-            avg_llm_time_ratio=_mean(
-                [(r.llm_time_s / r.total_s) if r.total_s > 0 else 0.0 for r in rows]
-            ),
-            llm_time_ratio_micro=(total_llm_time / total_time) if total_time > 0 else 0.0,
-            success_rate=_mean([1.0 if r.success else 0.0 for r in rows]),
-            hit_rate=_mean([1.0 if r.hit else 0.0 for r in rows]),
-            per_repeat=repeat_metrics,
+            n_runs=n,
+            avg_total_s=total_time / n,
+            avg_llm_calls=llm_calls / n,
+            avg_llm_time_ratio=ratios / n,
+            llm_time_ratio_micro=(llm_time / total_time) if total_time > 0 else 0.0,
+            success_rate=successes / n,
+            hit_rate=hits / n,
+            per_repeat={
+                idx: RepeatMetrics(runs, time_sum / runs, call_sum / runs, hit_count / runs)
+                for idx, (runs, time_sum, call_sum, hit_count) in sorted(per_repeat.items())
+            },
         )
     return MetricsReport(policies=policies, notes=_REPORT_NOTES)
 

@@ -14,7 +14,7 @@ import itertools
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _str_text
 from math import isfinite
 from pathlib import Path
@@ -78,18 +78,18 @@ class TaskConstraints:
             raise ValueError("deadline_s must be finite and nonnegative when present")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TaskDescriptor:
     """One benchmark task.
 
     ``target_sequence`` is the ground-truth action chain used by the
     simulated environment to judge executions; policies must not read it.
     ``goal``, ``observations`` and ``target_sequence`` are sequences of
-    strings: a ``str`` in their place is refused, not read as a sequence of
-    one-letter tokens. ``signature`` and ``goal_tokens`` are its retrieval
-    key, computed once, at construction; they are not fields, so equality
-    ignores them. A canonical goal (see ``normalize_goal``) is keyed on as it
-    is, which is what the per-token rule gives it.
+    strings, stored as tuples: a ``str`` in their place is refused, not read
+    as a sequence of one-letter tokens. ``signature`` and ``goal_tokens`` are
+    its retrieval key, computed once, at construction; they are not fields,
+    so equality ignores them. A canonical goal (see ``normalize_goal``) is
+    keyed on as it is, which is what the per-token rule gives it.
 
     ``signature`` is the first 16 hex digits of the SHA-256 of the bytes of
     ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` over the
@@ -99,7 +99,20 @@ class TaskDescriptor:
     (``-0.0`` as ``0.0``) or ``null``, and ``max_steps`` as the decimal
     digits of an int, as ``json`` writes them. So equal constraints sign
     alike.
+
+    A task is a slotted record with no instance ``__dict__``. The dataclass
+    supplies equality, hashing, ``repr``, ``fields`` and ``replace``, and
+    refuses ``setattr`` and ``delattr``; ``__init__`` stores each slot
+    through its own member descriptor, which costs about half of the
+    ``object.__setattr__`` a frozen dataclass pays per field. Every way of
+    building a task runs ``__init__``: ``replace``, the corpus reader, and
+    copy and pickle through ``__reduce__``.
     """
+
+    __slots__ = (
+        "id", "instruction", "goal", "environment", "observations", "constraints",
+        "target_sequence", "goal_tokens", "signature",
+    )
 
     id: str
     instruction: str
@@ -109,27 +122,48 @@ class TaskDescriptor:
     constraints: TaskConstraints
     target_sequence: tuple[str, ...]
 
-    def __post_init__(self):
-        for name in ("goal", "observations", "target_sequence"):
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a sequence of strings, not a str")
-        if not self.goal:
+    def __init__(self, id, instruction, goal, environment, observations, constraints, target_sequence):
+        if isinstance(goal, str) or isinstance(observations, str) or isinstance(target_sequence, str):
+            name = "goal" if isinstance(goal, str) else (
+                "observations" if isinstance(observations, str) else "target_sequence")
+            raise ValueError(f"{name} must be a sequence of strings, not a str")
+        goal, observations, target_sequence = tuple(goal), tuple(observations), tuple(target_sequence)
+        if not goal:
             raise ValueError("goal must be non-empty")
-        tokens = normalize_goal(self.goal)
+        tokens = normalize_goal(goal)
         if not tokens:
             raise ValueError("goal must contain at least one non-empty token")
-        if not self.target_sequence:
+        if not target_sequence:
             raise ValueError("target_sequence must be non-empty")
-        if len(self.target_sequence) > self.constraints.max_steps:
+        if len(target_sequence) > constraints.max_steps:
             raise ValueError("target_sequence longer than constraints.max_steps")
-        deadline = self.constraints.deadline_s
+        deadline = constraints.deadline_s
         deadline_text = "null" if deadline is None else repr(float(deadline) + 0.0)
         text = (
             f'{{"deadline_s":{deadline_text},"goal":[{",".join(map(_str_text, tokens))}],'
-            f'"max_steps":{int(self.constraints.max_steps)}}}'
+            f'"max_steps":{int(constraints.max_steps)}}}'
         )
-        object.__setattr__(self, "goal_tokens", frozenset(tokens))
-        object.__setattr__(self, "signature", hashlib.sha256(text.encode()).hexdigest()[:16])
+        _set_id(self, id)
+        _set_instruction(self, instruction)
+        _set_goal(self, goal)
+        _set_environment(self, environment)
+        _set_observations(self, observations)
+        _set_constraints(self, constraints)
+        _set_target_sequence(self, target_sequence)
+        _set_goal_tokens(self, frozenset(tokens))
+        _set_signature(self, hashlib.sha256(text.encode()).hexdigest()[:16])
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, field.name) for field in fields(self)])
+
+
+# Each slot's own member-descriptor setter, bound once for ``__init__``. The
+# frozen ``__setattr__`` does not guard it, as it does not guard
+# ``object.__setattr__``.
+(
+    _set_id, _set_instruction, _set_goal, _set_environment, _set_observations,
+    _set_constraints, _set_target_sequence, _set_goal_tokens, _set_signature,
+) = [TaskDescriptor.__dict__[name].__set__ for name in TaskDescriptor.__slots__]
 
 
 class _ObservedEventFields(NamedTuple):

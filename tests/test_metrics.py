@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reuseloop.engine import ALWAYS_LLM, PROPOSED, RunRecord
+from reuseloop.engine import ALWAYS_LLM, POLICY_MODES, PROPOSED, RunRecord
 from reuseloop.metrics import (
     CSV_COLUMNS,
     aggregate,
@@ -160,6 +163,94 @@ class TestAggregate:
             assert pm.llm_time_ratio_micro == pytest.approx(s["llm"] / s["total"])
             assert pm.success_rate == pytest.approx(s["succ"] / s["n"])
             assert pm.hit_rate == pytest.approx(s["hit"] / s["n"])
+
+
+def _left_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _per_statistic_report(records):
+    """The report as ``aggregate`` computed it before its one-pass walk:
+    each statistic over its own list of values, summed left to right, each
+    repeat's group gathered apart. Floats as ``float.hex``."""
+    def mean(values):
+        return float.hex(_left_sum(values) / len(values))
+
+    by_policy = {}
+    for r in records:
+        by_policy.setdefault(r.policy, []).append(r)
+    report = {}
+    for policy, rows in by_policy.items():
+        groups = {}
+        for r in rows:
+            groups.setdefault(r.repeat_index, []).append(r)
+        total = _left_sum([r.total_s for r in rows])
+        llm_time = _left_sum([r.llm_time_s for r in rows])
+        report[policy] = {
+            "n_runs": len(rows),
+            "avg_total_s": mean([r.total_s for r in rows]),
+            "avg_llm_calls": mean([float(r.llm_calls) for r in rows]),
+            "avg_llm_time_ratio": mean([r.llm_time_s / r.total_s if r.total_s > 0 else 0.0 for r in rows]),
+            "llm_time_ratio_micro": float.hex(llm_time / total if total > 0 else 0.0),
+            "success_rate": mean([1.0 if r.success else 0.0 for r in rows]),
+            "hit_rate": mean([1.0 if r.hit else 0.0 for r in rows]),
+            "per_repeat": {
+                idx: {
+                    "n_runs": len(group),
+                    "avg_total_s": mean([r.total_s for r in group]),
+                    "avg_llm_calls": mean([float(r.llm_calls) for r in group]),
+                    "hit_rate": mean([1.0 if r.hit else 0.0 for r in group]),
+                }
+                for idx, group in sorted(groups.items())
+            },
+        }
+    return report
+
+
+def _hexed(metrics):
+    """A metrics dataclass as a dict, floats as ``float.hex``, ints as they are."""
+    doc = {}
+    for field in dataclasses.fields(metrics):
+        value = getattr(metrics, field.name)
+        if isinstance(value, dict):
+            value = {key: _hexed(entry) for key, entry in value.items()}
+        elif type(value) is float:
+            value = float.hex(value)
+        doc[field.name] = value
+    return doc
+
+
+@st.composite
+def _records(draw):
+    rows = []
+    for cycle in range(draw(st.integers(1, 40))):
+        total = draw(st.one_of(st.just(0.0), st.floats(1e-9, 1e3), st.sampled_from([0.1, 0.2, 0.3])))
+        hit = draw(st.booleans())
+        rows.append(record(
+            policy=draw(st.sampled_from(POLICY_MODES[:3])),
+            repeat_index=draw(st.integers(1, 4)),
+            total_s=total,
+            llm_calls=draw(st.integers(0, 3)),
+            llm_time_s=total * draw(st.sampled_from([0.0, 0.25, 1 / 3, 1.0])),
+            success=draw(st.booleans()),
+            hit=hit,
+            learned=not hit and draw(st.booleans()),
+            cycle=cycle,
+        ))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=_records())
+@example(records=[record(total_s=0.0), record(policy=ALWAYS_LLM, total_s=0.0, llm_calls=1),
+                  record(total_s=0.1, repeat_index=2, hit=True), record(total_s=0.2, repeat_index=2)])
+def test_one_pass_aggregate_is_bit_identical_to_per_statistic_sums_property(records):
+    report = aggregate(records)
+    assert list(report.policies) == list(dict.fromkeys(r.policy for r in records))
+    assert {policy: _hexed(pm) for policy, pm in report.policies.items()} == _per_statistic_report(records)
 
 
 def hit_curve(records):

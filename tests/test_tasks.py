@@ -1,17 +1,25 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
+import inspect
 import json
+import pickle
 import random
 import re
 import sys
+import types
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reuseloop.config import corpus_mode_for
+from reuseloop.engine import POLICY_MODES, ExecutorConfig, run_loop
 from reuseloop.errors import SchemaError, to_doc
+from reuseloop.library import MethodLibrary
+from reuseloop.planner import MockPlanner
 from reuseloop.tasks import (
     CORPUS_MODES,
     DEFAULT_ACTIONS,
@@ -20,6 +28,7 @@ from reuseloop.tasks import (
     SELF_TASK,
     ObservedEvent,
     TaskConstraints,
+    TaskDescriptor,
     TaskEvent,
     corpus_from_doc,
     corpus_to_doc,
@@ -31,6 +40,7 @@ from reuseloop.tasks import (
     save_corpus,
     signature_of,
 )
+from reuseloop.trigger import TriggerThresholds
 
 from conftest import make_task
 
@@ -79,6 +89,14 @@ def _json_dumps_digest(goal, constraints):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _stored(task, name):
+    """The value in ``task``'s slot ``name``, read through the slot's member
+    descriptor itself, not through any property of the class."""
+    slot = inspect.getattr_static(TaskDescriptor, name)
+    assert type(slot) is types.MemberDescriptorType
+    return slot.__get__(task)
+
+
 class TestSignature:
     def test_identical_tasks_share_a_signature(self):
         a = make_task(goal=("pick", "up", "red", "cube"))
@@ -125,7 +143,7 @@ class TestSignature:
         assert replaced.signature != fresh.signature
         # A task holds its key from construction on, and equality ignores it.
         cold = make_task(goal=fresh.goal)
-        assert vars(cold)["signature"] == _json_dumps_digest(cold.goal, cold.constraints)
+        assert _stored(cold, "signature") == _json_dumps_digest(cold.goal, cold.constraints)
         assert cold == fresh and fresh == cold
 
     def test_constraints_participate(self):
@@ -223,8 +241,8 @@ class TestSignature:
                 dataclasses.replace(base, goal=tuple(goal), constraints=constraints)
             return
         task = dataclasses.replace(base, goal=tuple(goal), constraints=constraints)
-        assert vars(task)["signature"] == _json_dumps_digest(goal, constraints)
-        assert vars(task)["goal_tokens"] == frozenset(normalize_goal(task.goal))
+        assert _stored(task, "signature") == _json_dumps_digest(goal, constraints)
+        assert _stored(task, "goal_tokens") == frozenset(normalize_goal(task.goal))
         # Equality ignores the key: a copy with a different stored key is equal.
         twin = dataclasses.replace(task)
         object.__setattr__(twin, "signature", "0" * 16)
@@ -270,6 +288,133 @@ class TestDescriptorInvariants:
     def test_max_steps_must_be_an_integer(self, max_steps):
         with pytest.raises(ValueError, match="^max_steps must be a positive integer$"):
             TaskConstraints(max_steps)
+
+
+_FIELDS = [field.name for field in dataclasses.fields(TaskDescriptor)]
+
+
+def _pickled(task):
+    return pickle.loads(pickle.dumps(task))
+
+
+def _sequence_twins(task):
+    """``task`` rebuilt with its three sequences as lists, then as generators."""
+    values = {name: getattr(task, name) for name in _FIELDS}
+    names = ("goal", "observations", "target_sequence")
+    return [
+        TaskDescriptor(**{**values, **{name: list(values[name]) for name in names}}),
+        TaskDescriptor(**{**values, **{name: (item for item in values[name]) for name in names}}),
+    ]
+
+
+class TestDescriptorRecord:
+    """A task is a slotted frozen record that stores its own fields. Every
+    way of building one runs its checks and gives an equal task with an
+    equal key."""
+
+    def test_fields_and_key_cannot_be_assigned_or_deleted(self):
+        task = make_task()
+        for name in (*_FIELDS, "goal_tokens", "signature", "note"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(task, name, ("move",))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(task, name)
+        assert not hasattr(task, "__dict__")
+        assert task == make_task() and task.signature == make_task().signature
+
+    def test_slots_are_the_fields_then_the_key(self):
+        assert TaskDescriptor.__slots__ == (*_FIELDS, "goal_tokens", "signature")
+        assert list(inspect.signature(TaskDescriptor).parameters) == _FIELDS
+
+    def test_every_way_of_building_gives_an_equal_task(self, tmp_path):
+        events = generate_corpus(seed=3, n_tasks=2, n_repeats=1)
+        task = events[1].task
+        values = [getattr(task, name) for name in _FIELDS]
+        save_corpus(events, tmp_path / "corpus.json")
+        built = {
+            "positional": TaskDescriptor(*values),
+            "keyword": TaskDescriptor(**dict(zip(_FIELDS, values))),
+            "replace": dataclasses.replace(task),
+            "load_corpus": load_corpus(tmp_path / "corpus.json")[1].task,
+            "copy": copy.copy(task),
+            "deepcopy": copy.deepcopy(task),
+            "pickle": _pickled(task),
+        }
+        for way, twin in built.items():
+            assert type(twin) is TaskDescriptor and twin is not task, way
+            assert twin == task and repr(twin) == repr(task), way
+            assert (twin.signature, twin.goal_tokens) == (task.signature, task.goal_tokens), way
+            assert not hasattr(twin, "__dict__"), way
+
+    @pytest.mark.parametrize(
+        "build", [dataclasses.replace, copy.copy, copy.deepcopy, _pickled],
+        ids=["replace", "copy", "deepcopy", "pickle"],
+    )
+    def test_every_way_of_building_runs_the_checks(self, build):
+        # A target stored past the checks, through its slot, is refused
+        # when the task is rebuilt.
+        task = make_task(max_steps=8)
+        inspect.getattr_static(TaskDescriptor, "target_sequence").__set__(task, ("move",) * 9)
+        with pytest.raises(ValueError, match="^target_sequence longer than constraints.max_steps$"):
+            build(task)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"goal": "pick"}, "goal must be a sequence of strings, not a str"),
+        ({"observations": "vision"}, "observations must be a sequence of strings, not a str"),
+        ({"target_sequence": "move"}, "target_sequence must be a sequence of strings, not a str"),
+        ({"goal": ()}, "goal must be non-empty"),
+        ({"goal": ("!", " ")}, "goal must contain at least one non-empty token"),
+        ({"target_sequence": ()}, "target_sequence must be non-empty"),
+        ({"target_sequence": ("move",) * 9}, "target_sequence longer than constraints.max_steps"),
+        # Several faults at once: the first check names the first of them.
+        ({"goal": "", "observations": "vision"}, "goal must be a sequence of strings, not a str"),
+        ({"observations": "vision", "target_sequence": "move"},
+         "observations must be a sequence of strings, not a str"),
+        ({"goal": (), "target_sequence": "move"},
+         "target_sequence must be a sequence of strings, not a str"),
+        ({"goal": (), "target_sequence": ()}, "goal must be non-empty"),
+        ({"goal": ("!",), "target_sequence": ()}, "goal must contain at least one non-empty token"),
+        ({"goal": (), "target_sequence": ("move",) * 9}, "goal must be non-empty"),
+    ])
+    def test_refusal_messages(self, changes, message):
+        task = make_task(max_steps=8)
+        values = {name: getattr(task, name) for name in _FIELDS}
+        values.update(changes)
+        builds = {
+            "positional": lambda: TaskDescriptor(*values.values()),
+            "keyword": lambda: TaskDescriptor(**values),
+            "replace": lambda: dataclasses.replace(task, **changes),
+        }
+        for way, build in builds.items():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_sequences_are_stored_as_tuples(self):
+        twin = make_task(goal=("pick", "red", "cube"), target=("move", "grasp", "lift"))
+        assert TaskDescriptor(*[getattr(twin, name) for name in _FIELDS]).goal is twin.goal
+        for task in _sequence_twins(twin):
+            for name in ("goal", "observations", "target_sequence"):
+                assert type(getattr(task, name)) is tuple and getattr(task, name) == getattr(twin, name)
+            assert task == twin and task.signature == twin.signature
+            assert task.goal_tokens == twin.goal_tokens
+
+    @pytest.mark.parametrize("mode", POLICY_MODES)
+    def test_list_and_generator_built_tasks_run_as_their_twin(self, mode):
+        twin = make_task(goal=("pick", "red", "cube"), target=("move", "grasp", "lift"))
+
+        def run(task):
+            first = (
+                TaskEvent(0, OBSERVED_EVENT, task, ObservedEvent(task.target_sequence, True))
+                if corpus_mode_for(mode) == OBSERVATION_FIRST
+                else TaskEvent(0, SELF_TASK, task)
+            )
+            events = [first, TaskEvent(1, SELF_TASK, task), TaskEvent(2, SELF_TASK, task)]
+            return run_loop(events, mode, MethodLibrary(), MockPlanner(seed=7), TriggerThresholds(),
+                            ExecutorConfig())
+
+        want = run(twin)
+        for task in _sequence_twins(twin):
+            assert run(task) == want
 
 
 class TestGenerateCorpus:
