@@ -18,7 +18,7 @@ import json
 import os
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, Field, fields, is_dataclass
 from functools import cache, partial
 from math import isfinite
 from pathlib import Path
@@ -135,60 +135,65 @@ def _reader(kind) -> tuple:
 
 @cache
 def _schema(cls) -> tuple[frozenset[str], tuple[tuple, ...]]:
-    """The field names of the record ``cls``, and per field ``(name, JSON
-    type, converter or None, nullable, required)``. A field is required when
-    it has no default: for a ``NamedTuple``, when ``_field_defaults`` does
-    not hold it."""
+    """The field names of the record ``cls``, and per field in field order
+    ``(name, JSON type, converter or None, nullable, default)``. The default
+    is ``MISSING`` for a required field. For a dataclass field with a
+    ``default_factory`` it is the ``Field`` itself, whose factory each read
+    that misses the field calls, so no two records share a mutable default.
+    Otherwise it is the default value, from the dataclass field or the
+    ``NamedTuple``'s ``_field_defaults``."""
     hints = get_type_hints(cls)
     if is_dataclass(cls):
-        names = [(f.name, f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)]
+        names = [(f.name, f.default if f.default_factory is MISSING else f) for f in fields(cls)]
     else:
-        names = [(name, name not in cls._field_defaults) for name in cls._fields]
+        names = [(name, cls._field_defaults.get(name, MISSING)) for name in cls._fields]
     entries = []
-    for name, required in names:
+    for name, default in names:
         kind = hints[name]
         nullable = type(kind) is UnionType and NoneType in kind.__args__
         if nullable:
             (kind,) = (arg for arg in kind.__args__ if arg is not NoneType)
-        entries.append((name, *_reader(kind), nullable, required))
+        entries.append((name, *_reader(kind), nullable, default))
     return frozenset(entry[0] for entry in entries), tuple(entries)
 
 
 def _read(schema, build, doc: Any):
-    """``build(**kwargs)`` with the fields in ``schema``, ``_schema(cls)``'s
-    result, read from ``doc``; a violation, a ``ValueError`` from ``build``
-    included, raises ``_Violation``. A ``ValueError`` whose message starts
-    with a field name is placed at that field."""
+    """``build(*values)``, the fields in ``schema``, ``_schema(cls)``'s
+    result, read from ``doc`` in field order, a missing one as its default;
+    a violation, a ``ValueError`` from ``build`` included, raises
+    ``_Violation``. A ``ValueError`` whose message starts with a field name
+    is placed at that field."""
     if type(doc) is not dict:
         raise _Violation("", "expected a JSON object")
     names, entries = schema
     if not names.issuperset(doc):
         unknown = next(key for key in doc if key not in names)
         raise _Violation(_key_step(unknown), "unknown field")
-    kwargs = {}
+    values = []
     try:
-        for name, kind, convert, nullable, required in entries:
+        for name, kind, convert, nullable, default in entries:
             try:
                 value = doc[name]
             except KeyError:
-                if required:
+                if default is MISSING:
                     raise _Violation("", "missing field") from None
+                values.append(default.default_factory() if type(default) is Field else default)
                 continue
             if type(value) is not kind:
                 if value is None and nullable:
-                    kwargs[name] = None
+                    values.append(None)
                     continue
                 if kind is not float or type(value) is not int:
                     raise _mismatch(kind, value)
                 value = _widen(value)
             elif kind is float and not isfinite(value):
                 raise _Violation("", f"expected a finite number, got {json.dumps(value)}")
-            kwargs[name] = value if convert is None else convert(value)
+            values.append(value if convert is None else convert(value))
     except _Violation as exc:
         exc.path = f".{name}{exc.path}"
         raise
     try:
-        return build(**kwargs)
+        return build(*values)
     except ValueError as exc:
         name, _, rest = str(exc).partition(" ")
         if name in names:
@@ -205,7 +210,8 @@ def _widen(value: int) -> float:
 
 def read_dataclass(cls, doc: Any):
     """Build the record ``cls``, a dataclass or a ``NamedTuple`` class alike,
-    from the JSON object ``doc``, as ``cls(**fields)``.
+    from the JSON object ``doc``, its fields passed positionally in field
+    order, a missing one as its default.
 
     Each field is read against its annotation, with exact types: ``bool`` is
     never a number and ``str`` never a list. A ``float`` field takes an int,

@@ -33,7 +33,7 @@ from .tasks import TaskDescriptor
 LIBRARY_VERSION = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class DataProfile:
     """Sample counts behind a method."""
 
@@ -43,15 +43,14 @@ class DataProfile:
 
     def __post_init__(self):
         # One min() first, as in Reliability: fields() costs ~1 us more per
-        # call, and vars() would give each profile a __dict__ of its own on
-        # CPython 3.11+, which every loaded method keeps.
+        # call.
         if min(self.n_self_samples, self.n_obs_samples, self.episodes) < 0:
             name = next(name for name in ("n_self_samples", "n_obs_samples", "episodes")
                         if getattr(self, name) < 0)
             raise ValueError(f"{name} must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class Applicability:
     """Where a method applies: exact signatures plus a token fingerprint.
 
@@ -72,7 +71,7 @@ class Applicability:
             raise ValueError("max_steps must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class Reliability:
     successes: int = 0
     attempts: int = 0
@@ -92,7 +91,7 @@ class Reliability:
         return self.successes / self.attempts if self.attempts else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Method:
     """A stored, reusable solution.
 

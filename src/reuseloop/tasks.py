@@ -101,12 +101,13 @@ class TaskDescriptor:
     alike.
 
     A task is a slotted record with no instance ``__dict__``. The dataclass
-    supplies equality, hashing, ``repr``, ``fields`` and ``replace``, and
-    refuses ``setattr`` and ``delattr``; ``__init__`` stores each slot
-    through its own member descriptor, which costs about half of the
-    ``object.__setattr__`` a frozen dataclass pays per field. Every way of
-    building a task runs ``__init__``: ``replace``, the corpus reader, and
-    copy and pickle through ``__reduce__``.
+    supplies equality, ``repr``, ``fields`` and ``replace``, and refuses
+    ``setattr`` and ``delattr``. ``__hash__`` is the class's own, as the
+    dataclass's would hash the ``environment`` mapping and fail. ``__init__``
+    stores each slot through its own member descriptor, which costs about
+    half of the ``object.__setattr__`` a frozen dataclass pays per field.
+    Every way of building a task runs ``__init__``: ``replace``, the corpus
+    reader, and copy and pickle through ``__reduce__``.
     """
 
     __slots__ = (
@@ -152,6 +153,11 @@ class TaskDescriptor:
         _set_target_sequence(self, target_sequence)
         _set_goal_tokens(self, frozenset(tokens))
         _set_signature(self, hashlib.sha256(text.encode()).hexdigest()[:16])
+
+    def __hash__(self):
+        # Equality compares all seven fields, so equal tasks hash alike.
+        return hash((self.id, self.instruction, self.goal, self.observations,
+                     self.constraints, self.target_sequence))
 
     def __reduce__(self):
         return type(self), tuple([getattr(self, field.name) for field in fields(self)])

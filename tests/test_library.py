@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -513,6 +515,54 @@ class TestInsertAndReliability:
     def test_reliability_invariant(self):
         with pytest.raises(ValueError):
             Reliability(successes=2, attempts=1)
+
+
+def _pickled(record):
+    return pickle.loads(pickle.dumps(record))
+
+
+def _library_records():
+    """One record of each of the four library classes, from one method."""
+    method = make_method(successes=2, attempts=3, created_cycle=1, last_used_cycle=4)
+    return [method.data_profile, method.applicability, method.reliability, method]
+
+
+class TestLibraryRecords:
+    """The four records a method is made of are slotted: none carries an
+    instance ``__dict__``, so a loaded library keeps none per method. Every
+    way of copying one gives an equal record."""
+
+    @pytest.mark.parametrize("record", _library_records(), ids=lambda r: type(r).__name__)
+    def test_slotted_with_no_instance_dict(self, record):
+        cls = type(record)
+        assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.note = "x"
+
+    @pytest.mark.parametrize("record", _library_records(), ids=lambda r: type(r).__name__)
+    @pytest.mark.parametrize(
+        "build", [dataclasses.replace, copy.copy, copy.deepcopy, _pickled],
+        ids=["replace", "copy", "deepcopy", "pickle"],
+    )
+    def test_every_way_of_copying_gives_an_equal_record(self, record, build):
+        twin = build(record)
+        assert type(twin) is type(record) and twin is not record
+        assert twin == record and not hasattr(twin, "__dict__")
+
+    def test_applicability_stores_frozensets(self):
+        appl = Applicability(signatures=["s-1", "s-2"], goal_tokens=["pick", "cube"], max_steps=3)
+        assert type(appl.signatures) is frozenset and appl.signatures == {"s-1", "s-2"}
+        assert type(appl.goal_tokens) is frozenset and appl.goal_tokens == {"pick", "cube"}
+        assert dataclasses.replace(appl, goal_tokens=["ring"]).goal_tokens == frozenset({"ring"})
+
+    def test_update_reliability_updates_in_place(self, library):
+        method = make_method("m-a", successes=1, attempts=2)
+        rel = method.reliability
+        library.insert(method)
+        library.update_reliability("m-a", True, cycle=7)
+        assert library.get("m-a").reliability is rel
+        assert (rel.successes, rel.attempts, rel.last_used_cycle) == (2, 3, 7)
 
 
 def _method_to_dict(m: Method) -> dict:

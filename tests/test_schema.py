@@ -8,13 +8,15 @@ wrong JSON type, put ``null`` in a non-nullable field, put a non-finite
 number in a float field, and repeat an entry of a set-typed list. The sites
 are found by walking the document against the dataclass annotations,
 independently of the reader. A table test then checks that each loader
-names a value its dataclass rejects at that value's field.
+names a value its dataclass rejects at that value's field. The last tests
+check what the reader's positional build assumes of every record class.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import json
 import typing
 from collections.abc import Mapping
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 from reuseloop.config import PlannerSettings, RunConfig
 from reuseloop.costs import CostProfile
 from reuseloop.engine import POLICY_MODES, ExecutorConfig, RunRecord
-from reuseloop.errors import SchemaError, read_dataclass, to_doc
+from reuseloop.errors import SchemaError, _schema, read_dataclass, to_doc
 from reuseloop.library import (
     Applicability,
     DataProfile,
@@ -41,6 +43,9 @@ from reuseloop.planner import DataRequirement, LearningPlan, UpdateCriteria
 from reuseloop.tasks import (
     CORPUS_MODES,
     DEFAULT_ACTIONS,
+    ObservedEvent,
+    TaskDescriptor,
+    TaskEvent,
     _CorpusDoc,
     corpus_from_doc,
     corpus_to_doc,
@@ -370,3 +375,56 @@ def test_versioned_root_must_be_an_object(read, doc):
     with pytest.raises(SchemaError) as err:
         read(doc)
     assert (err.value.field, err.value.message) == ("<root>", "expected a JSON object")
+
+
+def _records_read_from(root) -> list:
+    """``root`` and every record class below it, walked through the fields
+    ``_schema`` lists: the classes a loader of ``root`` builds."""
+    found = [root]
+    for cls in found:
+        hints = typing.get_type_hints(cls)
+        for name, *_ in _schema(cls)[1]:
+            item = _json_kind(hints[name])[2]
+            if _is_record(item) and item not in found:
+                found.append(item)
+    return found
+
+
+_LOADED_RECORDS = list(dict.fromkeys(
+    cls for root in (_LibraryDoc, _CorpusDoc, RunConfig, RunRecord, CostProfile)
+    for cls in _records_read_from(root)
+))
+
+
+@pytest.mark.parametrize("cls", _LOADED_RECORDS, ids=lambda cls: cls.__name__)
+def test_constructors_take_fields_positionally_in_field_order(cls):
+    """The reader builds each record by one positional call, a missing field
+    passed as its default; so every constructor a loader calls takes the
+    fields in field order, as positional parameters, each defaulting to the
+    field's own default. A ``default_factory`` shows no value in the
+    signature; ``test_default_factories_are_called_on_every_read`` covers it."""
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == [name for name, *_ in _schema(cls)[1]]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    if dataclasses.is_dataclass(cls):
+        plain = {f.name: f.default for f in dataclasses.fields(cls)
+                 if f.default_factory is dataclasses.MISSING}
+    else:
+        plain = {name: cls._field_defaults.get(name, dataclasses.MISSING) for name in cls._fields}
+    for p in params:
+        if p.name in plain:
+            want = p.empty if plain[p.name] is dataclasses.MISSING else plain[p.name]
+            assert p.default is want, p.name
+
+
+def test_the_loaded_records_include_the_hand_written_constructors():
+    assert {TaskDescriptor, TaskEvent, ObservedEvent, Method, PlannerSettings} <= set(_LOADED_RECORDS)
+
+
+def test_default_factories_are_called_on_every_read():
+    # PlannerSettings is mutable: two configs must not share one.
+    first, second = read_dataclass(RunConfig, {}), read_dataclass(RunConfig, {})
+    assert first == second == RunConfig()
+    assert first.planner == second.planner and first.planner is not second.planner
+    first.planner.p_corrupt = 0.5
+    assert second.planner.p_corrupt is None and read_dataclass(RunConfig, {}).planner == PlannerSettings()

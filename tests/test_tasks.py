@@ -346,6 +346,27 @@ class TestDescriptorRecord:
             assert (twin.signature, twin.goal_tokens) == (task.signature, task.goal_tokens), way
             assert not hasattr(twin, "__dict__"), way
 
+    def test_equal_tasks_hash_alike(self, tmp_path):
+        # environment is a dict; the dataclass's own hash would hash it.
+        events = generate_corpus(seed=3, n_tasks=2, n_repeats=1)
+        task = events[1].task
+        values = [getattr(task, name) for name in _FIELDS]
+        save_corpus(events, tmp_path / "corpus.json")
+        twins = [
+            TaskDescriptor(*values),
+            dataclasses.replace(task),
+            copy.copy(task),
+            copy.deepcopy(task),
+            _pickled(task),
+            load_corpus(tmp_path / "corpus.json")[1].task,
+        ]
+        assert {hash(twin) for twin in twins} == {hash(task)}
+        assert len({task, *twins}) == 1
+        # Equality still reads environment: a task that differs only there
+        # hashes alike but stays a second entry.
+        moved = dataclasses.replace(task, environment={**task.environment, "room": "lab"})
+        assert hash(moved) == hash(task) and len({task, moved, events[0].task}) == 3
+
     @pytest.mark.parametrize(
         "build", [dataclasses.replace, copy.copy, copy.deepcopy, _pickled],
         ids=["replace", "copy", "deepcopy", "pickle"],
