@@ -12,10 +12,14 @@ returned directly when its signature bucket holds one method and its
 goal-token set bucket holds no other. Otherwise the signature bucket seeds
 the best score at 1.0, and the methods sharing goal tokens with the task are
 scored from the count they share, read off those masks level by level, and
-only while that count can still reach the best score found so far. Every
-score is read off the indexes; ``matching_score`` is the definition they
-reproduce. One tie-break, ``_tie_winner``, picks among equal scores. The
-result, tie-breaks included, equals that of scoring every stored method.
+only while that count can still reach the best score found so far. The
+scan runs coverage first: it visits only the levels that can reach the
+caller's threshold, which decides ``covered``. A covered lookup finishes at
+once; an uncovered one finishes its scan and tie-break only when its method
+or score is read, as the learning loop never reads them. Every score is
+read off the indexes; ``matching_score`` is the definition they reproduce.
+One tie-break, ``_tie_winner``, picks among equal scores. The result,
+tie-breaks included, equals that of scoring every stored method.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from __future__ import annotations
 import json
 import marshal
 from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii as _str_text
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import LibraryError, SchemaError, load_json, read_versioned, replacing
 from .tasks import TaskDescriptor
@@ -118,13 +123,31 @@ class Method:
             raise ValueError("step_params must align with procedure")
 
 
-class RetrievalResult(NamedTuple):
-    """One lookup's answer, built only by ``retrieve_best``: a covered result
-    always carries a method."""
+class RetrievalResult:
+    """One lookup's answer: a covered result always carries a method.
 
-    method: Method | None
-    score: float
-    covered: bool
+    ``retrieve_best`` builds it, or a caller as ``RetrievalResult(method,
+    score, covered)``. ``covered`` is always set. An uncovered answer that
+    ``retrieve_best`` gives from a non-empty library is deferred: its
+    ``method`` and ``score`` slots stay empty until the first read of either
+    runs the rest of the lookup, whose answer is the library's as of the
+    lookup. If the library has run ``update_reliability`` since the lookup,
+    that first read raises ``LibraryError`` instead, as the tie-break would
+    read changed counters.
+    """
+
+    __slots__ = ("method", "score", "covered", "_rest")
+
+    def __init__(self, method: Method | None, score: float, covered: bool):
+        self.method, self.score, self.covered = method, score, covered
+
+    def __getattr__(self, name: str):
+        # Reached only for an empty slot: a deferred answer's first read.
+        if name not in ("method", "score"):
+            raise AttributeError(name)
+        self.method, self.score = self._rest()
+        del self._rest
+        return getattr(self, name)
 
 
 def matching_score(task: TaskDescriptor, method: Method) -> float:
@@ -173,6 +196,10 @@ class MethodLibrary:
         # Bit i of a token's mask stands for _slots[i], the i-th method inserted.
         self._mask_by_token: dict[str, int] = {}
         self._slots: list[Method] = []
+        # Bumped by every edit that a deferred answer would see: each
+        # update_reliability, as a removal would have to be. An insert
+        # only appends, so it is not one.
+        self._edits = 0
         for m in methods:
             self.insert(m)
 
@@ -212,6 +239,7 @@ class MethodLibrary:
         if success:
             rel.successes += 1
         rel.last_used_cycle = cycle
+        self._edits += 1
 
     def retrieve_best(self, task: TaskDescriptor, tau_r: float) -> RetrievalResult:
         """Best-scoring method for ``task`` and whether it clears ``tau_r``.
@@ -243,12 +271,27 @@ class MethodLibrary:
            the best score found: as ``b >= o``, no method with that overlap
            or less can reach or tie it, and division rounds monotonically,
            so the stop is exact. With a seed, level ``q`` adds the fitting
-           token-set twins and the visit ends there. The bound is the
-           running best, never ``tau_r``, so the score reported below
-           ``tau_r`` is still the true best. The seed and the methods tied
-           at the best score, across levels, go to the tie-break once the
-           visit ends. If none scores above 0, every method scores 0, and
-           the tie-break alone picks over the whole library.
+           token-set twins and the visit ends there. The seed and the
+           methods tied at the best score, across levels, go to the
+           tie-break once the visit ends. If none scores above 0, every
+           method scores 0, and the tie-break alone picks over the whole
+           library.
+
+        The visit runs in two phases, one ``_visit`` called with a floor.
+        Phase 1 decides ``covered`` exactly: it also stops once ``o / q``
+        falls below ``tau_r``, as no method at that overlap or less can
+        reach ``tau_r``. Phase 2 goes on from the first level not visited
+        with the running best as its only bound, so the score reported
+        below ``tau_r`` is still the true best, and then breaks the tie. A
+        covered lookup runs phase 2 at once. An uncovered one, from a
+        non-empty library, returns a deferred ``RetrievalResult`` that runs
+        phase 2 on the first read of its ``method`` or ``score``. It keeps
+        what phase 2 reads: the folded masks, immutable ints, the running
+        best and its ties, and the number of methods stored, so that the
+        zero-score fallback picks over those alone. Later inserts only
+        append slots and so cannot change the answer. A later
+        ``update_reliability`` bumps ``_edits``, as any removal must, and
+        the read then raises ``LibraryError``.
         """
         if not 0.0 <= tau_r <= 1.0:
             raise ValueError("tau_r must lie in [0, 1]")
@@ -269,32 +312,53 @@ class MethodLibrary:
             for k in range(n, 1, -1):
                 at_least[k] |= at_least[k - 1] & mask
             at_least[1] |= mask
-        slots = self._slots
         max_steps = task.constraints.max_steps
         # The signature bucket scores 1.0; level q adds its token-set twins.
         score, tied = (1.0, list(by_signature)) if by_signature else (0.0, [])
-        for o in range(len(masks), 0, -1):
-            if o / q < score:
+        o, score, tied = self._visit(at_least, q, max_steps, len(masks), score, tied, tau_r)
+        rest = partial(self._finish, self._edits, len(self._slots),
+                       at_least, q, max_steps, o, score, tied)
+        if score >= tau_r:
+            return RetrievalResult(*rest(), True)
+        found = object.__new__(RetrievalResult)
+        found.covered, found._rest = False, rest
+        return found
+
+    def _visit(self, at_least: list[int], q: int, max_steps: int, o: int, score: float,
+               tied: list[Method], floor: float) -> tuple[int, float, list[Method]]:
+        """Visit the overlap levels from ``o`` down while ``o / q`` reaches
+        both the best score so far and ``floor``; return the first level not
+        visited, the best score and the methods tied at it."""
+        slots = self._slots
+        while o:
+            bound = o / q
+            if bound < score or bound < floor:
                 break
-            level = at_least[o] ^ at_least[o + 1]
-            if not level:
-                continue
             # bits[i] == "1" when slot i shares exactly o tokens.
-            bits = bin(level)[:1:-1]
-            i = bits.find("1")
-            while i >= 0:
-                m = slots[i]
-                i = bits.find("1", i + 1)
-                if max_steps < len(m.procedure):
-                    continue
-                s = o / (q + len(m.applicability.goal_tokens) - o)
-                if s > score:
-                    score, tied = s, [m]
-                elif s == score:
-                    tied.append(m)
-        # With no method tied at a positive score, every method scores 0.
-        best = _tie_winner(tied or self._methods.values())
-        return RetrievalResult(method=best, score=score, covered=score >= tau_r)
+            if level := at_least[o] ^ at_least[o + 1]:
+                bits = bin(level)[:1:-1]
+                i = bits.find("1")
+                while i >= 0:
+                    m = slots[i]
+                    i = bits.find("1", i + 1)
+                    if max_steps < len(m.procedure):
+                        continue
+                    s = o / (q + len(m.applicability.goal_tokens) - o)
+                    if s > score:
+                        score, tied = s, [m]
+                    elif s == score:
+                        tied.append(m)
+            o -= 1
+        return o, score, tied
+
+    def _finish(self, edits: int, n: int, *visit) -> tuple[Method, float]:
+        """Phase 2 of a lookup made at ``edits`` edits with ``n`` methods
+        stored: the rest of the visit, then the tie-break."""
+        if edits != self._edits:
+            raise LibraryError("a deferred retrieval result was read after update_reliability")
+        _, score, tied = self._visit(*visit, 0.0)
+        # With no method tied at a positive score, each of the n scores 0.
+        return _tie_winner(tied or self._slots[:n]), score
 
     # -- persistence --------------------------------------------------------
 

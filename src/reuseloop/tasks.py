@@ -72,8 +72,14 @@ class TaskConstraints:
     deadline_s: float | None = None
 
     def __post_init__(self):
+        # A bool is an int to isinstance and a number to isfinite, and the
+        # reader refuses it, so a direct build does too.
+        if type(self.max_steps) is bool:
+            raise ValueError("max_steps must be an integer, not a bool")
         if not isinstance(self.max_steps, int) or self.max_steps < 1:
             raise ValueError("max_steps must be a positive integer")
+        if type(self.deadline_s) is bool:
+            raise ValueError("deadline_s must be a number, not a bool")
         if self.deadline_s is not None and not (isfinite(self.deadline_s) and self.deadline_s >= 0):
             raise ValueError("deadline_s must be finite and nonnegative when present")
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pickle
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,14 @@ def retrieval_cases(draw, task_tokens=_TOKENS[:4], min_goal=1, tokens=_TOKENS):
     return task, library, draw(st.sampled_from([0.0, 0.5, 1.0]))
 
 
+# tau_r at 0 and 1, at a ratio of small ints, as the scores o / q are, or anywhere.
+_TAU_R = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.integers(1, 8).flatmap(lambda n: st.integers(0, n).map(lambda k: k / n)),
+    st.floats(0.0, 1.0),
+)
+
+
 def _assert_matches_oracle(library, task, tau_r):
     got = library.retrieve_best(task, tau_r)
     want_method, want_score, want_covered = linear_scan_oracle(library, task, tau_r)
@@ -234,6 +243,43 @@ class TestIndexedRetrieval:
         overlaps reach every level from 1 to 8."""
         task, library, tau_r = case
         _assert_matches_oracle(library, task, tau_r)
+
+    @settings(max_examples=400, deadline=None)
+    @given(retrieval_cases(), _TAU_R, st.sampled_from(["read", "insert", "update"]), st.data())
+    def test_deferred_answer_is_the_lookups_property(self, case, tau_r, then, data):
+        """An answer equals the oracle's as of its lookup, read at once or
+        after later inserts. Once ``update_reliability`` has run, a deferred
+        (uncovered) answer refuses to be read, and a covered one, finished
+        at the lookup, still reads as it was."""
+        task, library, _ = case
+        draw = data.draw
+        want_method, want_score, want_covered = linear_scan_oracle(library, task, tau_r)
+        stored = len(library)
+        found = library.retrieve_best(task, tau_r)
+        assert found.covered == want_covered
+        # An update needs a method to update, so it follows at least one insert.
+        for step in range(draw(st.integers(int(then == "update"), 3)) if then != "read" else 0):
+            attempts = draw(st.integers(0, 2))
+            library.insert(make_method(
+                method_id=f"m-later-{step}",
+                procedure=("move",) * draw(st.integers(1, 6)),
+                signatures=draw(st.sampled_from([{f"sig-later-{step}"}, {task.signature}])),
+                goal_tokens=draw(st.lists(st.sampled_from(_TOKENS), max_size=6, unique=True)),
+                successes=draw(st.integers(0, attempts)),
+                attempts=attempts,
+                last_used_cycle=draw(st.integers(0, 3)),
+            ))
+        if then == "update":
+            method_id = draw(st.sampled_from([m.id for m in library.methods()]))
+            library.update_reliability(method_id, draw(st.booleans()), 3)
+            if stored and not want_covered:
+                for name in ("method", "score"):
+                    with pytest.raises(LibraryError, match="after update_reliability"):
+                        getattr(found, name)
+                return
+        assert found.method is want_method
+        assert found.score == want_score
+        assert found.covered == want_covered
 
     def test_long_goals_reach_the_high_overlap_levels(self):
         rng = random.Random(5)
@@ -442,7 +488,9 @@ class TestIndexedRetrieval:
 def test_bundled_exact_hits_all_take_the_shortcut(name, monkeypatch):
     """In the bundled 20 x 5 learning runs at seed 7, ``_tie_winner`` runs
     only for lookups with no signature match: every exact hit is returned
-    by the shortcut, whose only reason is that traffic."""
+    by the shortcut, whose only reason is that traffic. Each answer is read
+    before its tie-breaks are counted, as an uncovered one runs its
+    tie-break only when read."""
     config = read_dataclass(RunConfig, parse_json((CONFIGS / f"{name}.json").read_text()))
     assert (config.seed, config.n_tasks, config.n_repeats) == (7, 20, 5)
     retrieve_best, tie_winner = MethodLibrary.retrieve_best, library_module._tie_winner
@@ -457,7 +505,8 @@ def test_bundled_exact_hits_all_take_the_shortcut(name, monkeypatch):
         matched = any(task.signature in m.applicability.signatures for m in self.methods())
         before = len(tie_breaks)
         found = retrieve_best(self, task, tau_r)
-        lookups.append((matched, len(tie_breaks) - before, found.score))
+        score = found.score  # an uncovered answer finishes on its first read
+        lookups.append((matched, len(tie_breaks) - before, score))
         return found
 
     monkeypatch.setattr(library_module, "_tie_winner", counting_tie_winner)
@@ -468,6 +517,49 @@ def test_bundled_exact_hits_all_take_the_shortcut(name, monkeypatch):
     exact = [(runs, score) for matched, runs, score in lookups if matched]
     assert exact and set(exact) == {(0, 1.0)}
     assert any(runs for matched, runs, _ in lookups if not matched)
+
+
+@pytest.mark.parametrize(
+    "name, size",
+    [("self_proposed", (20, 5)), ("proposed_observation", (20, 5)), ("self_proposed", (384, 3))],
+    ids=["self_proposed", "proposed_observation", "proposed-384x3"],
+)
+def test_runs_never_finish_a_deferred_answer(name, size, monkeypatch):
+    """The engine reads ``method`` and ``score`` only of a covered lookup, so
+    in the bundled learning runs, and at reuse-384's 384 x 3, no uncovered
+    lookup runs the rest of its visit or its tie-break. The spy counts only
+    tie-breaks reached from a deferred answer's first read."""
+    config = read_dataclass(RunConfig, parse_json((CONFIGS / f"{name}.json").read_text()))
+    config = dataclasses.replace(config, n_tasks=size[0], n_repeats=size[1])
+    tie_winner, retrieve_best = library_module._tie_winner, MethodLibrary.retrieve_best
+    first_read = library_module.RetrievalResult.__getattr__.__code__
+    finished, uncovered = [], []
+
+    def spying_tie_winner(methods):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not first_read:
+            frame = frame.f_back
+        if frame is not None:
+            finished.append(methods)
+        return tie_winner(methods)
+
+    def counting_retrieve_best(self, task, tau_r):
+        found = retrieve_best(self, task, tau_r)
+        uncovered.append(not found.covered)
+        return found
+
+    monkeypatch.setattr(library_module, "_tie_winner", spying_tie_winner)
+    monkeypatch.setattr(MethodLibrary, "retrieve_best", counting_retrieve_best)
+    events = build_corpus(config)
+    library = MethodLibrary()
+    run_loop(events, config.mode, library, build_planner(config), config.thresholds,
+             resolve_executor(config, events))
+    assert len(uncovered) == len(events) and sum(uncovered) >= size[0]
+    assert finished == []
+    # The spy sees a deferred answer finish when one is read.
+    assert library.retrieve_best(make_task(goal=("zzz",)), 0.5).method is not None
+    assert len(finished) == 1
+
 
 class TestInsertAndReliability:
     def test_insert_grows_by_one(self, library):

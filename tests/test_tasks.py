@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from reuseloop.config import corpus_mode_for
 from reuseloop.engine import POLICY_MODES, ExecutorConfig, run_loop
-from reuseloop.errors import SchemaError, to_doc
+from reuseloop.errors import SchemaError, read_dataclass, to_doc
 from reuseloop.library import MethodLibrary
 from reuseloop.planner import MockPlanner
 from reuseloop.tasks import (
@@ -156,9 +156,8 @@ class TestSignature:
         [
             (TaskConstraints(8, 0.0), TaskConstraints(8, -0.0)),
             (TaskConstraints(8, 5), TaskConstraints(8, 5.0)),
-            (TaskConstraints(True), TaskConstraints(1)),
         ],
-        ids=["signed-zero", "int-deadline", "bool-max-steps"],
+        ids=["signed-zero", "int-deadline"],
     )
     def test_equal_constraints_sign_alike(self, left, right):
         assert left == right
@@ -205,7 +204,7 @@ class TestSignature:
     @settings(max_examples=200, deadline=None)
     @given(
         goal=st.lists(_TOKENS, min_size=1, max_size=4),
-        max_steps=st.one_of(st.integers(1, 12), st.just(True)),
+        max_steps=st.integers(1, 12),
         deadline=st.sampled_from([None, 5, -0.0, 1e-7, 1e16, 5e-324, sys.float_info.max]),
     )
     def test_signature_is_the_json_dumps_digest_property(self, goal, max_steps, deadline):
@@ -288,6 +287,26 @@ class TestDescriptorInvariants:
     def test_max_steps_must_be_an_integer(self, max_steps):
         with pytest.raises(ValueError, match="^max_steps must be a positive integer$"):
             TaskConstraints(max_steps)
+
+    @pytest.mark.parametrize(
+        "field, kind, build",
+        [
+            ("max_steps", "an integer", lambda: TaskConstraints(True)),
+            ("deadline_s", "a number", lambda: TaskConstraints(8, True)),
+            ("max_steps", "an integer",
+             lambda: dataclasses.replace(TaskConstraints(8), max_steps=True)),
+            ("deadline_s", "a number",
+             lambda: dataclasses.replace(TaskConstraints(8, 5.0), deadline_s=True)),
+        ],
+        ids=["direct-max-steps", "direct-deadline", "replace-max-steps", "replace-deadline"],
+    )
+    def test_bool_refused_as_the_reader_refuses_it(self, field, kind, build):
+        # A bool passes isinstance(int) and isfinite, so TaskConstraints(True)
+        # used to equal, and sign as, TaskConstraints(1).
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, not a bool$"):
+            build()
+        with pytest.raises(SchemaError, match=f"^{field}: expected {kind}, got bool$"):
+            read_dataclass(TaskConstraints, {"max_steps": 8} | {field: True})
 
 
 _FIELDS = [field.name for field in dataclasses.fields(TaskDescriptor)]
