@@ -109,10 +109,10 @@ class SequenceExecutor:
     ``execute`` adds the execution time to the episode's phase dict and
     succeeds when the attempted sequence equals the target. A candidate is
     validated on that paid outcome: nothing checks one for free.
-    ``collect`` adds the collection time and records one experience sample
-    per step, successful when the step matches the expected action, and
-    ``first_failed_step`` names, for a sequence just executed, the first
-    step that does not, or is missing.
+    ``collect`` adds the collection time and records one rollout, one
+    experience sample per step numbered from 1, successful when the step
+    matches the expected action, and ``first_failed_step`` names, for a
+    sequence just executed, the first step that does not, or is missing.
     """
 
     __slots__ = ("task", "config")

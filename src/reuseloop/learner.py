@@ -127,7 +127,8 @@ def train_episode(candidate: CandidateSolution, dataset: EpisodeDataset) -> Cand
     """Post-episode consolidation (refined stage).
 
     For each step index of the candidate, ``_vote`` picks over the
-    successful occurrences across self and observed samples, with the
+    successful occurrences across self and observed samples, every rollout
+    of each source voting at the index, with the
     candidate's own action as the one that wins ties. Per-step confidence
     becomes the empirical success frequency at that index. An index with no
     samples keeps its current action and confidence; one whose samples all
@@ -180,6 +181,8 @@ def build_method(
     ``-N`` (from 1) if ``taken``, the library it joins, already holds that.
     Reliability starts at 1/1: the episode's paid execution, or the
     demonstration it learned from, counts as the first successful attempt.
+    Its data profile counts the samples of each source and one episode,
+    however many rollouts that episode pooled.
     """
     if not candidate.passed:
         raise ValueError("method construction requires a candidate that passed validation")

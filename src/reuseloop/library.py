@@ -38,21 +38,43 @@ from .tasks import TaskDescriptor
 LIBRARY_VERSION = 1
 
 
+def _refusal(record, names: tuple[str, ...]) -> ValueError:
+    """The error for the first of the count fields ``names`` of ``record``
+    that is not a nonnegative ``int``. A bool is an int to ``min`` and to
+    ``<``, and the reader refuses it, so a direct build does too."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not int:
+            kind = "a bool" if type(value) is bool else type(value).__name__
+            return ValueError(f"{name} must be an integer, not {kind}")
+        if value < 0:
+            return ValueError(f"{name} must be nonnegative")
+
+
+def _converted(value, kind: type, name: str, items: str):
+    """``kind(value)``, for the field ``name`` of ``items``; a ``str`` is
+    refused, not read as a run of one-letter items."""
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a {items}, not a str")
+    return kind(value)
+
+
 @dataclass(slots=True)
 class DataProfile:
-    """Sample counts behind a method."""
+    """Sample counts behind a method: the samples of each source and the
+    episodes they came from, one per ``learn`` call however many rollouts
+    it pooled."""
 
     n_self_samples: int = 0
     n_obs_samples: int = 0
     episodes: int = 0
 
     def __post_init__(self):
-        # One min() first, as in Reliability: fields() costs ~1 us more per
-        # call.
-        if min(self.n_self_samples, self.n_obs_samples, self.episodes) < 0:
-            name = next(name for name in ("n_self_samples", "n_obs_samples", "episodes")
-                        if getattr(self, name) < 0)
-            raise ValueError(f"{name} must be nonnegative")
+        # One chained type test and one min(), as in Reliability: fields()
+        # costs ~1 us more per call.
+        if not (type(self.n_self_samples) is type(self.n_obs_samples) is type(self.episodes) is int
+                and min(self.n_self_samples, self.n_obs_samples, self.episodes) >= 0):
+            raise _refusal(self, ("n_self_samples", "n_obs_samples", "episodes"))
 
 
 @dataclass(slots=True)
@@ -60,7 +82,8 @@ class Applicability:
     """Where a method applies: exact signatures plus a token fingerprint.
 
     Both sets are stored as frozensets, which the library's indexes key on;
-    a frozenset passed in is kept as it is.
+    a frozenset passed in is kept as it is, and a ``str`` is refused, not
+    read as a set of one-letter tokens.
     """
 
     signatures: frozenset[str]
@@ -68,10 +91,15 @@ class Applicability:
     max_steps: int
 
     def __post_init__(self):
-        self.signatures = frozenset(self.signatures)
-        self.goal_tokens = frozenset(self.goal_tokens)
+        # The reader passes frozensets, so a load skips the conversion.
+        if not type(self.signatures) is type(self.goal_tokens) is frozenset:
+            self.signatures = _converted(self.signatures, frozenset, "signatures", "set of strings")
+            self.goal_tokens = _converted(
+                self.goal_tokens, frozenset, "goal_tokens", "set of strings")
         if not self.signatures:
             raise ValueError("signatures must be non-empty")
+        if type(self.max_steps) is not int:
+            raise _refusal(self, ("max_steps",))
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 
@@ -84,10 +112,11 @@ class Reliability:
     last_used_cycle: int = 0
 
     def __post_init__(self):
-        if min(self.successes, self.attempts, self.created_cycle, self.last_used_cycle) < 0:
-            name = next(name for name in ("successes", "attempts", "created_cycle",
-                                          "last_used_cycle") if getattr(self, name) < 0)
-            raise ValueError(f"{name} must be nonnegative")
+        if not (type(self.successes) is type(self.attempts) is type(self.created_cycle)
+                is type(self.last_used_cycle) is int
+                and min(self.successes, self.attempts, self.created_cycle,
+                        self.last_used_cycle) >= 0):
+            raise _refusal(self, ("successes", "attempts", "created_cycle", "last_used_cycle"))
         if self.successes > self.attempts:
             raise ValueError("successes must not exceed attempts")
 
@@ -101,9 +130,10 @@ class Method:
     """A stored, reusable solution.
 
     ``procedure`` is the executable action chain; ``step_params`` optionally
-    carries one parameter map per step. Everything except the reliability
-    counters is immutable by convention: refinement produces a new method
-    under a new id rather than editing in place.
+    carries one parameter map per step. Both are stored as tuples, the type
+    a load reads back, and a ``str`` in either's place is refused. Everything
+    except the reliability counters is immutable by convention: refinement
+    produces a new method under a new id rather than editing in place.
     """
 
     id: str
@@ -117,10 +147,15 @@ class Method:
     def __post_init__(self):
         if not self.id:
             raise ValueError("id must be non-empty")
+        if type(self.procedure) is not tuple:  # the reader passes a tuple
+            self.procedure = _converted(self.procedure, tuple, "procedure", "sequence of strings")
         if not self.procedure:
             raise ValueError("procedure must be non-empty")
-        if self.step_params is not None and len(self.step_params) != len(self.procedure):
-            raise ValueError("step_params must align with procedure")
+        if self.step_params is not None:
+            self.step_params = _converted(
+                self.step_params, tuple, "step_params", "sequence of mappings")
+            if len(self.step_params) != len(self.procedure):
+                raise ValueError("step_params must align with procedure")
 
 
 class RetrievalResult:

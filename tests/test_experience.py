@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+from reuseloop.engine import PHASES, ExecutorConfig, SequenceExecutor
 from reuseloop.experience import EpisodeDataset
-from reuseloop.learner import _tally
+from reuseloop.learner import _tally, initialize, train_episode, validate
+from reuseloop.planner import LearningPlan, UpdateCriteria
 from reuseloop.tasks import ObservedEvent
 
-from conftest import make_sample
+from conftest import make_sample, make_task
 
 
 def merged_size(ds: EpisodeDataset) -> int:
@@ -25,28 +28,29 @@ class TestRecordStep:
 
     def test_observed_append_keeps_order(self):
         # Observed samples are appended to obs_samples; an ingested
-        # observation continues after the last of them, in action order.
+        # observation follows the last of them, in action order, numbered
+        # from step 1.
         ds = EpisodeDataset()
         ds.obs_samples.append(make_sample(2, "move"))
         ds.ingest_observation(ObservedEvent(("grasp", "lift"), True))
-        assert [(s.t, s.action) for s in ds.obs_samples] == [(2, "move"), (3, "grasp"), (4, "lift")]
+        assert [(s.t, s.action) for s in ds.obs_samples] == [(2, "move"), (1, "grasp"), (2, "lift")]
         assert not ds.self_samples
 
-    def test_out_of_order_rejected(self):
+    def test_a_rollout_restarts_at_step_1(self):
+        # Each rollout is numbered from step 1, so a second one repeats the
+        # first one's indices; record_step appends in call order.
         ds = EpisodeDataset()
-        ds.record_step(make_sample(3))
-        with pytest.raises(ValueError):
-            ds.record_step(make_sample(1))
+        for t in (1, 2, 3, 1, 2):
+            ds.record_step(make_sample(t))
+        assert [s.t for s in ds.self_samples] == [1, 2, 3, 1, 2]
 
     def test_sources_are_independent_streams(self):
         ds = EpisodeDataset()
         ds.record_step(make_sample(5))
-        # an observed sample with a smaller index is fine, different stream
         ds.ingest_observation(ObservedEvent(("move",), True))
-        assert [s.t for s in ds.self_samples] == [5] and [s.t for s in ds.obs_samples] == [1]
-        # and a self step's index is checked against self steps only
-        with pytest.raises(ValueError, match="^step index 5 not after last recorded index 5$"):
-            ds.record_step(make_sample(5))
+        ds.record_step(make_sample(5))
+        # each source keeps its own samples, in the order they came
+        assert [s.t for s in ds.self_samples] == [5, 5] and [s.t for s in ds.obs_samples] == [1]
 
 
 class TestIngestObservation:
@@ -58,12 +62,12 @@ class TestIngestObservation:
         assert [s.t for s in ds.obs_samples] == [1, 2, 3, 4]
         assert [s.action for s in ds.obs_samples] == ["move", "grasp", "lift", "place"]
 
-    def test_second_event_renumbers(self):
+    def test_second_demonstration_restarts_at_step_1(self):
         ds = EpisodeDataset()
         ds.ingest_observation(ObservedEvent(("move", "grasp", "lift"), True))
         ds.ingest_observation(ObservedEvent(("rotate", "place"), True))
         assert len(ds.obs_samples) == 5
-        assert [s.t for s in ds.obs_samples] == [1, 2, 3, 4, 5]
+        assert [s.t for s in ds.obs_samples] == [1, 2, 3, 1, 2]
 
     def test_failed_event_rejected(self):
         ds = EpisodeDataset()
@@ -114,3 +118,38 @@ def test_dataset_takes_no_arguments():
     assert ds.self_samples == ds.obs_samples == []
     with pytest.raises(TypeError):
         EpisodeDataset("sig")
+
+
+class TestRolloutsVote:
+    """k rollouts of one source restart at step 1, so they vote per index."""
+
+    def test_two_collects_outvote_a_wrong_step(self):
+        # The second rollout repeats the plan's wrong step 2; the first
+        # collects the target. Step 2 keeps the one success of the two.
+        executor = SequenceExecutor(make_task(target=("move", "grasp", "lift")), ExecutorConfig())
+        ds, phases = EpisodeDataset(), dict.fromkeys(PHASES, 0.0)
+        executor.collect(("move", "grasp", "lift"), ds, phases)
+        executor.collect(("move", "push", "lift"), ds, phases)
+        assert [(s.t, s.success) for s in ds.self_samples] == [
+            (1, True), (2, True), (3, True), (1, True), (2, False), (3, True)]
+        plan = LearningPlan(("sequence",), direct_solution=("move", "push", "lift"))
+        candidate = train_episode(initialize(plan, ds), ds)
+        assert candidate.sequence == ["move", "grasp", "lift"]
+        assert candidate.per_step_confidence == [1.0, 0.5, 1.0]
+        # Confidence 1/2 passes the default validation_threshold, 0.5, only
+        # at equality: any threshold above it refuses the candidate.
+        assert UpdateCriteria().validation_threshold == 0.5
+        assert validate(candidate, True, UpdateCriteria()).passed
+        above = UpdateCriteria(validation_threshold=math.nextafter(0.5, 1.0))
+        assert not validate(candidate, True, above).passed
+
+    def test_three_demonstrations_vote_by_majority(self):
+        ds = EpisodeDataset()
+        for demo in (("move", "grasp", "lift"), ("move", "push", "lift"), ("move", "grasp", "lift")):
+            ds.ingest_observation(ObservedEvent(demo, True))
+        candidate = train_episode(initialize(LearningPlan(("sequence",)), ds), ds)
+        assert candidate.sequence == ["move", "grasp", "lift"]
+        # Today's confidence rule (ROADMAP item 22 decides how a plan and a
+        # demonstration are weighed): train_episode counts every success at
+        # an index, the outvoted push included, so confidence stays 1.0.
+        assert candidate.per_step_confidence == [1.0, 1.0, 1.0]

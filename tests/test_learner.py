@@ -256,9 +256,9 @@ class TestTrainEpisode:
         ),
     ])
     def test_named_cases(self, start, samples, sequence, confidence):
-        # Samples are appended directly, so that one source can hold several
-        # at one index (record_step takes each index once per source); the
-        # tally counts them all. Index 2 is sampled only where a case says so.
+        # Samples are appended directly; one source can hold several at one
+        # index, as k rollouts do, and the tally counts them all. Index 2 is
+        # sampled only where a case says so.
         ds = EpisodeDataset()
         for t, action, success, source in samples:
             (ds.self_samples if source == SELF else ds.obs_samples).append(

@@ -281,6 +281,22 @@ class TestIndexedRetrieval:
         assert found.score == want_score
         assert found.covered == want_covered
 
+    def test_a_score_at_the_threshold_is_covered(self, library):
+        # The method's tokens are a subset of the task's, so its score, 1/2,
+        # equals the bound o / q of its level; phase 1 must visit that level.
+        library.insert(make_method("m-a", goal_tokens=("pick",)))
+        found = library.retrieve_best(make_task(goal=("pick", "cube")), 0.5)
+        assert (found.covered, found.score, found.method.id) == (True, 0.5, "m-a")
+
+    def test_zero_score_fallback_picks_among_the_methods_of_the_lookup(self, library):
+        # No method shares a token, so the tie-break picks over the methods
+        # stored at the lookup: not over m-b, inserted before the first read,
+        # though its 1/1 ratio would win.
+        library.insert(make_method("m-a", goal_tokens=("ring",)))
+        found = library.retrieve_best(make_task(goal=("pick", "cube")), 0.5)
+        library.insert(make_method("m-b", goal_tokens=("tray",), successes=1, attempts=1))
+        assert (found.covered, found.score, found.method.id) == (False, 0.0, "m-a")
+
     def test_long_goals_reach_the_high_overlap_levels(self):
         rng = random.Random(5)
         top_overlaps = set()
@@ -648,6 +664,37 @@ class TestLibraryRecords:
         assert type(appl.goal_tokens) is frozenset and appl.goal_tokens == {"pick", "cube"}
         assert dataclasses.replace(appl, goal_tokens=["ring"]).goal_tokens == frozenset({"ring"})
 
+    @pytest.mark.parametrize("cls, field", [
+        (DataProfile, "n_self_samples"), (DataProfile, "n_obs_samples"), (DataProfile, "episodes"),
+        (Reliability, "successes"), (Reliability, "attempts"), (Reliability, "created_cycle"),
+        (Reliability, "last_used_cycle"), (Applicability, "max_steps"),
+    ])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_bool_count_is_refused(self, cls, field, value):
+        # A bool passes the < 0 and < 1 checks and is written as True or
+        # False, which load refuses; the reader refuses it, and so does a build.
+        record = next(r for r in _library_records() if type(r) is cls)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not a bool$"):
+            dataclasses.replace(record, **{field: value})
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Applicability("abcd", {"pick"}, 3), "signatures"),
+        (lambda: Applicability({"s"}, "pick", 3), "goal_tokens"),
+        (lambda: dataclasses.replace(make_method(), procedure="move"), "procedure"),
+        (lambda: dataclasses.replace(make_method(), step_params="abc"), "step_params"),
+    ], ids=["signatures", "goal_tokens", "procedure", "step_params"])
+    def test_a_str_in_place_of_a_set_or_sequence_is_refused(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a (set|sequence) of .*, not a str$"):
+            build()
+
+    def test_method_stores_its_sequences_as_tuples(self, tmp_path):
+        method = dataclasses.replace(
+            make_method(), procedure=["move", "grasp"], step_params=[{"speed": 1}, {}])
+        assert method.procedure == ("move", "grasp") and type(method.procedure) is tuple
+        assert method.step_params == ({"speed": 1}, {}) and type(method.step_params) is tuple
+        MethodLibrary([method]).save(tmp_path / "lib.json")
+        assert MethodLibrary.load(tmp_path / "lib.json").methods() == [method]
+
     def test_update_reliability_updates_in_place(self, library):
         method = make_method("m-a", successes=1, attempts=2)
         rel = method.reliability
@@ -749,6 +796,47 @@ def _methods(draw, method_id):
         ),
         step_params=step_params,
     )
+
+
+@st.composite
+def _loose_methods(draw):
+    """``(build, refused)``: a thunk that builds a ``Method`` directly from
+    bools, ints, strs, lists, tuples and sets in its count, set and sequence
+    fields, and whether one of them is a bool or a str."""
+    refused = False
+
+    def pick(*options):
+        nonlocal refused
+        value = draw(st.one_of(*options))
+        refused = refused or type(value) in (bool, str)
+        return value
+
+    def strings(items, min_size):
+        return (st.lists(items, min_size=min_size, max_size=3), _json_strings,
+                st.lists(items, min_size=min_size, max_size=3).map(tuple))
+
+    procedure = pick(*strings(_names, 1))
+    signatures = pick(*strings(_names, 1), st.frozensets(_names, min_size=1, max_size=3))
+    goal_tokens = pick(*strings(_json_strings, 0), st.sets(_json_strings, max_size=3))
+    counts = [pick(_counts, st.booleans()) for _ in range(5)]
+    max_steps = pick(st.integers(min_value=1, max_value=2**70), st.booleans())
+    attempts = pick(_counts, st.booleans())
+    successes = pick(st.integers(min_value=0, max_value=int(attempts)), st.booleans())
+    step_params = None
+    if type(procedure) is not str:
+        n = len(procedure)
+        step_params = pick(st.none(), _json_strings,
+                           st.lists(st.just({}), min_size=n, max_size=n),
+                           st.lists(st.just({}), min_size=n, max_size=n).map(tuple))
+
+    def build():
+        return Method(
+            "m-0", procedure, {"model_family": "sequence"}, DataProfile(*counts[:3]),
+            Applicability(signatures, goal_tokens, max_steps),
+            Reliability(successes, attempts, *counts[3:]), step_params,
+        )
+
+    return build, refused
 
 
 _libraries = st.lists(_names, max_size=4, unique=True).flatmap(
@@ -875,6 +963,26 @@ class TestPersistence:
         with pytest.raises(SchemaError) as err:
             MethodLibrary.from_doc(doc)
         assert err.value.field == "methods[0].extra_key"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_loose_methods())
+    def test_built_method_refuses_or_round_trips_property(self, tmp_path_factory, drawn):
+        # A bool count, or a str in place of a set or sequence, is refused
+        # at build; anything else saves, loads back equal, and saves again
+        # to the same bytes.
+        build, refused = drawn
+        if refused:
+            with pytest.raises(ValueError, match="must be an integer, not a bool$|, not a str$"):
+                build()
+            return
+        method = build()
+        path = tmp_path_factory.getbasetemp() / "built-method.json"
+        MethodLibrary([method]).save(path)
+        text = path.read_bytes()
+        loaded = MethodLibrary.load(path)
+        assert loaded.methods() == [method]
+        loaded.save(path)
+        assert path.read_bytes() == text
 
     @settings(max_examples=100, deadline=None)
     @given(_libraries)
