@@ -163,6 +163,9 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in POLICY_MODES:
             raise ValueError(f"mode must be one of {', '.join(POLICY_MODES)}")
+        if type(self.seed) is not int:  # a bool would seed as 0 or 1; the reader refuses it
+            kind = "a bool" if type(self.seed) is bool else type(self.seed).__name__
+            raise ValueError(f"seed must be an integer, not {kind}")
         check_corpus_size(self.n_tasks, self.n_repeats)
 
 

@@ -83,6 +83,8 @@ class ExecutorConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if type(value) is bool:  # a number to isfinite, and the reader refuses it
+                raise ValueError(f"{f.name} must be a number, not a bool")
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
             if value < 0:

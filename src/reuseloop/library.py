@@ -407,9 +407,13 @@ class MethodLibrary:
         indent=2)``, re-indented, once per distinct value per save, memoised
         on the value's marshal bytes, because CPython's ``json`` falls back
         to its pure-Python encoder whenever ``indent`` is set. A value that
-        ``json.dumps`` refuses raises its ``TypeError``. The text is written
-        through ``errors.replacing``, fsynced before the rename, so a refused
-        or interrupted save leaves the previous file intact.
+        ``json.dumps`` refuses raises its ``TypeError``. One that it writes
+        but that would load back changed, with a key that is not a ``str`` or
+        a tuple among its values, raises ``ValueError`` naming the method and
+        the field; each distinct value is checked once, when it is first
+        encoded. The text is written through ``errors.replacing``, fsynced
+        before the rename, so a refused or interrupted save leaves the
+        previous file intact.
         """
         with replacing(path, fsync=True) as fh:
             fh.writelines(self._json_chunks())
@@ -422,14 +426,20 @@ class MethodLibrary:
             return
         texts: dict[bytes | None, str] = {}
 
-        def value_text(value: Any) -> str:
-            """``value`` as ``json.dumps(doc, indent=2)`` writes it six spaces in."""
+        def value_text(value: Any, m: Method, name: str) -> str:
+            """``value``, ``m``'s field ``name``, as ``json.dumps(doc,
+            indent=2)`` writes it six spaces in."""
             try:
                 key = marshal.dumps(value, 2)  # version 2: no back-references
             except ValueError:  # not memoised; json.dumps judges it
                 key = None
             if key is None or (text := texts.get(key)) is None:
-                text = texts[key] = json.dumps(value, indent=2).replace("\n", "\n      ")
+                text = json.dumps(value, indent=2).replace("\n", "\n      ")
+                # The reader reads step_params' own list back as a tuple.
+                if found := _json_change(list(value) if name == "step_params" and value else value):
+                    raise ValueError(f"method {m.id!r}: {name} holds {found}, "
+                                     "which would not load back equal")
+                texts[key] = text
             return text
 
         sep = head + "[\n"
@@ -462,14 +472,34 @@ class _LibraryDoc:
     methods: tuple[Method, ...]
 
 
-def _method_text(m: Method, value_text: Callable[[Any], str]) -> str:
+def _json_change(value: Any) -> str | None:
+    """What a JSON save and load would change in ``value``, which
+    ``json.dumps`` writes: the first key that is not a ``str``, or value
+    that is not a JSON scalar, a list or a dict (a tuple loads back as a
+    list), named by its type; ``None`` if it loads back equal."""
+    kind = type(value)
+    if kind is list:
+        return next(filter(None, map(_json_change, value)), None)
+    if kind is dict:
+        for key, entry in value.items():
+            if type(key) is not str:
+                return f"a key of type {type(key).__name__}"
+            if found := _json_change(entry):
+                return found
+        return None
+    if value is None or kind in (str, int, float, bool):
+        return None
+    return f"a value of type {kind.__name__}"
+
+
+def _method_text(m: Method, value_text: Callable[[Any, Method, str], str]) -> str:
     """One entry of ``methods`` as ``json.dumps(doc, indent=2)`` writes it."""
     prof, appl, rel = m.data_profile, m.applicability, m.reliability
     return (
         f'    {{\n      "id": {_str_text(m.id)},\n'
         f'      "procedure": {_str_list_text(m.procedure, "      ")},\n'
-        f'      "step_params": {value_text(m.step_params)},\n'
-        f'      "params": {value_text(m.params)},\n'
+        f'      "step_params": {value_text(m.step_params, m, "step_params")},\n'
+        f'      "params": {value_text(m.params, m, "params")},\n'
         f'      "data_profile": {{\n'
         f'        "n_self_samples": {prof.n_self_samples!r},\n'
         f'        "n_obs_samples": {prof.n_obs_samples!r},\n'

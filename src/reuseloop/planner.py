@@ -61,6 +61,9 @@ class EpisodeOutcome:
 
 
 def check_latency(latency_s: float) -> None:
+    # A bool is a number to isfinite and to <=, and the reader refuses it.
+    if type(latency_s) is bool:
+        raise ValueError("latency_s must be a number, not a bool")
     if not math.isfinite(latency_s):
         raise ValueError(f"latency_s must be finite, got {latency_s!r}")
     if latency_s < 0:
@@ -68,6 +71,8 @@ def check_latency(latency_s: float) -> None:
 
 
 def check_p_corrupt(p_corrupt: float) -> None:
+    if type(p_corrupt) is bool:
+        raise ValueError("p_corrupt must be a number, not a bool")
     if not 0.0 <= p_corrupt <= 1.0:
         raise ValueError("p_corrupt must lie in [0, 1]")
 

@@ -246,7 +246,13 @@ def signature_of(task: TaskDescriptor) -> str:
 
 
 def check_corpus_size(n_tasks: int, n_repeats: int) -> None:
-    """Reject a corpus size ``generate_corpus`` cannot build."""
+    """Reject a corpus size ``generate_corpus`` cannot build. Each count
+    must be exactly an ``int``: a float fails the build's slice, and a bool
+    counts as 0 or 1 where the reader refuses it."""
+    for name, value in (("n_tasks", n_tasks), ("n_repeats", n_repeats)):
+        if type(value) is not int:
+            kind = "a bool" if type(value) is bool else type(value).__name__
+            raise ValueError(f"{name} must be an integer, not {kind}")
     if not 1 <= n_tasks <= MAX_TASKS:
         raise ValueError(f"n_tasks must lie in [1, {MAX_TASKS}]")
     if n_repeats < 1:

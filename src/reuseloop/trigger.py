@@ -40,7 +40,10 @@ class TriggerThresholds:
 
     def __post_init__(self):
         for f in fields(self):
-            if not 0.0 <= getattr(self, f.name) <= 1.0:
+            value = getattr(self, f.name)
+            if type(value) is bool:  # a number to <=, and the reader refuses it
+                raise ValueError(f"{f.name} must be a number, not a bool")
+            if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{f.name} must lie in [0, 1]")
 
 

@@ -67,6 +67,33 @@ MUTANTS = [
         "[perf]: slotted library records",
     ),
     (
+        "reader-finite-check-dropped",
+        "src/reuseloop/errors.py",
+        'f"if type({read}) is not float or not isfinite({v}):"',
+        'f"if type({read}) is not float:"',
+        ["tests/test_schema.py::test_the_reader_refuses_a_non_finite_number",
+         "tests/test_schema.py::TestAgainstReference"],
+        "[perf]: generated record readers",
+    ),
+    (
+        "reader-unknown-field-check-dropped",
+        "src/reuseloop/errors.py",
+        '"    if not names.issuperset(doc):"',
+        '"    if False:"',
+        ["tests/test_config_cli.py::TestConfigDocuments::test_unknown_field_named",
+         "tests/test_schema.py::TestAgainstReference"],
+        "[perf]: generated record readers",
+    ),
+    (
+        "reader-null-accepted-anywhere",
+        "src/reuseloop/errors.py",
+        "if value is None and nullable:",
+        "if value is None:",
+        ["tests/test_schema.py::test_null_refused_in_a_field_that_is_not_nullable",
+         "tests/test_schema.py::TestAgainstReference"],
+        "[perf]: generated record readers",
+    ),
+    (
         "observation-continues-numbering",
         "src/reuseloop/experience.py",
         "enumerate(event.action_sequence, 1)",

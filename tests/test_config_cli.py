@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from reuseloop.cli import _read_config, main
 from reuseloop.config import (
+    PlannerSettings,
     RunConfig,
     build_corpus,
     build_planner,
@@ -23,6 +25,7 @@ from reuseloop.engine import ALWAYS_LLM, OBSERVATION_ONLY, PROPOSED, PROPOSED_OB
 from reuseloop.errors import SchemaError, read_dataclass
 from reuseloop.library import LIBRARY_VERSION, MethodLibrary
 from reuseloop.planner import MockPlanner
+from reuseloop.tasks import generate_corpus
 
 from conftest import make_method
 
@@ -137,6 +140,36 @@ class TestConfigDocuments:
         with pytest.raises(SchemaError) as err:
             read(doc)
         assert (err.value.field, err.value.message) == (field, "unknown field")
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"n_tasks": 2.0, "n_repeats": 2}, "n_tasks must be an integer, not float"),
+        ({"n_repeats": 2.0}, "n_repeats must be an integer, not float"),
+        ({"seed": True, "n_tasks": True, "n_repeats": True}, "seed must be an integer, not a bool"),
+        ({"n_tasks": True}, "n_tasks must be an integer, not a bool"),
+        ({"n_repeats": False}, "n_repeats must be an integer, not a bool"),
+    ], ids=["float-tasks", "float-repeats", "bool-seed", "bool-tasks", "bool-repeats"])
+    def test_run_config_refuses_what_its_reader_refuses(self, changes, message):
+        # A float count failed in build_corpus's slice; bools built a 1-task corpus.
+        for build in (lambda: RunConfig(**changes), lambda: dataclasses.replace(RunConfig(), **changes)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+        name = next(iter(changes))
+        if name != "seed":  # generate_corpus checks the counts too
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                generate_corpus(**{"seed": 1, "n_tasks": 2, "n_repeats": 2, **changes})
+        with pytest.raises(SchemaError) as err:
+            read_dataclass(RunConfig, changes)
+        assert err.value.field == name
+
+    def test_planner_settings_refuse_a_bool(self):
+        for build, message in (
+            (lambda: PlannerSettings(latency_s=True, p_corrupt=False), "latency_s"),
+            (lambda: PlannerSettings(p_corrupt=False), "p_corrupt"),
+            (lambda: dataclasses.replace(PlannerSettings(), latency_s=False), "latency_s"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message} must be a number, not a bool$"):
+                build()
+        assert PlannerSettings(latency_s=1, p_corrupt=0).latency_s == 1
 
     def test_empty_config_is_all_defaults(self):
         assert read_dataclass(RunConfig, {}) == RunConfig()

@@ -985,6 +985,14 @@ class TestClockAndExecutor:
         with pytest.raises(ValueError, match="^train_s must be finite"):
             ExecutorConfig(train_s=value)
 
+    def test_bool_executor_config_rejected(self):
+        # As the config reader refuses it: a bool is a number to isfinite.
+        for build in (lambda: ExecutorConfig(base_s=True),
+                      lambda: dataclasses.replace(ExecutorConfig(), observe_s=False)):
+            with pytest.raises(ValueError, match="^(base|observe)_s must be a number, not a bool$"):
+                build()
+        assert ExecutorConfig(base_s=1).base_s == 1
+
 
 # Who reads a task's hidden target, each for the reason given. Policy code
 # must not, as TaskDescriptor says: a method is validated on the evidence

@@ -756,11 +756,11 @@ _json_leaves = (
     | st.sampled_from([-0.0, 1e308, -1e308, 5e-324, float("nan"), float("inf"), float("-inf")])
     | _json_strings
 )
+# What a save writes and a load reads back equal. A tuple would load back as
+# a list, so save refuses one (test_built_method_refuses_or_round_trips_property).
 _json_values = st.recursive(
     _json_leaves,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(_json_strings, inner, max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_json_strings, inner, max_size=3),
     max_leaves=12,
 )
 _counts = st.integers(min_value=0, max_value=2**70)
@@ -798,11 +798,18 @@ def _methods(draw, method_id):
     )
 
 
+# params and step_params entries that json.dumps writes but that would load
+# back changed: a key that is not a str, and a tuple at any depth.
+_changed_by_json = st.sampled_from([{3: "a"}, {"k": (1, 2)}, {"k": [{"x": (1,)}]}, {True: 1}])
+
+
 @st.composite
 def _loose_methods(draw):
-    """``(build, refused)``: a thunk that builds a ``Method`` directly from
-    bools, ints, strs, lists, tuples and sets in its count, set and sequence
-    fields, and whether one of them is a bool or a str."""
+    """``(build, refused, changed)``: a thunk that builds a ``Method``
+    directly from bools, ints, strs, lists, tuples and sets in its count,
+    set and sequence fields; whether one of them is a bool or a str; and
+    the first field, in the order a save writes, whose value a save would
+    write but a load read back changed, else None."""
     refused = False
 
     def pick(*options):
@@ -825,18 +832,23 @@ def _loose_methods(draw):
     step_params = None
     if type(procedure) is not str:
         n = len(procedure)
-        step_params = pick(st.none(), _json_strings,
-                           st.lists(st.just({}), min_size=n, max_size=n),
-                           st.lists(st.just({}), min_size=n, max_size=n).map(tuple))
+        entries = st.lists(st.just({}) | _changed_by_json, min_size=n, max_size=n)
+        step_params = pick(st.none(), _json_strings, entries, entries.map(tuple))
+    params = draw(st.just({"model_family": "sequence"}) | _changed_by_json)
+    changed = next((
+        name for name, value in (("step_params", step_params), ("params", params))
+        if type(value) in (list, tuple) and value != list(map(json.loads, map(json.dumps, value)))
+        or type(value) is dict and value != json.loads(json.dumps(value))
+    ), None)
 
     def build():
         return Method(
-            "m-0", procedure, {"model_family": "sequence"}, DataProfile(*counts[:3]),
+            "m-0", procedure, params, DataProfile(*counts[:3]),
             Applicability(signatures, goal_tokens, max_steps),
             Reliability(successes, attempts, *counts[3:]), step_params,
         )
 
-    return build, refused
+    return build, refused, changed
 
 
 _libraries = st.lists(_names, max_size=4, unique=True).flatmap(
@@ -968,15 +980,24 @@ class TestPersistence:
     @given(_loose_methods())
     def test_built_method_refuses_or_round_trips_property(self, tmp_path_factory, drawn):
         # A bool count, or a str in place of a set or sequence, is refused
-        # at build; anything else saves, loads back equal, and saves again
-        # to the same bytes.
-        build, refused = drawn
+        # at build. A params or step_params value that would load back
+        # changed is refused at save, naming the method and the field, and
+        # the previous file stays. Anything else saves, loads back equal,
+        # and saves again to the same bytes.
+        build, refused, changed = drawn
         if refused:
             with pytest.raises(ValueError, match="must be an integer, not a bool$|, not a str$"):
                 build()
             return
         method = build()
         path = tmp_path_factory.getbasetemp() / "built-method.json"
+        if changed:
+            MethodLibrary().save(path)
+            previous = path.read_bytes()
+            with pytest.raises(ValueError, match=f"^method 'm-0': {changed} holds "):
+                MethodLibrary([method]).save(path)
+            assert path.read_bytes() == previous
+            return
         MethodLibrary([method]).save(path)
         text = path.read_bytes()
         loaded = MethodLibrary.load(path)
@@ -996,18 +1017,31 @@ class TestPersistence:
         MethodLibrary.load(path).save(path)
         assert path.read_text(encoding="utf-8") == text
 
-    def test_params_keys_and_unserializable_values_as_json(self, tmp_path, library):
-        method = dataclasses.replace(
-            make_method("m-a"), params={3: "a", 2.5: [], True: {}, None: (), "x": -0.0}
-        )
+    def test_params_json_would_change_or_cannot_write_are_refused(self, tmp_path, library):
+        method = dataclasses.replace(make_method("m-a"), params={"x": -0.0, "y": [1.5, None, True]})
         library.insert(method)
-        library.save(tmp_path / "lib.json")
-        assert (tmp_path / "lib.json").read_text(encoding="utf-8") == _oracle_text(library)
+        path = tmp_path / "lib.json"
+        library.save(path)
+        assert path.read_text(encoding="utf-8") == _oracle_text(library)
+        previous = path.read_bytes()
+        # json.dumps writes these, but each would load back changed: a key
+        # as a str, a tuple as a list.
+        for changes, message in (
+            ({"params": {3: "a", 2.5: [], True: {}, None: (), "x": -0.0}},
+             "params holds a key of type int"),
+            ({"params": {"k": (1, 2)}}, "params holds a value of type tuple"),
+            ({"step_params": ({3: "x"}, {}, {})}, "step_params holds a key of type int"),
+        ):
+            changed = MethodLibrary([method, dataclasses.replace(method, id="m-b", **changes)])
+            with pytest.raises(ValueError, match=f"^method 'm-b': {message}, which would not load"):
+                changed.save(path)
+            assert path.read_bytes() == previous
         for bad in ({"k": object()}, {("tuple", "key"): 1}):
             unserializable = MethodLibrary([dataclasses.replace(method, params=bad)])
             with pytest.raises(TypeError):
                 unserializable.save(tmp_path / "bad.json")
             assert not (tmp_path / "bad.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lib.json"]
 
     def test_save_encodes_each_distinct_value_once(self, tmp_path, monkeypatch):
         # CPython's json runs its pure-Python _make_iterencode once per

@@ -54,7 +54,10 @@ def test_collector_paused_while_reading(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(Path, "read_text", spy("read", Path.read_text))
     monkeypatch.setattr(json, "loads", spy("parse", json.loads))
-    monkeypatch.setattr(errors, "_read", spy("build", errors._read))
+    # Each record is built by its class's generated reader, which
+    # read_dataclass looks up through _record_reader on every read.
+    record_reader = errors._record_reader
+    monkeypatch.setattr(errors, "_record_reader", lambda cls: spy("build", record_reader(cls)))
     READERS[name][0](path)
     assert seen == {"read": {False}, "parse": {False}, "build": {False}}
     assert gc.isenabled()

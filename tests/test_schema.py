@@ -9,7 +9,9 @@ number in a float field, and repeat an entry of a set-typed list. The sites
 are found by walking the document against the dataclass annotations,
 independently of the reader. A table test then checks that each loader
 names a value its dataclass rejects at that value's field. The last tests
-check what the reader's positional build assumes of every record class.
+check what the reader's positional build assumes of every record class,
+and the last property checks each generated reader against the reference
+loop in ``reference_reader.py``, on valid and singly faulted documents.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from reuseloop.tasks import (
 from reuseloop.trigger import TriggerThresholds
 
 from conftest import make_method
+from reference_reader import read_reference
 
 _DROP = object()
 _WRONG = {str: 3, int: "1", float: "1.5", bool: 1, dict: [], list: {}}
@@ -428,3 +431,105 @@ def test_default_factories_are_called_on_every_read():
     assert first.planner == second.planner and first.planner is not second.planner
     first.planner.p_corrupt = 0.5
     assert second.planner.p_corrupt is None and read_dataclass(RunConfig, {}).planner == PlannerSettings()
+
+
+@pytest.mark.parametrize("value, text", [
+    (float("nan"), "NaN"), (float("inf"), "Infinity"), (float("-inf"), "-Infinity"),
+], ids=["nan", "inf", "-inf"])
+def test_the_reader_refuses_a_non_finite_number(value, text):
+    # ExecutorConfig refuses one too, but only after the reader has.
+    with pytest.raises(SchemaError) as err:
+        read_dataclass(RunConfig, {"executor": {"base_s": value}})
+    assert (err.value.field, err.value.message) == (
+        "executor.base_s", f"expected a finite number, got {text}")
+
+
+def test_null_refused_in_a_field_that_is_not_nullable():
+    # RunConfig itself would take None for output_dir.
+    with pytest.raises(SchemaError) as err:
+        read_dataclass(RunConfig, {"output_dir": None})
+    assert (err.value.field, err.value.message) == ("output_dir", "expected a string, got NoneType")
+    assert read_dataclass(RunConfig, {"library_path": None}).library_path is None
+
+
+# The root documents a loader reads, each drawn from a valid record: every
+# record class a loader builds sits at or below one of these roots.
+_ROOT_DOCS = st.one_of(
+    _libraries.map(lambda library: (_LibraryDoc, to_doc(_LibraryDoc(1, tuple(library.methods()))))),
+    _corpus_docs().map(lambda doc: (_CorpusDoc, doc)),
+    _configs.map(lambda config: (RunConfig, to_doc(config))),
+    _run_records().map(lambda record: (RunRecord, to_doc(record))),
+    st.builds(CostProfile, *[_floats()] * 7).map(lambda profile: (CostProfile, to_doc(profile))),
+)
+
+# What a fault puts in place of a value: each JSON type, the non-finite
+# numbers, and values that some record's own check refuses.
+_FAULT_VALUES = (
+    True, 1, 1.5, "x", None, [], {},
+    float("nan"), float("inf"), float("-inf"), 10**400,
+    -1, 0, -1.0, 10**6, "",
+)
+_UNKNOWN_KEYS = ("zz", "a.b", "")
+
+
+def _faults(node, at: tuple = ()) -> list[tuple]:
+    """Every single fault of the JSON value ``node`` and below it, as
+    ``(keys from the root, change, key or value)``; ``at`` is ``node``'s keys."""
+    if type(node) is dict:
+        found = [(at, "add", key) for key in _UNKNOWN_KEYS]
+        found += [(at, "drop", key) for key in node]
+        children = list(node.items())
+    elif type(node) is list:
+        found = [(at, "repeat", None)] if node else []
+        children = list(enumerate(node))
+    else:
+        return []
+    for key, value in children:
+        found += [((*at, key), "set", value) for value in _FAULT_VALUES]
+        found += _faults(value, (*at, key))
+    return found
+
+
+def _faulted(doc, fault):
+    """A copy of ``doc`` with ``fault`` applied; a ``"root"`` fault is the
+    value that replaces the whole document."""
+    keys, change, arg = fault
+    if change == "root":
+        return arg
+    out = copy.deepcopy(doc)
+    node = out
+    for key in keys[:-1] if change == "set" else keys:
+        node = node[key]
+    if change == "set":
+        node[keys[-1]] = arg
+    elif change == "add":
+        node[arg] = 1
+    elif change == "drop":
+        del node[arg]
+    else:
+        node.append(copy.deepcopy(node[0]))
+    return out
+
+
+def _outcome(read, cls, doc) -> tuple:
+    try:
+        return ("built", read(cls, doc))
+    except SchemaError as exc:
+        return ("refused", exc.field, exc.message)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_ROOT_DOCS, st.data())
+    def test_generated_readers_match_the_reference_loop(self, root, data):
+        # Each fault is applied alone to a copy of the document. Both readers
+        # build equal records, or both refuse at the same field with the
+        # same message; the unfaulted document reads back.
+        cls, doc = root
+        doc = json.loads(json.dumps(doc))
+        assert _outcome(read_dataclass, cls, doc)[0] == "built"
+        faults = [((), "root", value) for value in _FAULT_VALUES] + _faults(doc)
+        for fault in data.draw(st.lists(st.sampled_from(faults), min_size=1, max_size=8)):
+            faulty = _faulted(doc, fault)
+            assert _outcome(read_dataclass, cls, faulty) == _outcome(read_reference, cls, faulty), fault
+

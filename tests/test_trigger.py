@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 
 import pytest
@@ -39,6 +40,14 @@ from reuseloop.trigger import (
 from conftest import make_method, make_task, method_for_task
 
 THRESHOLDS = TriggerThresholds(tau_r=0.8, tau_q=0.5, tau_o=0.8, tau_u=0.3)
+
+
+def test_thresholds_refuse_a_bool():
+    # As the config reader refuses it: True would read as the bound 1.
+    for build in (lambda: TriggerThresholds(tau_r=True),
+                  lambda: dataclasses.replace(THRESHOLDS, tau_u=False)):
+        with pytest.raises(ValueError, match="^tau_[ru] must be a number, not a bool$"):
+            build()
 
 
 class TestConfidence:
