@@ -21,13 +21,12 @@ from .engine import (
     PROPOSED_OBSERVATION,
     ExecutorConfig,
 )
+from .errors import check_count, check_duration, check_fraction
 from .planner import (
     DEFAULT_MOCK_LATENCY_S,
     DEFAULT_P_CORRUPT,
     MockPlanner,
     Planner,
-    check_latency,
-    check_p_corrupt,
 )
 from .tasks import (
     OBSERVATION_FIRST,
@@ -143,9 +142,9 @@ class PlannerSettings:
 
     def __post_init__(self):
         if self.latency_s is not None:
-            check_latency(self.latency_s)
+            check_duration("latency_s", self.latency_s)
         if self.p_corrupt is not None:
-            check_p_corrupt(self.p_corrupt)
+            check_fraction("p_corrupt", self.p_corrupt)
 
 
 @dataclass
@@ -163,9 +162,7 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in POLICY_MODES:
             raise ValueError(f"mode must be one of {', '.join(POLICY_MODES)}")
-        if type(self.seed) is not int:  # a bool would seed as 0 or 1; the reader refuses it
-            kind = "a bool" if type(self.seed) is bool else type(self.seed).__name__
-            raise ValueError(f"seed must be an integer, not {kind}")
+        check_count("seed", self.seed)  # a bool would seed as 0 or 1; the reader refuses it
         check_corpus_size(self.n_tasks, self.n_repeats)
 
 

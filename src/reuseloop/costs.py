@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .errors import check_fraction, check_number
+
 
 @dataclass(frozen=True)
 class CostProfile:
@@ -25,7 +27,7 @@ class CostProfile:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not 0.0 <= value < math.inf:
+            if not 0.0 <= check_number(f.name, value) < math.inf:
                 raise ValueError(f"{f.name} must be finite and nonnegative, got {value!r}")
 
 
@@ -59,8 +61,7 @@ def expected_task_cost(profile: CostProfile, p: float) -> float:
 
     Affine and non-increasing in p: better coverage never costs more.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_fraction("p", p)
     return profile.c_retrieve + profile.c_exec + (1.0 - p) * learning_overhead(profile)
 
 
@@ -71,8 +72,7 @@ def reuse_benefit(profile: CostProfile, rho: float, k: int) -> ReuseBenefit:
     future occasions. Each successful reuse saves planning + collection +
     training; the one-time investment additionally includes storage.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    check_fraction("rho", rho)
     if k < 0:
         raise ValueError("k must be nonnegative")
     delta_c = profile.c_plan + profile.c_collect + profile.c_train

@@ -48,7 +48,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import learner
-from .errors import RecordStreamError, SchemaError, read_dataclass, replacing
+from .errors import RecordStreamError, SchemaError, check_duration, read_dataclass, replacing
 from .experience import EpisodeDataset, ExperienceSample
 from .library import MethodLibrary
 from .planner import EpisodeOutcome, Planner
@@ -82,13 +82,7 @@ class ExecutorConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is bool:  # a number to isfinite, and the reader refuses it
-                raise ValueError(f"{f.name} must be a number, not a bool")
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{f.name} must be nonnegative")
+            check_duration(f.name, getattr(self, f.name))
 
     def execute_time(self, n_steps: int) -> float:
         return self.base_s + self.per_step_s * n_steps

@@ -11,7 +11,13 @@ Every loader reads its document through ``read_dataclass``, and
 ``engine.write_records`` checks each record with it before writing, so the
 run-record writer refuses exactly what its reader refuses. Every file the
 package reads whole, all but the line-by-line ``runs.jsonl``, is read through
-``load_json``, and every file it writes is written through ``replacing``."""
+``load_json``, and every file it writes is written through ``replacing``.
+
+A record built in code refuses what its reader refuses by five field rules
+held here: ``check_count`` (exactly an ``int``), ``check_number`` (an int or
+a float, never a bool), ``check_duration`` (a finite, nonnegative number),
+``check_fraction`` (a number in [0, 1]) and ``check_items`` (a set or
+sequence, never a ``str``)."""
 
 from __future__ import annotations
 
@@ -344,6 +350,54 @@ def read_versioned(cls, doc: Any, version: int):
     if type(found) is not int or found != version:
         raise SchemaError("version", f"expected {version}, got {found!r}")
     return read_dataclass(cls, doc)
+
+
+# The field rules a record shares with the reader, so that one built in code
+# refuses what its reader refuses: to Python a bool is an int and a number,
+# and a str a sequence, and the reader takes neither in their place. Each
+# refusal is a ValueError worded "<field> must ...", which the reader places
+# at the field. check_count, check_number and check_items return the value
+# they accept, so that a caller can go on to test or convert it.
+
+
+def _kind(value: Any) -> str:
+    return "a bool" if type(value) is bool else type(value).__name__
+
+
+def check_count(name: str, value: Any) -> int:
+    """``value``, exactly an ``int``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {_kind(value)}")
+    return value
+
+
+def check_number(name: str, value: Any) -> float:
+    """``value``, an int or a float but not a bool."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {_kind(value)}")
+    return value
+
+
+def check_duration(name: str, value: Any) -> None:
+    """Refuse ``value`` unless it is a finite, nonnegative number."""
+    if not isfinite(check_number(name, value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+
+
+def check_fraction(name: str, value: Any) -> None:
+    """Refuse ``value`` unless it is a number in [0, 1]."""
+    if not 0.0 <= check_number(name, value) <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
+def check_items(name: str, value: Any, items: str = "sequence of strings") -> Any:
+    """``value``, a set or sequence of ``items``, so anything but a ``str``,
+    which would read as one-letter items."""
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a {items}, not a str")
+    return value
 
 
 def to_doc(value: Any) -> Any:

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import LibraryError, SchemaError, load_json, read_versioned, replacing
+from .errors import check_count, check_fraction, check_items
 from .tasks import TaskDescriptor
 
 LIBRARY_VERSION = 1
@@ -40,23 +41,12 @@ LIBRARY_VERSION = 1
 
 def _refusal(record, names: tuple[str, ...]) -> ValueError:
     """The error for the first of the count fields ``names`` of ``record``
-    that is not a nonnegative ``int``. A bool is an int to ``min`` and to
-    ``<``, and the reader refuses it, so a direct build does too."""
+    that is not a nonnegative ``int``; where that field is not exactly an
+    ``int``, ``check_count`` raises its own. A bool is an int to ``min`` and
+    to ``<``, and the reader refuses it, so a direct build does too."""
     for name in names:
-        value = getattr(record, name)
-        if type(value) is not int:
-            kind = "a bool" if type(value) is bool else type(value).__name__
-            return ValueError(f"{name} must be an integer, not {kind}")
-        if value < 0:
+        if check_count(name, getattr(record, name)) < 0:
             return ValueError(f"{name} must be nonnegative")
-
-
-def _converted(value, kind: type, name: str, items: str):
-    """``kind(value)``, for the field ``name`` of ``items``; a ``str`` is
-    refused, not read as a run of one-letter items."""
-    if isinstance(value, str):
-        raise ValueError(f"{name} must be a {items}, not a str")
-    return kind(value)
 
 
 @dataclass(slots=True)
@@ -93,14 +83,12 @@ class Applicability:
     def __post_init__(self):
         # The reader passes frozensets, so a load skips the conversion.
         if not type(self.signatures) is type(self.goal_tokens) is frozenset:
-            self.signatures = _converted(self.signatures, frozenset, "signatures", "set of strings")
-            self.goal_tokens = _converted(
-                self.goal_tokens, frozenset, "goal_tokens", "set of strings")
+            self.signatures = frozenset(check_items("signatures", self.signatures, "set of strings"))
+            self.goal_tokens = frozenset(check_items("goal_tokens", self.goal_tokens, "set of strings"))
         if not self.signatures:
             raise ValueError("signatures must be non-empty")
-        if type(self.max_steps) is not int:
-            raise _refusal(self, ("max_steps",))
-        if self.max_steps < 1:
+        if type(self.max_steps) is not int or self.max_steps < 1:
+            check_count("max_steps", self.max_steps)  # names a type fault first
             raise ValueError("max_steps must be positive")
 
 
@@ -131,9 +119,11 @@ class Method:
 
     ``procedure`` is the executable action chain; ``step_params`` optionally
     carries one parameter map per step. Both are stored as tuples, the type
-    a load reads back, and a ``str`` in either's place is refused. Everything
-    except the reliability counters is immutable by convention: refinement
-    produces a new method under a new id rather than editing in place.
+    a load reads back, and a ``str`` in either's place is refused. ``params``
+    and each ``step_params`` entry must be a ``dict``, as a load reads each
+    back from an object. Everything except the reliability counters is
+    immutable by convention: refinement produces a new method under a new
+    id rather than editing in place.
     """
 
     id: str
@@ -148,14 +138,17 @@ class Method:
         if not self.id:
             raise ValueError("id must be non-empty")
         if type(self.procedure) is not tuple:  # the reader passes a tuple
-            self.procedure = _converted(self.procedure, tuple, "procedure", "sequence of strings")
+            self.procedure = tuple(check_items("procedure", self.procedure))
         if not self.procedure:
             raise ValueError("procedure must be non-empty")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be a dict, not {type(self.params).__name__}")
         if self.step_params is not None:
-            self.step_params = _converted(
-                self.step_params, tuple, "step_params", "sequence of mappings")
+            self.step_params = tuple(check_items("step_params", self.step_params, "sequence of mappings"))
             if len(self.step_params) != len(self.procedure):
                 raise ValueError("step_params must align with procedure")
+            if not all(isinstance(entry, dict) for entry in self.step_params):
+                raise ValueError("step_params must be one dict per step")
 
 
 class RetrievalResult:
@@ -329,7 +322,7 @@ class MethodLibrary:
         the read then raises ``LibraryError``.
         """
         if not 0.0 <= tau_r <= 1.0:
-            raise ValueError("tau_r must lie in [0, 1]")
+            check_fraction("tau_r", tau_r)  # raises; the test above keeps a lookup fast
         if not self._methods:
             return RetrievalResult(method=None, score=0.0, covered=False)
         by_signature = self._by_signature.get(task.signature, ())

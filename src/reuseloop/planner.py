@@ -10,13 +10,12 @@ plug into.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Protocol
 
-from .errors import PlannerError
+from .errors import PlannerError, check_duration, check_fraction
 from .tasks import DEFAULT_ACTIONS, TaskDescriptor
 
 # Default latency of the mock planner; calibrated so simulated planner time
@@ -55,26 +54,6 @@ class LearningPlan:
 class EpisodeOutcome:
     success: bool
     failed_step: int | None = None
-
-
-# Setting checks, shared by MockPlanner and config.PlannerSettings.
-
-
-def check_latency(latency_s: float) -> None:
-    # A bool is a number to isfinite and to <=, and the reader refuses it.
-    if type(latency_s) is bool:
-        raise ValueError("latency_s must be a number, not a bool")
-    if not math.isfinite(latency_s):
-        raise ValueError(f"latency_s must be finite, got {latency_s!r}")
-    if latency_s < 0:
-        raise ValueError("latency_s must be nonnegative")
-
-
-def check_p_corrupt(p_corrupt: float) -> None:
-    if type(p_corrupt) is bool:
-        raise ValueError("p_corrupt must be a number, not a bool")
-    if not 0.0 <= p_corrupt <= 1.0:
-        raise ValueError("p_corrupt must lie in [0, 1]")
 
 
 class Planner(Protocol):
@@ -119,8 +98,8 @@ class MockPlanner:
         latency_s: float = DEFAULT_MOCK_LATENCY_S,
         p_corrupt: float = DEFAULT_P_CORRUPT,
     ):
-        check_latency(latency_s)
-        check_p_corrupt(p_corrupt)
+        check_duration("latency_s", latency_s)
+        check_fraction("p_corrupt", p_corrupt)
         self.seed = seed
         self.latency_s = latency_s
         self.p_corrupt = p_corrupt

@@ -20,7 +20,8 @@ from math import isfinite
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .errors import SchemaError, load_json, read_versioned, replacing, to_doc
+from .errors import SchemaError, load_json, parse_json, read_versioned, replacing, to_doc
+from .errors import check_count, check_items, check_number
 
 # Executable action identifiers shared by tasks, methods, and the planner.
 DEFAULT_ACTIONS: tuple[str, ...] = (
@@ -75,12 +76,11 @@ class TaskConstraints:
         # A bool is an int to isinstance and a number to isfinite, and the
         # reader refuses it, so a direct build does too.
         if type(self.max_steps) is bool:
-            raise ValueError("max_steps must be an integer, not a bool")
+            check_count("max_steps", self.max_steps)
         if not isinstance(self.max_steps, int) or self.max_steps < 1:
             raise ValueError("max_steps must be a positive integer")
-        if type(self.deadline_s) is bool:
-            raise ValueError("deadline_s must be a number, not a bool")
-        if self.deadline_s is not None and not (isfinite(self.deadline_s) and self.deadline_s >= 0):
+        deadline = self.deadline_s
+        if deadline is not None and not (isfinite(check_number("deadline_s", deadline)) and deadline >= 0):
             raise ValueError("deadline_s must be finite and nonnegative when present")
 
 
@@ -131,9 +131,9 @@ class TaskDescriptor:
 
     def __init__(self, id, instruction, goal, environment, observations, constraints, target_sequence):
         if isinstance(goal, str) or isinstance(observations, str) or isinstance(target_sequence, str):
-            name = "goal" if isinstance(goal, str) else (
-                "observations" if isinstance(observations, str) else "target_sequence")
-            raise ValueError(f"{name} must be a sequence of strings, not a str")
+            check_items("goal", goal)
+            check_items("observations", observations)
+            check_items("target_sequence", target_sequence)
         goal, observations, target_sequence = tuple(goal), tuple(observations), tuple(target_sequence)
         if not goal:
             raise ValueError("goal must be non-empty")
@@ -194,8 +194,7 @@ class ObservedEvent(_ObservedEventFields):
     __slots__ = ()
 
     def __new__(cls, action_sequence, success):
-        if isinstance(action_sequence, str):
-            raise ValueError("action_sequence must be a sequence of strings, not a str")
+        check_items("action_sequence", action_sequence)
         if success and not action_sequence:
             raise ValueError("successful observation must carry a non-empty action_sequence")
         return tuple.__new__(cls, (action_sequence, success))
@@ -249,10 +248,8 @@ def check_corpus_size(n_tasks: int, n_repeats: int) -> None:
     """Reject a corpus size ``generate_corpus`` cannot build. Each count
     must be exactly an ``int``: a float fails the build's slice, and a bool
     counts as 0 or 1 where the reader refuses it."""
-    for name, value in (("n_tasks", n_tasks), ("n_repeats", n_repeats)):
-        if type(value) is not int:
-            kind = "a bool" if type(value) is bool else type(value).__name__
-            raise ValueError(f"{name} must be an integer, not {kind}")
+    check_count("n_tasks", n_tasks)
+    check_count("n_repeats", n_repeats)
     if not 1 <= n_tasks <= MAX_TASKS:
         raise ValueError(f"n_tasks must lie in [1, {MAX_TASKS}]")
     if n_repeats < 1:
@@ -346,8 +343,13 @@ def corpus_from_doc(doc: Any) -> list[TaskEvent]:
 
 
 def save_corpus(events: Iterable[TaskEvent], path: str | Path) -> None:
+    """Write ``events`` as a corpus document, once ``corpus_from_doc`` has
+    read its text back, as ``load_corpus`` reads the file: a save refuses,
+    with the same ``SchemaError``, what a load would refuse, and leaves the
+    previous file in place."""
+    corpus_from_doc(parse_json(text := json.dumps(corpus_to_doc(events), indent=2) + "\n"))
     with replacing(path) as fh:
-        fh.write(json.dumps(corpus_to_doc(events), indent=2) + "\n")
+        fh.write(text)
 
 
 def load_corpus(path: str | Path) -> list[TaskEvent]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
+from .errors import check_fraction
 from .library import Method, RetrievalResult
 from .tasks import ObservedEvent
 
@@ -40,11 +41,7 @@ class TriggerThresholds:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is bool:  # a number to <=, and the reader refuses it
-                raise ValueError(f"{f.name} must be a number, not a bool")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{f.name} must lie in [0, 1]")
+            check_fraction(f.name, getattr(self, f.name))
 
 
 class TriggerDecision(NamedTuple):

@@ -110,6 +110,34 @@ MUTANTS = [
         ["tests/test_library.py::TestLibraryRecords::test_a_bool_count_is_refused"],
         "[simplicity]: every rollout restarts at step 1",
     ),
+    (
+        "rule-number-accepts-bool",
+        "src/reuseloop/errors.py",
+        "if type(value) is bool or not isinstance(value, (int, float)):",
+        "if not isinstance(value, (int, float)):",
+        ["tests/test_trigger.py::test_thresholds_refuse_a_bool",
+         "tests/test_config_cli.py::TestConfigDocuments::test_planner_settings_refuse_a_bool",
+         "tests/test_costs.py::TestSingleTaskCost::test_bool_profile_rejected"],
+        "[simplicity]: the field rules a record shares with its reader",
+    ),
+    (
+        "rule-count-accepts-bool",
+        "src/reuseloop/errors.py",
+        "if type(value) is not int:",
+        "if not isinstance(value, int):",
+        ["tests/test_config_cli.py::TestConfigDocuments::test_run_config_refuses_what_its_reader_refuses",
+         "tests/test_tasks.py::TestDescriptorInvariants::test_bool_refused_as_the_reader_refuses_it"],
+        "[simplicity]: the field rules a record shares with its reader",
+    ),
+    (
+        "rule-items-accepts-str",
+        "src/reuseloop/errors.py",
+        "if isinstance(value, str):",
+        "if False:",
+        ["tests/test_tasks.py::TestDescriptorInvariants::test_string_in_place_of_a_token_sequence_rejected",
+         "tests/test_library.py::TestLibraryRecords::test_a_str_in_place_of_a_set_or_sequence_is_refused"],
+        "[simplicity]: the field rules a record shares with its reader",
+    ),
 ]
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -49,6 +49,14 @@ class TestSingleTaskCost:
         with pytest.raises(ValueError):
             CostProfile(c_plan=-0.1)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_profile_rejected(self, value):
+        # As its reader refuses it: True would cost 1.0.
+        for build in (lambda: CostProfile(c_plan=value),
+                      lambda: replace(WORKED, c_store=value)):
+            with pytest.raises(ValueError, match="^c_(plan|store) must be a number, not a bool$"):
+                build()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [f.name for f in fields(CostProfile)])
     def test_non_finite_profile_rejected_at_its_field(self, name, value):
@@ -71,6 +79,8 @@ class TestExpectedTaskCost:
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
             expected_task_cost(WORKED, 1.5)
+        with pytest.raises(ValueError, match="^p must be a number, not a bool$"):
+            expected_task_cost(WORKED, True)
 
     def test_non_increasing_in_p(self):
         rng = random.Random(2)
@@ -115,6 +125,8 @@ class TestReuseBenefit:
             reuse_benefit(WORKED, rho=1.2, k=1)
         with pytest.raises(ValueError):
             reuse_benefit(WORKED, rho=0.5, k=-1)
+        with pytest.raises(ValueError, match="^rho must be a number, not a bool$"):
+            reuse_benefit(WORKED, rho=True, k=1)
 
 
 class TestDelayComparison:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pickle
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -687,6 +688,21 @@ class TestLibraryRecords:
         with pytest.raises(ValueError, match=f"^{field} must be a (set|sequence) of .*, not a str$"):
             build()
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"params": []}, "params must be a dict, not list"),
+        ({"step_params": ([1], [1], [1])}, "step_params must be one dict per step"),
+        ({"params": ({},) * 3, "step_params": ({},) * 3}, "params must be a dict, not tuple"),
+    ], ids=["list-params", "list-step-params", "tuple-params-beside-step-params"])
+    def test_params_and_step_params_entries_must_be_dicts(self, changes, message):
+        # Each used to build and save a library.json that load refused, as
+        # the file's params and step_params entries are objects.
+        method = make_method()
+        values = {f.name: getattr(method, f.name) for f in dataclasses.fields(Method)}
+        for build in (lambda: dataclasses.replace(method, **changes),
+                      lambda: Method(**{**values, **changes})):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
     def test_method_stores_its_sequences_as_tuples(self, tmp_path):
         method = dataclasses.replace(
             make_method(), procedure=["move", "grasp"], step_params=[{"speed": 1}, {}])
@@ -807,9 +823,11 @@ _changed_by_json = st.sampled_from([{3: "a"}, {"k": (1, 2)}, {"k": [{"x": (1,)}]
 def _loose_methods(draw):
     """``(build, refused, changed)``: a thunk that builds a ``Method``
     directly from bools, ints, strs, lists, tuples and sets in its count,
-    set and sequence fields; whether one of them is a bool or a str; and
-    the first field, in the order a save writes, whose value a save would
-    write but a load read back changed, else None."""
+    set and sequence fields, and lists and tuples in place of ``params``
+    or a ``step_params`` entry; whether one of them is a bool or a str, or
+    a list or tuple where a dict belongs; and the first field, in the order
+    a save writes, whose value a save would write but a load read back
+    changed, else None."""
     refused = False
 
     def pick(*options):
@@ -832,9 +850,14 @@ def _loose_methods(draw):
     step_params = None
     if type(procedure) is not str:
         n = len(procedure)
-        entries = st.lists(st.just({}) | _changed_by_json, min_size=n, max_size=n)
+        entries = st.lists(st.just({}) | _changed_by_json | st.just([1]), min_size=n, max_size=n)
         step_params = pick(st.none(), _json_strings, entries, entries.map(tuple))
-    params = draw(st.just({"model_family": "sequence"}) | _changed_by_json)
+        if type(step_params) in (list, tuple):
+            refused = refused or any(type(entry) is not dict for entry in step_params)
+    not_dicts = st.lists(st.just({}), max_size=3)
+    params = draw(st.just({"model_family": "sequence"}) | _changed_by_json
+                  | not_dicts | not_dicts.map(tuple))
+    refused = refused or type(params) is not dict
     changed = next((
         name for name, value in (("step_params", step_params), ("params", params))
         if type(value) in (list, tuple) and value != list(map(json.loads, map(json.dumps, value)))
@@ -979,14 +1002,17 @@ class TestPersistence:
     @settings(max_examples=200, deadline=None)
     @given(_loose_methods())
     def test_built_method_refuses_or_round_trips_property(self, tmp_path_factory, drawn):
-        # A bool count, or a str in place of a set or sequence, is refused
-        # at build. A params or step_params value that would load back
+        # A bool count, a str in place of a set or sequence, or a list or
+        # tuple in place of params or a step_params entry, is refused at
+        # build. A params or step_params value that would load back
         # changed is refused at save, naming the method and the field, and
         # the previous file stays. Anything else saves, loads back equal,
         # and saves again to the same bytes.
         build, refused, changed = drawn
         if refused:
-            with pytest.raises(ValueError, match="must be an integer, not a bool$|, not a str$"):
+            with pytest.raises(ValueError, match="must be an integer, not a bool$|, not a str$"
+                               "|^params must be a dict, not (list|tuple)$"
+                               "|^step_params must be one dict per step$"):
                 build()
             return
         method = build()

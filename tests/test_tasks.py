@@ -575,6 +575,26 @@ class TestCorpusPersistence:
         events = generate_corpus(seed=seed, n_tasks=n_tasks, n_repeats=n_repeats, mode=mode)
         assert corpus_from_doc(json.loads(json.dumps(corpus_to_doc(events)))) == events
 
+    @pytest.mark.parametrize("bad, field", [
+        (lambda task: TaskEvent(True, SELF_TASK, task), "events[0].cycle"),
+        (lambda task: TaskEvent(0, SELF_TASK, dataclasses.replace(task, id=5)), "events[0].task.id"),
+        (lambda task: TaskEvent(0, OBSERVED_EVENT, task, ObservedEvent(task.target_sequence, 1)),
+         "events[0].observed.success"),
+        (lambda task: TaskEvent(0, SELF_TASK, dataclasses.replace(task, environment={3: 5})),
+         'events[0].task.environment["3"]'),
+    ], ids=["bool-cycle", "int-task-id", "int-success", "int-environment-value"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, bad, field):
+        # Each used to be written, and then refused by load_corpus at the same field.
+        path = tmp_path / "corpus.json"
+        events = generate_corpus(seed=3, n_tasks=1, n_repeats=1)
+        save_corpus(events, path)
+        previous = path.read_bytes()
+        with pytest.raises(SchemaError) as err:
+            save_corpus([bad(events[0].task)], path)
+        assert err.value.field == field
+        assert path.read_bytes() == previous and [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+        assert load_corpus(path) == events
+
     def test_version_checked(self):
         with pytest.raises(SchemaError) as err:
             corpus_from_doc({"version": 99, "events": []})
